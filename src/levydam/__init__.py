@@ -74,4 +74,28 @@ from .simulate import (
     simulate_total_discounted,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # models
+    "AtomJumps", "BrownianDrift", "CompoundPoissonDrift", "ConvergenceError",
+    "ExponentialJumps", "GammaDrift", "GenericBoundedVariation",
+    "InverseGaussianDrift", "LevyMeasure", "LevyModel", "brownian",
+    "compound_poisson_exp", "compound_poisson_measure", "gamma_measure",
+    "generic_measure", "inverse_gaussian_measure",
+    # scale
+    "CLOSED_FORM_BROWNIAN", "CONVOLUTION_SERIES", "LAPLACE_INVERSION",
+    "ScaleFunctionSet", "ScaleOptions", "shifted_model", "shifted_scale_set",
+    # exits
+    "OvershootLaw", "PotentialDensity", "cycle_end_lt", "exit_lt_reflected",
+    "exit_lt_up", "exit_mean_reflected", "exit_mean_up", "fill_overshoot_law",
+    "overshoot_expectation", "overshoot_reflected", "overshoot_up",
+    "potential_reflected", "potential_release", "potential_two_sided",
+    "potential_up_killed", "release_exit_lt", "release_exit_mean",
+    # costs
+    "CostSpec", "PiecewisePoly", "PolicyEvaluator", "PolicyParams",
+    "cycle_cost", "fill_cost", "long_run_average_cost", "release_cost",
+    "total_discounted_cost",
+    # simulate
+    "CycleRecords", "InputPath", "PathConfig", "SimulationEstimate",
+    "estimate", "path_rng", "run_policy_cycles", "simulate_input_path",
+    "simulate_total_discounted",
+]

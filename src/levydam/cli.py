@@ -217,10 +217,16 @@ def cmd_evaluate(cfg: dict) -> dict:
     notes = []
     quantities = {}
     try:
-        quantities["fill_exit_mean"] = ev.fill_exit_mean()
-        quantities["mean_release_time"] = ev.mean_release_time()
-        quantities["mean_cycle_length"] = ev.mean_cycle_length()
+        means = {"fill_exit_mean": ev.fill_exit_mean(),
+                 "mean_release_time": ev.mean_release_time(),
+                 "mean_cycle_length": ev.mean_cycle_length()}
+        infinite = [k for k, v in means.items() if not math.isfinite(v)]
+        if infinite:
+            raise ValueError(f"infinite {', '.join(infinite)}")
+        quantities.update(means)
     except ValueError as exc:
+        quantities.update(dict.fromkeys(
+            ("fill_exit_mean", "mean_release_time", "mean_cycle_length")))
         notes.append(f"cycle means unavailable: {exc}")
     try:
         quantities["long_run_average_cost"] = ev.long_run_average()
@@ -284,6 +290,7 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     n_requested = config.n_paths
     starved = records.n_cycles < max(2, n_requested // 2)
     checks = []
+    notes = []
 
     def add(name, analytic, est):
         if corrupt and corrupt.get("quantity") == name:
@@ -312,8 +319,8 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
             cost_s, len_s = records.average_cost_samples(costs)
             add("long_run_average_cost", lra,
                 estimate("long_run_average_cost", cost_s, len_s))
-        except ValueError:
-            pass
+        except ValueError as exc:
+            notes.append(f"long-run average check skipped: {exc}")
         for a in alphas:
             tag = f"alpha={a:g}"
             add(f"fill_exit_lt[{tag}]", ev.fill_exit_lt(a),
@@ -339,7 +346,7 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
                         estimate("mean_overshoot", over))
 
     all_pass = all(c["pass"] for c in checks) and not starved
-    return {
+    report = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify",
         "reflected": reflected,
@@ -352,6 +359,10 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
         "checks": checks,
         "pass": bool(all_pass),
     }
+    # only when a check was dropped, so complete reports keep their bytes
+    if notes:
+        report["notes"] = notes
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +481,11 @@ def cmd_optimize(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def _write_report(report: dict, out_dir: str, name: str):
+    # a non-finite number raises ValueError here, before anything is written
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n")
+    (out / f"{name}.json").write_text(text + "\n")
     rows = _tabulate(report)
     if rows:
         with open(out / f"{name}.csv", "w", newline="") as fh:
@@ -551,7 +563,11 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    _write_report(report, out_dir, args.command)
+    try:
+        _write_report(report, out_dir, args.command)
+    except ValueError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     if not args.quiet:
         print(json.dumps(report, sort_keys=True, indent=2))
     if args.command == "verify":

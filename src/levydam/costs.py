@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exits import (
+    OvershootLaw,
     cycle_end_lt,
     exit_lt_reflected,
     exit_lt_up,
@@ -239,6 +240,9 @@ def total_discounted_cost(model: LevyModel, policy: PolicyParams,
         s_M = shifted_scale_set(model, policy.M, alpha, options=options)
     args = (model, policy, costs, alpha)
     kw = dict(reflected=reflected, s=s, s_M=s_M, options=options)
+    # held so that the cycle functionals below share each law
+    held = [fill_overshoot_law(s, y, policy.lam, reflected)
+            for y in dict.fromkeys((x, policy.tau)) if y < policy.lam]
     c_x = cycle_cost(*args, x, **kw)
     q_x = cycle_end_lt(model, policy, alpha, x, reflected=reflected, s=s, s_M=s_M)
     tau = policy.tau
@@ -257,17 +261,21 @@ def total_discounted_cost(model: LevyModel, policy: PolicyParams,
 def long_run_average_cost(model: LevyModel, policy: PolicyParams,
                           costs: CostSpec, x: float | None = None,
                           reflected: bool = True,
+                          s: ScaleFunctionSet | None = None,
+                          s_M: ScaleFunctionSet | None = None,
                           options: ScaleOptions | None = None) -> float:
     """Long-run average cost per unit time of running the policy.
 
     Renewal reward over one regeneration cycle: fixed charges, undiscounted
     maintenance of both phases and the reward on the released volume, over
     the expected cycle length.  Independent of the starting state, which is
-    accepted for interface symmetry only.
+    accepted for interface symmetry only.  ``s`` and ``s_M``, when given,
+    must be the fill and release sets at alpha = 0.
     """
     lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
-    s0 = ScaleFunctionSet(model, 0.0, options=options)
-    s_M0 = shifted_scale_set(model, M, 0.0, options=options)
+    s0 = ScaleFunctionSet(model, 0.0, options=options) if s is None else s
+    s_M0 = (shifted_scale_set(model, M, 0.0, options=options) if s_M is None
+            else s_M)
     if reflected:
         mean_fill = exit_mean_reflected(s0, tau, lam)
     else:
@@ -295,7 +303,13 @@ def long_run_average_cost(model: LevyModel, policy: PolicyParams,
 # ---------------------------------------------------------------------------
 
 class PolicyEvaluator:
-    """Caches scale function sets per discount rate for repeated evaluation."""
+    """Caches scale function sets per discount rate for repeated evaluation.
+
+    Every quantity at one discount rate uses the same two sets, and the
+    evaluator holds each overshoot law it needs, which the sets hand to
+    the free functions it calls; so one evaluator per policy computes each
+    law once.
+    """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
                  reflected: bool = True, options: ScaleOptions | None = None):
@@ -308,6 +322,7 @@ class PolicyEvaluator:
                                    else policy.lam + 10.0) - policy.tau) + 1.0)
         self._fill_sets: dict[float, ScaleFunctionSet] = {}
         self._release_sets: dict[float, ScaleFunctionSet] = {}
+        self._laws: dict[tuple, OvershootLaw] = {}
 
     def fill_set(self, alpha: float) -> ScaleFunctionSet:
         if alpha not in self._fill_sets:
@@ -345,8 +360,16 @@ class PolicyEvaluator:
 
     def overshoot_law(self, alpha: float, x: float | None = None):
         x = self.policy.tau if x is None else x
-        return fill_overshoot_law(self.fill_set(alpha), x, self.policy.lam,
-                                  self.reflected)
+        key = (alpha, x)
+        if key not in self._laws:
+            self._laws[key] = fill_overshoot_law(
+                self.fill_set(alpha), x, self.policy.lam, self.reflected)
+        return self._laws[key]
+
+    def _hold_law(self, alpha: float, x: float):
+        """Keep the law a cycle functional started at x will ask for."""
+        if x < self.policy.lam:
+            self.overshoot_law(alpha, x)
 
     def mean_release_time(self) -> float:
         law = self.overshoot_law(0.0)
@@ -360,18 +383,22 @@ class PolicyEvaluator:
 
     def cycle_end_lt(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
+        self._hold_law(alpha, x)
         return cycle_end_lt(self.model, self.policy, alpha, x,
                             reflected=self.reflected, s=self.fill_set(alpha),
                             s_M=self.release_set(alpha))
 
     def cycle_cost(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
+        self._hold_law(alpha, x)
         return cycle_cost(self.model, self.policy, self.costs, alpha, x,
                           reflected=self.reflected, s=self.fill_set(alpha),
                           s_M=self.release_set(alpha), options=self.options)
 
     def total_discounted(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
+        self._hold_law(alpha, x)
+        self._hold_law(alpha, self.policy.tau)
         return total_discounted_cost(self.model, self.policy, self.costs,
                                      alpha, x, reflected=self.reflected,
                                      s=self.fill_set(alpha),
@@ -379,6 +406,9 @@ class PolicyEvaluator:
                                      options=self.options)
 
     def long_run_average(self) -> float:
+        self._hold_law(0.0, self.policy.tau)
         return long_run_average_cost(self.model, self.policy, self.costs,
                                      reflected=self.reflected,
+                                     s=self.fill_set(0.0),
+                                     s_M=self.release_set(0.0),
                                      options=self.options)

@@ -13,6 +13,9 @@ rate, reflected at the capacity, killed at the lower threshold):
   phase overshoot law with the release phase transform.
 
 Functions are pure; the discount rate is the one carried by the scale set.
+An overshoot law evaluates its density at most once per point, and
+``fill_overshoot_law`` builds each law once per scale set while a caller
+holds it, so every cycle functional computed from one set shares the law.
 """
 
 from __future__ import annotations
@@ -327,6 +330,24 @@ class OvershootLaw:
         return self.atom_at_lambda + self.density_mass()
 
 
+def _memo_per_point(s: ScaleFunctionSet, fn: Callable) -> Callable:
+    """fn with each value kept; a grid rebuild of s drops the kept values."""
+    cache: dict = {}
+    generation = s.generation
+
+    def memo(z):
+        nonlocal generation
+        if s.generation != generation:
+            cache.clear()
+            generation = s.generation
+        val = cache.get(z)
+        if val is None:
+            val = cache[z] = fn(z)
+        return val
+
+    return memo
+
+
 def _jump_density(s: ScaleFunctionSet):
     measure = s.model.measure
     if measure is None:
@@ -364,6 +385,7 @@ def overshoot_up(s: ScaleFunctionSet, x: float, lam: float) -> OvershootLaw:
         return _quad_pts(lambda y: pot.density(x, y) * nu(z - y), y_lo, lam,
                          pts=(x, 0.0))
 
+    density = _memo_per_point(s, density)
     z_cut = lam + cut
     atom = 0.0
     if s.model.sigma2 > 0.0:
@@ -409,6 +431,8 @@ def overshoot_reflected(s: ScaleFunctionSet, x: float, lam: float) -> OvershootL
             second = _quad_pts(lambda y: w(y - x) * nu(z - y), y_lo2, lam)
         return w_lam_x * first - wp_lam * second
 
+    kernel = _memo_per_point(s, kernel)
+
     def density(z):
         return kernel(z) / wp_lam
 
@@ -435,8 +459,18 @@ def fill_overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
     For continuous plain input the law is the pure creeping atom with the
     exit transform as weight, which is what the cycle composition needs.
     Starting exactly at the threshold the fill phase has length zero and the
-    law is a unit atom there.
+    law is a unit atom there.  While a caller holds the law, later calls
+    with the same (s, x, lam, reflected) return it; treat it as read-only.
     """
+    memo = s.memo()
+    key = ("fill_overshoot_law", x, lam, reflected)
+    law = memo.get(key)
+    if law is None:
+        law = memo[key] = _fill_overshoot_law(s, x, lam, reflected)
+    return law
+
+
+def _fill_overshoot_law(s, x, lam, reflected):
     if x == lam:
         return OvershootLaw(x, lam, s.alpha, lambda z: 0.0, 1.0, lam)
     if reflected:

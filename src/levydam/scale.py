@@ -17,13 +17,20 @@ Three evaluation methods are provided:
   evaluated at complex arguments.
 
 A ``ScaleFunctionSet`` bundles the model, the discount rate, the cached root
-``eta(alpha)`` and the evaluators.  Instances are immutable once built and
-evaluation is pure, so they can be shared freely.
+``eta(alpha)`` and the evaluators.  Evaluation is pure, so sets can be shared
+freely; the one exception to immutability is the series grid, which is
+rebuilt in place when asked for a point beyond its range (``generation``
+counts these rebuilds, and ``memo`` drops what was derived from the old
+grid).  A Python float is evaluated on a scalar path of the series and
+inversion methods that returns exactly the float of the array path without
+its numpy overhead.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -80,6 +87,22 @@ def _volterra_discount(w0: np.ndarray, h: float, alpha: float) -> np.ndarray:
     return out
 
 
+def _ppoly_at(breaks: list, coeffs: np.ndarray, x: float) -> float:
+    """One value of a scipy ``PPoly`` at breaks[0] <= x <= breaks[-1].
+
+    Picks the interval and sums the local power series in the order of
+    scipy's compiled evaluation, so the result equals the array evaluation
+    bit for bit.
+    """
+    i = min(bisect_right(breaks, x), len(breaks) - 1) - 1
+    s = x - breaks[i]
+    res, power = 0.0, 1.0
+    for c in reversed(coeffs[:, i].tolist()):
+        res += c * power
+        power *= s
+    return res
+
+
 def _talbot(fhat: Callable, t: float, n_nodes: int) -> float:
     """Fixed Talbot inversion of a Laplace transform at time t > 0."""
     m = n_nodes
@@ -103,7 +126,13 @@ def _talbot(fhat: Callable, t: float, n_nodes: int) -> float:
 # ---------------------------------------------------------------------------
 
 class _BrownianClosedForm:
-    """Exact formulas for Brownian input with drift mu and variance sigma2."""
+    """Exact formulas for Brownian input with drift mu and variance sigma2.
+
+    No scalar path: libm and numpy ``exp`` may differ in the last bit.
+    """
+
+    scalar = False
+    generation = 0
 
     def __init__(self, mu: float, sigma2: float, alpha: float):
         self.mu = mu
@@ -154,6 +183,8 @@ class _BrownianClosedForm:
 class _SeriesEvaluator:
     """Convolution series on a uniform grid for bounded variation input."""
 
+    scalar = True
+
     def __init__(self, model: LevyModel, alpha: float, opts: ScaleOptions):
         self.model = model
         self.alpha = alpha
@@ -163,6 +194,7 @@ class _SeriesEvaluator:
         if self.rho >= 1.0:
             raise ValueError("convolution series requires rho = mu/zeta < 1, "
                              f"got rho = {self.rho:.4f}")
+        self.generation = 0
         self._build(opts.x_max)
 
     # F is the distribution function with density tail(x)/mu
@@ -242,6 +274,7 @@ class _SeriesEvaluator:
         self.x_max = x_max
         self.grid_x = xs
         self.grid_w = vals
+        self._breaks = xs.tolist()
         self._interp = PchipInterpolator(xs, vals, extrapolate=False)
         self._interp_d = self._interp.derivative()
         anti = self._interp.antiderivative()
@@ -251,6 +284,7 @@ class _SeriesEvaluator:
         top = float(np.max(x)) if np.size(x) else 0.0
         if top > self.x_max:
             self._build(max(1.5 * top, 2.0 * self.x_max))
+            self.generation += 1
 
     def w(self, x):
         x = np.asarray(x, dtype=float)
@@ -272,6 +306,32 @@ class _SeriesEvaluator:
             return np.ones_like(np.asarray(x, dtype=float))
         return 1.0 + self.alpha * self.wbar(x)
 
+    # scalar path for finite floats; beyond the grid the array path rebuilds
+
+    def w_scalar(self, x: float) -> float:
+        if x < 0.0:
+            return 0.0
+        if x > self.x_max:
+            return float(self.w(np.asarray(x)))
+        return _ppoly_at(self._breaks, self._interp.c, x)
+
+    def wp_scalar(self, x: float) -> float:
+        if not 0.0 <= x <= self.x_max:
+            return float(self.wp(np.asarray(x)))
+        return _ppoly_at(self._breaks, self._interp_d.c, x)
+
+    def wbar_scalar(self, x: float) -> float:
+        if x <= 0.0:
+            return 0.0
+        if x > self.x_max:
+            return float(self.wbar(np.asarray(x)))
+        return _ppoly_at(self._breaks, self._interp_int.c, x)
+
+    def z_scalar(self, x: float) -> float:
+        if self.alpha == 0.0:
+            return 1.0
+        return 1.0 + self.alpha * self.wbar_scalar(x)
+
     def w_at_zero(self) -> float:
         return 1.0 / self.zeta
 
@@ -282,6 +342,9 @@ class _InversionEvaluator:
     The tilt removes the exponential growth of W, so the inverted target is
     O(1) and the contour sees only left-plane singularities.
     """
+
+    scalar = True
+    generation = 0
 
     def __init__(self, model: LevyModel, alpha: float, eta_alpha: float,
                  opts: ScaleOptions):
@@ -295,7 +358,7 @@ class _InversionEvaluator:
         self._w_cache: dict[float, float] = {}
         self._wbar_cache: dict[float, float] = {}
 
-    def _w_scalar(self, x: float) -> float:
+    def w_scalar(self, x: float) -> float:
         if x < 0:
             return 0.0
         if x == 0.0:
@@ -307,7 +370,7 @@ class _InversionEvaluator:
             self._w_cache[x] = got
         return got
 
-    def _wbar_scalar(self, x: float) -> float:
+    def wbar_scalar(self, x: float) -> float:
         if x <= 0:
             return 0.0
         got = self._wbar_cache.get(x)
@@ -320,14 +383,14 @@ class _InversionEvaluator:
     def w(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return np.float64(self._w_scalar(float(x)))
-        return np.array([self._w_scalar(v) for v in x.ravel()]).reshape(x.shape)
+            return np.float64(self.w_scalar(float(x)))
+        return np.array([self.w_scalar(v) for v in x.ravel()]).reshape(x.shape)
 
     def wbar(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
-            return np.float64(self._wbar_scalar(float(x)))
-        return np.array([self._wbar_scalar(v) for v in x.ravel()]).reshape(x.shape)
+            return np.float64(self.wbar_scalar(float(x)))
+        return np.array([self.wbar_scalar(v) for v in x.ravel()]).reshape(x.shape)
 
     def z(self, x):
         if self.alpha == 0.0:
@@ -335,21 +398,29 @@ class _InversionEvaluator:
         return 1.0 + self.alpha * self.wbar(x)
 
     def wp(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return np.float64(self.wp_scalar(float(x)))
+        return np.array([self.wp_scalar(v) for v in x.ravel()]).reshape(x.shape)
+
+    def z_scalar(self, x: float) -> float:
+        if self.alpha == 0.0:
+            return 1.0
+        return 1.0 + self.alpha * self.wbar_scalar(x)
+
+    def wp_scalar(self, x: float) -> float:
         # finite differences with one Richardson level; one-sided close to
         # the origin where W may jump
-        x = np.asarray(x, dtype=float)
-        h = 1e-3 * np.maximum(1.0, np.abs(x))
-        near = x < 2.0 * h
-        h = np.where(near, 1e-4, np.minimum(h, x * 0.5))
-        d1 = np.where(
-            near,
-            (-3.0 * self.w(x) + 4.0 * self.w(x + h) - self.w(x + 2 * h))
-            / (2.0 * h),
-            (self.w(x + h) - self.w(x - h)) / (2.0 * h))
-        d2 = np.where(
-            near,
-            (-3.0 * self.w(x) + 4.0 * self.w(x + 0.5 * h) - self.w(x + h)) / h,
-            (self.w(x + 0.5 * h) - self.w(x - 0.5 * h)) / h)
+        w = self.w_scalar
+        h = 1e-3 * max(1.0, abs(x))
+        if x < 2.0 * h:
+            h = 1e-4
+            d1 = (-3.0 * w(x) + 4.0 * w(x + h) - w(x + 2 * h)) / (2.0 * h)
+            d2 = (-3.0 * w(x) + 4.0 * w(x + 0.5 * h) - w(x + h)) / h
+        else:
+            h = min(h, x * 0.5)
+            d1 = (w(x + h) - w(x - h)) / (2.0 * h)
+            d2 = (w(x + 0.5 * h) - w(x - 0.5 * h)) / h
         return (4.0 * d2 - d1) / 3.0
 
     def w_at_zero(self) -> float:
@@ -394,29 +465,63 @@ class ScaleFunctionSet:
                                            self.options)
         else:
             raise ValueError(f"unknown scale method {method!r}")
+        self._scalar = self._ev.scalar
+        self._memo = weakref.WeakValueDictionary()
+        self._memo_generation = self._ev.generation
+
+    @property
+    def generation(self) -> int:
+        """Number of in-place grid rebuilds so far (series method only)."""
+        return self._ev.generation
+
+    def memo(self) -> weakref.WeakValueDictionary:
+        """Store for objects derived from this set, such as overshoot laws.
+
+        Entries are held weakly: they refer back to the set, so a strong
+        store would keep dead sets alive until the cyclic collector runs.
+        An entry lives while a caller holds it.  The store is emptied
+        whenever an in-place grid rebuild changes W, so nothing derived from
+        an old grid is handed out again.
+        """
+        if self._memo_generation != self._ev.generation:
+            self._memo = weakref.WeakValueDictionary()
+            self._memo_generation = self._ev.generation
+        return self._memo
 
     # -- evaluation ---------------------------------------------------------
 
+    # A finite Python float takes the evaluator's scalar path, which returns
+    # exactly the float of the array path.
+
     def w(self, x):
         """W(x); zero for negative x."""
+        if self._scalar and isinstance(x, float) and math.isfinite(x):
+            return self._ev.w_scalar(float(x))
         val = self._ev.w(np.asarray(x, dtype=float))
         return float(val) if np.ndim(x) == 0 else val
 
     def wp(self, x):
         """Right derivative of W; defined on [0, inf)."""
-        if np.ndim(x) == 0 and x < 0:
+        fast = self._scalar and isinstance(x, float) and math.isfinite(x)
+        if (fast or np.ndim(x) == 0) and x < 0:
             raise ValueError("the derivative is defined for x >= 0")
+        if fast:
+            return self._ev.wp_scalar(float(x))
         val = self._ev.wp(np.asarray(x, dtype=float))
         return float(val) if np.ndim(x) == 0 else val
 
     def z(self, x):
         """Z(x) = 1 + alpha * int_0^x W; equals 1 for x <= 0."""
+        if self._scalar and isinstance(x, float) and math.isfinite(x):
+            return 1.0 if x <= 0.0 else self._ev.z_scalar(float(x))
         x_arr = np.asarray(x, dtype=float)
         val = np.where(x_arr <= 0, 1.0, self._ev.z(np.maximum(x_arr, 0.0)))
         return float(val) if np.ndim(x) == 0 else val
 
     def wbar(self, x):
         """int_0^x W(y) dy for x >= 0."""
+        if self._scalar and isinstance(x, float) and math.isfinite(x):
+            return 0.0 if x <= 0.0 else self._ev.wbar_scalar(float(x))
         x_arr = np.asarray(x, dtype=float)
         val = np.where(x_arr <= 0, 0.0, self._ev.wbar(np.maximum(x_arr, 0.0)))
         return float(val) if np.ndim(x) == 0 else val

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+from levydam import PolicyEvaluator
 from levydam.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERIC,
     EXIT_OK,
     EXIT_VERIFY,
     ConfigError,
@@ -42,6 +44,13 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def read_strict(path):
+    """Parse a report as strict JSON: NaN and Infinity are rejected."""
+    def reject(token):
+        raise ValueError(f"non-finite number {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestConfigValidation:
@@ -129,6 +138,31 @@ class TestEvaluate:
         b_csv = (tmp_path / "o2" / "evaluate.csv").read_bytes()
         assert a_csv == b_csv
 
+    def test_downward_drift_reports_cycle_means_unavailable(self, tmp_path):
+        # plain input drifting down never reaches the threshold for sure: the
+        # mean fill time is infinite and the release mean is defective
+        cfg = wiener_config(tmp_path)
+        cfg["model"]["mu"] = -0.5
+        path = write_config(tmp_path, cfg)
+        assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_OK
+        report = read_strict(tmp_path / "evaluate.json")
+        q = report["quantities"]
+        for key in ("fill_exit_mean", "mean_release_time", "mean_cycle_length",
+                    "long_run_average_cost"):
+            assert q[key] is None
+        assert any(n.startswith("cycle means unavailable: infinite")
+                   for n in report["notes"])
+        assert q["per_alpha"]["0.5"]["fill_exit_lt"] < 1.0
+
+    def test_non_finite_value_exits_numeric(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.setattr(PolicyEvaluator, "long_run_average",
+                            lambda self: math.nan)
+        path = write_config(tmp_path, wiener_config(tmp_path))
+        assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_NUMERIC
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "evaluate.json").exists()
+
 
 class TestVerify:
     def test_wiener_passes(self, tmp_path):
@@ -136,6 +170,22 @@ class TestVerify:
         assert report["pass"] is True
         assert not report["starved"]
         assert len(report["checks"]) >= 5
+        assert "notes" not in report
+
+    def test_dropped_long_run_check_is_noted(self, tmp_path, monkeypatch):
+        def unavailable(self):
+            raise ValueError("no average here")
+
+        monkeypatch.setattr(PolicyEvaluator, "long_run_average", unavailable)
+        cfg = wiener_config(tmp_path)
+        cfg["verification"].update(n_paths=400)
+        report = cmd_verify(cfg)
+        assert not report["starved"]
+        assert report["notes"] == [
+            "long-run average check skipped: no average here"]
+        names = [c["quantity"] for c in report["checks"]]
+        assert "long_run_average_cost" not in names
+        assert "fill_exit_mean" in names
 
     def test_corrupted_analytic_fails(self, tmp_path):
         cfg = wiener_config(tmp_path)

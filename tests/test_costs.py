@@ -5,6 +5,7 @@ import pytest
 
 from levydam import (
     CostSpec,
+    GammaDrift,
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
@@ -12,11 +13,18 @@ from levydam import (
     brownian,
     compound_poisson_exp,
     cycle_cost,
+    cycle_end_lt,
     exit_lt_reflected,
+    exit_lt_up,
+    exit_mean_reflected,
+    exit_mean_up,
     fill_cost,
+    fill_overshoot_law,
     long_run_average_cost,
+    overshoot_expectation,
     release_cost,
     release_exit_lt,
+    release_exit_mean,
     shifted_scale_set,
     total_discounted_cost,
 )
@@ -187,3 +195,164 @@ class TestLongRunAverage:
         second = (10 * vals[2] - vals[1]) / 9
         extrap = (100 * second - first) / 99
         assert extrap == pytest.approx(lra, rel=1e-3)
+
+
+class TestEvaluatorSharing:
+    """One evaluator shares its scale sets and overshoot laws across
+    quantities, and each quantity equals the free function computed from
+    freshly built sets, bit for bit."""
+
+    CASES = {
+        # reflected fill: compound Poisson, convolution series
+        "reflected": (CP, True, COSTS),
+        # plain fill that reaches the threshold: gamma input drifting up,
+        # Laplace inversion; charges only, as each maintenance integral
+        # costs thousands of inversions on fresh sets
+        "plain": (GammaDrift(1.0, 3.0, 2.0), False,
+                  CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                           PiecewisePoly.zero())),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_methods_equal_free_functions(self, case):
+        model, reflected, costs = self.CASES[case]
+        ev = PolicyEvaluator(model, POLICY, costs, reflected=reflected)
+        lam, tau, M, V = POLICY.lam, POLICY.tau, POLICY.M, POLICY.V
+        alpha = 0.5
+
+        def fresh(a):
+            return (ScaleFunctionSet(model, a, options=ev.options),
+                    shifted_scale_set(model, M, a, options=ev.options))
+
+        def mean_release(s0, s_M0):
+            law = fill_overshoot_law(s0, tau, lam, reflected)
+            return overshoot_expectation(
+                law, lambda z: release_exit_mean(s_M0, min(z, V), tau, V), V)
+
+        exit_lt = exit_lt_reflected if reflected else exit_lt_up
+        exit_mean = exit_mean_reflected if reflected else exit_mean_up
+        kw = dict(reflected=reflected)
+        # evaluator calls in an order that reuses laws the earlier ones built
+        got = {
+            "fill_exit_lt": ev.fill_exit_lt(alpha),
+            "fill_exit_mean": ev.fill_exit_mean(),
+            "release_exit_lt": ev.release_exit_lt(alpha, 3.0),
+            "release_exit_mean": ev.release_exit_mean(3.0),
+            "mean_release_time": ev.mean_release_time(),
+            "mean_cycle_length": ev.mean_cycle_length(),
+            "long_run_average": ev.long_run_average(),
+            "cycle_cost": ev.cycle_cost(alpha),
+            "cycle_end_lt": ev.cycle_end_lt(alpha),
+            "total_discounted": ev.total_discounted(alpha),
+            "overshoot_mass": ev.overshoot_law(alpha).total_mass(),
+        }
+        want = {
+            "fill_exit_lt": exit_lt(fresh(alpha)[0], tau, lam),
+            "fill_exit_mean": exit_mean(fresh(0.0)[0], tau, lam),
+            "release_exit_lt": release_exit_lt(fresh(alpha)[1], 3.0, tau, V),
+            "release_exit_mean": release_exit_mean(fresh(0.0)[1], 3.0, tau, V),
+            "mean_release_time": mean_release(*fresh(0.0)),
+            "mean_cycle_length": (exit_mean(fresh(0.0)[0], tau, lam)
+                                  + mean_release(*fresh(0.0))),
+            "long_run_average": long_run_average_cost(
+                model, POLICY, costs, options=ev.options, **kw),
+            "cycle_cost": cycle_cost(model, POLICY, costs, alpha, tau,
+                                     options=ev.options, **kw),
+            "cycle_end_lt": cycle_end_lt(model, POLICY, alpha, tau,
+                                         options=ev.options, **kw),
+            "total_discounted": total_discounted_cost(
+                model, POLICY, costs, alpha, tau, options=ev.options, **kw),
+            "overshoot_mass": fill_overshoot_law(
+                fresh(alpha)[0], tau, lam, reflected).total_mass(),
+        }
+        for name in want:
+            assert got[name] == want[name], name
+        assert set(ev._fill_sets) == set(ev._release_sets) == {0.0, alpha}
+
+    def test_fill_overshoot_law_built_once_per_set(self):
+        s = ScaleFunctionSet(CP, 0.5)
+        law = fill_overshoot_law(s, 0.5, 2.0, True)
+        assert fill_overshoot_law(s, 0.5, 2.0, True) is law
+        assert fill_overshoot_law(s, 0.7, 2.0, True) is not law
+        other = fill_overshoot_law(ScaleFunctionSet(CP, 0.5), 0.5, 2.0, True)
+        assert other is not law
+        assert other.total_mass() == law.total_mass()
+
+    def test_dropped_evaluator_frees_its_sets_at_once(self):
+        # laws refer to their set; the set must not refer back strongly, or
+        # dead sets wait for the cyclic collector and inflate peak memory
+        import gc
+        import weakref
+
+        ev = PolicyEvaluator(CP, POLICY, COSTS)
+        ev.overshoot_law(0.0).density_mass()
+        ref = weakref.ref(ev.fill_set(0.0))
+        gc.disable()
+        try:
+            del ev
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_kernel_evaluated_once_per_point(self, monkeypatch):
+        import levydam.exits as exits
+
+        s = ScaleFunctionSet(CP, 0.5)
+        law = exits.overshoot_reflected(s, 0.5, 2.0)
+        calls = []
+        real = exits._quad_pts
+
+        def counting(f, lo, hi, pts=()):
+            calls.append((lo, hi))
+            return real(f, lo, hi, pts)
+
+        monkeypatch.setattr(exits, "_quad_pts", counting)
+        first = law.density_mass()
+        n_first = len(calls)
+        # the same outer nodes again: only the outer integral is recomputed
+        assert law.density_mass() == first
+        assert len(calls) == n_first + 1
+        assert law.components["tail_mass"](2.0) == law.components["l_tail_at_lam"]
+
+    @pytest.mark.parametrize("config, n_laws", [
+        ("compound_poisson", 2),  # one per discount rate: 0 and 0.5
+        ("gamma", 1),
+    ])
+    def test_one_evaluate_builds_one_law_per_rate(self, config, n_laws,
+                                                  monkeypatch):
+        import json
+        from pathlib import Path
+
+        from levydam import OvershootLaw
+        from levydam.cli import cmd_evaluate
+
+        if config == "gamma":
+            cfg = json.loads(json.dumps(GAMMA_CONFIG))
+        else:
+            path = Path(__file__).resolve().parent.parent / "configs"
+            cfg = json.loads((path / f"{config}.json").read_text())
+        built = []
+        real_init = OvershootLaw.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(OvershootLaw, "__init__", counting)
+        report = cmd_evaluate(cfg)
+        assert report["notes"] == []
+        assert len(built) == n_laws
+
+
+GAMMA_CONFIG = {
+    "schema_version": 1,
+    "model": {"kind": "gamma", "zeta": 1.0, "a": 3.0, "b": 2.0},
+    "reflected": False,
+    "policy": {"lambda": 2.0, "tau": 0.5, "M": 2.0, "V": 4.0},
+    "costs": {
+        "K1": 1.0, "K2": 0.5, "R": 0.3,
+        "g": {"breakpoints": [0.0, 1.0], "coeffs": [[0.0]]},
+        "g_star": {"breakpoints": [0.0, 1.0], "coeffs": [[0.0]]},
+    },
+    "alphas": [],
+}

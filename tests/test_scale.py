@@ -8,6 +8,8 @@ from levydam import (
     CLOSED_FORM_BROWNIAN,
     CONVOLUTION_SERIES,
     LAPLACE_INVERSION,
+    BrownianDrift,
+    ExponentialJumps,
     GammaDrift,
     InverseGaussianDrift,
     ScaleFunctionSet,
@@ -210,3 +212,76 @@ class TestShiftedModel:
     def test_shift_requires_positive_rate(self):
         with pytest.raises(ValueError):
             shifted_model(brownian(1.0, 2.0), 0.0)
+
+
+class TestScalarPath:
+    """A finite Python float takes the evaluator's scalar path, which must
+    return exactly the float of the array path."""
+
+    SETS = {
+        "series": lambda: ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0),
+                                           0.0, options=ScaleOptions(x_max=4.5)),
+        "series_discounted": lambda: ScaleFunctionSet(
+            compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
+            options=ScaleOptions(x_max=4.5)),
+        "inversion_gamma": lambda: ScaleFunctionSet(GammaDrift(1.0, 3.0, 2.0),
+                                                    0.3),
+        "inversion_jump_diffusion": lambda: ScaleFunctionSet(
+            BrownianDrift(1.0, 1.0, 1.0, ExponentialJumps(0.5)), 0.2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_scalar_equals_array_bit_for_bit(self, name):
+        s = self.SETS[name]()
+        assert s.method in (CONVOLUTION_SERIES, LAPLACE_INVERSION)
+        x_max = s.options.x_max
+        rng = np.random.default_rng(5)
+        points = ([-2.0, -1e-9, 0.0, 1e-12, 1e-4, 1.5e-4, 0.3, 1.0, x_max,
+                   math.nextafter(x_max, 0.0)]
+                  + rng.uniform(0.0, x_max, 40).tolist())
+        for x in points:
+            for kind in ("w", "wp", "z", "wbar"):
+                if kind == "wp" and x < 0:
+                    continue
+                fn = getattr(s, kind)
+                fast = fn(x)
+                assert type(fast) is float
+                assert fast == float(fn(np.asarray(x))), (kind, x)
+                assert fast == fn(np.array([x, 0.5]))[0], (kind, x)
+
+    @pytest.mark.parametrize("name", ["inversion_gamma",
+                                      "inversion_jump_diffusion"])
+    def test_inversion_derivative_matches_vectorised_reference(self, name):
+        # the finite-difference W' of the inversion method written with
+        # numpy over an array, as it stood before the scalar path
+        s = self.SETS[name]()
+        w = s.w
+        x = np.array([0.0, 1e-5, 1e-4, 1.5e-4, 2e-3, 0.3, 1.0, 2.5, 7.0])
+        h = 1e-3 * np.maximum(1.0, np.abs(x))
+        near = x < 2.0 * h
+        h = np.where(near, 1e-4, np.minimum(h, x * 0.5))
+        d1 = np.where(near,
+                      (-3.0 * w(x) + 4.0 * w(x + h) - w(x + 2 * h)) / (2.0 * h),
+                      (w(x + h) - w(x - h)) / (2.0 * h))
+        d2 = np.where(near,
+                      (-3.0 * w(x) + 4.0 * w(x + 0.5 * h) - w(x + h)) / h,
+                      (w(x + 0.5 * h) - w(x - 0.5 * h)) / h)
+        want = (4.0 * d2 - d1) / 3.0
+        assert [s.wp(v) for v in x.tolist()] == want.tolist()
+        assert np.array_equal(s.wp(x), want)
+
+    def test_negative_derivative_rejected_on_both_paths(self):
+        s = self.SETS["series"]()
+        for x in (-0.5, np.asarray(-0.5)):
+            with pytest.raises(ValueError, match="x >= 0"):
+                s.wp(x)
+
+    def test_point_beyond_grid_rebuilds_and_matches_array_path(self):
+        a, b = self.SETS["series"](), self.SETS["series"]()
+        derived = ScaleOptions()  # any object the caller holds
+        a.memo()["derived"] = derived
+        x = 2.0 * a.options.x_max
+        assert a.w(x) == float(b.w(np.asarray(x)))
+        assert a.generation == b.generation == 1
+        assert np.array_equal(a.grid[0], b.grid[0])
+        assert "derived" not in a.memo()
