@@ -134,6 +134,16 @@ def build_model(spec: dict, path: str = "model") -> LevyModel:
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
+def _analytic_model(cfg: dict) -> LevyModel:
+    """The config's model, rejected if the analytic side cannot price it."""
+    model = build_model(_need(cfg, "model", dict, "config"))
+    if model.has_jumps and model.measure.density is None:
+        raise ConfigError("model.atoms: the analytic side needs a jump "
+                          "density; purely atomic jump sizes are not "
+                          "supported")
+    return model
+
+
 def build_policy(spec: dict, path: str = "policy") -> PolicyParams:
     lam = _need(spec, "lambda", float, path)
     tau = _need(spec, "tau", float, path)
@@ -207,7 +217,7 @@ def _path_config(cfg: dict, seed=None, paths=None) -> PathConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(cfg: dict) -> dict:
-    model = build_model(_need(cfg, "model", dict, "config"))
+    model = _analytic_model(cfg)
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = bool(cfg.get("reflected", True))
@@ -271,7 +281,7 @@ def cmd_evaluate(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
-    model = build_model(_need(cfg, "model", dict, "config"))
+    model = _analytic_model(cfg)
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = bool(cfg.get("reflected", True))
@@ -403,7 +413,7 @@ def _objective_fn(cfg: dict, model, costs, reflected):
 
 
 def cmd_optimize(cfg: dict) -> dict:
-    model = build_model(_need(cfg, "model", dict, "config"))
+    model = _analytic_model(cfg)
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = bool(cfg.get("reflected", True))
     base = _need(cfg, "policy", dict, "config")

@@ -91,6 +91,30 @@ class PiecewisePoly:
             power *= u
         return val
 
+    def values(self, ys) -> np.ndarray:
+        """``self(y)`` for every entry of ``ys``, bit for bit.
+
+        Each piece sums its powers in the scalar method's order, so no
+        Horner rounding enters.
+        """
+        ys = np.asarray(ys, dtype=float)
+        bps = self.breakpoints
+        out = np.zeros(ys.shape)
+        inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN too, as __call__
+        idx = np.minimum(np.searchsorted(bps, ys, side="right") - 1,
+                         len(self.coeffs) - 1)
+        for i, piece in enumerate(self.coeffs):
+            sel = inside & (idx == i)
+            if not sel.any():
+                continue
+            u = ys[sel] - bps[i]
+            val, power = np.zeros(u.shape), np.ones(u.shape)
+            for c in piece:
+                val += c * power
+                power *= u
+            out[sel] = val
+        return out
+
     @property
     def support(self):
         return self.breakpoints[0], self.breakpoints[-1]

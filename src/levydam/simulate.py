@@ -16,6 +16,10 @@ Simulation schemes per family:
 * generic bounded variation: jumps below ``small_jump_cutoff`` replaced by
   their mean drift, larger jumps sampled from the tail via a quantile table.
 
+The compound Poisson event loop only draws and records the linear pieces of
+each path; their maintenance integrals are computed afterwards, vectorised
+over blocks of pieces (``_SegmentSink``).
+
 Randomness is counter based: path-indexed routines draw from Philox streams
 keyed by (seed, path index); vectorised routines consume the (seed, 0)
 stream.  Fixed (seed, config, model, policy) reproduce results bit for bit.
@@ -24,6 +28,7 @@ stream.  Fixed (seed, config, model, policy) reproduce results bit for bit.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,8 +62,14 @@ class PathConfig:
     small_jump_cutoff: float = 1e-6
 
     def __post_init__(self):
-        if self.time_step <= 0:
-            raise ValueError("time_step must be positive")
+        for name in ("time_step", "horizon"):
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {val!r}")
+        if not self.small_jump_cutoff > 0:
+            raise ValueError("small_jump_cutoff must be positive, got "
+                             f"{self.small_jump_cutoff!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 
@@ -243,47 +254,115 @@ def estimate(quantity_tag: str, values, lengths=None) -> SimulationEstimate:
 # Compound Poisson cycles: exact event-driven simulation
 # ---------------------------------------------------------------------------
 
-def _segment_integrals(g, y0: float, slope: float, t0: float, duration: float,
-                       alphas, out: dict, stick_at_zero: bool):
-    """Accumulate int e^{-alpha (t0+t)} g(y0 - slope t) dt over [0, duration].
+_SINK_BLOCK = 1024
 
-    Splits at breakpoint crossings (and at the sticking time when the
-    content is absorbed at zero between jumps) and applies Gauss-Legendre
-    on each smooth piece.
+
+def _integrate_segments(g, slot, y0, slope, t0, duration, stick, alphas,
+                        out: dict):
+    """Add int_0^duration e^{-a (t0+t)} g(y0 - slope t) dt to out[a][slot].
+
+    Vectorised over segments.  Each segment is cut at its breakpoint
+    crossings (and at the sticking time when the content is absorbed at
+    zero between jumps), and Gauss-Legendre is applied on each smooth piece.
+    Pieces are added in segment order, so every slot sums its pieces in the
+    order the event loop produced them.
     """
-    if duration <= 0.0 or getattr(g, "is_zero", False):
+    keep = duration > 0.0
+    if g.is_zero or not keep.any():
         return
-    cuts = [0.0, duration]
-    if stick_at_zero and slope > 0 and y0 - slope * duration < 0:
-        cuts.append(y0 / slope)
-    for b in g.breakpoints:
-        if slope != 0.0:
-            tb = (y0 - b) / slope
-            if 0.0 < tb < duration:
-                cuts.append(tb)
-    cuts = sorted(set(cuts))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        half = 0.5 * (hi - lo)
-        mid = 0.5 * (hi + lo)
-        ts = mid + half * _GL_NODES
-        ys = y0 - slope * ts
-        if stick_at_zero:
-            ys = np.maximum(ys, 0.0)
-        gs = np.array([g(y) for y in ys])
-        for a in alphas:
-            damp = np.exp(-a * (t0 + ts)) if a else 1.0
-            out[a] += half * float(np.dot(_GL_WEIGHTS, gs * damp))
+    stick = np.broadcast_to(stick, keep.shape)
+    slot, y0, slope, t0, duration, stick = (
+        v[keep] for v in (slot, y0, slope, t0, duration, stick))
+    bps = np.asarray(g.breakpoints)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sticks = stick & (slope > 0) & (y0 - slope * duration < 0)
+        t_stick = np.where(sticks, y0 / slope, np.nan)
+        tb = (y0[:, None] - bps) / slope[:, None]
+    crossed = (slope[:, None] != 0.0) & (tb > 0.0) & (tb < duration[:, None])
+    cuts = np.sort(np.column_stack((np.zeros_like(y0), duration, t_stick,
+                                    np.where(crossed, tb, np.nan))), axis=1)
+    # NaN (no cut) sorts last; repeated cuts give empty pieces
+    seg, col = np.nonzero(cuts[:, 1:] > cuts[:, :-1])
+    lo, hi = cuts[seg, col], cuts[seg, col + 1]
+    half = 0.5 * (hi - lo)
+    ts = (0.5 * (hi + lo))[:, None] + half[:, None] * _GL_NODES
+    ys = y0[seg, None] - slope[seg, None] * ts
+    ys = np.where(stick[seg, None], np.maximum(ys, 0.0), ys)
+    gs = g.values(ys)
+    for a in alphas:
+        damped = gs * np.exp(-a * (t0[seg, None] + ts)) if a else gs
+        np.add.at(out[a], slot[seg], half * (damped @ _GL_WEIGHTS))
 
 
-def _cp_fill(model, rng, x, lam, horizon, reflected, g, alphas):
-    """Fill phase of a compound Poisson cycle; returns (T, state, ints) or None."""
+class _SegmentSink:
+    """Maintenance integrals of one rate function, one slot per kept cycle.
+
+    The event loop adds each linear piece y0 - slope t, 0 <= t <= duration,
+    of the cycle in progress; t0 is the piece's start from the cycle start.
+    ``close`` keeps the cycle under the next slot and ``drop`` discards it
+    (a partial cycle).  At most ``block`` pieces are held before they are
+    integrated by ``_integrate_segments``.
+    """
+
+    def __init__(self, g, alphas, stick: bool, block: int = _SINK_BLOCK):
+        self.g = g
+        self.alphas = alphas
+        self.stick = stick
+        self.block = block
+        self.n_slots = 0
+        self._live = not g.is_zero
+        self._rows = []
+        self._open = 0  # index in _rows where the open cycle starts
+        self._out = {a: np.zeros(0) for a in alphas}
+
+    def add(self, y0, slope, t0, duration):
+        if self._live:
+            self._rows.append((self.n_slots, y0, slope, t0, duration))
+            if len(self._rows) >= self.block:
+                self._flush()
+
+    def close(self):
+        self.n_slots += 1
+        self._open = len(self._rows)
+
+    def drop(self):
+        del self._rows[self._open:]
+        for v in self._out.values():
+            if self.n_slots < len(v):
+                v[self.n_slots] = 0.0
+
+    def _flush(self):
+        need = self.n_slots + 1
+        for a, v in self._out.items():
+            if len(v) < need:
+                grown = np.zeros(max(need, 2 * len(v)))
+                grown[:len(v)] = v
+                self._out[a] = grown
+        if self._rows:
+            slot, y0, slope, t0, dur = np.array(self._rows).T
+            self._rows.clear()
+            self._open = 0
+            _integrate_segments(self.g, slot.astype(np.intp), y0, slope, t0,
+                                dur, self.stick, self.alphas, self._out)
+
+    def result(self) -> dict:
+        """Integrals of the closed cycles, keyed by alpha."""
+        self._flush()
+        return {a: v[:self.n_slots].copy() for a, v in self._out.items()}
+
+
+def _cp_fill(model, rng, x, lam, horizon, reflected, sink=None):
+    """Fill phase of a compound Poisson cycle; returns (T, state) or None.
+
+    Each linear piece of the path between jumps goes to ``sink``.
+    """
     zeta, rate = model.zeta, model.rate
     y, t = x, 0.0
-    ints = {a: 0.0 for a in alphas}
     while t < horizon:
         gap = rng.exponential(1.0 / rate)
         gap = min(gap, horizon - t)
-        _segment_integrals(g, y, zeta, t, gap, alphas, ints, reflected)
+        if sink is not None:
+            sink.add(y, zeta, t, gap)
         y_end = y - zeta * gap
         if reflected:
             y_end = max(y_end, 0.0)
@@ -293,26 +372,30 @@ def _cp_fill(model, rng, x, lam, horizon, reflected, g, alphas):
         jump = float(model.jumps.sample(rng, 1)[0])
         y = y_end + jump
         if y >= lam:
-            return t, y, ints
+            return t, y
     return None
 
 
-def _cp_release(model, rng, z, tau, V, M, horizon, g_star, alphas, t_start):
-    """Release phase from z; returns (duration, ints discounted from 0) or None."""
+def _cp_release(model, rng, z, tau, V, M, horizon, t_start, sink=None):
+    """Release phase from z; returns its duration or None.
+
+    Pieces go to ``sink`` with start times counted from ``t_start``, the
+    cycle start.
+    """
     zeta, rate = model.zeta, model.rate
     slope = zeta + M
     y = min(z, V)
     t = 0.0
-    ints = {a: 0.0 for a in alphas}
     while t_start + t < horizon:
         gap = rng.exponential(1.0 / rate)
         t_abs = (y - tau) / slope
         if t_abs <= gap:
-            _segment_integrals(g_star, y, slope, t_start + t, t_abs, alphas,
-                               ints, False)
-            return t + t_abs, ints
+            if sink is not None:
+                sink.add(y, slope, t_start + t, t_abs)
+            return t + t_abs
         gap = min(gap, horizon - t_start - t)
-        _segment_integrals(g_star, y, slope, t_start + t, gap, alphas, ints, False)
+        if sink is not None:
+            sink.add(y, slope, t_start + t, gap)
         y -= slope * gap
         t += gap
         if t_start + t >= horizon:
@@ -324,22 +407,25 @@ def _cp_release(model, rng, z, tau, V, M, horizon, g_star, alphas, t_start):
 def _run_cycles_cp(model, policy, costs, config, reflected, alphas):
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     recs = _RecordBuilder(alphas, M)
+    fill_g = _SegmentSink(costs.g, alphas, reflected)
+    release_g = _SegmentSink(costs.g_star, alphas, False)
     for i in range(config.n_paths):
         rng = path_rng(config.seed, i)
         fill = _cp_fill(model, rng, tau, lam, config.horizon, reflected,
-                        costs.g, alphas)
-        if fill is None:
+                        fill_g)
+        t_rel = None
+        if fill is not None:
+            t_rel = _cp_release(model, rng, fill[1], tau, V, M,
+                                config.horizon, fill[0], release_g)
+        if t_rel is None:
             recs.n_partial += 1
+            fill_g.drop()
+            release_g.drop()
             continue
-        t_fill, state, fill_ints = fill
-        rel = _cp_release(model, rng, state, tau, V, M, config.horizon,
-                          costs.g_star, alphas, t_fill)
-        if rel is None:
-            recs.n_partial += 1
-            continue
-        t_rel, rel_ints = rel
-        recs.add(t_fill, t_rel, state, fill_ints, rel_ints, alphas)
-    return recs.build()
+        fill_g.close()
+        release_g.close()
+        recs.add(fill[0], t_rel, fill[1])
+    return recs.build(fill_g.result(), release_g.result())
 
 
 class _RecordBuilder:
@@ -349,34 +435,30 @@ class _RecordBuilder:
         self.fill_time = []
         self.release_time = []
         self.state = []
-        self.fill_g = {a: [] for a in alphas}
-        self.release_g = {a: [] for a in alphas}
         self.e_fill = {a: [] for a in alphas}
         self.e_cycle = {a: [] for a in alphas}
         self.rel_disc_time = {a: [] for a in alphas}
         self.n_partial = 0
 
-    def add(self, t_fill, t_rel, state, fill_ints, rel_ints, alphas):
+    def add(self, t_fill, t_rel, state):
         self.fill_time.append(t_fill)
         self.release_time.append(t_rel)
         self.state.append(state)
-        for a in alphas:
+        for a in self.alphas:
             ef = math.exp(-a * t_fill)
             ec = math.exp(-a * (t_fill + t_rel))
             self.e_fill[a].append(ef)
             self.e_cycle[a].append(ec)
-            self.fill_g[a].append(fill_ints[a])
-            self.release_g[a].append(rel_ints[a])
             self.rel_disc_time[a].append((ef - ec) / a if a else t_rel)
 
-    def build(self) -> CycleRecords:
+    def build(self, fill_g: dict, release_g: dict) -> CycleRecords:
         arr = lambda d: {a: np.asarray(v, dtype=float) for a, v in d.items()}
         return CycleRecords(
             fill_time=np.asarray(self.fill_time, dtype=float),
             release_time=np.asarray(self.release_time, dtype=float),
             crossing_state=np.asarray(self.state, dtype=float),
             e_fill=arr(self.e_fill), e_cycle=arr(self.e_cycle),
-            fill_g=arr(self.fill_g), release_g=arr(self.release_g),
+            fill_g=fill_g, release_g=release_g,
             release_disc_time=arr(self.rel_disc_time),
             n_partial=self.n_partial, M=self.M)
 
@@ -598,13 +680,11 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
                         config: PathConfig, reflected: bool = True):
     """Fill phase only: (crossing times, crossing states, number unfinished)."""
     model = _prepare_model(model, config)
-    zero_g = _ZeroRate()
     if isinstance(model, CompoundPoissonDrift):
         times, states, partial = [], [], 0
         for i in range(config.n_paths):
             rng = path_rng(config.seed, i)
-            got = _cp_fill(model, rng, x, lam, config.horizon, reflected,
-                           zero_g, [0.0])
+            got = _cp_fill(model, rng, x, lam, config.horizon, reflected)
             if got is None:
                 partial += 1
             else:
@@ -618,17 +698,15 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
                            M: float, config: PathConfig):
     """Release phase only from content z: (passage times, number unfinished)."""
     model = _prepare_model(model, config)
-    zero_g = _ZeroRate()
     if isinstance(model, CompoundPoissonDrift):
         times, partial = [], 0
         for i in range(config.n_paths):
             rng = path_rng(config.seed, i)
-            got = _cp_release(model, rng, z, tau, V, M, config.horizon,
-                              zero_g, [0.0], 0.0)
+            got = _cp_release(model, rng, z, tau, V, M, config.horizon, 0.0)
             if got is None:
                 partial += 1
             else:
-                times.append(got[0])
+                times.append(got)
         return np.asarray(times), partial
     n = config.n_paths
     dt = config.time_step
@@ -673,14 +751,6 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
         else:
             y = np.maximum(y_pre, tau)
     return out[done], int(n - done.sum())
-
-
-class _ZeroRate:
-    breakpoints = (0.0, 1.0)
-    is_zero = True
-
-    def __call__(self, y):
-        return 0.0
 
 
 def _run_cycles_grid_fill_only(model, lam, config, reflected, x):
@@ -761,37 +831,52 @@ def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
 
 def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
                          floor):
+    """Per-path totals; the integrals of all kept cycles are added at the end.
+
+    The loop's control flow reads only times and states, so each kept cycle
+    records its path, discount factor and fixed charges, and its cost is
+    assembled once the sinks hold its maintenance integrals.
+    """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     t_max = -math.log(floor) / alpha
-    alphas = [0.0, alpha]
-    totals = np.zeros(config.n_paths)
+    fill_g = _SegmentSink(costs.g, [alpha], reflected)
+    release_g = _SegmentSink(costs.g_star, [alpha], False)
+    path, disc, fixed_net = array("q"), array("d"), array("d")
     for i in range(config.n_paths):
         rng = path_rng(config.seed, i)
-        total, t, start = 0.0, 0.0, x
+        t, start = 0.0, x
         while t < t_max:
             if start <= lam:
                 fill = _cp_fill(model, rng, start, lam, config.horizon,
-                                reflected, costs.g, alphas)
+                                reflected, fill_g)
                 if fill is None:
+                    fill_g.drop()
                     break
-                t_fill, state, fill_ints = fill
+                t_fill, state = fill
                 fixed = M * costs.K2 + M * costs.K1 * math.exp(-alpha * t_fill)
             else:
-                t_fill, state, fill_ints = 0.0, start, {a: 0.0 for a in alphas}
+                t_fill, state = 0.0, start
                 fixed = M * costs.K1
-            rel = _cp_release(model, rng, state, tau, V, M, config.horizon,
-                              costs.g_star, alphas, t_fill)
-            if rel is None:
+            t_rel = _cp_release(model, rng, state, tau, V, M, config.horizon,
+                                t_fill, release_g)
+            if t_rel is None:
+                fill_g.drop()
+                release_g.drop()
                 break
-            t_rel, rel_ints = rel
+            fill_g.close()
+            release_g.close()
             ef = math.exp(-alpha * t_fill)
             ec = math.exp(-alpha * (t_fill + t_rel))
-            cost = (fixed - costs.R * M * (ef - ec) / alpha
-                    + fill_ints[alpha] + rel_ints[alpha])
-            total += math.exp(-alpha * t) * cost
+            path.append(i)
+            disc.append(math.exp(-alpha * t))
+            fixed_net.append(fixed - costs.R * M * (ef - ec) / alpha)
             t += t_fill + t_rel
             start = tau
-        totals[i] = total
+    cost = (np.frombuffer(fixed_net) + fill_g.result()[alpha]
+            + release_g.result()[alpha])
+    totals = np.zeros(config.n_paths)
+    np.add.at(totals, np.frombuffer(path, dtype=np.int64),
+              np.frombuffer(disc) * cost)
     return totals
 
 

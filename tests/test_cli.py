@@ -87,6 +87,33 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
 
 
+def atomic_jump_config(out_dir):
+    """Compound Poisson input whose jump sizes are atoms: no jump density."""
+    cfg = wiener_config(out_dir)
+    cfg["model"] = {"kind": "compound_poisson", "zeta": 2.0, "rate": 1.0,
+                    "atoms": [[0.5, 0.5], [1.5, 0.5]]}
+    cfg["reflected"] = True
+    cfg["sweep"] = {"lambda": 2.0, "tau": 0.0}
+    cfg["objective"] = {"criterion": "long_run_average"}
+    return cfg
+
+
+class TestAtomicJumps:
+    def test_model_builds(self):
+        model = build_model(atomic_jump_config("out")["model"])
+        assert model.has_jumps and model.measure.density is None
+
+    @pytest.mark.parametrize("verb", ["evaluate", "verify", "optimize"])
+    def test_rejected_up_front(self, tmp_path, capsys, verb):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, atomic_jump_config(out))
+        assert main([verb, "--config", path, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "jump density" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_wiener_exit_mean_field(self, tmp_path):
         report = cmd_evaluate(wiener_config(tmp_path))
@@ -203,6 +230,14 @@ class TestVerify:
                                           "factor": 1.5}
         path = write_config(tmp_path, cfg)
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_VERIFY
+
+    def test_bad_horizon_is_config_error(self, tmp_path, capsys):
+        cfg = wiener_config(tmp_path)
+        cfg["verification"]["horizon"] = -1.0
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--config", path, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: verification: horizon")
 
     def test_seed_stability_of_outcome(self, tmp_path):
         outcomes = []

@@ -54,6 +54,24 @@ class TestPiecewisePoly:
         with pytest.raises(ValueError):
             PiecewisePoly((0.0, 1.0), ((math.inf,),))
 
+    def test_array_values_equal_scalar_calls(self):
+        p = PiecewisePoly((-0.5, 0.3, 1.0, 2.25, 4.0),
+                          ((0.2, 0.1, -0.7), (0.3, -0.05), (1.1, 0.4, 0.3, -0.2),
+                           (0.05,)))
+        rng = np.random.default_rng(8)
+        ys = np.concatenate((
+            rng.uniform(-0.5, 4.0, 500),           # interior points
+            p.breakpoints,                         # every breakpoint, the last too
+            np.nextafter(p.breakpoints, -np.inf),  # just left of each
+            [-3.0, -0.5000001, 4.0, 4.5, 1e9]))    # outside the support
+        got = p.values(ys)
+        want = np.array([p(float(y)) for y in ys])
+        assert got.tobytes() == want.tobytes()
+        # any shape, evaluated entrywise
+        grid = ys[:480].reshape(80, 6)
+        assert np.array_equal(p.values(grid), want[:480].reshape(80, 6))
+        assert not PiecewisePoly.zero().values(ys).any()
+
     def test_declared_bound_enforced(self):
         g = PiecewisePoly.constant(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):

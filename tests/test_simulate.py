@@ -17,7 +17,11 @@ from levydam import (
     simulate_input_path,
 )
 from levydam.simulate import (
+    _GL_NODES,
+    _GL_WEIGHTS,
     PathConfig,
+    _integrate_segments,
+    _SegmentSink,
     simulate_fill_phase,
     simulate_release_phase,
 )
@@ -190,3 +194,145 @@ class TestDump:
         row = json.loads(lines[0])
         assert row["fill_time"] == rec.fill_time[0]
         assert "e_cycle[0.5]" in row
+
+
+class TestPathConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"time_step": math.nan}, {"time_step": math.inf}, {"time_step": 0.0},
+        {"horizon": -1.0}, {"horizon": math.nan}, {"horizon": math.inf},
+        {"small_jump_cutoff": -1.0}, {"small_jump_cutoff": 0.0},
+        {"small_jump_cutoff": math.nan}, {"n_paths": 0},
+    ])
+    def test_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            PathConfig(**kwargs)
+
+    def test_defaults_accepted(self):
+        cfg = PathConfig()
+        assert cfg.time_step > 0 and cfg.horizon > 0
+
+
+def _segment_integrals_reference(g, y0, slope, t0, duration, alphas, out,
+                                 stick_at_zero):
+    """The former per-segment integral: one scalar g call per node."""
+    if duration <= 0.0 or g.is_zero:
+        return
+    cuts = [0.0, duration]
+    if stick_at_zero and slope > 0 and y0 - slope * duration < 0:
+        cuts.append(y0 / slope)
+    for b in g.breakpoints:
+        if slope != 0.0:
+            tb = (y0 - b) / slope
+            if 0.0 < tb < duration:
+                cuts.append(tb)
+    cuts = sorted(set(cuts))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        half = 0.5 * (hi - lo)
+        mid = 0.5 * (hi + lo)
+        ts = mid + half * _GL_NODES
+        ys = y0 - slope * ts
+        if stick_at_zero:
+            ys = np.maximum(ys, 0.0)
+        gs = np.array([g(y) for y in ys])
+        for a in alphas:
+            damp = np.exp(-a * (t0 + ts)) if a else 1.0
+            out[a] += half * float(np.dot(_GL_WEIGHTS, gs * damp))
+
+
+ALPHAS = [0.0, 0.5, 2.0]
+# no breakpoint at 0, so only the sticking time cuts a path absorbed there
+G_MULTI = PiecewisePoly((-0.5, 0.5, 1.0, 2.0, 3.5),
+                        ((0.2, 0.1), (0.3, -0.05, 0.4), (0.1,), (0.5, 0.0, -0.1)))
+
+
+def _random_segments(rng, n):
+    """Segments with sticking, several crossings, zero lengths and t0 > 0."""
+    y0 = rng.uniform(0.0, 4.0, n)
+    slope = rng.choice([2.0, 4.0, 0.3, -1.0, 0.0], n)
+    duration = rng.exponential(1.0, n)
+    duration[rng.uniform(size=n) < 0.1] = 0.0
+    t0 = rng.uniform(0.0, 5.0, n)
+    stick = rng.uniform(size=n) < 0.5
+    slot = np.sort(rng.integers(0, n // 4, n))
+    return slot, y0, slope, t0, duration, stick
+
+
+class TestBatchedSegmentIntegrals:
+    @pytest.mark.parametrize("g", [G_MULTI, PiecewisePoly.zero()])
+    def test_matches_per_segment_reference(self, g):
+        rng = np.random.default_rng(12)
+        n = 600
+        slot, y0, slope, t0, duration, stick = _random_segments(rng, n)
+        # the mix must really contain what it is meant to cover
+        assert (stick & (slope > 0) & (y0 - slope * duration < 0)).sum() > 20
+        assert (duration == 0.0).sum() > 20
+        # a slot sums its segments piece by piece, as one cycle did
+        ref = {a: np.zeros(n // 4) for a in ALPHAS}
+        for i in range(n):
+            acc = {a: ref[a][slot[i]] for a in ALPHAS}
+            _segment_integrals_reference(g, y0[i], slope[i], t0[i],
+                                         duration[i], ALPHAS, acc, stick[i])
+            for a in ALPHAS:
+                ref[a][slot[i]] = acc[a]
+        got = {a: np.zeros(n // 4) for a in ALPHAS}
+        _integrate_segments(g, slot, y0, slope, t0, duration, stick, ALPHAS,
+                            got)
+        for a in ALPHAS:
+            if g.is_zero:
+                assert not got[a].any()
+            else:
+                assert np.count_nonzero(got[a]) > n // 8
+            np.testing.assert_allclose(got[a], ref[a], rtol=1e-13, atol=0.0)
+
+    def test_many_crossings_in_one_segment(self):
+        got = {a: np.zeros(1) for a in ALPHAS}
+        args = (np.array([0]), np.array([3.9]), np.array([1.0]),
+                np.array([0.7]), np.array([3.8]))
+        _integrate_segments(G_MULTI, *args, False, ALPHAS, got)
+        ref = {a: 0.0 for a in ALPHAS}
+        _segment_integrals_reference(G_MULTI, 3.9, 1.0, 0.7, 3.8, ALPHAS, ref,
+                                     False)
+        for a in ALPHAS:
+            assert got[a][0] == pytest.approx(ref[a], rel=1e-13, abs=0.0)
+
+    def test_block_boundaries_do_not_matter(self):
+        rng = np.random.default_rng(4)
+        _, y0, slope, t0, duration, stick = _random_segments(rng, 400)
+        ends = rng.uniform(size=400) < 0.3
+        keep = rng.uniform(size=400) < 0.8
+        results = []
+        for block in (1, 7, 10 ** 9):
+            sink = _SegmentSink(G_MULTI, ALPHAS, True, block)
+            for i in range(400):
+                sink.add(y0[i], abs(slope[i]), t0[i], duration[i])
+                if ends[i]:
+                    sink.close() if keep[i] else sink.drop()
+            sink.drop()
+            results.append(sink.result())
+        assert len(results[0][0.0]) == (ends & keep).sum()
+        for other in results[1:]:
+            for a in ALPHAS:
+                np.testing.assert_allclose(other[a], results[0][a],
+                                           rtol=1e-15, atol=0.0)
+
+
+class TestCostsLeavePathsAlone:
+    COSTS = CostSpec(1.0, 0.5, 0.3,
+                     PiecewisePoly((0.0, 1.0, 2.0), ((0.2, 0.1), (0.3, -0.05))),
+                     PiecewisePoly((0.5, 2.0, 4.0), ((0.1, 0.05), (0.175, -0.02))))
+
+    @pytest.mark.parametrize("reflected", [True, False])
+    def test_nonzero_costs_same_paths(self, reflected):
+        model = compound_poisson_exp(2.0, 1.0, 1.0)
+        cfg = PathConfig(n_paths=800, seed=19, horizon=2.5)
+        zero = run_policy_cycles(model, POLICY, ZERO, cfg, reflected=reflected,
+                                 alphas=[0.5])
+        paid = run_policy_cycles(model, POLICY, self.COSTS, cfg,
+                                 reflected=reflected, alphas=[0.5])
+        assert 50 < paid.n_partial < 750
+        assert paid.n_partial == zero.n_partial
+        for field in ("fill_time", "release_time", "crossing_state"):
+            assert np.array_equal(getattr(paid, field), getattr(zero, field))
+        assert np.all(paid.fill_g[0.5] > 0) and np.all(paid.release_g[0.0] > 0)
+        assert not zero.fill_g[0.0].any() and not zero.release_g[0.5].any()
+        assert len(paid.fill_g[0.5]) == paid.n_cycles
