@@ -10,7 +10,8 @@ Simulation schemes per family:
 * compound Poisson drift: exact event-driven paths, no discretisation;
 * Brownian drift: synchronised time stepping across all paths with the
   within-step minimum (or maximum) sampled exactly for the reflecting
-  barrier and a Brownian bridge correction for threshold crossings;
+  barrier and the cap, and a Brownian bridge correction for threshold
+  crossings;
 * gamma / inverse Gaussian drift: exact increment sampling on the grid,
   accepting grid resolution error in crossing detection;
 * generic bounded variation: jumps below ``small_jump_cutoff`` replaced by
@@ -20,9 +21,19 @@ The compound Poisson event loop only draws and records the linear pieces of
 each path; their maintenance integrals are computed afterwards, vectorised
 over blocks of pieces (``_SegmentSink``).
 
-Randomness is counter based: path-indexed routines draw from Philox streams
-keyed by (seed, path index); vectorised routines consume the (seed, 0)
-stream.  Fixed (seed, config, model, policy) reproduce results bit for bit.
+The grid families share one step kernel, ``_GridStep``: it draws one step
+for every live path (increments, jumps, within-step extremum, bridge test,
+reflection at 0, cap at V).  Two drivers run it.  ``_grid_cycles`` stops
+each path by a rule: after its fill phase (``simulate_fill_phase``), after
+a release phase (``simulate_release_phase``) or after one full cycle
+(``run_policy_cycles``).  ``_total_discounted_grid`` runs successive cycles
+until the discount floor and books each charge as it falls due.
+
+Randomness is counter based: the compound Poisson simulators and
+``simulate_input_path`` draw from Philox streams keyed by (seed, path
+index); the grid kernel consumes the (seed, 0) stream for all live paths in
+lock step, so a grid path's draws depend on ``n_paths``.  Fixed (seed,
+config, model, policy) reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -148,7 +159,7 @@ def simulate_input_path(model: LevyModel, config: PathConfig, t_end: float,
             np.add.at(incs, idx, js)
         values = np.concatenate(([0.0], np.cumsum(incs)))
         return InputPath(times, values, jt, js)
-    incs = _subordinator_increments(model, rng, dt, n) - _drift_rate(model) * dt
+    incs = _subordinator_increments(model, rng, dt, n) - model.zeta * dt
     values = np.concatenate(([0.0], np.cumsum(incs)))
     return InputPath(times, values, np.empty(0), np.empty(0))
 
@@ -158,10 +169,6 @@ def _poisson_jumps(rng, rate, jumps, t_end):
     jt = np.sort(rng.uniform(0.0, t_end, size=count))
     js = jumps.sample(rng, count) if count else np.empty(0)
     return jt, np.asarray(js, dtype=float)
-
-
-def _drift_rate(model) -> float:
-    return model.zeta
 
 
 def _subordinator_increments(model, rng, dt, size):
@@ -464,53 +471,42 @@ class _RecordBuilder:
 
 
 # ---------------------------------------------------------------------------
-# Grid based cycles: Brownian and subordinator families, vectorised
+# Grid based paths: Brownian and subordinator families, vectorised
 # ---------------------------------------------------------------------------
 
-def _run_cycles_grid(model, policy, costs, config, reflected, alphas):
-    """All paths advance on a common clock; one cycle per path.
+class _GridStep:
+    """One time step of every live grid path, drawn from the (seed, 0) stream.
 
-    Live paths are kept in compact arrays (finished paths are dropped each
-    step), so late stragglers cost almost nothing.
+    Filling paths move with the input, releasing paths with the input minus
+    M.  A Brownian path samples its within-step minimum (filling) or maximum
+    (releasing) exactly; reflection at 0 and the cap at V act on it, and a
+    Brownian bridge test catches threshold crossings between grid points.
+    Subordinator increments are exact, but crossings are seen only at grid
+    points.  Draws go to the live paths in order, so a path's draws depend
+    on which other paths are still live.
     """
-    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
-    n = config.n_paths
-    dt = config.time_step
-    rng = path_rng(config.seed, 0)
-    is_bm = isinstance(model, BrownianDrift)
-    creeps = is_bm and not model.has_jumps
-    sig2 = model.sigma2 if is_bm else 0.0
-    sig_dt = math.sqrt(sig2 * dt) if is_bm else 0.0
-    g_vec = None if costs.g.is_zero else _vectorize_poly(costs.g)
-    gs_vec = None if costs.g_star.is_zero else _vectorize_poly(costs.g_star)
 
-    # compact live-path state
-    orig = np.arange(n)
-    y = np.full(n, float(tau))
-    filling = np.ones(n, dtype=bool)
-    t_fill = np.zeros(n)
-    gf = {a: np.zeros(n) for a in alphas}
-    gr = {a: np.zeros(n) for a in alphas}
-    cross = np.zeros(n)
+    def __init__(self, model, config, reflected, lam, tau, V, M):
+        self.model = model
+        self.dt = config.time_step
+        self.rng = path_rng(config.seed, 0)
+        self.reflected = reflected
+        self.lam, self.tau, self.V, self.M = lam, tau, V, M
+        self.is_bm = isinstance(model, BrownianDrift)
+        self.sig_dt = math.sqrt(model.sigma2 * self.dt)
 
-    # per-path outputs
-    out_fill_time = np.zeros(n)
-    out_release_time = np.zeros(n)
-    out_state = np.zeros(n)
-    out_gf = {a: np.zeros(n) for a in alphas}
-    out_gr = {a: np.zeros(n) for a in alphas}
-    out_efill = {a: np.zeros(n) for a in alphas}
-    out_ecycle = {a: np.zeros(n) for a in alphas}
-    done = np.zeros(n, dtype=bool)
+    def __call__(self, y, filling):
+        """(y_pre, hit, crossing_state) of one step from the contents y.
 
-    t = 0.0
-    steps = int(math.ceil(config.horizon / dt))
-    for _ in range(steps):
-        m = len(y)
-        if m == 0:
-            break
-        if is_bm:
-            w = rng.normal(model.mu * dt, sig_dt, size=m)
+        ``y_pre`` is the content at the end of the step, after reflection or
+        the cap; ``hit`` marks paths that reached lam (filling) or tau
+        (releasing) within the step; ``crossing_state`` is where a fill
+        crossing lands.
+        """
+        model, rng, dt, m = self.model, self.rng, self.dt, len(y)
+        lam, tau, V = self.lam, self.tau, self.V
+        if self.is_bm:
+            w = rng.normal(model.mu * dt, self.sig_dt, size=m)
             u_ext = rng.uniform(size=m)
             u_cross = rng.uniform(size=m)
             if model.has_jumps:
@@ -519,117 +515,113 @@ def _run_cycles_grid(model, policy, costs, config, reflected, alphas):
                     w[k] += model.jumps.sample(rng, cnt[k]).sum()
         else:
             w = _subordinator_increments(model, rng, dt, m) - model.zeta * dt
-        w = np.where(filling, w, w - M * dt)
+        w = np.where(filling, w, w - self.M * dt)
 
-        if is_bm:
-            root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
-            ext = 0.5 * (w + np.where(filling, -root, root))
-            y_pre = np.where(
-                filling,
-                y + w - (np.minimum(0.0, y + ext) if reflected else 0.0),
-                y + w - np.maximum(0.0, y + ext - V))
-            inert = np.where(filling, (y < lam) & (y_pre < lam),
-                             (y > tau) & (y_pre > tau))
-            gap = np.where(filling, (lam - y) * (lam - y_pre),
-                           (y - tau) * (y_pre - tau))
-            p = np.where(inert, np.exp(-2.0 * np.maximum(gap, 0.0) / (sig2 * dt)),
-                         0.0)
-            hit = np.where(filling, y_pre >= lam, y_pre <= tau) | (u_cross < p)
-            state_now = (np.full_like(y_pre, lam) if creeps
-                         else np.where(y_pre >= lam, y_pre, lam))
-        else:
+        if not self.is_bm:
             y_pre = np.where(filling,
-                             np.maximum(y + w, 0.0) if reflected else y + w,
+                             np.maximum(y + w, 0.0) if self.reflected else y + w,
                              np.minimum(y + w, V))
-            hit = np.where(filling, y_pre >= lam, y_pre <= tau)
-            state_now = y_pre
+            return y_pre, np.where(filling, y_pre >= lam, y_pre <= tau), y_pre
+        sig2 = model.sigma2
+        root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
+        ext = 0.5 * (w + np.where(filling, -root, root))
+        y_pre = np.where(
+            filling,
+            y + w - (np.minimum(0.0, y + ext) if self.reflected else 0.0),
+            y + w - np.maximum(0.0, y + ext - V))
+        inert = np.where(filling, (y < lam) & (y_pre < lam),
+                         (y > tau) & (y_pre > tau))
+        gap = np.where(filling, (lam - y) * (lam - y_pre),
+                       (y - tau) * (y_pre - tau))
+        p = np.where(inert, np.exp(-2.0 * np.maximum(gap, 0.0) / (sig2 * dt)),
+                     0.0)
+        hit = np.where(filling, y_pre >= lam, y_pre <= tau) | (u_cross < p)
+        state = (np.where(y_pre >= lam, y_pre, lam) if model.has_jumps
+                 else np.full_like(y_pre, lam))
+        return y_pre, hit, state
 
+    def stopped(self, y_pre, filling):
+        """Step-end contents held at the threshold that ends their phase."""
+        return np.where(filling, np.minimum(y_pre, self.lam),
+                        np.maximum(y_pre, self.tau))
+
+
+def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
+                 fill_only=False) -> CycleRecords:
+    """Every path from ``start`` in the given phase, on a common clock.
+
+    A path stops at its fill crossing when ``fill_only``, otherwise at the
+    end of its release phase.  Finished paths leave the live arrays each
+    step, so late stragglers cost almost nothing; paths still live at the
+    horizon are partial.  With ``costs`` the maintenance rates are
+    integrated by the trapezoid rule on the grid.
+    """
+    n = config.n_paths
+    dt = step.dt
+    g = None if costs is None or costs.g.is_zero else costs.g.values
+    gs = None if costs is None or costs.g_star.is_zero else costs.g_star.values
+
+    # live paths: their indices, contents and phases
+    orig = np.arange(n)
+    y = np.full(n, float(start))
+    filling = np.full(n, filling)
+
+    # per-path records, indexed by path
+    t_fill = np.zeros(n)
+    release_time = np.zeros(n)
+    cross = np.zeros(n)
+    gf = {a: np.zeros(n) for a in alphas}
+    gr = {a: np.zeros(n) for a in alphas}
+    e_fill = {a: np.zeros(n) for a in alphas}
+    e_cycle = {a: np.zeros(n) for a in alphas}
+    done = np.zeros(n, dtype=bool)
+
+    t = 0.0
+    for _ in range(int(math.ceil(config.horizon / dt))):
+        if len(y) == 0:
+            break
+        y_pre, hit, state = step(y, filling)
         d1 = t + dt
-        if g_vec is not None:
-            f = filling
-            if f.any():
-                base = g_vec(y[f])
-                topd = g_vec(np.minimum(y_pre[f], lam))
-                for a in alphas:
-                    gf[a][f] += 0.5 * dt * (math.exp(-a * t) * base
-                                            + math.exp(-a * d1) * topd)
-        if gs_vec is not None:
-            r = ~filling
-            if r.any():
-                base = gs_vec(y[r])
-                topd = gs_vec(np.maximum(y_pre[r], tau))
-                for a in alphas:
-                    gr[a][r] += 0.5 * dt * (math.exp(-a * t) * base
-                                            + math.exp(-a * d1) * topd)
+        if costs is not None:
+            y_end = step.stopped(y_pre, filling)
+            for rate, in_phase, acc in ((g, filling, gf), (gs, ~filling, gr)):
+                if rate is not None and in_phase.any():
+                    base, top = rate(y[in_phase]), rate(y_end[in_phase])
+                    pid = orig[in_phase]
+                    for a in alphas:
+                        acc[a][pid] += 0.5 * dt * (math.exp(-a * t) * base
+                                                   + math.exp(-a * d1) * top)
         t = d1
 
-        # fill -> release transitions
         crossed = filling & hit
         if crossed.any():
-            t_fill[crossed] = t
-            cross[crossed] = state_now[crossed]
-            y[crossed] = np.minimum(state_now[crossed], V)
-            filling[crossed] = False
-        keep_going = filling & ~hit
-        y[keep_going] = y_pre[keep_going]
-
-        # release -> done
-        finished = (~filling) & hit & ~crossed
-        still = (~filling) & ~hit & ~crossed
-        y[still] = y_pre[still]
+            t_fill[orig[crossed]] = t
+            cross[orig[crossed]] = state[crossed]
+        finished = crossed if fill_only else hit & ~filling
+        y = np.where(hit, np.minimum(state, step.V), y_pre)
+        filling = filling & ~hit
         if finished.any():
             pid = orig[finished]
-            out_fill_time[pid] = t_fill[finished]
-            out_release_time[pid] = t - t_fill[finished]
-            out_state[pid] = cross[finished]
+            release_time[pid] = t - t_fill[pid]
             for a in alphas:
-                out_gf[a][pid] = gf[a][finished]
-                out_gr[a][pid] = gr[a][finished]
-                out_efill[a][pid] = np.exp(-a * t_fill[finished])
-                out_ecycle[a][pid] = math.exp(-a * t)
+                e_fill[a][pid] = np.exp(-a * t_fill[pid])
+                e_cycle[a][pid] = math.exp(-a * t)
             done[pid] = True
             live = ~finished
-            orig, y, filling, t_fill, cross = (arr[live] for arr in
-                                               (orig, y, filling, t_fill, cross))
-            gf = {a: v[live] for a, v in gf.items()}
-            gr = {a: v[live] for a, v in gr.items()}
+            orig, y, filling = orig[live], y[live], filling[live]
 
     sel = lambda d: {a: v[done] for a, v in d.items()}
     rel_disc = {}
     for a in alphas:
         if a:
-            rel_disc[a] = (out_efill[a][done] - out_ecycle[a][done]) / a
+            rel_disc[a] = (e_fill[a][done] - e_cycle[a][done]) / a
         else:
-            rel_disc[a] = out_release_time[done]
+            rel_disc[a] = release_time[done]
     return CycleRecords(
-        fill_time=out_fill_time[done], release_time=out_release_time[done],
-        crossing_state=out_state[done], e_fill=sel(out_efill),
-        e_cycle=sel(out_ecycle), fill_g=sel(out_gf), release_g=sel(out_gr),
-        release_disc_time=rel_disc, n_partial=int(n - done.sum()), M=M)
-
-
-def _vectorize_poly(g):
-    bps = np.asarray(g.breakpoints)
-    pieces = g.coeffs
-
-    def call(ys):
-        ys = np.asarray(ys, dtype=float)
-        out = np.zeros_like(ys)
-        inside = (ys >= bps[0]) & (ys < bps[-1])
-        if inside.any():
-            idx = np.clip(np.searchsorted(bps, ys[inside], side="right") - 1,
-                          0, len(pieces) - 1)
-            u = ys[inside] - bps[idx]
-            vals = np.zeros_like(u)
-            for pn in range(len(pieces)):
-                mask = idx == pn
-                if mask.any():
-                    vals[mask] = np.polynomial.polynomial.polyval(
-                        u[mask], pieces[pn])
-            out[inside] = vals
-        return out
-
-    return call
+        fill_time=t_fill[done], release_time=release_time[done],
+        crossing_state=cross[done], e_fill=sel(e_fill), e_cycle=sel(e_cycle),
+        fill_g=sel(gf), release_g=sel(gr), release_disc_time=rel_disc,
+        n_partial=int(n - done.sum()), M=step.M)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +644,10 @@ def run_policy_cycles(model: LevyModel, policy, costs, config: PathConfig,
         records = _run_cycles_cp(model, policy, costs, config, reflected,
                                  alpha_list)
     else:
-        records = _run_cycles_grid(model, policy, costs, config, reflected,
-                                   alpha_list)
+        step = _GridStep(model, config, reflected, policy.lam, policy.tau,
+                         policy.V, policy.M)
+        records = _grid_cycles(step, config, policy.tau, True, costs,
+                               alpha_list)
     if dump_path is not None:
         _dump_records(records, dump_path)
     return records
@@ -679,6 +673,10 @@ def _dump_records(records: CycleRecords, path: str):
 def simulate_fill_phase(model: LevyModel, x: float, lam: float,
                         config: PathConfig, reflected: bool = True):
     """Fill phase only: (crossing times, crossing states, number unfinished)."""
+    if not x <= lam:
+        raise ValueError("the fill phase needs x <= lam")
+    if reflected and not x >= 0:
+        raise ValueError("the reflected fill phase needs x >= 0")
     model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
         times, states, partial = [], [], 0
@@ -691,12 +689,24 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
                 times.append(got[0])
                 states.append(got[1])
         return np.asarray(times), np.asarray(states), partial
-    return _run_cycles_grid_fill_only(model, lam, config, reflected, x)
+    # no release follows, so it has no barrier (tau = -inf) and no cap
+    step = _GridStep(model, config, reflected, lam, -math.inf, math.inf, 0.0)
+    rec = _grid_cycles(step, config, x, True, fill_only=True)
+    return rec.fill_time, rec.crossing_state, rec.n_partial
 
 
 def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
                            M: float, config: PathConfig):
-    """Release phase only from content z: (passage times, number unfinished)."""
+    """Release phase only from content z: (passage times, number unfinished).
+
+    The release starts at min(z, V).
+    """
+    if not z >= tau:
+        raise ValueError("the release phase needs z >= tau")
+    if not tau < V:
+        raise ValueError("the release phase needs tau < V")
+    if not M > 0:
+        raise ValueError("release rate M must be positive")
     model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
         times, partial = [], 0
@@ -708,101 +718,12 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
             else:
                 times.append(got)
         return np.asarray(times), partial
-    n = config.n_paths
-    dt = config.time_step
-    rng = path_rng(config.seed, 0)
-    is_bm = isinstance(model, BrownianDrift)
-    sig2 = model.sigma2 if is_bm else 0.0
-    y = np.full(n, float(min(z, V)))
-    orig = np.arange(n)
-    out = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    t = 0.0
-    for _ in range(int(math.ceil(config.horizon / dt))):
-        m = len(y)
-        if m == 0:
-            break
-        if is_bm:
-            w = rng.normal((model.mu - M) * dt, math.sqrt(sig2 * dt), size=m)
-            u_ext = rng.uniform(size=m)
-            u_cross = rng.uniform(size=m)
-            if model.has_jumps:
-                cnt = rng.poisson(model.jump_rate * dt, size=m)
-                for k in np.nonzero(cnt)[0]:
-                    w[k] += model.jumps.sample(rng, cnt[k]).sum()
-            root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
-            m_max = 0.5 * (w + root)
-            y_pre = y + w - np.maximum(0.0, y + m_max - V)
-            inert = (y > tau) & (y_pre > tau)
-            p = np.where(inert, np.exp(-2.0 * np.maximum(
-                (y - tau) * (y_pre - tau), 0.0) / (sig2 * dt)), 0.0)
-            hit = (y_pre <= tau) | (u_cross < p)
-        else:
-            w = _subordinator_increments(model, rng, dt, m) \
-                - (model.zeta + M) * dt
-            y_pre = np.minimum(y + w, V)
-            hit = y_pre <= tau
-        t += dt
-        if hit.any():
-            out[orig[hit]] = t
-            done[orig[hit]] = True
-            keep = ~hit
-            orig, y = orig[keep], np.maximum(y_pre[keep], tau)
-        else:
-            y = np.maximum(y_pre, tau)
-    return out[done], int(n - done.sum())
-
-
-def _run_cycles_grid_fill_only(model, lam, config, reflected, x):
-    """Fill-only grid simulation: (times, states, n unfinished)."""
-    n = config.n_paths
-    dt = config.time_step
-    rng = path_rng(config.seed, 0)
-    is_bm = isinstance(model, BrownianDrift)
-    sig2 = model.sigma2 if is_bm else 0.0
-    y = np.full(n, float(x))
-    orig = np.arange(n)
-    out_t = np.zeros(n)
-    out_s = np.zeros(n)
-    done = np.zeros(n, dtype=bool)
-    t = 0.0
-    for _ in range(int(math.ceil(config.horizon / dt))):
-        m = len(y)
-        if m == 0:
-            break
-        if is_bm:
-            w = rng.normal(model.mu * dt, math.sqrt(sig2 * dt), size=m)
-            u_ext = rng.uniform(size=m)
-            u_cross = rng.uniform(size=m)
-            if model.has_jumps:
-                cnt = rng.poisson(model.jump_rate * dt, size=m)
-                for k in np.nonzero(cnt)[0]:
-                    w[k] += model.jumps.sample(rng, cnt[k]).sum()
-            root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
-            m_min = 0.5 * (w - root)
-            y_pre = (y + w - np.minimum(0.0, y + m_min) if reflected
-                     else y + w)
-            inert = (y < lam) & (y_pre < lam)
-            p = np.where(inert, np.exp(-2.0 * np.maximum(
-                (lam - y) * (lam - y_pre), 0.0) / (sig2 * dt)), 0.0)
-            hit = (y_pre >= lam) | (u_cross < p)
-            state = (np.full_like(y_pre, lam) if not model.has_jumps
-                     else np.where(y_pre >= lam, y_pre, lam))
-        else:
-            w = _subordinator_increments(model, rng, dt, m) - model.zeta * dt
-            y_pre = np.maximum(y + w, 0.0) if reflected else y + w
-            hit = y_pre >= lam
-            state = y_pre
-        t += dt
-        if hit.any():
-            out_t[orig[hit]] = t
-            out_s[orig[hit]] = state[hit]
-            done[orig[hit]] = True
-            keep = ~hit
-            orig, y = orig[keep], y_pre[keep]
-        else:
-            y = y_pre
-    return out_t[done], out_s[done], int(n - done.sum())
+    # the shifted model draws the release drift (mu - M or zeta + M) into
+    # each increment, so the kernel subtracts no M dt; no fill comes first,
+    # so it has no threshold (lam = inf)
+    step = _GridStep(model.shifted(M), config, False, math.inf, tau, V, 0.0)
+    rec = _grid_cycles(step, config, min(z, V), False)
+    return rec.release_time, rec.n_partial
 
 
 def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
@@ -882,93 +803,46 @@ def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
 
 def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
                            floor):
-    """Vectorised multi-cycle accumulation on a shared clock."""
+    """Successive cycles on a shared clock, until the discount floor.
+
+    Each path's total takes its charges, release reward and maintenance
+    integrals as they fall due, so no path ever leaves the arrays.
+    """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     n = config.n_paths
     dt = config.time_step
-    rng = path_rng(config.seed, 0)
-    is_bm = isinstance(model, BrownianDrift)
-    creeps = is_bm and not model.has_jumps
-    sig2 = model.sigma2 if is_bm else 0.0
-    sig_dt = math.sqrt(sig2 * dt) if is_bm else 0.0
-    g_vec = None if costs.g.is_zero else _vectorize_poly(costs.g)
-    gs_vec = None if costs.g_star.is_zero else _vectorize_poly(costs.g_star)
+    step = _GridStep(model, config, reflected, lam, tau, V, M)
+    g = None if costs.g.is_zero else costs.g.values
+    gs = None if costs.g_star.is_zero else costs.g_star.values
 
     start = min(x, V)
     y = np.full(n, float(start))
     filling = np.full(n, start <= lam)
-    totals = np.zeros(n)
-    if start <= lam:
-        totals += M * costs.K2
-    else:
-        totals += M * costs.K1
+    totals = np.full(n, M * costs.K2 if start <= lam else M * costs.K1)
 
     t = 0.0
     t_max = -math.log(floor) / alpha
-    steps = int(math.ceil(t_max / dt))
-    for _ in range(steps):
+    for _ in range(int(math.ceil(t_max / dt))):
         d0 = math.exp(-alpha * t)
         d1 = math.exp(-alpha * (t + dt))
-        if is_bm:
-            w = rng.normal(model.mu * dt, sig_dt, size=n)
-            u_ext = rng.uniform(size=n)
-            u_cross = rng.uniform(size=n)
-            if model.has_jumps:
-                cnt = rng.poisson(model.jump_rate * dt, size=n)
-                for k in np.nonzero(cnt)[0]:
-                    w[k] += model.jumps.sample(rng, cnt[k]).sum()
-        else:
-            w = _subordinator_increments(model, rng, dt, n) - model.zeta * dt
-        w = np.where(filling, w, w - M * dt)
-
-        if is_bm:
-            root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
-            ext = 0.5 * (w + np.where(filling, -root, root))
-            y_pre = np.where(
-                filling,
-                y + w - (np.minimum(0.0, y + ext) if reflected else 0.0),
-                y + w - np.maximum(0.0, y + ext - V))
-            inert = np.where(filling, (y < lam) & (y_pre < lam),
-                             (y > tau) & (y_pre > tau))
-            gap = np.where(filling, (lam - y) * (lam - y_pre),
-                           (y - tau) * (y_pre - tau))
-            p = np.where(inert,
-                         np.exp(-2.0 * np.maximum(gap, 0.0) / (sig2 * dt)), 0.0)
-            hit = np.where(filling, y_pre >= lam, y_pre <= tau) | (u_cross < p)
-            state_now = (np.full_like(y_pre, lam) if creeps
-                         else np.where(y_pre >= lam, y_pre, lam))
-        else:
-            y_pre = np.where(filling,
-                             np.maximum(y + w, 0.0) if reflected else y + w,
-                             np.minimum(y + w, V))
-            hit = np.where(filling, y_pre >= lam, y_pre <= tau)
-            state_now = y_pre
-
+        y_pre, hit, state = step(y, filling)
         f = filling
         r = ~filling
-        if g_vec is not None and f.any():
-            totals[f] += 0.5 * dt * (d0 * g_vec(y[f])
-                                     + d1 * g_vec(np.minimum(y_pre[f], lam)))
+        y_end = step.stopped(y_pre, f)
+        for rate, in_phase in ((g, f), (gs, r)):
+            if rate is not None and in_phase.any():
+                totals[in_phase] += 0.5 * dt * (d0 * rate(y[in_phase])
+                                                + d1 * rate(y_end[in_phase]))
         if r.any():
-            if gs_vec is not None:
-                y_r = np.maximum(y_pre[r], tau)
-                totals[r] += 0.5 * dt * (d0 * gs_vec(y[r]) + d1 * gs_vec(y_r))
             totals[r] -= costs.R * M * (d0 - d1) / alpha
-
-        crossed = f & hit
-        if crossed.any():
-            # valve opens: pay the opening charge, cap, switch phase
-            totals[crossed] += d1 * M * costs.K1
-            y[crossed] = np.minimum(state_now[crossed], V)
-            filling[crossed] = False
-        closed = r & hit
-        if closed.any():
-            # cycle ends: pay the next closing charge, restart the fill
-            totals[closed] += d1 * M * costs.K2
-            y[closed] = tau
-            filling[closed] = True
-        rest = ~hit
-        y[rest] = np.where(f[rest], y_pre[rest], np.maximum(y_pre[rest], tau))
+        # the valve opens: pay the opening charge
+        totals[f & hit] += d1 * M * costs.K1
+        # the cycle ends: pay the next closing charge
+        totals[r & hit] += d1 * M * costs.K2
+        # an opened valve releases from the capped state, a closed one
+        # restarts the fill at tau
+        y = np.where(hit, np.where(f, np.minimum(state, V), tau), y_pre)
+        filling = filling ^ hit
         t += dt
     return totals
 
@@ -977,8 +851,6 @@ def _prepare_model(model: LevyModel, config: PathConfig) -> LevyModel:
     """Replace small jumps of a generic measure by their mean drift."""
     if not isinstance(model, GenericBoundedVariation):
         return model
-    from .models import CompoundPoissonDrift as CPD
-
     cut = config.small_jump_cutoff
     measure = model.measure
     rate = float(measure.tail(cut))
@@ -986,7 +858,7 @@ def _prepare_model(model: LevyModel, config: PathConfig) -> LevyModel:
     small_mean, _ = quad(lambda v: v * measure.density(v), 0.0, cut,
                          epsabs=1e-12, epsrel=1e-10, limit=200)
     jumps = _TailSampler(measure, cut, rate)
-    return CPD(model.zeta - small_mean, rate, jumps)
+    return CompoundPoissonDrift(model.zeta - small_mean, rate, jumps)
 
 
 class _TailSampler:

@@ -8,12 +8,15 @@ from scipy import stats
 from levydam import (
     CostSpec,
     GammaDrift,
+    InverseGaussianDrift,
     PiecewisePoly,
     PolicyParams,
     brownian,
     compound_poisson_exp,
     estimate,
+    release_exit_mean,
     run_policy_cycles,
+    shifted_scale_set,
     simulate_input_path,
 )
 from levydam.simulate import (
@@ -181,6 +184,46 @@ class TestPhaseSimulators:
         est = estimate("fill", t)
         assert est.agrees_with(exit_mean_reflected(s0, 0.5, 2.0))
 
+    @pytest.mark.parametrize("model", [compound_poisson_exp(2.0, 1.0, 1.0),
+                                       brownian(1.0, 2.0)],
+                             ids=["cp", "brownian"])
+    @pytest.mark.parametrize("start", [
+        lambda m, cfg: simulate_release_phase(m, 0.3, 0.5, 4.0, 2.0, cfg),
+        lambda m, cfg: simulate_release_phase(m, 1.0, 0.5, 0.5, 2.0, cfg),
+        lambda m, cfg: simulate_release_phase(m, 1.0, 0.5, 4.0, 0.0, cfg),
+        lambda m, cfg: simulate_fill_phase(m, 2.5, 2.0, cfg, reflected=False),
+        lambda m, cfg: simulate_fill_phase(m, -0.1, 2.0, cfg, reflected=True),
+    ], ids=["release_below_tau", "release_tau_at_V", "release_zero_rate",
+            "fill_above_lam", "reflected_fill_below_zero"])
+    def test_rejects_what_the_analytic_side_rejects(self, model, start):
+        with pytest.raises(ValueError):
+            start(model, PathConfig(n_paths=10, seed=1))
+
+    @pytest.mark.parametrize("model, seed", [
+        (brownian(1.0, 2.0), 21),
+        (GammaDrift(1.0, 1.0, 2.0), 22),
+        (InverseGaussianDrift(1.0, 1.0, 2.0), 23),
+    ], ids=["brownian", "gamma", "inverse_gaussian"])
+    def test_grid_release_wald_mean(self, model, seed):
+        z, tau, M = 1.5, 0.5, 2.0
+        times, partial = simulate_release_phase(
+            model, z, tau, math.inf, M,
+            PathConfig(time_step=1e-3, n_paths=20_000, seed=seed))
+        assert partial == 0
+        est = estimate("rel", times)
+        assert est.agrees_with((z - tau) / (M - model.mean_input()))
+
+    def test_grid_release_capped(self):
+        model = brownian(1.0, 2.0)
+        z, tau, V, M = 1.5, 0.5, 4.0, 2.0
+        times, partial = simulate_release_phase(
+            model, z, tau, V, M,
+            PathConfig(time_step=1e-3, n_paths=20_000, seed=21))
+        assert partial == 0
+        s_M0 = shifted_scale_set(model, M, 0.0)
+        est = estimate("rel", times)
+        assert est.agrees_with(release_exit_mean(s_M0, z, tau, V))
+
 
 class TestDump:
     def test_jsonl_dump(self, tmp_path):
@@ -321,10 +364,20 @@ class TestCostsLeavePathsAlone:
                      PiecewisePoly((0.0, 1.0, 2.0), ((0.2, 0.1), (0.3, -0.05))),
                      PiecewisePoly((0.5, 2.0, 4.0), ((0.1, 0.05), (0.175, -0.02))))
 
+    # each horizon leaves some cycles partial; the grid families run the
+    # step kernel, compound Poisson the event loop
+    FAMILIES = {
+        "cp": (compound_poisson_exp(2.0, 1.0, 1.0), 2.5),
+        "brownian": (brownian(1.0, 2.0), 3.0),
+        "gamma": (GammaDrift(1.0, 4.0, 2.0), 3.0),
+    }
+
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("reflected", [True, False])
-    def test_nonzero_costs_same_paths(self, reflected):
-        model = compound_poisson_exp(2.0, 1.0, 1.0)
-        cfg = PathConfig(n_paths=800, seed=19, horizon=2.5)
+    def test_nonzero_costs_same_paths(self, reflected, family):
+        model, horizon = self.FAMILIES[family]
+        cfg = PathConfig(time_step=5e-3, n_paths=800, seed=19,
+                         horizon=horizon)
         zero = run_policy_cycles(model, POLICY, ZERO, cfg, reflected=reflected,
                                  alphas=[0.5])
         paid = run_policy_cycles(model, POLICY, self.COSTS, cfg,
