@@ -11,7 +11,9 @@ Three evaluation methods are provided:
 * closed forms for pure Brownian input,
 * a convolution series for bounded variation input with jump load
   ``rho = mu / zeta < 1``, built on a uniform grid and summed with a
-  certified geometric majorant,
+  certified geometric majorant; each term is one real FFT convolution at a
+  fixed padded length, and the spectrum of the ladder height increments is
+  taken once per grid and shared by all terms,
 * numerical Laplace inversion (fixed Talbot contour applied to the
   exponentially tilted transform), available whenever the exponent can be
   evaluated at complex arguments.
@@ -28,6 +30,7 @@ its numpy overhead.
 
 from __future__ import annotations
 
+import logging
 import math
 import weakref
 from bisect import bisect_right
@@ -35,14 +38,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.interpolate import PchipInterpolator
-from scipy.signal import fftconvolve
 
 from .models import LevyModel
 
 CLOSED_FORM_BROWNIAN = "closed_form_brownian"
 CONVOLUTION_SERIES = "convolution_series"
 LAPLACE_INVERSION = "laplace_inversion"
+
+_log = logging.getLogger("levydam")
 
 
 @dataclass(frozen=True)
@@ -85,6 +90,26 @@ def _volterra_discount(w0: np.ndarray, h: float, alpha: float) -> np.ndarray:
         conv = 0.5 * out[0] * w0[j] + inner
         out[j] = (w0[j] + alpha * h * conv) / denom
     return out
+
+
+def _head_convolver(b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Map ``a`` of the length m of ``b`` to ``(a * b)[:m]``, the head of
+    their linear convolution.
+
+    Pads to the length ``scipy.signal.fftconvolve`` picks and repeats its
+    real FFT steps, so the result equals ``fftconvolve(a, b)[:m]`` bit for
+    bit.  The spectrum of ``b`` is taken once, so each call costs two real
+    FFTs.
+    """
+    m = len(b)
+    size = sp_fft.next_fast_len(2 * m - 1, True)
+    b_hat = sp_fft.rfftn(b, [size], axes=[0])
+
+    def conv(a: np.ndarray) -> np.ndarray:
+        a_hat = sp_fft.rfftn(a, [size], axes=[0])
+        return sp_fft.irfftn(a_hat * b_hat, [size], axes=[0])[:m]
+
+    return conv
 
 
 def _ppoly_at(breaks: list, coeffs: np.ndarray, x: float) -> float:
@@ -181,7 +206,13 @@ class _BrownianClosedForm:
 
 
 class _SeriesEvaluator:
-    """Convolution series on a uniform grid for bounded variation input."""
+    """Convolution series on a uniform grid for bounded variation input.
+
+    ``refine_diff`` is the sup-norm difference, relative to the function
+    scale, between the kept grid and the one of twice its step; it is
+    infinite when no halving was made.  A grid that does not reach
+    ``refine_tol`` is kept, with a warning on the ``levydam`` logger.
+    """
 
     scalar = True
 
@@ -237,7 +268,7 @@ class _SeriesEvaluator:
     def _series_on_grid(self, xs: np.ndarray) -> np.ndarray:
         n = len(xs)
         F = self._ladder_cdf(xs)
-        dF = np.diff(F)
+        conv_dF = _head_convolver(np.diff(F))
         Fk = np.ones(n)
         acc = Fk.copy()
         k = 0
@@ -245,8 +276,7 @@ class _SeriesEvaluator:
         while self.rho ** (k + 1) / (1.0 - self.rho) >= tol and k < self.opts.max_terms:
             k += 1
             avg = 0.5 * (Fk[1:] + Fk[:-1])
-            conv = fftconvolve(avg, dF)[: n - 1]
-            Fk = np.concatenate(([0.0], np.maximum(conv, 0.0)))
+            Fk = np.concatenate(([0.0], np.maximum(conv_dF(avg), 0.0)))
             acc += (self.rho ** k) * Fk
         w0 = acc / self.zeta
         if self.alpha == 0.0:
@@ -262,6 +292,7 @@ class _SeriesEvaluator:
         n = max(n0, 256)
         xs = np.linspace(0.0, x_max, n + 1)
         vals = self._series_on_grid(xs)
+        diff = math.inf
         for _ in range(opts.max_refinements):
             n2 = 2 * n
             xs2 = np.linspace(0.0, x_max, n2 + 1)
@@ -271,6 +302,11 @@ class _SeriesEvaluator:
             xs, vals, n = xs2, vals2, n2
             if diff < opts.refine_tol:
                 break
+        if diff >= opts.refine_tol:
+            _log.warning("convolution series grid of %d steps on [0, %g] kept "
+                         "with halving difference %.3g, not below refine_tol "
+                         "%.3g", n, x_max, diff, opts.refine_tol)
+        self.refine_diff = diff
         self.x_max = x_max
         self.grid_x = xs
         self.grid_w = vals

@@ -1,21 +1,27 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import levydam.scale
 from levydam import (
     CLOSED_FORM_BROWNIAN,
     CONVOLUTION_SERIES,
     LAPLACE_INVERSION,
+    AtomJumps,
     BrownianDrift,
+    CompoundPoissonDrift,
     ExponentialJumps,
     GammaDrift,
+    GenericBoundedVariation,
     InverseGaussianDrift,
     ScaleFunctionSet,
     ScaleOptions,
     brownian,
     compound_poisson_exp,
+    generic_measure,
     shifted_model,
     shifted_scale_set,
 )
@@ -285,3 +291,77 @@ class TestScalarPath:
         assert a.generation == b.generation == 1
         assert np.array_equal(a.grid[0], b.grid[0])
         assert "derived" not in a.memo()
+
+
+def _fftconvolve_head(b):
+    """The series convolution as it stood, on scipy.signal.fftconvolve."""
+    from scipy.signal import fftconvolve
+    return lambda a: fftconvolve(a, b)[: len(b)]
+
+
+class TestSeriesConvolution:
+    """The series sums its terms by real FFT convolution, which must equal
+    scipy.signal.fftconvolve bit for bit."""
+
+    MODELS = {
+        "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
+        "cp_atoms": lambda: CompoundPoissonDrift(
+            2.0, 1.0, AtomJumps((0.5, 1.5), (0.4, 0.6))),
+        "generic": lambda: GenericBoundedVariation(
+            2.0, generic_measure(lambda x: np.exp(-x), lambda x: np.exp(-x), 1.0)),
+    }
+
+    # 2m - 1 is padded to the next fast length, except for m = 313 and 1013
+    # (625 = 5**4 and 2025 = 3**4 * 5**2)
+    @pytest.mark.parametrize("m", [256, 257, 313, 1000, 1013, 2001, 4000, 8001])
+    def test_random_vectors(self, m):
+        rng = np.random.default_rng(m)
+        a, b = rng.standard_normal(m), rng.standard_normal(m)
+        got = levydam.scale._head_convolver(b)(a)
+        assert np.array_equal(got, _fftconvolve_head(b)(a))
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_series_inputs(self, name, monkeypatch):
+        real, calls = levydam.scale._head_convolver, []
+
+        def checked(b):
+            conv, ref = real(b), _fftconvolve_head(b)
+
+            def both(a):
+                got = conv(a)
+                calls.append(np.array_equal(got, ref(a)))
+                return got
+
+            return both
+
+        monkeypatch.setattr(levydam.scale, "_head_convolver", checked)
+        ScaleFunctionSet(self.MODELS[name](), 0.5, method=CONVOLUTION_SERIES,
+                         options=ScaleOptions(x_max=4.5))
+        assert len(calls) > 100 and all(calls)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_table_equals_fftconvolve_table(self, alpha, monkeypatch):
+        model = compound_poisson_exp(2.0, 1.0, 1.0)
+        got = ScaleFunctionSet(model, alpha).grid
+        monkeypatch.setattr(levydam.scale, "_head_convolver", _fftconvolve_head)
+        want = ScaleFunctionSet(model, alpha).grid
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_unconverged_refinement_warns_and_keeps_grid(self, caplog):
+        model = compound_poisson_exp(2.0, 1.0, 1.0)
+        with caplog.at_level(logging.WARNING, logger="levydam"):
+            converged = ScaleFunctionSet(model, 0.5,
+                                         options=ScaleOptions(x_max=4.5))
+            assert caplog.records == []
+            assert converged._ev.refine_diff < converged.options.refine_tol
+            ref = ScaleFunctionSet(model, 0.5, options=ScaleOptions(
+                x_max=4.5, max_refinements=1))
+            caplog.clear()
+            s = ScaleFunctionSet(model, 0.5, options=ScaleOptions(
+                x_max=4.5, max_refinements=1, refine_tol=1e-300))
+        assert [r.name for r in caplog.records] == ["levydam"]
+        assert "not below refine_tol" in caplog.text
+        assert s._ev.refine_diff == ref._ev.refine_diff
+        assert np.array_equal(s.grid[0], ref.grid[0])
+        assert np.array_equal(s.grid[1], ref.grid[1])
