@@ -15,6 +15,7 @@ from the exit transforms, potentials and overshoot laws of the input model.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,16 +23,17 @@ import numpy as np
 
 from .exits import (
     OvershootLaw,
+    _shaped_like,
     cycle_end_lt,
     exit_lt_reflected,
     exit_lt_up,
     exit_mean_reflected,
     exit_mean_up,
     fill_overshoot_law,
-    overshoot_expectation,
     potential_reflected,
     potential_release,
     potential_up_killed,
+    quad_errors_into,
     release_exit_lt,
     release_exit_mean,
 )
@@ -174,32 +176,39 @@ class CostSpec:
 # Phase costs
 # ---------------------------------------------------------------------------
 
-def fill_cost(model: LevyModel, s: ScaleFunctionSet, x: float, lam: float,
-              g: PiecewisePoly, reflected: bool = True) -> float:
-    """Expected discounted maintenance cost until the content reaches lam."""
-    if x >= lam:
-        return 0.0
-    pts = g.breakpoints
-    if reflected:
-        pot = potential_reflected(s, lam)
-        return pot.integrate(x, g, lo=0.0, hi=lam, points=pts)
-    pot = potential_up_killed(s, lam)
-    lo, hi = g.support
-    return pot.integrate(x, g, lo=lo, hi=min(hi, lam), points=pts)
+def fill_cost(model: LevyModel, s: ScaleFunctionSet, x, lam: float,
+              g: PiecewisePoly, reflected: bool = True):
+    """Expected discounted maintenance cost until the content reaches lam;
+    x is a float or an array of start states of any shape."""
+    xs = np.asarray(x, dtype=float).ravel()
+    out = np.zeros(xs.size)
+    below = xs < lam
+    if below.any() and not g.is_zero:
+        if reflected:
+            pot, lo, hi = potential_reflected(s, lam), 0.0, lam
+        else:
+            pot = potential_up_killed(s, lam)
+            lo, hi = g.support[0], min(g.support[1], lam)
+        out[below] = pot.integrals(xs[below], g.values, lo, hi, g.breakpoints)
+    return _shaped_like(x, out)
 
 
-def release_cost(model: LevyModel, s_M: ScaleFunctionSet, x: float, tau: float,
-                 V: float, g_star: PiecewisePoly) -> float:
-    """Expected discounted maintenance cost until the content falls to tau."""
-    if not (tau <= x <= V):
+def release_cost(model: LevyModel, s_M: ScaleFunctionSet, x, tau: float,
+                 V: float, g_star: PiecewisePoly):
+    """Expected discounted maintenance cost until the content falls to tau;
+    x is a float or an array of start states of any shape."""
+    xs = np.asarray(x, dtype=float).ravel()
+    if not np.all((tau <= xs) & (xs <= V)):
         raise ValueError("need tau <= x <= V")
-    if x == tau:
-        return 0.0
-    pot = potential_release(s_M, tau, V)
-    lo, hi = g_star.support
-    hi = hi if math.isinf(V) else min(hi, V)
-    return pot.integrate(x, g_star, lo=max(lo, tau), hi=hi,
-                         points=g_star.breakpoints)
+    out = np.zeros(xs.size)
+    above = xs > tau
+    if above.any() and not g_star.is_zero:
+        pot = potential_release(s_M, tau, V)
+        lo, hi = g_star.support
+        hi = hi if math.isinf(V) else min(hi, V)
+        out[above] = pot.integrals(xs[above], g_star.values, max(lo, tau), hi,
+                                   g_star.breakpoints)
+    return _shaped_like(x, out)
 
 
 # ---------------------------------------------------------------------------
@@ -235,11 +244,12 @@ def cycle_cost(model: LevyModel, policy: PolicyParams, costs: CostSpec,
     q_fill = (exit_lt_reflected(s, x, lam) if reflected
               else exit_lt_up(s, x, lam))
     law = fill_overshoot_law(s, x, lam, reflected)
-    q_cycle = overshoot_expectation(
-        law, lambda z: release_exit_lt(s_M, min(z, V), tau, V), V)
+    q_cycle = law.expectation(
+        lambda z: release_exit_lt(s_M, np.minimum(z, V), tau, V), V)
     fill = fill_cost(model, s, x, lam, costs.g, reflected)
-    rel = overshoot_expectation(
-        law, lambda z: release_cost(model, s_M, min(z, V), tau, V, costs.g_star), V)
+    rel = law.expectation(
+        lambda z: release_cost(model, s_M, np.minimum(z, V), tau, V,
+                               costs.g_star), V, costs.g_star.breakpoints)
     return (M * (costs.K2 + costs.K1 * q_fill
                  - (costs.R / alpha) * (q_fill - q_cycle))
             + fill + rel)
@@ -311,11 +321,12 @@ def long_run_average_cost(model: LevyModel, policy: PolicyParams,
         raise ValueError("infinite mean cycle: release rate does not exceed "
                          "the mean inflow")
     law = fill_overshoot_law(s0, tau, lam, reflected)
-    mean_rel = overshoot_expectation(
-        law, lambda z: release_exit_mean(s_M0, min(z, V), tau, V), V)
+    mean_rel = law.expectation(
+        lambda z: release_exit_mean(s_M0, np.minimum(z, V), tau, V), V)
     cost_fill = fill_cost(model, s0, tau, lam, costs.g, reflected)
-    cost_rel = overshoot_expectation(
-        law, lambda z: release_cost(model, s_M0, min(z, V), tau, V, costs.g_star), V)
+    cost_rel = law.expectation(
+        lambda z: release_cost(model, s_M0, np.minimum(z, V), tau, V,
+                               costs.g_star), V, costs.g_star.breakpoints)
     numer = (M * (costs.K1 + costs.K2) + cost_fill + cost_rel
              + costs.R * M * mean_fill)
     denom = mean_fill + mean_rel
@@ -326,13 +337,23 @@ def long_run_average_cost(model: LevyModel, policy: PolicyParams,
 # Cached evaluator for sweeps and reports
 # ---------------------------------------------------------------------------
 
+def _records_quad_error(method):
+    """Run the method with the evaluator collecting quadrature errors."""
+    @functools.wraps(method)
+    def recorded(self, *args, **kwargs):
+        with quad_errors_into(self):
+            return method(self, *args, **kwargs)
+    return recorded
+
+
 class PolicyEvaluator:
     """Caches scale function sets per discount rate for repeated evaluation.
 
     Every quantity at one discount rate uses the same two sets, and the
     evaluator holds each overshoot law it needs, which the sets hand to
     the free functions it calls; so one evaluator per policy computes each
-    law once.
+    law once.  ``max_quad_error`` is the largest error estimate of any
+    integral computed for the evaluator so far.
     """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
@@ -347,6 +368,16 @@ class PolicyEvaluator:
         self._fill_sets: dict[float, ScaleFunctionSet] = {}
         self._release_sets: dict[float, ScaleFunctionSet] = {}
         self._laws: dict[tuple, OvershootLaw] = {}
+        self._quad_error = 0.0
+
+    @property
+    def max_quad_error(self) -> float:
+        return max([self._quad_error]
+                   + [law.max_quad_error for law in self._laws.values()])
+
+    @max_quad_error.setter
+    def max_quad_error(self, value: float):
+        self._quad_error = value
 
     def fill_set(self, alpha: float) -> ScaleFunctionSet:
         if alpha not in self._fill_sets:
@@ -382,6 +413,7 @@ class PolicyEvaluator:
         p = self.policy
         return release_exit_mean(self.release_set(0.0), min(z, p.V), p.tau, p.V)
 
+    @_records_quad_error
     def overshoot_law(self, alpha: float, x: float | None = None):
         x = self.policy.tau if x is None else x
         key = (alpha, x)
@@ -395,16 +427,19 @@ class PolicyEvaluator:
         if x < self.policy.lam:
             self.overshoot_law(alpha, x)
 
+    @_records_quad_error
     def mean_release_time(self) -> float:
         law = self.overshoot_law(0.0)
         p = self.policy
-        return overshoot_expectation(
-            law, lambda z: release_exit_mean(self.release_set(0.0), min(z, p.V),
-                                             p.tau, p.V), p.V)
+        s_M0 = self.release_set(0.0)
+        return law.expectation(
+            lambda z: release_exit_mean(s_M0, np.minimum(z, p.V), p.tau, p.V),
+            p.V)
 
     def mean_cycle_length(self) -> float:
         return self.fill_exit_mean() + self.mean_release_time()
 
+    @_records_quad_error
     def cycle_end_lt(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
         self._hold_law(alpha, x)
@@ -412,6 +447,7 @@ class PolicyEvaluator:
                             reflected=self.reflected, s=self.fill_set(alpha),
                             s_M=self.release_set(alpha))
 
+    @_records_quad_error
     def cycle_cost(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
         self._hold_law(alpha, x)
@@ -419,6 +455,7 @@ class PolicyEvaluator:
                           reflected=self.reflected, s=self.fill_set(alpha),
                           s_M=self.release_set(alpha), options=self.options)
 
+    @_records_quad_error
     def total_discounted(self, alpha: float, x: float | None = None) -> float:
         x = self.policy.tau if x is None else x
         self._hold_law(alpha, x)
@@ -429,6 +466,7 @@ class PolicyEvaluator:
                                      s_M=self.release_set(alpha),
                                      options=self.options)
 
+    @_records_quad_error
     def long_run_average(self) -> float:
         self._hold_law(0.0, self.policy.tau)
         return long_run_average_cost(self.model, self.policy, self.costs,

@@ -191,6 +191,17 @@ class TestEvaluate:
         assert not (tmp_path / "evaluate.json").exists()
 
 
+    def test_transform_out_of_range_exits_numeric(self, tmp_path, capsys):
+        # reflected Brownian input at lambda = 20: the fill transform at
+        # alpha = 0.5 cancels to 8192 and is refused
+        cfg = wiener_config(tmp_path, reflected=True)
+        cfg["policy"] = {"lambda": 20.0, "tau": 0.5, "M": 2.0, "V": 40.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_NUMERIC
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "evaluate.json").exists()
+
+
 class TestVerify:
     def test_wiener_passes(self, tmp_path):
         report = cmd_verify(wiener_config(tmp_path))

@@ -312,26 +312,6 @@ class TestEvaluatorSharing:
         finally:
             gc.enable()
 
-    def test_kernel_evaluated_once_per_point(self, monkeypatch):
-        import levydam.exits as exits
-
-        s = ScaleFunctionSet(CP, 0.5)
-        law = exits.overshoot_reflected(s, 0.5, 2.0)
-        calls = []
-        real = exits._quad_pts
-
-        def counting(f, lo, hi, pts=()):
-            calls.append((lo, hi))
-            return real(f, lo, hi, pts)
-
-        monkeypatch.setattr(exits, "_quad_pts", counting)
-        first = law.density_mass()
-        n_first = len(calls)
-        # the same outer nodes again: only the outer integral is recomputed
-        assert law.density_mass() == first
-        assert len(calls) == n_first + 1
-        assert law.components["tail_mass"](2.0) == law.components["l_tail_at_lam"]
-
     @pytest.mark.parametrize("config, n_laws", [
         ("compound_poisson", 2),  # one per discount rate: 0 and 0.5
         ("gamma", 1),

@@ -348,3 +348,45 @@ class TestCycleEnd:
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=math.inf)
         q = cycle_end_lt(model, policy, 0.4, 0.5, reflected=True)
         assert 0.0 < q < 1.0
+
+
+class TestRangeGuards:
+    """Exit quantities outside their range raise instead of being reported.
+
+    Reflected Brownian input at large thresholds cancels catastrophically
+    in Z(lam - x) - alpha W(lam - x) W(lam) / W'(lam): at lam = 20 the
+    transform comes out as 8192, at lam = 30 as 2.8e14 with a zero mean.
+    (At lam = 15 it comes out as 0.125, inside [0, 1], which no range
+    check can catch.)
+    """
+
+    @staticmethod
+    def evaluator(lam):
+        from levydam import CostSpec, PiecewisePoly, PolicyEvaluator
+
+        costs = CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                         PiecewisePoly.zero())
+        return PolicyEvaluator(brownian(1.0, 1.0),
+                               PolicyParams(lam, 0.5, 2.0, 2.0 * lam), costs)
+
+    def test_transform_above_one_raises_at_lam_20(self):
+        from levydam import ConvergenceError
+
+        with pytest.raises(ConvergenceError, match="outside"):
+            self.evaluator(20.0).fill_exit_lt(0.5)
+
+    def test_transform_and_mean_raise_at_lam_30(self):
+        from levydam import ConvergenceError
+
+        ev = self.evaluator(30.0)
+        with pytest.raises(ConvergenceError, match="outside"):
+            ev.fill_exit_lt(0.5)
+        with pytest.raises(ConvergenceError, match="finite positive mean"):
+            ev.fill_exit_mean()
+
+    def test_in_range_values_pass_unchanged(self):
+        ev = self.evaluator(5.0)
+        s = ev.fill_set(0.5)
+        assert ev.fill_exit_lt(0.5) == exit_lt_reflected(s, 0.5, 5.0)
+        assert 0.0 < ev.fill_exit_lt(0.5) < 1.0
+        assert 0.0 < ev.fill_exit_mean() < math.inf
