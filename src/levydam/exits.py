@@ -17,17 +17,21 @@ Functions are pure; the discount rate is the one carried by the scale set.
 Every integral is a composite Gauss-Kronrod rule (7 Gauss nodes inside 15
 Kronrod nodes) on panels split at the known breakpoints: the start state,
 the thresholds, the capacity, 0, the end of the jump tail and the
-breakpoints of the cost rates.  Toward an endpoint where the integrand is
-singular (W' at 0 and the jump density near the threshold, for input of
-infinite jump activity) the panels are graded dyadically.  Each panel
-carries the QUADPACK error estimate of its rule; while an integral misses
-max(1e-11, 1e-9 |value|), its panels that miss their share of that
-tolerance are bisected, every integral of a batch in the same round, and
-after ``_MAX_ROUNDS`` rounds ``ConvergenceError`` is raised.  A panel is
-kept as it is when its estimate is down to the rounding noise of the
-scale functions in its integrand, or when halving it lowers neither
-estimate nor value (QUADPACK's roundoff test).  Integrands
-are evaluated on whole arrays of nodes, and the potentials, exit transforms
+breakpoints of the cost rates.  For input of infinite jump activity the
+panels are graded dyadically toward the points where the integrand is
+singular: the start state, where W(y - x) has a cusp, 0 in the reflected
+potential, where W' is unbounded, and the threshold, where the jump
+density is.  Each panel carries the QUADPACK error estimate of its rule;
+while an integral misses max(1e-11, 1e-9 |value|), its panels that miss
+their share of that tolerance are bisected worst first, every integral of
+a batch in the same round, and the others wait with their values kept.
+A panel is settled as it is when its two rules differ by no more than the
+rounding noise of the scale functions in its integrand can make them, or
+when halving it lowers neither estimate nor value (QUADPACK's roundoff
+test).  An integral whose error exceeds its tolerance by more than the
+estimates of those noise panels, or that is still open after
+``_MAX_ROUNDS`` rounds, raises ``ConvergenceError``.  Integrands are
+evaluated on whole arrays of nodes, and the potentials, exit transforms
 and release functionals take arrays of start states, so a nested integral
 is one batched integral per round of its outer integral.  The worst error
 estimate is kept on each overshoot law and on any ``quad_errors_into``
@@ -37,8 +41,10 @@ An overshoot law's density is the compensation formula
 ``integral U(x, dy) nu(z - y)`` over the potential ``U`` of the fill phase;
 each value is computed once per point, and ``fill_overshoot_law`` builds
 each law once per scale set while a caller holds it, so every cycle
-functional computed from one set shares the law.  Each integral depends
-only on its own arguments, never on what was computed before.
+functional computed from one set shares the law.  A grid rebuild of the
+scale set drops the kept values and the law's grid of levels.  Each
+integral depends only on its own arguments, never on what was computed
+before.
 """
 
 from __future__ import annotations
@@ -86,6 +92,9 @@ _WG_MID = 0.417959183673469387755102040816327
 _XK = np.concatenate((-_XK_HALF, [0.0], _XK_HALF[::-1]))
 _WK = np.concatenate((_WK_HALF, [_WK_MID], _WK_HALF[::-1]))
 _WG = np.concatenate((_WG_HALF, [_WG_MID], _WG_HALF[::-1]))
+# |Kronrod - Gauss| weight of each node: the largest difference of the two
+# rules that a unit of noise at that node can make
+_WKG = np.abs(_WK - np.insert(_WG, np.arange(8), 0.0))
 
 _holders: contextvars.ContextVar = contextvars.ContextVar(
     "levydam_quad_error_holders", default=())
@@ -121,8 +130,10 @@ def _nodes(a, b):
 def _rule(v, h, noise=None):
     """Kronrod values, QUADPACK error estimates (qk15) and noise floors
     from the values v (panels, 15) at the nodes of panels of half-width h.
-    The floor is the integral of the values' rounding noise, when given,
-    and no estimate is below it."""
+    The floor, when the values' rounding noise is given, is the largest
+    Kronrod-Gauss difference that noise can make: a panel whose rules
+    differ by no more is resolved down to its noise, and gets the floor
+    as its estimate; no estimate is below it."""
     if not np.isfinite(v).all():
         raise ConvergenceError("non-finite integrand value at a quadrature node")
     # einsum sums each panel's nodes in one fixed order, whatever the
@@ -131,15 +142,15 @@ def _rule(v, h, noise=None):
     resg = np.einsum("ij,j->i", v[:, 1::2], _WG)
     resasc = np.einsum("ij,j->i", np.abs(v - 0.5 * resk[:, None]), _WK) * h
     resabs = np.einsum("ij,j->i", np.abs(v), _WK) * h
-    err = np.abs(resk - resg) * h
-    ratio = np.divide(200.0 * err, resasc, out=np.ones_like(err),
-                      where=200.0 * err < resasc)
-    err = np.where((resasc > 0.0) & (err > 0.0), resasc * ratio ** 1.5, err)
+    diff = np.abs(resk - resg) * h
+    ratio = np.divide(200.0 * diff, resasc, out=np.ones_like(diff),
+                      where=200.0 * diff < resasc)
+    err = np.where((resasc > 0.0) & (diff > 0.0), resasc * ratio ** 1.5, diff)
     err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
     floor = np.zeros(h.shape)
     if noise is not None:
-        floor = np.einsum("ij,j->i", noise, _WK) * h
-        err = np.maximum(err, floor)
+        floor = np.einsum("ij,j->i", noise, _WKG) * h
+        err = np.where(diff <= floor, floor, np.maximum(err, floor))
     return resk * h, err, floor
 
 
@@ -157,71 +168,91 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     each belongs to; zero-width panels are dropped.  ``f(row, y)`` gives
     the integrand of each row at the nodes y (arrays of one shape).  A row
     is done once the sum of its panels' error estimates is within
-    max(epsabs, epsrel |integral|); until then each of its panels that
-    misses its share of that tolerance, in proportion to its width, is
-    bisected, worst first: those within a factor 10 of the row's worst
-    estimate.  As in QUADPACK, halves whose estimates sum to 99 % of their
-    parent's or more, with a sum within 1e-5 of the parent's value, are
-    taken to be limited by the integrand's own rounding noise and are
-    kept as they are, their estimates included in the row's error.  The
-    panels of all rows are evaluated together, in blocks, once per round,
-    and a row's result depends only on its own panels.  Returns the
-    integrals and their error estimates, and with ``keep_panels`` also the
-    final panels' ends and rows, sorted.  The estimates go to the open
-    error holders unless ``record`` is off.
+    max(epsabs, epsrel |integral|).  Until then a panel that meets its
+    share of that tolerance, in proportion to its width, is settled; of
+    the others, those within a factor 10 of the row's worst estimate are
+    bisected, as in QUADPACK's worst-first order, and the rest wait for a
+    later round with their values kept.  A panel is settled as noise
+    when its estimate is down to the rounding noise of its integrand's
+    values, or when its halves' estimates sum to 99 % of its own or more
+    with a sum within 1e-5 of its value (QUADPACK's roundoff test).  A row
+    whose error exceeds its tolerance by more than its noise panels'
+    estimates, or that is still open after ``_MAX_ROUNDS`` rounds, raises
+    ``ConvergenceError``.  The new panels of all rows are evaluated
+    together, in blocks, once per round, and a row's result depends only
+    on its own panels.  Returns the integrals and their error estimates,
+    and with ``keep_panels`` also the final panels' ends and rows, sorted.
+    The estimates go to the open error holders unless ``record`` is off.
     """
     a, b, row = (np.asarray(v) for v in np.broadcast_arrays(a, b, row))
     a, b = a.astype(float), b.astype(float)
     row = row.astype(np.intp)
-    keep = b > a
-    a, b, row = a[keep], b[keep], row[keep]
+    live = b > a
+    a, b, row = a[live], b[live], row[live]
     width = np.bincount(row, b - a, n_rows)
     total = np.zeros(n_rows)
     err = np.zeros(n_rows)
-    parent = None           # index of each panel's parent among the split
+    noise = np.zeros(n_rows)      # estimates of the panels settled as noise
+    k = e = np.zeros(0)           # values of the waiting panels, which lead
+    parent = None                 # index of each new panel's parent
     final = []
+    step = max(1, _BLOCK // len(_XK))
     for _ in range(_MAX_ROUNDS):
         if a.size == 0:
-            if record:
-                _note_errors(err)
-            if not keep_panels:
-                return total, err
-            fa, fb, frow = (np.concatenate(v) for v in zip(*final))
-            order = np.lexsort((fa, frow))
-            return total, err, fa[order], fb[order], frow[order]
-        step = max(1, _BLOCK // len(_XK))
+            break
+        old = k.size
         parts = [_panel_rule(f, a[i:i + step], b[i:i + step], row[i:i + step])
-                 for i in range(0, a.size, step)]
-        k, e, floor = (np.concatenate(v) for v in zip(*parts))
+                 for i in range(old, a.size, step)]
+        new_k, new_e, new_floor = (np.concatenate(v) for v in zip(*parts))
+        noisy = new_e <= new_floor
+        if parent is not None:
+            halves_k = np.bincount(parent, new_k, parent_k.size)
+            halves_e = np.bincount(parent, new_e, parent_k.size)
+            noisy |= ((halves_e >= 0.99 * parent_e)
+                      & (np.abs(halves_k - parent_k)
+                         <= 1e-5 * np.abs(halves_k)))[parent]
+        k = np.concatenate((k, new_k))
+        e = np.concatenate((e, new_e))
+        noisy = np.concatenate((np.zeros(old, dtype=bool), noisy))
         value = total + np.bincount(row, k, n_rows)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
         done = (err + np.bincount(row, e, n_rows) <= tol)[row]
-        # a panel at its noise floor gains nothing from halving
-        split = ~done & (e > tol[row] * (b - a) / width[row]) & (e > floor)
-        if parent is not None:
-            halves_k = np.bincount(parent, k, parent_k.size)
-            halves_e = np.bincount(parent, e, parent_k.size)
-            noisy = ((halves_e >= 0.99 * parent_e)
-                     & (np.abs(halves_k - parent_k) <= 1e-5 * np.abs(halves_k)))
-            split &= ~noisy[parent]
-        # like QUADPACK's worst-first order: only the panels within a
-        # factor 10 of their row's worst are cut this round
+        over = ~done & (e > tol[row] * (b - a) / width[row])
+        stuck = over & noisy
+        wanted = over & ~noisy
         worst = np.zeros(n_rows)
-        np.maximum.at(worst, row[split], e[split])
-        split &= e >= 0.1 * worst[row]
-        keep = ~split
-        total += np.bincount(row[keep], k[keep], n_rows)
-        err += np.bincount(row[keep], e[keep], n_rows)
+        np.maximum.at(worst, row[wanted], e[wanted])
+        split = wanted & (e >= 0.1 * worst[row])
+        wait = wanted & ~split
+        settle = ~wanted
+        total += np.bincount(row[settle], k[settle], n_rows)
+        err += np.bincount(row[settle], e[settle], n_rows)
+        noise += np.bincount(row[stuck], e[stuck], n_rows)
         if keep_panels:
-            final.append((a[keep], b[keep], row[keep]))
+            final.append((a[settle], b[settle], row[settle]))
         parent_k, parent_e = k[split], e[split]
-        a, b, row = a[split], b[split], row[split]
-        mid = 0.5 * (a + b)
-        parent = np.tile(np.arange(a.size), 2)
-        a, b, row = (np.concatenate((a, mid)), np.concatenate((mid, b)),
-                     np.concatenate((row, row)))
-    raise ConvergenceError(f"quadrature did not meet its tolerance in "
-                           f"{_MAX_ROUNDS} rounds of panel bisection")
+        mid = 0.5 * (a[split] + b[split])
+        parent = np.tile(np.arange(mid.size), 2)
+        a = np.concatenate((a[wait], a[split], mid))
+        b = np.concatenate((b[wait], mid, b[split]))
+        row = np.concatenate((row[wait], row[split], row[split]))
+        k, e = k[wait], e[wait]
+    if a.size:
+        raise ConvergenceError(f"quadrature did not meet its tolerance in "
+                               f"{_MAX_ROUNDS} rounds of panel bisection")
+    missed = err > np.maximum(_EPSABS, _EPSREL * np.abs(total)) + noise
+    if missed.any():
+        r = int(np.argmax(missed))
+        raise ConvergenceError(
+            f"quadrature error {err[r]:.3g} on a value of {total[r]:.6g} "
+            "exceeds its tolerance beyond the integrand's rounding noise")
+    if record:
+        _note_errors(err)
+    if not keep_panels:
+        return total, err
+    fa, fb, frow = (np.concatenate(v) for v in zip(*final))
+    order = np.lexsort((fa, frow))
+    return total, err, fa[order], fb[order], frow[order]
 
 
 def _row_panels(n, lo, hi, *cuts):
@@ -292,8 +323,8 @@ class PotentialDensity:
     of the terms: no integral is refined below rounding * (|t1| + |t2|).
     Integrals split at the start state, where W(y - x) starts; under jumps
     of infinite activity, where W has unbounded slope at 0+ (and W' at 0+
-    is unbounded), ``graded`` grades them toward the start state and
-    toward the lower end of the support.
+    is unbounded), ``graded`` grades them toward the start state and, in
+    the reflected potential, toward 0.
     """
 
     kind: str
@@ -343,13 +374,16 @@ class PotentialDensity:
         return val
 
     def grading(self, x, y_lo: float, y_hi: float) -> tuple:
-        """Dyadic cuts toward y_lo and toward each start state in x; the
-        panels are bisected further where the cusp needs it."""
+        """Dyadic cuts toward each start state in x, where W(y - x) has a
+        cusp, and for the reflected potential toward 0, where W' is
+        unbounded; the panels are bisected further where they need it."""
         if not self.graded:
             return ()
         x = np.clip(x, y_lo, y_hi)
-        return (_dyadic(y_lo, y_hi - y_lo, _START_GRADE_DEPTH),
-                _dyadic(x, y_hi - x, _START_GRADE_DEPTH))
+        cuts = (_dyadic(x, y_hi - x, _START_GRADE_DEPTH),)
+        if self.kind == REFLECTED_INFIMUM and y_lo <= 0.0 < y_hi:
+            cuts += (_dyadic(0.0, y_hi, _START_GRADE_DEPTH),)
+        return cuts
 
     def mass(self, x: float) -> float:
         """Total potential mass at start state x (expected discounted time)."""
@@ -381,10 +415,11 @@ class PotentialDensity:
 def _rounding(s: ScaleFunctionSet, derivative: bool = False) -> float:
     """Relative rounding noise of the W (or W') values of the set.
 
-    Talbot inversion resolves W to about 1e-12 relative (5e-13 to 1e-12
-    against the Brownian closed forms), taken as 1e-11 here; its W' is a
-    finite difference at step 1e-3, three digits coarser.  The other
-    methods evaluate to a few ulps.
+    Against the Brownian closed forms, on 1e-6 <= x <= 10 at four drift,
+    variance and discount settings, Talbot inversion resolves W to 8.5e-13
+    relative and its finite-difference W' to 7e-10; they are taken as
+    1e-11 and 1e-8.  The other methods evaluate to a few ulps.  Without
+    these floors the bisection chases the noise of W' for gamma input.
     """
     if s.method != LAPLACE_INVERSION:
         return 1e-15
@@ -746,7 +781,7 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
     """
     y_lo = max(pot.y_range[0], lam - cut)
     span = lam - y_lo
-    grid = []
+    grid = []                 # (generation of the scale set, panels, U)
 
     def u_at(y):
         # the panels repeat across z: evaluate U once per panel
@@ -777,7 +812,8 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
         edges = np.unique(np.concatenate((a, b)))
         a, b = edges[:-1], edges[1:]
         y = _nodes(a, b)
-        grid.extend((a, b, y, *u_at(y)))
+        u, noise = u_at(y)
+        grid[:] = (pot.scale_set.generation, a, b, y, u, noise)
 
     def kernel(zs):
         vals = np.zeros(zs.size)
@@ -786,13 +822,14 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
         z = zs[inside]
         if z.size == 0:
             return vals, errs
-        if not grid:
+        # a grid rebuild of the scale set changes U: build again
+        if not grid or grid[0] != pot.scale_set.generation:
             build()
-        a, b, y, u, noise = grid
+        _, a, b, y, u, noise = grid
         h = 0.5 * (b - a)
         got = np.empty(z.size)
         err = np.empty(z.size)
-        floor = np.empty(z.size)
+        at_noise = np.empty(z.size)
         step = max(1, _BLOCK // y.size)
         for i in range(0, z.size, step):
             zc = z[i:i + step]
@@ -801,11 +838,11 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
                              np.tile(noise, (zc.size, 1)) * n)
             got[i:i + step] = k.reshape(zc.size, -1).sum(axis=1)
             err[i:i + step] = e.reshape(zc.size, -1).sum(axis=1)
-            floor[i:i + step] = fl.reshape(zc.size, -1).sum(axis=1)
-        _note_errors(err)
-        # refining cannot take a row below the rounding noise of U
-        miss = err > np.maximum(np.maximum(_EPSABS, _EPSREL * np.abs(got)),
-                                2.0 * floor)
+            at_noise[i:i + step] = np.where(e <= fl, e, 0.0).reshape(
+                zc.size, -1).sum(axis=1)
+        # as in _integrate: only the error beyond the noise of U counts
+        miss = err > np.maximum(_EPSABS, _EPSREL * np.abs(got)) + at_noise
+        _note_errors(err[~miss])
         if miss.any():
             zm = z[miss]
             row = np.repeat(np.arange(zm.size), a.size)

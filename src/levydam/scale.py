@@ -16,7 +16,9 @@ Three evaluation methods are provided:
   taken once per grid and shared by all terms,
 * numerical Laplace inversion (fixed Talbot contour applied to the
   exponentially tilted transform), available whenever the exponent can be
-  evaluated at complex arguments.
+  evaluated at complex arguments; an array of points is inverted in
+  batches, each point's contour summed on its own, and every value is
+  kept per point.
 
 A ``ScaleFunctionSet`` bundles the model, the discount rate, the cached root
 ``eta(alpha)`` and the evaluators.  Evaluation is pure, so sets can be shared
@@ -128,22 +130,38 @@ def _ppoly_at(breaks: list, coeffs: np.ndarray, x: float) -> float:
     return res
 
 
-def _talbot(fhat: Callable, t: float, n_nodes: int) -> float:
-    """Fixed Talbot inversion of a Laplace transform at time t > 0."""
+def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Fixed Talbot inversion of a Laplace transform at each time of the
+    array ts > 0.  fhat maps an array of contour points to transform
+    values entry by entry, and each time's contour is summed on its own, so
+    a time's value is the same float whatever the other times are."""
     m = n_nodes
     theta = np.arange(m) * (math.pi / m)
     r = 0.4 * m
     cot = np.empty(m)
     cot[0] = 0.0
     cot[1:] = 1.0 / np.tan(theta[1:])
-    p = (r / t) * theta * (cot + 1j)
-    p[0] = r / t
-    gamma = np.empty(m, dtype=np.complex128)
-    gamma[0] = 0.5 * math.exp(r)
-    gamma[1:] = np.exp(t * p[1:]) * (1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2)
-                                     - 1j * cot[1:])
+    r_t = r / ts
+    p = r_t[:, None] * theta * (cot + 1j)
+    p[:, 0] = r_t
+    gamma = np.empty(p.shape, dtype=np.complex128)
+    gamma[:, 0] = 0.5 * math.exp(r)
+    gamma[:, 1:] = np.exp(ts[:, None] * p[:, 1:]) * (
+        1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:])
     vals = fhat(p)
-    return 2.0 / (5.0 * t) * float(np.real(np.dot(gamma, vals)))
+    return np.array([2.0 / (5.0 * t) * float(np.real(np.dot(g, v)))
+                     for t, g, v in zip(ts.tolist(), gamma, vals)])
+
+
+def _difference_points(x: float):
+    """Step and points of the finite difference for W'(x): one-sided close
+    to the origin, where W may jump, central elsewhere."""
+    h = 1e-3 * max(1.0, abs(x))
+    if x < 2.0 * h:
+        h = 1e-4
+        return h, True, (x, x + h, x + 2 * h, x + 0.5 * h)
+    h = min(h, x * 0.5)
+    return h, False, (x + h, x - h, x + 0.5 * h, x - 0.5 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +390,11 @@ class _SeriesEvaluator:
         return 1.0 / self.zeta
 
 
+# times per batched inversion: 24 contour nodes x 16 bytes x 256 times is
+# 98 kB per temporary
+_TALBOT_BATCH = 256
+
+
 class _InversionEvaluator:
     """Fixed Talbot inversion of the tilted transform 1/(phi(s+eta) - alpha).
 
@@ -394,6 +417,22 @@ class _InversionEvaluator:
         self._w_cache: dict[float, float] = {}
         self._wbar_cache: dict[float, float] = {}
 
+    def _w_hat(self, p):
+        return 1.0 / (self.model.phi(p + self.eta) - self.alpha)
+
+    def _wbar_hat(self, p):
+        return 1.0 / ((p + self.eta) * (self.model.phi(p + self.eta) - self.alpha))
+
+    def _invert(self, xs, cache: dict, fhat: Callable) -> None:
+        """Keep in cache the tilted inversion at every x > 0 (or NaN) of
+        the list xs not kept yet, in batches of _TALBOT_BATCH times."""
+        new = [v for v in dict.fromkeys(xs) if not v <= 0.0 and v not in cache]
+        for i in range(0, len(new), _TALBOT_BATCH):
+            ts = new[i:i + _TALBOT_BATCH]
+            vals = _talbot(fhat, np.array(ts), self.nodes).tolist()
+            cache.update((t, math.exp(self.eta * t) * v)
+                         for t, v in zip(ts, vals))
+
     def w_scalar(self, x: float) -> float:
         if x < 0:
             return 0.0
@@ -401,9 +440,8 @@ class _InversionEvaluator:
             return self.w_at_zero()
         got = self._w_cache.get(x)
         if got is None:
-            fhat = lambda p: 1.0 / (self.model.phi(p + self.eta) - self.alpha)
-            got = math.exp(self.eta * x) * _talbot(fhat, x, self.nodes)
-            self._w_cache[x] = got
+            self._invert([x], self._w_cache, self._w_hat)
+            got = self._w_cache[x]
         return got
 
     def wbar_scalar(self, x: float) -> float:
@@ -411,22 +449,25 @@ class _InversionEvaluator:
             return 0.0
         got = self._wbar_cache.get(x)
         if got is None:
-            fhat = lambda p: 1.0 / ((p + self.eta) * (self.model.phi(p + self.eta) - self.alpha))
-            got = math.exp(self.eta * x) * _talbot(fhat, x, self.nodes)
-            self._wbar_cache[x] = got
+            self._invert([x], self._wbar_cache, self._wbar_hat)
+            got = self._wbar_cache[x]
         return got
 
     def w(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return np.float64(self.w_scalar(float(x)))
-        return np.array([self.w_scalar(v) for v in x.ravel()]).reshape(x.shape)
+        xs = x.ravel().tolist()
+        self._invert(xs, self._w_cache, self._w_hat)
+        return np.array([self.w_scalar(v) for v in xs]).reshape(x.shape)
 
     def wbar(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return np.float64(self.wbar_scalar(float(x)))
-        return np.array([self.wbar_scalar(v) for v in x.ravel()]).reshape(x.shape)
+        xs = x.ravel().tolist()
+        self._invert(xs, self._wbar_cache, self._wbar_hat)
+        return np.array([self.wbar_scalar(v) for v in xs]).reshape(x.shape)
 
     def z(self, x):
         if self.alpha == 0.0:
@@ -437,7 +478,10 @@ class _InversionEvaluator:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return np.float64(self.wp_scalar(float(x)))
-        return np.array([self.wp_scalar(v) for v in x.ravel()]).reshape(x.shape)
+        xs = x.ravel().tolist()
+        self._invert([p for v in xs for p in _difference_points(v)[2]],
+                     self._w_cache, self._w_hat)
+        return np.array([self.wp_scalar(v) for v in xs]).reshape(x.shape)
 
     def z_scalar(self, x: float) -> float:
         if self.alpha == 0.0:
@@ -445,18 +489,15 @@ class _InversionEvaluator:
         return 1.0 + self.alpha * self.wbar_scalar(x)
 
     def wp_scalar(self, x: float) -> float:
-        # finite differences with one Richardson level; one-sided close to
-        # the origin where W may jump
+        # finite differences with one Richardson level
         w = self.w_scalar
-        h = 1e-3 * max(1.0, abs(x))
-        if x < 2.0 * h:
-            h = 1e-4
-            d1 = (-3.0 * w(x) + 4.0 * w(x + h) - w(x + 2 * h)) / (2.0 * h)
-            d2 = (-3.0 * w(x) + 4.0 * w(x + 0.5 * h) - w(x + h)) / h
+        h, one_sided, (p0, p1, p2, p3) = _difference_points(x)
+        if one_sided:
+            d1 = (-3.0 * w(p0) + 4.0 * w(p1) - w(p2)) / (2.0 * h)
+            d2 = (-3.0 * w(p0) + 4.0 * w(p3) - w(p1)) / h
         else:
-            h = min(h, x * 0.5)
-            d1 = (w(x + h) - w(x - h)) / (2.0 * h)
-            d2 = (w(x + 0.5 * h) - w(x - 0.5 * h)) / h
+            d1 = (w(p0) - w(p1)) / (2.0 * h)
+            d2 = (w(p2) - w(p3)) / h
         return (4.0 * d2 - d1) / 3.0
 
     def w_at_zero(self) -> float:

@@ -312,6 +312,26 @@ class TestEvaluatorSharing:
         finally:
             gc.enable()
 
+    def test_kernel_evaluated_once_per_point(self):
+        import levydam.exits as exits
+
+        s = ScaleFunctionSet(CP, 0.5)
+        law = exits.overshoot_reflected(s, 0.5, 2.0)
+        points = []
+        real = law.density._fn
+
+        def counting(zs):
+            points.extend(zs.tolist())
+            return real(zs)
+
+        law.density._fn = counting
+        first = law.density_mass()
+        n_first = len(points)
+        assert n_first > 0 and len(set(points)) == n_first
+        # the same z nodes again: no density value is computed twice
+        assert law.density_mass() == first
+        assert len(points) == n_first
+
     @pytest.mark.parametrize("config, n_laws", [
         ("compound_poisson", 2),  # one per discount rate: 0 and 0.5
         ("gamma", 1),

@@ -5,8 +5,9 @@ tolerances, how potentials, overshoot laws and costs were integrated before
 the engine moved to batched Gauss-Kronrod panels: one ``quad`` per density
 value, per cost integral and per outer expectation.  Every comparison is to
 1e-7 relative.  The guard tests check that the engine never calls ``quad``,
-never rebuilds a scale grid, raises when its round budget runs out, and
-keeps its error estimates.
+never rebuilds a scale grid, raises when its round budget runs out, keeps
+its error estimates, refines a panel that waited behind a worse one, and
+follows a rebuilt scale grid.
 """
 
 import json
@@ -382,18 +383,52 @@ def test_law_keeps_its_error_estimate():
     assert 0.0 < law.max_quad_error < 1e-8
 
 
-def test_density_evaluated_once_per_point():
+def test_density_lookups_return_kept_values():
     s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
                          options=ScaleOptions(x_max=4.5))
     law = exits.overshoot_reflected(s, 0.5, 2.0)
-    first = law.density_mass()
-    kept = dict(law.density._kept)
-    assert law.density_mass() == first
-    # the same z nodes again: nothing new is computed
-    assert law.density._kept == kept
+    law.density_mass()
+    kept = law.density._kept
     zs = np.array(sorted(kept)[:5])
     assert np.array_equal(law.density(zs), [kept[z] for z in zs])
     assert law.density(float(zs[0])) == kept[zs[0]]
+
+
+def test_density_grid_follows_a_scale_grid_rebuild():
+    import inspect
+
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
+                         options=ScaleOptions(x_max=4.5))
+    law = exits.overshoot_reflected(s, 0.5, 2.0)
+    kept = inspect.getclosurevars(law.density._fn).nonlocals
+    grid, pot = kept["grid"], kept["pot"]
+    law.density(2.5)
+    assert grid[0] == s.generation == 0
+    s.w(np.array([9.0]))      # beyond x_max: the series grid is rebuilt
+    assert s.generation == 1
+    law.density(2.6)
+    assert grid[0] == 1
+    # U on the grid is read from the rebuilt scale functions
+    y, u = grid[3], grid[4]
+    assert np.allclose(u, pot.values(0.5, y), rtol=1e-13, atol=0.0)
+
+
+def test_waiting_panels_are_refined_not_settled():
+    # a sharp peak on [0, 1] holds the row's worst estimate for many rounds;
+    # the oscillation on [1, 2] misses its share by less than a tenth of
+    # that, so it waits, and is bisected once the peak is resolved
+    c = 1e-4
+
+    def f(row, y):
+        return np.where(y < 1.0, 1.0 / (c + (y - 0.5) ** 2), np.cos(20.0 * y))
+
+    want = (2.0 / math.sqrt(c) * math.atan(0.5 / math.sqrt(c))
+            + (math.sin(40.0) - math.sin(20.0)) / 20.0)
+    got, err = exits._integrate(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                                np.array([0, 0]), 1)
+    tol = max(exits._EPSABS, exits._EPSREL * abs(want))
+    assert err[0] <= tol
+    assert abs(got[0] - want) <= tol
 
 
 def test_arrays_of_start_states_equal_scalar_calls():

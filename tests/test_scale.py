@@ -276,6 +276,18 @@ class TestScalarPath:
         assert [s.wp(v) for v in x.tolist()] == want.tolist()
         assert np.array_equal(s.wp(x), want)
 
+    @pytest.mark.parametrize("name", ["inversion_gamma",
+                                      "inversion_jump_diffusion"])
+    def test_batched_inversion_equals_one_point_inversion(self, name):
+        # one fresh set inverts the array in batches, another one point at
+        # a time; 600 points span three batches
+        xs = np.random.default_rng(7).uniform(0.0, 8.0, 600)
+        batched, single = self.SETS[name](), self.SETS[name]()
+        for kind in ("w", "wbar", "wp"):
+            got = getattr(batched, kind)(xs)
+            assert got.tolist() == [getattr(single, kind)(x)
+                                    for x in xs.tolist()], kind
+
     def test_negative_derivative_rejected_on_both_paths(self):
         s = self.SETS["series"]()
         for x in (-0.5, np.asarray(-0.5)):
