@@ -93,29 +93,53 @@ class PiecewisePoly:
             power *= u
         return val
 
+    @functools.cached_property
+    def _columns(self):
+        """(columns, short): coefficient columns over the pieces, padded
+        with 0.0 to the longest piece, and per column after the first a
+        mask of the pieces it pads (None when it pads none).
+
+        The first column holds 0.0 + c0 * 1.0, the scalar method's first
+        partial sum, so a partial sum is never -0.0.
+        """
+        width = max(1, max(len(piece) for piece in self.coeffs))
+        cols = np.zeros((width, len(self.coeffs)))
+        for i, piece in enumerate(self.coeffs):
+            cols[:len(piece), i] = piece
+        cols[0] = 0.0 + cols[0] * 1.0
+        lengths = np.array([len(piece) for piece in self.coeffs])
+        short = [None if (lengths > k).all() else lengths <= k
+                 for k in range(1, width)]
+        return cols, short
+
     def values(self, ys) -> np.ndarray:
         """``self(y)`` for every entry of ``ys``, bit for bit.
 
-        Each piece sums its powers in the scalar method's order, so no
-        Horner rounding enters.
+        All pieces are summed at once from coefficient columns, each power
+        in the scalar method's order, so no Horner rounding enters.  A piece
+        with fewer coefficients adds exact zeros for the ones it lacks.
         """
         ys = np.asarray(ys, dtype=float)
         bps = self.breakpoints
-        out = np.zeros(ys.shape)
         inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN too, as __call__
-        idx = np.minimum(np.searchsorted(bps, ys, side="right") - 1,
-                         len(self.coeffs) - 1)
-        for i, piece in enumerate(self.coeffs):
-            sel = inside & (idx == i)
-            if not sel.any():
-                continue
-            u = ys[sel] - bps[i]
-            val, power = np.zeros(u.shape), np.ones(u.shape)
-            for c in piece:
-                val += c * power
-                power *= u
-            out[sel] = val
-        return out
+        cols, short = self._columns
+        # the piece of each y; below the support the first, above it and at
+        # NaN the last
+        idx = np.searchsorted(bps[1:-1], ys, side="right")
+        val = cols[0][idx]
+        if len(cols) > 1:
+            # u = 0 outside the support, so no power overflows there
+            u = np.where(inside, ys - np.take(bps, idx), 0.0)
+            power = u
+            for k, (col, pad) in enumerate(zip(cols[1:], short)):
+                if k:
+                    power = power * u
+                term = col[idx] * power
+                if pad is not None:
+                    # not 0.0 * power, which is NaN where the power overflows
+                    term = np.where(pad[idx], 0.0, term)
+                val = val + term
+        return np.where(inside, val, 0.0)
 
     @property
     def support(self):

@@ -29,11 +29,12 @@ A panel is settled as it is when its two rules differ by no more than the
 rounding noise of the scale functions in its integrand can make them, or
 when halving it lowers neither estimate nor value (QUADPACK's roundoff
 test).  An integral whose error exceeds its tolerance by more than the
-estimates of those noise panels, or that is still open after
-``_MAX_ROUNDS`` rounds, raises ``ConvergenceError``.  Integrands are
-evaluated on whole arrays of nodes, and the potentials, exit transforms
-and release functionals take arrays of start states, so a nested integral
-is one batched integral per round of its outer integral.  The worst error
+estimates of those noise panels, that is still open after
+``_MAX_ROUNDS`` rounds, or that would need more than ``_MAX_PANELS``
+panels raises ``ConvergenceError``.  Integrands are evaluated on whole
+arrays of nodes, and the potentials, exit transforms and release
+functionals take arrays of start states, so a nested integral is one
+batched integral per round of its outer integral.  The worst error
 estimate is kept on each overshoot law and on any ``quad_errors_into``
 holder (``PolicyEvaluator`` is one).
 
@@ -66,6 +67,7 @@ from .scale import LAPLACE_INVERSION, ScaleFunctionSet
 _EPSABS = 1e-11
 _EPSREL = 1e-9
 _MAX_ROUNDS = 60
+_MAX_PANELS = 5_000      # per integral, settled and open; 150 at most in use
 _BLOCK = 1 << 13          # nodes per evaluation block: 64 kB per temporary
 _GRADE_DEPTH = 20         # dyadic panels toward a singular endpoint
 _START_GRADE_DEPTH = 10    # ... toward a start state, where W has a cusp
@@ -177,10 +179,11 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     values, or when its halves' estimates sum to 99 % of its own or more
     with a sum within 1e-5 of its value (QUADPACK's roundoff test).  A row
     whose error exceeds its tolerance by more than its noise panels'
-    estimates, or that is still open after ``_MAX_ROUNDS`` rounds, raises
-    ``ConvergenceError``.  The new panels of all rows are evaluated
-    together, in blocks, once per round, and a row's result depends only
-    on its own panels.  Returns the integrals and their error estimates,
+    estimates, that is still open after ``_MAX_ROUNDS`` rounds, or whose
+    panels would number more than ``_MAX_PANELS`` raises
+    ``ConvergenceError``, so a row that never settles cannot grow without
+    bound.  The new panels of all rows are evaluated together, in blocks,
+    once per round, and a row's result depends only on its own panels.  Returns the integrals and their error estimates,
     and with ``keep_panels`` also the final panels' ends and rows, sorted.
     The estimates go to the open error holders unless ``record`` is off.
     """
@@ -193,6 +196,7 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     total = np.zeros(n_rows)
     err = np.zeros(n_rows)
     noise = np.zeros(n_rows)      # estimates of the panels settled as noise
+    n_panels = np.bincount(row, minlength=n_rows)  # settled and open
     k = e = np.zeros(0)           # values of the waiting panels, which lead
     parent = None                 # index of each new panel's parent
     final = []
@@ -230,6 +234,10 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
         noise += np.bincount(row[stuck], e[stuck], n_rows)
         if keep_panels:
             final.append((a[settle], b[settle], row[settle]))
+        n_panels += np.bincount(row[split], minlength=n_rows)
+        if n_panels.max(initial=0) > _MAX_PANELS:
+            raise ConvergenceError(f"quadrature needs more than {_MAX_PANELS} "
+                                   "panels for one integral")
         parent_k, parent_e = k[split], e[split]
         mid = 0.5 * (a[split] + b[split])
         parent = np.tile(np.arange(mid.size), 2)

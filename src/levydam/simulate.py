@@ -23,11 +23,16 @@ over blocks of pieces (``_SegmentSink``).
 
 The grid families share one step kernel, ``_GridStep``: it draws one step
 for every live path (increments, jumps, within-step extremum, bridge test,
-reflection at 0, cap at V).  Two drivers run it.  ``_grid_cycles`` stops
-each path by a rule: after its fill phase (``simulate_fill_phase``), after
-a release phase (``simulate_release_phase``) or after one full cycle
-(``run_policy_cycles``).  ``_total_discounted_grid`` runs successive cycles
-until the discount floor and books each charge as it falls due.
+reflection at 0, cap at V).  A path's phase reaches it only through phase
+constants (barrier, extremum side, M dt shift, clip), scalars while all
+live paths share a phase and per-path arrays (``_Phases``) once they mix,
+so no path pays for the other phase.  Two step loops run the kernel.
+``_grid_cycles`` stops each path by a rule: after its fill phase
+(``simulate_fill_phase``), after a release phase (``simulate_release_phase``)
+or after one full cycle (``run_policy_cycles``); its maintenance integrals
+are trapezoids added in blocks by a ``_GridSink``.
+``_total_discounted_grid`` runs successive cycles until the discount floor
+and books each charge as it falls due.
 
 Randomness is counter based: the compound Poisson simulators and
 ``simulate_input_path`` draw from Philox streams keyed by (seed, path
@@ -474,6 +479,17 @@ class _RecordBuilder:
 # Grid based paths: Brownian and subordinator families, vectorised
 # ---------------------------------------------------------------------------
 
+_GRID_BLOCK = 4096  # 8,192 raised the peak RSS of a verify-bm run by 1 MB
+
+# the fields of a phase's step constants, in order (see _GridStep)
+_CONSTANTS = ("shift", "sign", "offset", "lo", "hi", "s", "s_bar", "bar")
+
+
+def _minus(a, b):
+    """a - b, where b = None stands for an exact zero and is skipped."""
+    return a if b is None else a - b
+
+
 class _GridStep:
     """One time step of every live grid path, drawn from the (seed, 0) stream.
 
@@ -484,94 +500,287 @@ class _GridStep:
     Subordinator increments are exact, but crossings are seen only at grid
     points.  Draws go to the live paths in order, so a path's draws depend
     on which other paths are still live.
+
+    A path's phase enters only through its constants (``_CONSTANTS``):
+    ``shift`` = M dt when releasing; the extremum is the minimum (``sign``
+    -1) or the maximum (+1); a Brownian step is cut by clip(y + extremum -
+    ``offset``, ``lo``, ``hi``), which is min(0, y + minimum) for a
+    reflected fill, 0 for a plain one and max(0, y + maximum - V) for a
+    release, and a subordinator step ends at clip(y + w, ``lo``, ``hi``);
+    a path hits its barrier ``bar`` when ``s`` y_end >= ``s_bar`` = s bar,
+    with s = +1 filling and -1 releasing.  Negating both sides of a
+    comparison or both factors of a product, and clipping at an infinite
+    bound, are exact, so each phase gets the bits of its own branch.
+    ``uniform[filling]`` holds a phase's constants as scalars, None where
+    one acts as an exact identity and is skipped; ``table`` holds them as
+    columns (fill, release) for per-path rows.
     """
 
     def __init__(self, model, config, reflected, lam, tau, V, M):
         self.model = model
-        self.dt = config.time_step
+        self.dt = dt = config.time_step
         self.rng = path_rng(config.seed, 0)
-        self.reflected = reflected
         self.lam, self.tau, self.V, self.M = lam, tau, V, M
         self.is_bm = isinstance(model, BrownianDrift)
-        self.sig_dt = math.sqrt(model.sigma2 * self.dt)
-
-    def __call__(self, y, filling):
-        """(y_pre, hit, crossing_state) of one step from the contents y.
-
-        ``y_pre`` is the content at the end of the step, after reflection or
-        the cap; ``hit`` marks paths that reached lam (filling) or tau
-        (releasing) within the step; ``crossing_state`` is where a fill
-        crossing lands.
-        """
-        model, rng, dt, m = self.model, self.rng, self.dt, len(y)
-        lam, tau, V = self.lam, self.tau, self.V
+        self.sig_dt = math.sqrt(model.sigma2 * dt)
+        self.sig2_dt = model.sigma2 * dt
+        self.log_scale = 2.0 * model.sigma2 * dt
+        inf = math.inf
         if self.is_bm:
-            w = rng.normal(model.mu * dt, self.sig_dt, size=m)
-            u_ext = rng.uniform(size=m)
-            u_cross = rng.uniform(size=m)
-            if model.has_jumps:
-                cnt = rng.poisson(model.jump_rate * dt, size=m)
-                for k in np.nonzero(cnt)[0]:
-                    w[k] += model.jumps.sample(rng, cnt[k]).sum()
+            self.mu_dt = model.mu * dt
+            fill = (0.0, -1.0, 0.0, -inf if reflected else 0.0, 0.0,
+                    1.0, lam, lam)
+            release = (M * dt, 1.0, V, 0.0, inf, -1.0, -tau, tau)
         else:
-            w = _subordinator_increments(model, rng, dt, m) - model.zeta * dt
-        w = np.where(filling, w, w - self.M * dt)
+            self.zeta_dt = model.zeta * dt
+            fill = (0.0, 0.0, 0.0, 0.0 if reflected else -inf, inf,
+                    1.0, lam, lam)
+            release = (M * dt, 0.0, 0.0, -inf, V, -1.0, -tau, tau)
+        self.table = np.array([fill, release]).T
+        self.uniform = {True: self._scalars(fill),
+                        False: self._scalars(release)}
 
+    def _scalars(self, row):
+        c = dict(zip(_CONSTANTS, row))
+        identity = {"shift": 0.0, "offset": 0.0, "lo": -math.inf,
+                    "hi": math.inf, "s": 1.0}
+        for name, value in identity.items():
+            if c[name] == value:
+                c[name] = None
+        # a cut that is 0 for every path needs no extremum
+        if not self.is_bm or (c["lo"] == c["hi"] == 0.0
+                              or c["offset"] == math.inf):
+            c["sign"] = None
+        return tuple(c[name] for name in _CONSTANTS)
+
+    def __call__(self, y, constants):
+        """(y_end, hit) of one step from the contents y.
+
+        ``y_end`` is the content at the end of the step, after reflection
+        or the cap; ``hit`` marks paths that reached their barrier within
+        the step.
+        """
+        shift, sign, offset, lo, hi, s, s_bar, bar = constants
+        model, rng, m = self.model, self.rng, len(y)
         if not self.is_bm:
-            y_pre = np.where(filling,
-                             np.maximum(y + w, 0.0) if self.reflected else y + w,
-                             np.minimum(y + w, V))
-            return y_pre, np.where(filling, y_pre >= lam, y_pre <= tau), y_pre
-        sig2 = model.sigma2
-        root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
-        ext = 0.5 * (w + np.where(filling, -root, root))
-        y_pre = np.where(
-            filling,
-            y + w - (np.minimum(0.0, y + ext) if self.reflected else 0.0),
-            y + w - np.maximum(0.0, y + ext - V))
-        inert = np.where(filling, (y < lam) & (y_pre < lam),
-                         (y > tau) & (y_pre > tau))
-        gap = np.where(filling, (lam - y) * (lam - y_pre),
-                       (y - tau) * (y_pre - tau))
-        p = np.where(inert, np.exp(-2.0 * np.maximum(gap, 0.0) / (sig2 * dt)),
-                     0.0)
-        hit = np.where(filling, y_pre >= lam, y_pre <= tau) | (u_cross < p)
-        state = (np.where(y_pre >= lam, y_pre, lam) if model.has_jumps
-                 else np.full_like(y_pre, lam))
-        return y_pre, hit, state
+            w = _subordinator_increments(model, rng, self.dt, m) - self.zeta_dt
+            y_end = y + _minus(w, shift)
+            if lo is not None:
+                y_end = np.maximum(y_end, lo)
+            if hi is not None:
+                y_end = np.minimum(y_end, hi)
+            return y_end, (y_end if s is None else s * y_end) >= s_bar
+        w = rng.normal(self.mu_dt, self.sig_dt, size=m)
+        u = rng.random(2 * m)  # the extremum's uniforms, then the bridge's
+        if model.has_jumps:
+            cnt = rng.poisson(model.jump_rate * self.dt, size=m)
+            for k in np.nonzero(cnt)[0]:
+                w[k] += model.jumps.sample(rng, cnt[k]).sum()
+        w = _minus(w, shift)
+        y_end = y + w
+        if sign is not None:
+            root = np.sqrt(w * w - self.log_scale * np.log(u[:m]))
+            cut = _minus(y + 0.5 * (w + sign * root), offset)
+            if lo is not None:
+                cut = np.maximum(lo, cut)
+            if hi is not None:
+                cut = np.minimum(hi, cut)
+            y_end = y_end - cut
+        # bridge test for paths that start and end short of the barrier
+        p = np.exp(-2.0 * np.maximum((bar - y) * (bar - y_end), 0.0)
+                   / self.sig2_dt)
+        sy, sy_end = (y, y_end) if s is None else (s * y, s * y_end)
+        return y_end, (sy_end >= s_bar) | ((sy < s_bar) & (u[m:] < p))
 
-    def stopped(self, y_pre, filling):
+    def stopped(self, y_end, filling: bool):
         """Step-end contents held at the threshold that ends their phase."""
-        return np.where(filling, np.minimum(y_pre, self.lam),
-                        np.maximum(y_pre, self.tau))
+        return (np.minimum(y_end, self.lam) if filling
+                else np.maximum(y_end, self.tau))
+
+    def landing(self, y_end):
+        """Where fill crossings land, from their step-end contents."""
+        if not self.is_bm:
+            return y_end
+        if self.model.has_jumps:
+            return np.where(y_end >= self.lam, y_end, self.lam)
+        return self.lam
+
+
+class _Phases:
+    """Phases of the live grid paths and the step constants they select.
+
+    While every live path is in one phase, ``filling`` is that phase as a
+    bool and ``constants`` are the kernel's scalars for it.  Once both
+    phases are live, ``filling`` is an array over the live paths and
+    ``constants`` are the rows of a per-path array, updated only where a
+    path changes phase.  ``filling`` is replaced rather than written in
+    place, so a sink may keep it.
+    """
+
+    def __init__(self, step, filling: bool, m: int):
+        self.step = step
+        self.m = m
+        self.n_fill = m if filling else 0
+        self._uniform(filling)
+
+    def _uniform(self, filling):
+        # a Python bool, which split() tells from an array by identity
+        filling = bool(filling)
+        self.filling = filling
+        self.constants = self.step.uniform[filling]
+        self._per_path = None
+        self._index = {}
+
+    def _mixed(self, filling):
+        if self.n_fill in (0, self.m):
+            self._uniform(self.n_fill > 0)
+        else:
+            self.filling = filling
+            self.constants = tuple(self._per_path)
+            self._index = {}
+
+    def rows(self, filling: bool):
+        """Indices of the live paths in a phase: all of them as a slice,
+        None when there are none."""
+        n = self.n_fill if filling else self.m - self.n_fill
+        if n == 0:
+            return None
+        if n == self.m:
+            return slice(None)
+        if filling not in self._index:
+            mask = self.filling if filling else ~self.filling
+            self._index[filling] = mask.nonzero()[0]
+        return self._index[filling]
+
+    def split(self, ix):
+        """(filling, releasing) parts of the live indices ix."""
+        if self.filling is True:
+            return ix, ix[:0]
+        if self.filling is False:
+            return ix[:0], ix
+        fill = self.filling[ix]
+        return ix[fill], ix[~fill]
+
+    def move(self, to_release, to_fill):
+        """Switch the live paths ``to_release`` and ``to_fill`` over."""
+        if not (len(to_release) or len(to_fill)):
+            return
+        table = self.step.table
+        if self._per_path is None:
+            filling = np.full(self.m, self.filling)
+            col = 0 if self.filling else 1
+            self._per_path = np.repeat(table[:, [col]], self.m, axis=1)
+        else:
+            filling = self.filling.copy()
+        filling[to_release] = False
+        filling[to_fill] = True
+        self._per_path[:, to_release] = table[:, [1]]
+        self._per_path[:, to_fill] = table[:, [0]]
+        self.n_fill += len(to_fill) - len(to_release)
+        self._mixed(filling)
+
+    def keep(self, live):
+        """Keep the live paths marked in the mask ``live``."""
+        self.m = int(np.count_nonzero(live))
+        if self._per_path is None:
+            self.n_fill = self.m if self.filling else 0
+        else:
+            filling = self.filling[live]
+            self.n_fill = int(np.count_nonzero(filling))
+            self._per_path = np.compress(live, self._per_path, axis=1)
+            self._mixed(filling)
+
+
+class _GridSink:
+    """Trapezoid maintenance integrals of the grid paths, one per path.
+
+    The step loop hands over each step's clock and the live paths' indices,
+    contents at both ends of the step and phases; the loop replaces those
+    arrays rather than writing into them, so no copy is taken.  At most
+    ``block`` rows are held (a single larger step is integrated in parts):
+    each row adds 0.5 dt (e^{-a t} g(y) + e^{-a (t + dt)} g(y_end)), with g
+    the rate of its phase, y_end held at the threshold that ends the phase
+    and the discount factors from ``math.exp``.  ``np.add.at`` adds the rows
+    in step order, so each path gets the additions of a per-step update in
+    the same order, bit for bit.
+    """
+
+    def __init__(self, step, costs, alphas, n: int, block: int = _GRID_BLOCK):
+        self.dt = step.dt
+        self.alphas = alphas
+        self.block = block
+        self.fill = {a: np.zeros(n) for a in alphas}
+        self.release = {a: np.zeros(n) for a in alphas}
+        self.stopped = step.stopped
+        rates = () if costs is None else ((costs.g, True, self.fill),
+                                          (costs.g_star, False, self.release))
+        self._rates = [r for r in rates if not r[0].is_zero]
+        self._steps = []
+        self._held = 0
+
+    def add(self, t, orig, y, y_end, filling):
+        if self._rates:
+            if self._held + len(y) > self.block:
+                self.flush()
+            self._steps.append((t, orig, y, y_end, filling))
+            self._held += len(y)
+
+    def flush(self):
+        steps, self._steps, self._held = self._steps, [], 0
+        if not steps:
+            return
+        dt = self.dt
+        sizes = [len(s[2]) for s in steps]
+        k = np.repeat(np.arange(len(steps)), sizes)
+        pid, y0, y1 = (np.concatenate([s[i] for s in steps]) for i in (1, 2, 3))
+        fill = np.empty(len(k), dtype=bool)
+        for s, end in zip(steps, np.cumsum(sizes).tolist()):
+            fill[end - len(s[2]):end] = s[4]
+        disc = {a: (np.array([math.exp(-a * s[0]) for s in steps]),
+                    np.array([math.exp(-a * (s[0] + dt)) for s in steps]))
+                for a in self.alphas}
+        # only a single step of more than ``block`` rows takes several parts
+        for start in range(0, len(k), self.block):
+            part = slice(start, start + self.block)
+            for rate, phase, acc in self._rates:
+                rows = (fill[part] == phase).nonzero()[0] + start
+                if not len(rows):
+                    continue
+                ends = rate.values(np.concatenate(
+                    (y0[rows], self.stopped(y1[rows], phase))))
+                base, top = ends[:len(rows)], ends[len(rows):]
+                ks, paths = k[rows], pid[rows]
+                for a in self.alphas:
+                    e0, e1 = disc[a]
+                    # math.exp(-0.0 t) is 1, and 1 x is x
+                    both = e0[ks] * base + e1[ks] * top if a else base + top
+                    np.add.at(acc[a], paths, 0.5 * dt * both)
 
 
 def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
-                 fill_only=False) -> CycleRecords:
+                 fill_only=False, block=_GRID_BLOCK) -> CycleRecords:
     """Every path from ``start`` in the given phase, on a common clock.
 
     A path stops at its fill crossing when ``fill_only``, otherwise at the
     end of its release phase.  Finished paths leave the live arrays each
     step, so late stragglers cost almost nothing; paths still live at the
     horizon are partial.  With ``costs`` the maintenance rates are
-    integrated by the trapezoid rule on the grid.
+    integrated by the trapezoid rule on the grid, in a ``_GridSink`` that
+    holds at most ``block`` rows.
     """
     n = config.n_paths
     dt = step.dt
-    g = None if costs is None or costs.g.is_zero else costs.g.values
-    gs = None if costs is None or costs.g_star.is_zero else costs.g_star.values
+    sink = _GridSink(step, costs, alphas, n, block)
 
     # live paths: their indices, contents and phases
     orig = np.arange(n)
     y = np.full(n, float(start))
-    filling = np.full(n, filling)
+    phases = _Phases(step, filling, n)
 
     # per-path records, indexed by path
     t_fill = np.zeros(n)
     release_time = np.zeros(n)
     cross = np.zeros(n)
-    gf = {a: np.zeros(n) for a in alphas}
-    gr = {a: np.zeros(n) for a in alphas}
     e_fill = {a: np.zeros(n) for a in alphas}
     e_cycle = {a: np.zeros(n) for a in alphas}
     done = np.zeros(n, dtype=bool)
@@ -580,35 +789,37 @@ def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
     for _ in range(int(math.ceil(config.horizon / dt))):
         if len(y) == 0:
             break
-        y_pre, hit, state = step(y, filling)
-        d1 = t + dt
-        if costs is not None:
-            y_end = step.stopped(y_pre, filling)
-            for rate, in_phase, acc in ((g, filling, gf), (gs, ~filling, gr)):
-                if rate is not None and in_phase.any():
-                    base, top = rate(y[in_phase]), rate(y_end[in_phase])
-                    pid = orig[in_phase]
-                    for a in alphas:
-                        acc[a][pid] += 0.5 * dt * (math.exp(-a * t) * base
-                                                   + math.exp(-a * d1) * top)
-        t = d1
-
-        crossed = filling & hit
-        if crossed.any():
-            t_fill[orig[crossed]] = t
-            cross[orig[crossed]] = state[crossed]
-        finished = crossed if fill_only else hit & ~filling
-        y = np.where(hit, np.minimum(state, step.V), y_pre)
-        filling = filling & ~hit
-        if finished.any():
+        y_end, hit = step(y, phases.constants)
+        sink.add(t, orig, y, y_end, phases.filling)
+        t += dt
+        ix = hit.nonzero()[0]
+        if not len(ix):
+            y = y_end
+            continue
+        crossed, ended = phases.split(ix)
+        if len(crossed):
+            pid = orig[crossed]
+            t_fill[pid] = t
+            cross[pid] = state = step.landing(y_end[crossed])
+        finished = crossed if fill_only else ended
+        if len(crossed) and not fill_only:
+            y = y_end.copy()
+            y[crossed] = np.minimum(state, step.V)
+            phases.move(crossed, crossed[:0])
+        else:
+            y = y_end
+        if len(finished):
             pid = orig[finished]
             release_time[pid] = t - t_fill[pid]
             for a in alphas:
                 e_fill[a][pid] = np.exp(-a * t_fill[pid])
                 e_cycle[a][pid] = math.exp(-a * t)
             done[pid] = True
-            live = ~finished
-            orig, y, filling = orig[live], y[live], filling[live]
+            live = np.ones(len(y), dtype=bool)
+            live[finished] = False
+            orig, y = orig[live], y[live]
+            phases.keep(live)
+    sink.flush()
 
     sel = lambda d: {a: v[done] for a, v in d.items()}
     rel_disc = {}
@@ -620,8 +831,8 @@ def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
     return CycleRecords(
         fill_time=t_fill[done], release_time=release_time[done],
         crossing_state=cross[done], e_fill=sel(e_fill), e_cycle=sel(e_cycle),
-        fill_g=sel(gf), release_g=sel(gr), release_disc_time=rel_disc,
-        n_partial=int(n - done.sum()), M=step.M)
+        fill_g=sel(sink.fill), release_g=sel(sink.release),
+        release_disc_time=rel_disc, n_partial=int(n - done.sum()), M=step.M)
 
 
 # ---------------------------------------------------------------------------
@@ -805,44 +1016,58 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
                            floor):
     """Successive cycles on a shared clock, until the discount floor.
 
-    Each path's total takes its charges, release reward and maintenance
-    integrals as they fall due, so no path ever leaves the arrays.
+    Each path's total takes, step by step, its maintenance integral, its
+    release reward and its charges as they fall due, so no path ever leaves
+    the arrays.  A step ends where the next one starts unless the path
+    changes phase, so the rate at a step's end is kept as the next step's
+    rate at its start.
     """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     n = config.n_paths
     dt = config.time_step
     step = _GridStep(model, config, reflected, lam, tau, V, M)
-    g = None if costs.g.is_zero else costs.g.values
-    gs = None if costs.g_star.is_zero else costs.g_star.values
+    g, gs = costs.g, costs.g_star
+    rates = [(f, rate) for f, rate in ((True, g), (False, gs))
+             if not rate.is_zero]
 
     start = min(x, V)
     y = np.full(n, float(start))
-    filling = np.full(n, start <= lam)
+    phases = _Phases(step, start <= lam, n)
     totals = np.full(n, M * costs.K2 if start <= lam else M * costs.K1)
+    # each path's maintenance rate at its content, in its phase
+    level = (g if start <= lam else gs).values(y)
 
     t = 0.0
     t_max = -math.log(floor) / alpha
     for _ in range(int(math.ceil(t_max / dt))):
         d0 = math.exp(-alpha * t)
         d1 = math.exp(-alpha * (t + dt))
-        y_pre, hit, state = step(y, filling)
-        f = filling
-        r = ~filling
-        y_end = step.stopped(y_pre, f)
-        for rate, in_phase in ((g, f), (gs, r)):
-            if rate is not None and in_phase.any():
-                totals[in_phase] += 0.5 * dt * (d0 * rate(y[in_phase])
-                                                + d1 * rate(y_end[in_phase]))
-        if r.any():
-            totals[r] -= costs.R * M * (d0 - d1) / alpha
-        # the valve opens: pay the opening charge
-        totals[f & hit] += d1 * M * costs.K1
-        # the cycle ends: pay the next closing charge
-        totals[r & hit] += d1 * M * costs.K2
-        # an opened valve releases from the capped state, a closed one
-        # restarts the fill at tau
-        y = np.where(hit, np.where(f, np.minimum(state, V), tau), y_pre)
-        filling = filling ^ hit
+        y_end, hit = step(y, phases.constants)
+        top = np.zeros(n)
+        for filling, rate in rates:
+            rows = phases.rows(filling)
+            if rows is not None:
+                top[rows] = rate.values(step.stopped(y_end[rows], filling))
+                totals[rows] += 0.5 * dt * (d0 * level[rows] + d1 * top[rows])
+        rows = phases.rows(False)
+        if rows is not None:
+            totals[rows] -= costs.R * M * (d0 - d1) / alpha
+        ix = hit.nonzero()[0]
+        y, level = y_end, top
+        if len(ix):
+            opened, closed = phases.split(ix)
+            # the valve opens: pay the opening charge
+            totals[opened] += d1 * M * costs.K1
+            # the cycle ends: pay the next closing charge
+            totals[closed] += d1 * M * costs.K2
+            # an opened valve releases from the capped state, a closed one
+            # restarts the fill at tau
+            y = y_end.copy()
+            y[opened] = np.minimum(step.landing(y_end[opened]), V)
+            y[closed] = tau
+            level[opened] = gs.values(y[opened])
+            level[closed] = g.values(y[closed])
+            phases.move(opened, closed)
         t += dt
     return totals
 

@@ -72,6 +72,26 @@ class TestPiecewisePoly:
         assert np.array_equal(p.values(grid), want[:480].reshape(80, 6))
         assert not PiecewisePoly.zero().values(ys).any()
 
+    @pytest.mark.parametrize("breakpoints, coeffs", [
+        ((0.0, 1.0, 2.0), ((0.2, 0.1), (0.3, -0.05))),
+        ((0.0, 1.0, 2.0), ((0.2, 0.1, -0.7), (0.3, -0.05, 0.4))),
+        ((0.0, 1.0, 2.0), ((), ())),
+        ((0.0, 1.0, 2.0), ((0.3,), ())),
+        # the short piece's missing powers overflow; they must add nothing
+        ((0.0, 1e300, 1.5e300), ((1.0,), (0.3, 2.0, 0.5, 1.0))),
+    ])
+    def test_array_values_equal_scalar_calls_any_lengths(self, breakpoints,
+                                                         coeffs):
+        p = PiecewisePoly(breakpoints, coeffs)
+        lo, hi = p.support
+        ys = np.concatenate((np.linspace(lo - 1.0, hi, 301), p.breakpoints,
+                             np.nextafter(p.breakpoints, -np.inf),
+                             [np.nan, np.inf, -np.inf]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = p.values(ys)
+        want = np.array([p(float(y)) for y in ys])
+        assert got.tobytes() == want.tobytes()
+
     def test_declared_bound_enforced(self):
         g = PiecewisePoly.constant(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):

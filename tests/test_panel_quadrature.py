@@ -5,9 +5,9 @@ tolerances, how potentials, overshoot laws and costs were integrated before
 the engine moved to batched Gauss-Kronrod panels: one ``quad`` per density
 value, per cost integral and per outer expectation.  Every comparison is to
 1e-7 relative.  The guard tests check that the engine never calls ``quad``,
-never rebuilds a scale grid, raises when its round budget runs out, keeps
-its error estimates, refines a panel that waited behind a worse one, and
-follows a rebuilt scale grid.
+never rebuilds a scale grid, raises when its round budget or its panel cap
+runs out, keeps its error estimates, refines a panel that waited behind a
+worse one, and follows a rebuilt scale grid.
 """
 
 import json
@@ -372,6 +372,16 @@ def test_tiny_round_budget_raises(monkeypatch):
     law = fill_overshoot_law(s, 0.5, 2.0, True)
     with pytest.raises(ConvergenceError):
         law.density_mass()
+
+
+def test_panel_cap_raises_before_the_panels_grow():
+    # no panel width resolves this integrand, so without the cap nearly
+    # every panel is bisected each round until the round budget runs out
+    def noise(row, y):
+        return np.sin(1e15 * y)
+
+    with pytest.raises(ConvergenceError, match="panels"):
+        exits._integrate(noise, np.zeros(2), np.ones(2), np.arange(2), 2)
 
 
 def test_law_keeps_its_error_estimate():

@@ -19,14 +19,22 @@ from levydam import (
     shifted_scale_set,
     simulate_input_path,
 )
+from levydam.models import BrownianDrift, ExponentialJumps
 from levydam.simulate import (
     _GL_NODES,
     _GL_WEIGHTS,
+    CycleRecords,
     PathConfig,
+    SimulationEstimate,
+    _grid_cycles,
+    _GridStep,
     _integrate_segments,
     _SegmentSink,
+    _subordinator_increments,
+    path_rng,
     simulate_fill_phase,
     simulate_release_phase,
+    simulate_total_discounted,
 )
 
 ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
@@ -389,3 +397,344 @@ class TestCostsLeavePathsAlone:
         assert np.all(paid.fill_g[0.5] > 0) and np.all(paid.release_g[0.0] > 0)
         assert not zero.fill_g[0.0].any() and not zero.release_g[0.5].any()
         assert len(paid.fill_g[0.5]) == paid.n_cycles
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the grid kernel and step loops as they were with both
+# phase branches evaluated through np.where and the trapezoid integrals added in
+# the step loop.  The current kernel, the per-path phase constants and the
+# sink must reproduce them bit for bit.
+# ---------------------------------------------------------------------------
+
+class _ReferenceGridStep:
+    """The grid step kernel before its phase constants: both phase branches
+    through np.where, drawn from the (seed, 0) stream."""
+
+    def __init__(self, model, config, reflected, lam, tau, V, M):
+        self.model = model
+        self.dt = config.time_step
+        self.rng = path_rng(config.seed, 0)
+        self.reflected = reflected
+        self.lam, self.tau, self.V, self.M = lam, tau, V, M
+        self.is_bm = isinstance(model, BrownianDrift)
+        self.sig_dt = math.sqrt(model.sigma2 * self.dt)
+
+    def __call__(self, y, filling):
+        """(y_pre, hit, crossing_state) of one step from the contents y.
+
+        ``y_pre`` is the content at the end of the step, after reflection or
+        the cap; ``hit`` marks paths that reached lam (filling) or tau
+        (releasing) within the step; ``crossing_state`` is where a fill
+        crossing lands.
+        """
+        model, rng, dt, m = self.model, self.rng, self.dt, len(y)
+        lam, tau, V = self.lam, self.tau, self.V
+        if self.is_bm:
+            w = rng.normal(model.mu * dt, self.sig_dt, size=m)
+            u_ext = rng.uniform(size=m)
+            u_cross = rng.uniform(size=m)
+            if model.has_jumps:
+                cnt = rng.poisson(model.jump_rate * dt, size=m)
+                for k in np.nonzero(cnt)[0]:
+                    w[k] += model.jumps.sample(rng, cnt[k]).sum()
+        else:
+            w = _subordinator_increments(model, rng, dt, m) - model.zeta * dt
+        w = np.where(filling, w, w - self.M * dt)
+
+        if not self.is_bm:
+            y_pre = np.where(filling,
+                             np.maximum(y + w, 0.0) if self.reflected else y + w,
+                             np.minimum(y + w, V))
+            return y_pre, np.where(filling, y_pre >= lam, y_pre <= tau), y_pre
+        sig2 = model.sigma2
+        root = np.sqrt(w * w - 2.0 * sig2 * dt * np.log(u_ext))
+        ext = 0.5 * (w + np.where(filling, -root, root))
+        y_pre = np.where(
+            filling,
+            y + w - (np.minimum(0.0, y + ext) if self.reflected else 0.0),
+            y + w - np.maximum(0.0, y + ext - V))
+        inert = np.where(filling, (y < lam) & (y_pre < lam),
+                         (y > tau) & (y_pre > tau))
+        gap = np.where(filling, (lam - y) * (lam - y_pre),
+                       (y - tau) * (y_pre - tau))
+        p = np.where(inert, np.exp(-2.0 * np.maximum(gap, 0.0) / (sig2 * dt)),
+                     0.0)
+        hit = np.where(filling, y_pre >= lam, y_pre <= tau) | (u_cross < p)
+        state = (np.where(y_pre >= lam, y_pre, lam) if model.has_jumps
+                 else np.full_like(y_pre, lam))
+        return y_pre, hit, state
+
+    def stopped(self, y_pre, filling):
+        """Step-end contents held at the threshold that ends their phase."""
+        return np.where(filling, np.minimum(y_pre, self.lam),
+                        np.maximum(y_pre, self.tau))
+
+
+
+def _reference_grid_cycles(step, config, start, filling, costs=None,
+                           alphas=(), fill_only=False) -> CycleRecords:
+    """The grid loop before the sink: every path from ``start`` in the
+    given phase, on a common clock.
+
+    A path stops at its fill crossing when ``fill_only``, otherwise at the
+    end of its release phase.  Finished paths leave the live arrays each
+    step, so late stragglers cost almost nothing; paths still live at the
+    horizon are partial.  With ``costs`` the maintenance rates are
+    integrated by the trapezoid rule on the grid.
+    """
+    n = config.n_paths
+    dt = step.dt
+    g = None if costs is None or costs.g.is_zero else costs.g.values
+    gs = None if costs is None or costs.g_star.is_zero else costs.g_star.values
+
+    # live paths: their indices, contents and phases
+    orig = np.arange(n)
+    y = np.full(n, float(start))
+    filling = np.full(n, filling)
+
+    # per-path records, indexed by path
+    t_fill = np.zeros(n)
+    release_time = np.zeros(n)
+    cross = np.zeros(n)
+    gf = {a: np.zeros(n) for a in alphas}
+    gr = {a: np.zeros(n) for a in alphas}
+    e_fill = {a: np.zeros(n) for a in alphas}
+    e_cycle = {a: np.zeros(n) for a in alphas}
+    done = np.zeros(n, dtype=bool)
+
+    t = 0.0
+    for _ in range(int(math.ceil(config.horizon / dt))):
+        if len(y) == 0:
+            break
+        y_pre, hit, state = step(y, filling)
+        d1 = t + dt
+        if costs is not None:
+            y_end = step.stopped(y_pre, filling)
+            for rate, in_phase, acc in ((g, filling, gf), (gs, ~filling, gr)):
+                if rate is not None and in_phase.any():
+                    base, top = rate(y[in_phase]), rate(y_end[in_phase])
+                    pid = orig[in_phase]
+                    for a in alphas:
+                        acc[a][pid] += 0.5 * dt * (math.exp(-a * t) * base
+                                                   + math.exp(-a * d1) * top)
+        t = d1
+
+        crossed = filling & hit
+        if crossed.any():
+            t_fill[orig[crossed]] = t
+            cross[orig[crossed]] = state[crossed]
+        finished = crossed if fill_only else hit & ~filling
+        y = np.where(hit, np.minimum(state, step.V), y_pre)
+        filling = filling & ~hit
+        if finished.any():
+            pid = orig[finished]
+            release_time[pid] = t - t_fill[pid]
+            for a in alphas:
+                e_fill[a][pid] = np.exp(-a * t_fill[pid])
+                e_cycle[a][pid] = math.exp(-a * t)
+            done[pid] = True
+            live = ~finished
+            orig, y, filling = orig[live], y[live], filling[live]
+
+    sel = lambda d: {a: v[done] for a, v in d.items()}
+    rel_disc = {}
+    for a in alphas:
+        if a:
+            rel_disc[a] = (e_fill[a][done] - e_cycle[a][done]) / a
+        else:
+            rel_disc[a] = release_time[done]
+    return CycleRecords(
+        fill_time=t_fill[done], release_time=release_time[done],
+        crossing_state=cross[done], e_fill=sel(e_fill), e_cycle=sel(e_cycle),
+        fill_g=sel(gf), release_g=sel(gr), release_disc_time=rel_disc,
+        n_partial=int(n - done.sum()), M=step.M)
+
+
+
+def _reference_total_discounted(model, policy, costs, alpha, x, config,
+                                reflected, floor):
+    """The discounted loop before the phase constants: successive cycles
+    on a shared clock, until the discount floor.
+
+    Each path's total takes its charges, release reward and maintenance
+    integrals as they fall due, so no path ever leaves the arrays.
+    """
+    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    n = config.n_paths
+    dt = config.time_step
+    step = _ReferenceGridStep(model, config, reflected, lam, tau, V, M)
+    g = None if costs.g.is_zero else costs.g.values
+    gs = None if costs.g_star.is_zero else costs.g_star.values
+
+    start = min(x, V)
+    y = np.full(n, float(start))
+    filling = np.full(n, start <= lam)
+    totals = np.full(n, M * costs.K2 if start <= lam else M * costs.K1)
+
+    t = 0.0
+    t_max = -math.log(floor) / alpha
+    for _ in range(int(math.ceil(t_max / dt))):
+        d0 = math.exp(-alpha * t)
+        d1 = math.exp(-alpha * (t + dt))
+        y_pre, hit, state = step(y, filling)
+        f = filling
+        r = ~filling
+        y_end = step.stopped(y_pre, f)
+        for rate, in_phase in ((g, f), (gs, r)):
+            if rate is not None and in_phase.any():
+                totals[in_phase] += 0.5 * dt * (d0 * rate(y[in_phase])
+                                                + d1 * rate(y_end[in_phase]))
+        if r.any():
+            totals[r] -= costs.R * M * (d0 - d1) / alpha
+        # the valve opens: pay the opening charge
+        totals[f & hit] += d1 * M * costs.K1
+        # the cycle ends: pay the next closing charge
+        totals[r & hit] += d1 * M * costs.K2
+        # an opened valve releases from the capped state, a closed one
+        # restarts the fill at tau
+        y = np.where(hit, np.where(f, np.minimum(state, V), tau), y_pre)
+        filling = filling ^ hit
+        t += dt
+    return totals
+
+
+def _reference_cycles(model, policy, costs, config, reflected, alphas):
+    step = _ReferenceGridStep(model, config, reflected, policy.lam, policy.tau,
+                              policy.V, policy.M)
+    return _reference_grid_cycles(step, config, policy.tau, True, costs,
+                                  sorted({0.0, *alphas}))
+
+
+def _reference_fill(model, x, lam, config, reflected):
+    step = _ReferenceGridStep(model, config, reflected, lam, -math.inf,
+                              math.inf, 0.0)
+    rec = _reference_grid_cycles(step, config, x, True, fill_only=True)
+    return rec.fill_time, rec.crossing_state, rec.n_partial
+
+
+def _reference_release(model, z, tau, V, M, config):
+    step = _ReferenceGridStep(model.shifted(M), config, False, math.inf, tau,
+                              V, 0.0)
+    rec = _reference_grid_cycles(step, config, min(z, V), False)
+    return rec.release_time, rec.n_partial
+
+
+def _reference_total(model, policy, costs, alpha, x, config, reflected,
+                     floor):
+    totals = _reference_total_discounted(model, policy, costs, alpha, x,
+                                         config, reflected, floor)
+    return estimate(f"total_discounted:{alpha:g}", totals)
+
+
+def _raw(x):
+    """Raw bytes of every array and float in x, for exact comparison."""
+    if isinstance(x, CycleRecords):
+        return _raw(vars(x))
+    if isinstance(x, SimulationEstimate):
+        return _raw([x.mean, x.std_error, x.n_effective, x.quantity_tag])
+    if isinstance(x, dict):
+        return {k: _raw(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_raw(v) for v in x]
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return np.float64(x).tobytes()
+    return x
+
+
+GRID_FAMILIES = {
+    "brownian": brownian(1.0, 2.0),
+    "jump_diffusion": BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5)),
+    "gamma": GammaDrift(1.0, 4.0, 2.0),
+    "inverse_gaussian": InverseGaussianDrift(1.0, 1.0, 2.0),
+}
+ORACLE_COSTS = {"zero": ZERO, "paid": TestCostsLeavePathsAlone.COSTS}
+
+
+@pytest.mark.parametrize("family", GRID_FAMILIES)
+class TestGridKernelMatchesReference:
+    """Every output of the grid simulator, byte for byte, against the
+    reference kernel and step loops, on fixed seeds."""
+
+    def test_policy_cycles(self, family):
+        model = GRID_FAMILIES[family]
+        cases = [(refl, cost, horizon, V)
+                 for refl in (True, False) for cost in ORACLE_COSTS
+                 for horizon, V in ((3.0, 4.0), (40.0, 4.0))]
+        cases += [(True, "paid", 40.0, math.inf), (False, "paid", 40.0, 2.3)]
+        partial = 0
+        for refl, cost, horizon, V in cases:
+            policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+            cfg = PathConfig(time_step=2e-2, n_paths=120, seed=27,
+                             horizon=horizon)
+            args = (model, policy, ORACLE_COSTS[cost], cfg, refl, [0.5, 2.0])
+            got = run_policy_cycles(*args[:4], reflected=refl,
+                                    alphas=[0.5, 2.0])
+            want = _reference_cycles(*args)
+            assert _raw(got) == _raw(want), (refl, cost, horizon, V)
+            partial += got.n_partial
+            if cost == "paid":
+                assert got.fill_g[2.0].any() and got.release_g[0.0].any()
+        assert partial > 0  # horizon 3 leaves cycles unfinished
+
+    def test_fill_phase(self, family):
+        model = GRID_FAMILIES[family]
+        for refl in (True, False):
+            for x, horizon in ((0.0, 100.0), (1.0, 2.0)):
+                cfg = PathConfig(time_step=2e-2, n_paths=150, seed=28,
+                                 horizon=horizon)
+                got = simulate_fill_phase(model, x, 2.0, cfg, reflected=refl)
+                want = _reference_fill(model, x, 2.0, cfg, refl)
+                assert _raw(list(got)) == _raw(list(want)), (refl, x)
+
+    def test_release_phase(self, family):
+        model = GRID_FAMILIES[family]
+        for z, V in ((1.5, math.inf), (3.0, 2.3), (6.0, 4.0)):
+            for horizon in (0.5, 40.0):
+                cfg = PathConfig(time_step=2e-2, n_paths=150, seed=29,
+                                 horizon=horizon)
+                got = simulate_release_phase(model, z, 0.5, V, 2.0, cfg)
+                want = _reference_release(model, z, 0.5, V, 2.0, cfg)
+                assert _raw(list(got)) == _raw(list(want)), (z, V, horizon)
+
+    def test_total_discounted(self, family):
+        model = GRID_FAMILIES[family]
+        for refl in (True, False):
+            for cost in ORACLE_COSTS:
+                for x, V in ((0.5, 4.0), (5.0, 4.0), (0.5, math.inf)):
+                    policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+                    cfg = PathConfig(time_step=2e-2, n_paths=60, seed=30)
+                    args = (model, policy, ORACLE_COSTS[cost], 2.0, x, cfg,
+                            refl)
+                    got = simulate_total_discounted(*args[:6], reflected=refl,
+                                                    discount_floor=1e-3)
+                    want = _reference_total(*args, 1e-3)
+                    assert _raw(got) == _raw(want), (refl, cost, x, V)
+        # NumPy scalars for the start and the thresholds, as an axis from
+        # np.linspace gives them
+        tau, lam = np.linspace(0.5, 2.0, 2)
+        policy = PolicyParams(lam=lam, tau=tau, M=np.float64(2.0),
+                              V=np.float64(4.0))
+        cfg = PathConfig(time_step=2e-2, n_paths=60, seed=30)
+        for x in (np.float64(0.5), np.float64(5.0)):
+            args = (model, policy, ORACLE_COSTS["paid"], 2.0, x, cfg, True)
+            got = simulate_total_discounted(*args[:6], reflected=True,
+                                            discount_floor=1e-3)
+            assert _raw(got) == _raw(_reference_total(*args, 1e-3)), x
+
+
+def test_grid_sink_blocks_do_not_matter():
+    model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
+    cfg = PathConfig(time_step=5e-2, n_paths=40, seed=31, horizon=6.0)
+    costs = TestCostsLeavePathsAlone.COSTS
+    results = []
+    for block in (1, 7, 10 ** 9):
+        step = _GridStep(model, cfg, True, POLICY.lam, POLICY.tau, POLICY.V,
+                         POLICY.M)
+        results.append(_grid_cycles(step, cfg, POLICY.tau, True, costs,
+                                    ALPHAS, block=block))
+    assert 0 < results[0].n_partial < cfg.n_paths
+    assert results[0].fill_g[0.5].any()
+    for other in results[1:]:
+        assert _raw(other) == _raw(results[0])
