@@ -33,15 +33,14 @@ from .scale import (
     shifted_scale_set,
 )
 from .exits import (
+    FillPhase,
     OvershootLaw,
     PotentialDensity,
-    cycle_end_lt,
+    ReleasePhase,
     exit_lt_reflected,
     exit_lt_up,
     exit_mean_reflected,
     exit_mean_up,
-    fill_overshoot_law,
-    overshoot_expectation,
     overshoot_reflected,
     overshoot_up,
     potential_reflected,
@@ -56,11 +55,6 @@ from .costs import (
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
-    cycle_cost,
-    fill_cost,
-    long_run_average_cost,
-    release_cost,
-    total_discounted_cost,
 )
 from .simulate import (
     CycleRecords,
@@ -85,15 +79,13 @@ __all__ = [
     "CLOSED_FORM_BROWNIAN", "CONVOLUTION_SERIES", "LAPLACE_INVERSION",
     "ScaleFunctionSet", "ScaleOptions", "shifted_model", "shifted_scale_set",
     # exits
-    "OvershootLaw", "PotentialDensity", "cycle_end_lt", "exit_lt_reflected",
-    "exit_lt_up", "exit_mean_reflected", "exit_mean_up", "fill_overshoot_law",
-    "overshoot_expectation", "overshoot_reflected", "overshoot_up",
+    "FillPhase", "OvershootLaw", "PotentialDensity", "ReleasePhase",
+    "exit_lt_reflected", "exit_lt_up", "exit_mean_reflected", "exit_mean_up",
+    "overshoot_reflected", "overshoot_up",
     "potential_reflected", "potential_release", "potential_two_sided",
     "potential_up_killed", "release_exit_lt", "release_exit_mean",
     # costs
     "CostSpec", "PiecewisePoly", "PolicyEvaluator", "PolicyParams",
-    "cycle_cost", "fill_cost", "long_run_average_cost", "release_cost",
-    "total_discounted_cost",
     # simulate
     "CycleRecords", "InputPath", "PathConfig", "SimulationEstimate",
     "estimate", "path_rng", "run_policy_cycles", "simulate_input_path",

@@ -4,13 +4,16 @@ The policy keeps the release valve shut until the content reaches the upper
 threshold, then releases at a fixed rate until the content falls back to the
 lower threshold.  Costs consist of an opening charge, a closing charge,
 maintenance rates during each phase, and a reward per unit of released
-output.  The module assembles
+output.  ``PolicyEvaluator`` composes, from one ``FillPhase`` and one
+``ReleasePhase`` per discount rate (see ``exits``),
 
-* the expected discounted cost of one regeneration cycle,
+* the transform of the length of one regeneration cycle,
+* the expected discounted cost of one cycle,
 * the total discounted cost over an infinite horizon, and
-* the long-run average cost per unit time (renewal reward over one cycle),
+* the long-run average cost per unit time (renewal reward over one cycle).
 
-from the exit transforms, potentials and overshoot laws of the input model.
+Each is written once, as an expectation of release-phase quantities under
+the fill phase's overshoot law.
 """
 
 from __future__ import annotations
@@ -21,22 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exits import (
-    OvershootLaw,
-    _shaped_like,
-    cycle_end_lt,
-    exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
-    fill_overshoot_law,
-    potential_reflected,
-    potential_release,
-    potential_up_killed,
-    quad_errors_into,
-    release_exit_lt,
-    release_exit_mean,
-)
+from .exits import FillPhase, OvershootLaw, ReleasePhase, quad_errors_into
 from .models import LevyModel
 from .scale import ScaleFunctionSet, ScaleOptions, shifted_scale_set
 
@@ -197,168 +185,7 @@ class CostSpec:
 
 
 # ---------------------------------------------------------------------------
-# Phase costs
-# ---------------------------------------------------------------------------
-
-def fill_cost(model: LevyModel, s: ScaleFunctionSet, x, lam: float,
-              g: PiecewisePoly, reflected: bool = True):
-    """Expected discounted maintenance cost until the content reaches lam;
-    x is a float or an array of start states of any shape."""
-    xs = np.asarray(x, dtype=float).ravel()
-    out = np.zeros(xs.size)
-    below = xs < lam
-    if below.any() and not g.is_zero:
-        if reflected:
-            pot, lo, hi = potential_reflected(s, lam), 0.0, lam
-        else:
-            pot = potential_up_killed(s, lam)
-            lo, hi = g.support[0], min(g.support[1], lam)
-        out[below] = pot.integrals(xs[below], g.values, lo, hi, g.breakpoints)
-    return _shaped_like(x, out)
-
-
-def release_cost(model: LevyModel, s_M: ScaleFunctionSet, x, tau: float,
-                 V: float, g_star: PiecewisePoly):
-    """Expected discounted maintenance cost until the content falls to tau;
-    x is a float or an array of start states of any shape."""
-    xs = np.asarray(x, dtype=float).ravel()
-    if not np.all((tau <= xs) & (xs <= V)):
-        raise ValueError("need tau <= x <= V")
-    out = np.zeros(xs.size)
-    above = xs > tau
-    if above.any() and not g_star.is_zero:
-        pot = potential_release(s_M, tau, V)
-        lo, hi = g_star.support
-        hi = hi if math.isinf(V) else min(hi, V)
-        out[above] = pot.integrals(xs[above], g_star.values, max(lo, tau), hi,
-                                   g_star.breakpoints)
-    return _shaped_like(x, out)
-
-
-# ---------------------------------------------------------------------------
-# Cycle and horizon costs
-# ---------------------------------------------------------------------------
-
-def cycle_cost(model: LevyModel, policy: PolicyParams, costs: CostSpec,
-               alpha: float, x: float, reflected: bool = True,
-               s: ScaleFunctionSet | None = None,
-               s_M: ScaleFunctionSet | None = None,
-               options: ScaleOptions | None = None) -> float:
-    """Expected discounted cost of the first cycle started at content x.
-
-    Above the threshold only the release phase remains: the opening charge,
-    the foregone-reward term and the release maintenance.  At or below the
-    threshold the fill phase cost, both charges and the release cost started
-    from the capped crossing state are combined.
-    """
-    if alpha <= 0:
-        raise ValueError("cycle_cost needs alpha > 0; "
-                         "use long_run_average_cost for the average criterion")
-    lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
-    if x > V:
-        raise ValueError("need x <= V")
-    if s_M is None:
-        s_M = shifted_scale_set(model, M, alpha, options=options)
-    if x > lam:
-        rel_lt = release_exit_lt(s_M, x, tau, V)
-        return (M * (costs.K1 - costs.R * (1.0 - rel_lt) / alpha)
-                + release_cost(model, s_M, x, tau, V, costs.g_star))
-    if s is None:
-        s = ScaleFunctionSet(model, alpha, options=options)
-    q_fill = (exit_lt_reflected(s, x, lam) if reflected
-              else exit_lt_up(s, x, lam))
-    law = fill_overshoot_law(s, x, lam, reflected)
-    q_cycle = law.expectation(
-        lambda z: release_exit_lt(s_M, np.minimum(z, V), tau, V), V)
-    fill = fill_cost(model, s, x, lam, costs.g, reflected)
-    rel = law.expectation(
-        lambda z: release_cost(model, s_M, np.minimum(z, V), tau, V,
-                               costs.g_star), V, costs.g_star.breakpoints)
-    return (M * (costs.K2 + costs.K1 * q_fill
-                 - (costs.R / alpha) * (q_fill - q_cycle))
-            + fill + rel)
-
-
-def total_discounted_cost(model: LevyModel, policy: PolicyParams,
-                          costs: CostSpec, alpha: float, x: float,
-                          reflected: bool = True,
-                          s: ScaleFunctionSet | None = None,
-                          s_M: ScaleFunctionSet | None = None,
-                          options: ScaleOptions | None = None) -> float:
-    """Total discounted cost over an infinite horizon started at x.
-
-    Geometric resummation over regeneration cycles: first cycle cost plus
-    the discounted value of restarting from the lower threshold.
-    """
-    if alpha <= 0:
-        raise ValueError("total discounted cost needs alpha > 0")
-    if s is None:
-        s = ScaleFunctionSet(model, alpha, options=options)
-    if s_M is None:
-        s_M = shifted_scale_set(model, policy.M, alpha, options=options)
-    args = (model, policy, costs, alpha)
-    kw = dict(reflected=reflected, s=s, s_M=s_M, options=options)
-    # held so that the cycle functionals below share each law
-    held = [fill_overshoot_law(s, y, policy.lam, reflected)
-            for y in dict.fromkeys((x, policy.tau)) if y < policy.lam]
-    c_x = cycle_cost(*args, x, **kw)
-    q_x = cycle_end_lt(model, policy, alpha, x, reflected=reflected, s=s, s_M=s_M)
-    tau = policy.tau
-    if x == tau:
-        c_tau, q_tau = c_x, q_x
-    else:
-        c_tau = cycle_cost(*args, tau, **kw)
-        q_tau = cycle_end_lt(model, policy, alpha, tau, reflected=reflected,
-                             s=s, s_M=s_M)
-    if q_tau >= 1.0 - 1e-12:
-        raise ValueError("cycle transform at tau is numerically 1; "
-                         "the discounted series diverges")
-    return c_x + q_x * c_tau / (1.0 - q_tau)
-
-
-def long_run_average_cost(model: LevyModel, policy: PolicyParams,
-                          costs: CostSpec, x: float | None = None,
-                          reflected: bool = True,
-                          s: ScaleFunctionSet | None = None,
-                          s_M: ScaleFunctionSet | None = None,
-                          options: ScaleOptions | None = None) -> float:
-    """Long-run average cost per unit time of running the policy.
-
-    Renewal reward over one regeneration cycle: fixed charges, undiscounted
-    maintenance of both phases and the reward on the released volume, over
-    the expected cycle length.  Independent of the starting state, which is
-    accepted for interface symmetry only.  ``s`` and ``s_M``, when given,
-    must be the fill and release sets at alpha = 0.
-    """
-    lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
-    s0 = ScaleFunctionSet(model, 0.0, options=options) if s is None else s
-    s_M0 = (shifted_scale_set(model, M, 0.0, options=options) if s_M is None
-            else s_M)
-    if reflected:
-        mean_fill = exit_mean_reflected(s0, tau, lam)
-    else:
-        mean_fill = exit_mean_up(s0, tau, lam)
-    if math.isinf(mean_fill):
-        raise ValueError("infinite mean cycle: the plain input does not "
-                         "drift toward the threshold")
-    if math.isinf(V) and float(s_M0.model.phi_prime(0.0)) <= 0.0:
-        raise ValueError("infinite mean cycle: release rate does not exceed "
-                         "the mean inflow")
-    law = fill_overshoot_law(s0, tau, lam, reflected)
-    mean_rel = law.expectation(
-        lambda z: release_exit_mean(s_M0, np.minimum(z, V), tau, V), V)
-    cost_fill = fill_cost(model, s0, tau, lam, costs.g, reflected)
-    cost_rel = law.expectation(
-        lambda z: release_cost(model, s_M0, np.minimum(z, V), tau, V,
-                               costs.g_star), V, costs.g_star.breakpoints)
-    numer = (M * (costs.K1 + costs.K2) + cost_fill + cost_rel
-             + costs.R * M * mean_fill)
-    denom = mean_fill + mean_rel
-    return numer / denom - costs.R * M
-
-
-# ---------------------------------------------------------------------------
-# Cached evaluator for sweeps and reports
+# The cycle functionals
 # ---------------------------------------------------------------------------
 
 def _records_quad_error(method):
@@ -371,13 +198,17 @@ def _records_quad_error(method):
 
 
 class PolicyEvaluator:
-    """Caches scale function sets per discount rate for repeated evaluation.
+    """The cost functionals of one policy, composed from one fill phase and
+    one release phase per discount rate.
 
-    Every quantity at one discount rate uses the same two sets, and the
-    evaluator holds each overshoot law it needs, which the sets hand to
-    the free functions it calls; so one evaluator per policy computes each
-    law once.  ``max_quad_error`` is the largest error estimate of any
-    integral computed for the evaluator so far.
+    A cycle started at x <= lam is a fill from x followed by a release from
+    the crossing state, capped at V; from above lam only the release
+    remains.  Every quantity at one discount rate uses the same two phases,
+    built on demand with their scale sets, and a fill phase keeps each
+    overshoot law it builds, so one evaluator per policy computes each law
+    once.  The start state x defaults to tau.  ``max_quad_error`` is the
+    largest error estimate of any integral computed for the evaluator so
+    far.
     """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
@@ -389,112 +220,153 @@ class PolicyEvaluator:
         self.options = options or ScaleOptions(
             x_max=max(policy.lam, (policy.V if math.isfinite(policy.V)
                                    else policy.lam + 10.0) - policy.tau) + 1.0)
-        self._fill_sets: dict[float, ScaleFunctionSet] = {}
-        self._release_sets: dict[float, ScaleFunctionSet] = {}
-        self._laws: dict[tuple, OvershootLaw] = {}
+        self._fills: dict[float, FillPhase] = {}
+        self._releases: dict[float, ReleasePhase] = {}
         self._quad_error = 0.0
 
     @property
     def max_quad_error(self) -> float:
         return max([self._quad_error]
-                   + [law.max_quad_error for law in self._laws.values()])
+                   + [fill.max_quad_error for fill in self._fills.values()])
 
     @max_quad_error.setter
     def max_quad_error(self, value: float):
         self._quad_error = value
 
+    def _fill(self, alpha: float) -> FillPhase:
+        if alpha not in self._fills:
+            self._fills[alpha] = FillPhase(
+                ScaleFunctionSet(self.model, alpha, options=self.options),
+                self.policy.lam, self.reflected)
+        return self._fills[alpha]
+
+    def _release(self, alpha: float) -> ReleasePhase:
+        if alpha not in self._releases:
+            p = self.policy
+            self._releases[alpha] = ReleasePhase(
+                shifted_scale_set(self.model, p.M, alpha, options=self.options),
+                p.tau, p.V)
+        return self._releases[alpha]
+
     def fill_set(self, alpha: float) -> ScaleFunctionSet:
-        if alpha not in self._fill_sets:
-            self._fill_sets[alpha] = ScaleFunctionSet(self.model, alpha,
-                                                      options=self.options)
-        return self._fill_sets[alpha]
+        return self._fill(alpha).s
 
     def release_set(self, alpha: float) -> ScaleFunctionSet:
-        if alpha not in self._release_sets:
-            self._release_sets[alpha] = shifted_scale_set(
-                self.model, self.policy.M, alpha, options=self.options)
-        return self._release_sets[alpha]
+        return self._release(alpha).s
 
     def fill_exit_lt(self, alpha: float, x: float | None = None) -> float:
-        x = self.policy.tau if x is None else x
-        s = self.fill_set(alpha)
-        if self.reflected:
-            return exit_lt_reflected(s, x, self.policy.lam)
-        return exit_lt_up(s, x, self.policy.lam)
+        return self._fill(alpha).exit_lt(self._start(x))
 
     def fill_exit_mean(self, x: float | None = None) -> float:
-        x = self.policy.tau if x is None else x
-        s = self.fill_set(0.0)
-        if self.reflected:
-            return exit_mean_reflected(s, x, self.policy.lam)
-        return exit_mean_up(s, x, self.policy.lam)
+        return self._fill(0.0).exit_mean(self._start(x))
 
     def release_exit_lt(self, alpha: float, z: float) -> float:
-        p = self.policy
-        return release_exit_lt(self.release_set(alpha), min(z, p.V), p.tau, p.V)
+        return self._release(alpha).exit_lt(z)
 
     def release_exit_mean(self, z: float) -> float:
-        p = self.policy
-        return release_exit_mean(self.release_set(0.0), min(z, p.V), p.tau, p.V)
+        return self._release(0.0).exit_mean(z)
 
     @_records_quad_error
-    def overshoot_law(self, alpha: float, x: float | None = None):
-        x = self.policy.tau if x is None else x
-        key = (alpha, x)
-        if key not in self._laws:
-            self._laws[key] = fill_overshoot_law(
-                self.fill_set(alpha), x, self.policy.lam, self.reflected)
-        return self._laws[key]
-
-    def _hold_law(self, alpha: float, x: float):
-        """Keep the law a cycle functional started at x will ask for."""
-        if x < self.policy.lam:
-            self.overshoot_law(alpha, x)
+    def overshoot_law(self, alpha: float, x: float | None = None) -> OvershootLaw:
+        return self._fill(alpha).overshoot_law(self._start(x))
 
     @_records_quad_error
     def mean_release_time(self) -> float:
         law = self.overshoot_law(0.0)
-        p = self.policy
-        s_M0 = self.release_set(0.0)
-        return law.expectation(
-            lambda z: release_exit_mean(s_M0, np.minimum(z, p.V), p.tau, p.V),
-            p.V)
+        return law.expectation(self._release(0.0).exit_mean, self.policy.V)
 
     def mean_cycle_length(self) -> float:
         return self.fill_exit_mean() + self.mean_release_time()
 
     @_records_quad_error
     def cycle_end_lt(self, alpha: float, x: float | None = None) -> float:
-        x = self.policy.tau if x is None else x
-        self._hold_law(alpha, x)
-        return cycle_end_lt(self.model, self.policy, alpha, x,
-                            reflected=self.reflected, s=self.fill_set(alpha),
-                            s_M=self.release_set(alpha))
+        """E_x[exp(-alpha T)], T the end of the first cycle."""
+        x = self._start(x)
+        if x > self.policy.lam:
+            return self._release(alpha).exit_lt(x)
+        law = self._fill(alpha).overshoot_law(x)
+        return law.expectation(self._release(alpha).exit_lt, self.policy.V)
 
     @_records_quad_error
     def cycle_cost(self, alpha: float, x: float | None = None) -> float:
-        x = self.policy.tau if x is None else x
-        self._hold_law(alpha, x)
-        return cycle_cost(self.model, self.policy, self.costs, alpha, x,
-                          reflected=self.reflected, s=self.fill_set(alpha),
-                          s_M=self.release_set(alpha), options=self.options)
+        """Expected discounted cost of the first cycle started at x.
+
+        Above the threshold only the release phase remains: the opening
+        charge, the foregone-reward term and the release maintenance.  At or
+        below it the closing charge, the fill maintenance, the opening
+        charge and the foregone reward at the crossing, and the release
+        cost started from the capped crossing state are combined.
+        """
+        if alpha <= 0:
+            raise ValueError("cycle_cost needs alpha > 0; "
+                             "use long_run_average for the average criterion")
+        x = self._start(x)
+        p, c = self.policy, self.costs
+        if x > p.V:
+            raise ValueError("need x <= V")
+        if x > p.lam:
+            release = self._release(alpha)
+            rel_lt = release.exit_lt(x)
+            return (p.M * (c.K1 - c.R * (1.0 - rel_lt) / alpha)
+                    + release.cost(x, c.g_star))
+        fill = self._fill(alpha)
+        q_fill = fill.exit_lt(x)
+        law = fill.overshoot_law(x)
+        release = self._release(alpha)
+        q_cycle = law.expectation(release.exit_lt, p.V)
+        fill_cost = fill.cost(x, c.g)
+        rel = law.expectation(lambda z: release.cost(z, c.g_star), p.V,
+                              c.g_star.breakpoints)
+        return (p.M * (c.K2 + c.K1 * q_fill
+                       - (c.R / alpha) * (q_fill - q_cycle))
+                + fill_cost + rel)
 
     @_records_quad_error
     def total_discounted(self, alpha: float, x: float | None = None) -> float:
-        x = self.policy.tau if x is None else x
-        self._hold_law(alpha, x)
-        self._hold_law(alpha, self.policy.tau)
-        return total_discounted_cost(self.model, self.policy, self.costs,
-                                     alpha, x, reflected=self.reflected,
-                                     s=self.fill_set(alpha),
-                                     s_M=self.release_set(alpha),
-                                     options=self.options)
+        """Total discounted cost over an infinite horizon started at x.
+
+        Geometric resummation over regeneration cycles: first cycle cost
+        plus the discounted value of restarting from the lower threshold.
+        """
+        if alpha <= 0:
+            raise ValueError("total discounted cost needs alpha > 0")
+        x, tau = self._start(x), self.policy.tau
+        c_x, q_x = self.cycle_cost(alpha, x), self.cycle_end_lt(alpha, x)
+        if x == tau:
+            c_tau, q_tau = c_x, q_x
+        else:
+            c_tau, q_tau = self.cycle_cost(alpha), self.cycle_end_lt(alpha)
+        if q_tau >= 1.0 - 1e-12:
+            raise ValueError("cycle transform at tau is numerically 1; "
+                             "the discounted series diverges")
+        return c_x + q_x * c_tau / (1.0 - q_tau)
 
     @_records_quad_error
     def long_run_average(self) -> float:
-        self._hold_law(0.0, self.policy.tau)
-        return long_run_average_cost(self.model, self.policy, self.costs,
-                                     reflected=self.reflected,
-                                     s=self.fill_set(0.0),
-                                     s_M=self.release_set(0.0),
-                                     options=self.options)
+        """Long-run average cost per unit time of running the policy.
+
+        Renewal reward over one regeneration cycle from tau: fixed charges,
+        undiscounted maintenance of both phases and the reward on the
+        released volume, over the expected cycle length.
+        """
+        p, c = self.policy, self.costs
+        fill = self._fill(0.0)
+        mean_fill = fill.exit_mean(p.tau)
+        if math.isinf(mean_fill):
+            raise ValueError("infinite mean cycle: the plain input does not "
+                             "drift toward the threshold")
+        release = self._release(0.0)
+        if math.isinf(p.V) and float(release.s.model.phi_prime(0.0)) <= 0.0:
+            raise ValueError("infinite mean cycle: release rate does not exceed "
+                             "the mean inflow")
+        law = fill.overshoot_law(p.tau)
+        mean_rel = self.mean_release_time()
+        cost_fill = fill.cost(p.tau, c.g)
+        cost_rel = law.expectation(lambda z: release.cost(z, c.g_star), p.V,
+                                   c.g_star.breakpoints)
+        numer = (p.M * (c.K1 + c.K2) + cost_fill + cost_rel
+                 + c.R * p.M * mean_fill)
+        return numer / (mean_fill + mean_rel) - c.R * p.M
+
+    def _start(self, x: float | None) -> float:
+        return self.policy.tau if x is None else x

@@ -1,16 +1,23 @@
 """Exit analysis for the dam content process.
 
-Everything here is assembled from one ``ScaleFunctionSet`` (fill phase, the
-plain or infimum-reflected input killed when it first reaches the release
-threshold) or from the shifted set of the release phase (input minus release
-rate, reflected at the capacity, killed at the lower threshold):
+A cycle of the policy is cut at the first passage above the release
+threshold into two phases, each built on one ``ScaleFunctionSet``:
+
+* ``FillPhase``: the plain or infimum-reflected input, killed when it first
+  passes above the threshold;
+* ``ReleasePhase``: the input minus the release rate (the shifted set),
+  capped at the capacity, killed when it first falls to the lower
+  threshold.
+
+The fill phase hands its overshoot law (the law of the content at the
+crossing: a density above the threshold plus a creeping atom at it) to the
+release phase; the cycle functionals in ``costs`` are expectations of
+release-phase quantities under that law.  Each phase picks among the
+formulas below:
 
 * potential densities of the four killed processes,
 * Laplace transforms and means of the exit times,
-* the law of the content at the moment the threshold is crossed (overshoot
-  density above the threshold plus a creeping atom at the threshold), and
-* the transform of the full cycle length obtained by composing the fill
-  phase overshoot law with the release phase transform.
+* the overshoot laws of the plain and the reflected input.
 
 Functions are pure; the discount rate is the one carried by the scale set.
 
@@ -40,10 +47,10 @@ holder (``PolicyEvaluator`` is one).
 
 An overshoot law's density is the compensation formula
 ``integral U(x, dy) nu(z - y)`` over the potential ``U`` of the fill phase;
-each value is computed once per point, and ``fill_overshoot_law`` builds
-each law once per scale set while a caller holds it, so every cycle
-functional computed from one set shares the law.  A grid rebuild of the
-scale set drops the kept values and the law's grid of levels.  Each
+each value is computed once per point.  A ``FillPhase`` builds each law
+once per start state and keeps it, so every cycle functional computed from
+one phase shares the law.  A grid rebuild of the scale set drops the kept
+laws, the kept density values and the law's grid of levels.  Each
 integral depends only on its own arguments, never on what was computed
 before.
 """
@@ -594,12 +601,15 @@ def exit_lt_reflected(s: ScaleFunctionSet, x: float, lam: float) -> float:
 
 
 def exit_mean_reflected(s: ScaleFunctionSet, x: float, lam: float) -> float:
-    """E_x[tau_lam] for the infimum-reflected input."""
+    """E_x[tau_lam] for the infimum-reflected input; 0 at x = lam, where
+    the fill phase has length zero, as the transform there is 1."""
     _require_zero_alpha(s)
     if not 0 <= x <= lam:
         raise ValueError("need 0 <= x <= lam")
-    val = s.w(lam - x) * s.w(lam) / s.wp(lam) - s.wbar(lam - x)
-    return _checked_mean(val, "exit_mean_reflected") if x < lam else val
+    if x == lam:
+        return 0.0
+    return _checked_mean(s.w(lam - x) * s.w(lam) / s.wp(lam) - s.wbar(lam - x),
+                         "exit_mean_reflected")
 
 
 def _shaped_like(x, val):
@@ -739,9 +749,10 @@ class OvershootLaw:
         return float(val[0])
 
     def expectation(self, fv: Callable, V: float, points=()) -> float:
-        """As ``overshoot_expectation``, for fv mapping an array of states
-        to values, with kinks at ``points``: one batched call of fv per
-        round of the z integral."""
+        """Expectation of fv(content at the crossing) under the law, with
+        the mass above the capacity V lumped at V, where the release phase
+        starts.  fv maps an array of states to values, with kinks at
+        ``points``: one batched call of fv per round of the z integral."""
         val = 0.0
         if self.atom_at_lambda != 0.0:
             val = self.atom_at_lambda * float(fv(np.array([self.lam]))[0])
@@ -919,67 +930,123 @@ def overshoot_reflected(s: ScaleFunctionSet, x: float, lam: float) -> OvershootL
     return _overshoot_law(s, x, lam, potential_reflected(s, lam), transform)
 
 
-def fill_overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
-                       reflected: bool) -> OvershootLaw:
-    """Overshoot law of the configured fill phase, handling continuous input.
-
-    For continuous plain input the law is the pure creeping atom with the
-    exit transform as weight, which is what the cycle composition needs.
-    Starting exactly at the threshold the fill phase has length zero and the
-    law is a unit atom there.  While a caller holds the law, later calls
-    with the same (s, x, lam, reflected) return it; treat it as read-only.
-    """
-    memo = s.memo()
-    key = ("fill_overshoot_law", x, lam, reflected)
-    law = memo.get(key)
-    if law is None:
-        law = memo[key] = _fill_overshoot_law(s, x, lam, reflected)
-    return law
-
-
-def _fill_overshoot_law(s, x, lam, reflected):
-    if x == lam:
-        return OvershootLaw(x, lam, s.alpha, _zero_density, 1.0, lam)
-    if reflected:
-        return overshoot_reflected(s, x, lam)
-    if not s.model.has_jumps:
-        return OvershootLaw(x, lam, s.alpha, _zero_density,
-                            exit_lt_up(s, x, lam), lam)
-    return overshoot_up(s, x, lam)
-
-
-def overshoot_expectation(law: OvershootLaw, fn: Callable, V: float) -> float:
-    """Expectation of fn(content at crossing, capped at V) under the law.
-
-    Mass above the capacity is lumped at V, matching the capping of the
-    release phase start state.  fn takes one float.
-    """
-    return law.expectation(_pointwise(fn), V)
-
-
 # ---------------------------------------------------------------------------
-# Full cycle transform
+# The two phases of a cycle
 # ---------------------------------------------------------------------------
 
-def cycle_end_lt(model, policy, alpha: float, x: float, reflected: bool = True,
-                 s: ScaleFunctionSet | None = None,
-                 s_M: ScaleFunctionSet | None = None,
-                 options=None) -> float:
-    """E_x[exp(-alpha T*_0)], the transform of the first full cycle length.
+class FillPhase:
+    """The fill phase at the discount rate of its scale set: the plain or
+    (``reflected``) infimum-reflected input, killed at its first passage
+    above lam.
 
-    Splits the cycle at the fill phase crossing: the overshoot law (capped at
-    the capacity) feeds the release phase transform.  For x at or above the
-    threshold the cycle is just the remaining release phase.
+    A fill started at lam has length zero: its transform is 1, its mean 0,
+    its overshoot law a unit atom at lam and its cost 0.  Each overshoot law
+    is built once per start state and kept until a grid rebuild of the
+    scale set; treat the laws as read-only.
     """
-    lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
-    if s_M is None:
-        from .scale import shifted_scale_set
-        s_M = shifted_scale_set(model, M, alpha, options=options)
-    if x >= lam:
-        return release_exit_lt(s_M, min(x, V), tau, V)
-    if s is None:
-        s = ScaleFunctionSet(model, alpha, options=options)
 
-    law = fill_overshoot_law(s, x, lam, reflected)
-    return law.expectation(
-        lambda z: release_exit_lt(s_M, np.minimum(z, V), tau, V), V)
+    def __init__(self, s: ScaleFunctionSet, lam: float, reflected: bool):
+        self.s = s
+        self.lam = lam
+        self.reflected = reflected
+        self._laws: dict[float, OvershootLaw] = {}
+        self._generation = s.generation
+
+    def exit_lt(self, x: float) -> float:
+        """E_x[exp(-alpha T)], T the end of the fill."""
+        exit_lt = exit_lt_reflected if self.reflected else exit_lt_up
+        return exit_lt(self.s, x, self.lam)
+
+    def exit_mean(self, x: float) -> float:
+        """E_x[T]; the scale set must be built at alpha = 0."""
+        exit_mean = exit_mean_reflected if self.reflected else exit_mean_up
+        return exit_mean(self.s, x, self.lam)
+
+    def overshoot_law(self, x: float) -> OvershootLaw:
+        """Discounted law of the content at the end of the fill from x.
+
+        For continuous plain input it is the creeping atom at lam with the
+        exit transform as weight.
+        """
+        if self.s.generation != self._generation:
+            self._laws.clear()
+            self._generation = self.s.generation
+        law = self._laws.get(x)
+        if law is None:
+            law = self._laws[x] = self._build_law(x)
+        return law
+
+    def _build_law(self, x: float) -> OvershootLaw:
+        s, lam = self.s, self.lam
+        if x == lam:
+            return OvershootLaw(x, lam, s.alpha, _zero_density, 1.0, lam)
+        if self.reflected:
+            return overshoot_reflected(s, x, lam)
+        if not s.model.has_jumps:
+            return OvershootLaw(x, lam, s.alpha, _zero_density,
+                                exit_lt_up(s, x, lam), lam)
+        return overshoot_up(s, x, lam)
+
+    @property
+    def max_quad_error(self) -> float:
+        """The largest error estimate of the kept laws' integrals."""
+        return max((law.max_quad_error for law in self._laws.values()),
+                   default=0.0)
+
+    def cost(self, x, g):
+        """Expected discounted integral of the rate g(content) until the end
+        of the fill; x is a float or an array of start states of any shape,
+        g a ``PiecewisePoly``."""
+        xs = np.asarray(x, dtype=float).ravel()
+        out = np.zeros(xs.size)
+        below = xs < self.lam
+        if below.any() and not g.is_zero:
+            if self.reflected:
+                pot = potential_reflected(self.s, self.lam)
+                lo, hi = 0.0, self.lam
+            else:
+                pot = potential_up_killed(self.s, self.lam)
+                lo, hi = g.support[0], min(g.support[1], self.lam)
+            out[below] = pot.integrals(xs[below], g.values, lo, hi,
+                                       g.breakpoints)
+        return _shaped_like(x, out)
+
+
+class ReleasePhase:
+    """The release phase at the discount rate of its scale set ``s_M``,
+    built on the input minus the release rate: the content capped at V,
+    killed at its first passage down to tau.
+
+    Every method takes a float or an array of start states z >= tau of any
+    shape, and starts a z above V at V, as a crossing above the capacity
+    does.
+    """
+
+    def __init__(self, s_M: ScaleFunctionSet, tau: float, V: float):
+        self.s = s_M
+        self.tau = tau
+        self.V = V
+
+    def exit_lt(self, z):
+        """E_z[exp(-alpha T)], T the end of the release."""
+        return release_exit_lt(self.s, np.minimum(z, self.V), self.tau, self.V)
+
+    def exit_mean(self, z):
+        """E_z[T]; the scale set must be built at alpha = 0."""
+        return release_exit_mean(self.s, np.minimum(z, self.V), self.tau,
+                                 self.V)
+
+    def cost(self, z, g_star):
+        """Expected discounted integral of the rate g_star(content) until
+        the end of the release; g_star is a ``PiecewisePoly``."""
+        tau, V = self.tau, self.V
+        zs = _check_release_args(np.minimum(z, V), tau, V)
+        out = np.zeros(zs.size)
+        above = zs > tau
+        if above.any() and not g_star.is_zero:
+            pot = potential_release(self.s, tau, V)
+            lo, hi = g_star.support
+            hi = hi if math.isinf(V) else min(hi, V)
+            out[above] = pot.integrals(zs[above], g_star.values, max(lo, tau),
+                                       hi, g_star.breakpoints)
+        return _shaped_like(z, out)

@@ -24,18 +24,15 @@ A ``ScaleFunctionSet`` bundles the model, the discount rate, the cached root
 ``eta(alpha)`` and the evaluators.  Evaluation is pure, so sets can be shared
 freely; the one exception to immutability is the series grid, which is
 rebuilt in place when asked for a point beyond its range (``generation``
-counts these rebuilds, and ``memo`` drops what was derived from the old
-grid).  A Python float is evaluated on a scalar path of the series and
-inversion methods that returns exactly the float of the array path without
-its numpy overhead.
+counts these rebuilds, so that what was derived from the old grid can be
+dropped).  Each method has one evaluation path, for arrays: a float is
+evaluated as a 0-d array and returned as a float.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import weakref
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -114,22 +111,6 @@ def _head_convolver(b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return conv
 
 
-def _ppoly_at(breaks: list, coeffs: np.ndarray, x: float) -> float:
-    """One value of a scipy ``PPoly`` at breaks[0] <= x <= breaks[-1].
-
-    Picks the interval and sums the local power series in the order of
-    scipy's compiled evaluation, so the result equals the array evaluation
-    bit for bit.
-    """
-    i = min(bisect_right(breaks, x), len(breaks) - 1) - 1
-    s = x - breaks[i]
-    res, power = 0.0, 1.0
-    for c in reversed(coeffs[:, i].tolist()):
-        res += c * power
-        power *= s
-    return res
-
-
 def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
     """Fixed Talbot inversion of a Laplace transform at each time of the
     array ts > 0.  fhat maps an array of contour points to transform
@@ -153,28 +134,13 @@ def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
                      for t, g, v in zip(ts.tolist(), gamma, vals)])
 
 
-def _difference_points(x: float):
-    """Step and points of the finite difference for W'(x): one-sided close
-    to the origin, where W may jump, central elsewhere."""
-    h = 1e-3 * max(1.0, abs(x))
-    if x < 2.0 * h:
-        h = 1e-4
-        return h, True, (x, x + h, x + 2 * h, x + 0.5 * h)
-    h = min(h, x * 0.5)
-    return h, False, (x + h, x - h, x + 0.5 * h, x - 0.5 * h)
-
-
 # ---------------------------------------------------------------------------
 # Evaluators
 # ---------------------------------------------------------------------------
 
 class _BrownianClosedForm:
-    """Exact formulas for Brownian input with drift mu and variance sigma2.
+    """Exact formulas for Brownian input with drift mu and variance sigma2."""
 
-    No scalar path: libm and numpy ``exp`` may differ in the last bit.
-    """
-
-    scalar = False
     generation = 0
 
     def __init__(self, mu: float, sigma2: float, alpha: float):
@@ -231,8 +197,6 @@ class _SeriesEvaluator:
     infinite when no halving was made.  A grid that does not reach
     ``refine_tol`` is kept, with a warning on the ``levydam`` logger.
     """
-
-    scalar = True
 
     def __init__(self, model: LevyModel, alpha: float, opts: ScaleOptions):
         self.model = model
@@ -328,7 +292,6 @@ class _SeriesEvaluator:
         self.x_max = x_max
         self.grid_x = xs
         self.grid_w = vals
-        self._breaks = xs.tolist()
         self._interp = PchipInterpolator(xs, vals, extrapolate=False)
         self._interp_d = self._interp.derivative()
         anti = self._interp.antiderivative()
@@ -360,32 +323,6 @@ class _SeriesEvaluator:
             return np.ones_like(np.asarray(x, dtype=float))
         return 1.0 + self.alpha * self.wbar(x)
 
-    # scalar path for finite floats; beyond the grid the array path rebuilds
-
-    def w_scalar(self, x: float) -> float:
-        if x < 0.0:
-            return 0.0
-        if x > self.x_max:
-            return float(self.w(np.asarray(x)))
-        return _ppoly_at(self._breaks, self._interp.c, x)
-
-    def wp_scalar(self, x: float) -> float:
-        if not 0.0 <= x <= self.x_max:
-            return float(self.wp(np.asarray(x)))
-        return _ppoly_at(self._breaks, self._interp_d.c, x)
-
-    def wbar_scalar(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        if x > self.x_max:
-            return float(self.wbar(np.asarray(x)))
-        return _ppoly_at(self._breaks, self._interp_int.c, x)
-
-    def z_scalar(self, x: float) -> float:
-        if self.alpha == 0.0:
-            return 1.0
-        return 1.0 + self.alpha * self.wbar_scalar(x)
-
     def w_at_zero(self) -> float:
         return 1.0 / self.zeta
 
@@ -399,10 +336,10 @@ class _InversionEvaluator:
     """Fixed Talbot inversion of the tilted transform 1/(phi(s+eta) - alpha).
 
     The tilt removes the exponential growth of W, so the inverted target is
-    O(1) and the contour sees only left-plane singularities.
+    O(1) and the contour sees only left-plane singularities.  Each inverted
+    value is kept per point.
     """
 
-    scalar = True
     generation = 0
 
     def __init__(self, model: LevyModel, alpha: float, eta_alpha: float,
@@ -423,51 +360,26 @@ class _InversionEvaluator:
     def _wbar_hat(self, p):
         return 1.0 / ((p + self.eta) * (self.model.phi(p + self.eta) - self.alpha))
 
-    def _invert(self, xs, cache: dict, fhat: Callable) -> None:
-        """Keep in cache the tilted inversion at every x > 0 (or NaN) of
-        the list xs not kept yet, in batches of _TALBOT_BATCH times."""
+    def _values(self, x, cache: dict, fhat: Callable, at_zero: float):
+        """The tilted inversion at every point of the array x, 0 below 0 and
+        at_zero at 0.  The points not kept in cache yet are inverted in
+        batches of _TALBOT_BATCH times and kept."""
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel().tolist()
         new = [v for v in dict.fromkeys(xs) if not v <= 0.0 and v not in cache]
         for i in range(0, len(new), _TALBOT_BATCH):
             ts = new[i:i + _TALBOT_BATCH]
             vals = _talbot(fhat, np.array(ts), self.nodes).tolist()
             cache.update((t, math.exp(self.eta * t) * v)
                          for t, v in zip(ts, vals))
-
-    def w_scalar(self, x: float) -> float:
-        if x < 0:
-            return 0.0
-        if x == 0.0:
-            return self.w_at_zero()
-        got = self._w_cache.get(x)
-        if got is None:
-            self._invert([x], self._w_cache, self._w_hat)
-            got = self._w_cache[x]
-        return got
-
-    def wbar_scalar(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        got = self._wbar_cache.get(x)
-        if got is None:
-            self._invert([x], self._wbar_cache, self._wbar_hat)
-            got = self._wbar_cache[x]
-        return got
+        return np.array([0.0 if v < 0.0 else at_zero if v == 0.0 else cache[v]
+                         for v in xs]).reshape(x.shape)
 
     def w(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return np.float64(self.w_scalar(float(x)))
-        xs = x.ravel().tolist()
-        self._invert(xs, self._w_cache, self._w_hat)
-        return np.array([self.w_scalar(v) for v in xs]).reshape(x.shape)
+        return self._values(x, self._w_cache, self._w_hat, self.w_at_zero())
 
     def wbar(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return np.float64(self.wbar_scalar(float(x)))
-        xs = x.ravel().tolist()
-        self._invert(xs, self._wbar_cache, self._wbar_hat)
-        return np.array([self.wbar_scalar(v) for v in xs]).reshape(x.shape)
+        return self._values(x, self._wbar_cache, self._wbar_hat, 0.0)
 
     def z(self, x):
         if self.alpha == 0.0:
@@ -475,29 +387,18 @@ class _InversionEvaluator:
         return 1.0 + self.alpha * self.wbar(x)
 
     def wp(self, x):
+        """Finite differences of W with one Richardson level: one-sided
+        close to the origin, where W may jump, central elsewhere."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            return np.float64(self.wp_scalar(float(x)))
-        xs = x.ravel().tolist()
-        self._invert([p for v in xs for p in _difference_points(v)[2]],
-                     self._w_cache, self._w_hat)
-        return np.array([self.wp_scalar(v) for v in xs]).reshape(x.shape)
-
-    def z_scalar(self, x: float) -> float:
-        if self.alpha == 0.0:
-            return 1.0
-        return 1.0 + self.alpha * self.wbar_scalar(x)
-
-    def wp_scalar(self, x: float) -> float:
-        # finite differences with one Richardson level
-        w = self.w_scalar
-        h, one_sided, (p0, p1, p2, p3) = _difference_points(x)
-        if one_sided:
-            d1 = (-3.0 * w(p0) + 4.0 * w(p1) - w(p2)) / (2.0 * h)
-            d2 = (-3.0 * w(p0) + 4.0 * w(p3) - w(p1)) / h
-        else:
-            d1 = (w(p0) - w(p1)) / (2.0 * h)
-            d2 = (w(p2) - w(p3)) / h
+        h = 1e-3 * np.maximum(1.0, np.abs(x))
+        near = x < 2.0 * h
+        h = np.where(near, 1e-4, np.minimum(h, x * 0.5))
+        w0, w1, w2, w3 = self.w(np.where(
+            near, [x, x + h, x + 2.0 * h, x + 0.5 * h],
+            [x + h, x - h, x + 0.5 * h, x - 0.5 * h]))
+        d1 = np.where(near, (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h),
+                      (w0 - w1) / (2.0 * h))
+        d2 = np.where(near, (-3.0 * w0 + 4.0 * w3 - w1) / h, (w2 - w3) / h)
         return (4.0 * d2 - d1) / 3.0
 
     def w_at_zero(self) -> float:
@@ -542,63 +443,35 @@ class ScaleFunctionSet:
                                            self.options)
         else:
             raise ValueError(f"unknown scale method {method!r}")
-        self._scalar = self._ev.scalar
-        self._memo = weakref.WeakValueDictionary()
-        self._memo_generation = self._ev.generation
 
     @property
     def generation(self) -> int:
         """Number of in-place grid rebuilds so far (series method only)."""
         return self._ev.generation
 
-    def memo(self) -> weakref.WeakValueDictionary:
-        """Store for objects derived from this set, such as overshoot laws.
-
-        Entries are held weakly: they refer back to the set, so a strong
-        store would keep dead sets alive until the cyclic collector runs.
-        An entry lives while a caller holds it.  The store is emptied
-        whenever an in-place grid rebuild changes W, so nothing derived from
-        an old grid is handed out again.
-        """
-        if self._memo_generation != self._ev.generation:
-            self._memo = weakref.WeakValueDictionary()
-            self._memo_generation = self._ev.generation
-        return self._memo
-
-    # -- evaluation ---------------------------------------------------------
-
-    # A finite Python float takes the evaluator's scalar path, which returns
-    # exactly the float of the array path.
+    # -- evaluation: a float (or a 0-d array) gives a float, an array an
+    # array of its shape
 
     def w(self, x):
         """W(x); zero for negative x."""
-        if self._scalar and isinstance(x, float) and math.isfinite(x):
-            return self._ev.w_scalar(float(x))
         val = self._ev.w(np.asarray(x, dtype=float))
         return float(val) if np.ndim(x) == 0 else val
 
     def wp(self, x):
         """Right derivative of W; defined on [0, inf)."""
-        fast = self._scalar and isinstance(x, float) and math.isfinite(x)
-        if (fast or np.ndim(x) == 0) and x < 0:
+        if np.ndim(x) == 0 and x < 0:
             raise ValueError("the derivative is defined for x >= 0")
-        if fast:
-            return self._ev.wp_scalar(float(x))
         val = self._ev.wp(np.asarray(x, dtype=float))
         return float(val) if np.ndim(x) == 0 else val
 
     def z(self, x):
         """Z(x) = 1 + alpha * int_0^x W; equals 1 for x <= 0."""
-        if self._scalar and isinstance(x, float) and math.isfinite(x):
-            return 1.0 if x <= 0.0 else self._ev.z_scalar(float(x))
         x_arr = np.asarray(x, dtype=float)
         val = np.where(x_arr <= 0, 1.0, self._ev.z(np.maximum(x_arr, 0.0)))
         return float(val) if np.ndim(x) == 0 else val
 
     def wbar(self, x):
         """int_0^x W(y) dy for x >= 0."""
-        if self._scalar and isinstance(x, float) and math.isfinite(x):
-            return 0.0 if x <= 0.0 else self._ev.wbar_scalar(float(x))
         x_arr = np.asarray(x, dtype=float)
         val = np.where(x_arr <= 0, 0.0, self._ev.wbar(np.maximum(x_arr, 0.0)))
         return float(val) if np.ndim(x) == 0 else val

@@ -364,10 +364,14 @@ class _SegmentSink:
 
 
 def _cp_fill(model, rng, x, lam, horizon, reflected, sink=None):
-    """Fill phase of a compound Poisson cycle; returns (T, state) or None.
+    """Fill phase of a compound Poisson cycle; returns (T, state), or None
+    when it is still open at the horizon.
 
-    Each linear piece of the path between jumps goes to ``sink``.
+    A fill from lam or above has length zero.  Each linear piece of the
+    path between jumps goes to ``sink``.
     """
+    if x >= lam:
+        return 0.0, x
     zeta, rate = model.zeta, model.rate
     y, t = x, 0.0
     while t < horizon:
@@ -888,6 +892,10 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
         raise ValueError("the fill phase needs x <= lam")
     if reflected and not x >= 0:
         raise ValueError("the reflected fill phase needs x >= 0")
+    if x == lam:
+        # a fill from the threshold has length zero
+        n = config.n_paths
+        return np.zeros(n), np.full(n, float(x)), 0
     model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
         times, states, partial = [], [], 0
@@ -947,7 +955,8 @@ def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
     ``discount_floor``, so the truncated tail is bounded by the floor times
     the one-cycle cost scale.  Opening charges are paid when the valve
     opens, closing charges at each cycle start, matching the analytic
-    convention.
+    convention; a cycle still open at the floor keeps what fell due before
+    it.
     """
     if alpha <= 0:
         raise ValueError("needs alpha > 0")
@@ -963,11 +972,15 @@ def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
 
 def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
                          floor):
-    """Per-path totals; the integrals of all kept cycles are added at the end.
+    """Per-path totals; the integrals of all booked cycles are added at the
+    end.
 
-    The loop's control flow reads only times and states, so each kept cycle
-    records its path, discount factor and fixed charges, and its cost is
-    assembled once the sinks hold its maintenance integrals.
+    Each phase runs at most to the discount floor: a cycle still open there
+    keeps what fell due before it (its closing charge, its maintenance and,
+    once the valve is open, its opening charge and the reward on what was
+    released).  The loop's control flow reads only times and states, so
+    each cycle records its path, discount factor and fixed charges, and its
+    cost is assembled once the sinks hold its maintenance integrals.
     """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     t_max = -math.log(floor) / alpha
@@ -978,30 +991,30 @@ def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
         rng = path_rng(config.seed, i)
         t, start = 0.0, x
         while t < t_max:
+            left = t_max - t  # the floor, from the cycle start
             if start <= lam:
-                fill = _cp_fill(model, rng, start, lam, config.horizon,
-                                reflected, fill_g)
-                if fill is None:
-                    fill_g.drop()
-                    break
-                t_fill, state = fill
-                fixed = M * costs.K2 + M * costs.K1 * math.exp(-alpha * t_fill)
+                fill = _cp_fill(model, rng, start, lam, left, reflected,
+                                fill_g)
+                fixed = M * costs.K2
             else:
-                t_fill, state = 0.0, start
-                fixed = M * costs.K1
-            t_rel = _cp_release(model, rng, state, tau, V, M, config.horizon,
-                                t_fill, release_g)
-            if t_rel is None:
-                fill_g.drop()
-                release_g.drop()
-                break
+                fill, fixed = (0.0, start), 0.0
+            t_rel = None
+            if fill is not None:
+                t_fill, state = fill
+                t_rel = _cp_release(model, rng, state, tau, V, M, left, t_fill,
+                                    release_g)
+                ef = math.exp(-alpha * t_fill)
+                ec = math.exp(-alpha * (left if t_rel is None
+                                        else t_fill + t_rel))
+                fixed += M * costs.K1 * ef
+                fixed -= costs.R * M * (ef - ec) / alpha
             fill_g.close()
             release_g.close()
-            ef = math.exp(-alpha * t_fill)
-            ec = math.exp(-alpha * (t_fill + t_rel))
             path.append(i)
             disc.append(math.exp(-alpha * t))
-            fixed_net.append(fixed - costs.R * M * (ef - ec) / alpha)
+            fixed_net.append(fixed)
+            if t_rel is None:
+                break
             t += t_fill + t_rel
             start = tau
     cost = (np.frombuffer(fixed_net) + fill_g.result()[alpha]
@@ -1032,10 +1045,15 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
 
     start = min(x, V)
     y = np.full(n, float(start))
-    phases = _Phases(step, start <= lam, n)
-    totals = np.full(n, M * costs.K2 if start <= lam else M * costs.K1)
+    # a fill from the threshold has length zero: the valve opens at once
+    filling = start < lam
+    phases = _Phases(step, filling, n)
+    # a cycle from lam or below pays the closing charge, one from lam or
+    # above the opening charge, at time 0
+    totals = np.full(n, (M * costs.K2 if start <= lam else 0.0)
+                     + (M * costs.K1 if start >= lam else 0.0))
     # each path's maintenance rate at its content, in its phase
-    level = (g if start <= lam else gs).values(y)
+    level = (g if filling else gs).values(y)
 
     t = 0.0
     t_max = -math.log(floor) / alpha

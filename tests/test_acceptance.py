@@ -25,9 +25,9 @@ from levydam import (
     PolicyEvaluator,
     PolicyParams,
     ScaleFunctionSet,
+    ScaleOptions,
     brownian,
     compound_poisson_exp,
-    cycle_end_lt,
     estimate,
     exit_lt_reflected,
     exit_lt_up,
@@ -226,10 +226,11 @@ def test_criterion_8_cycle_factorization_continuous_input():
     model = BM_MODEL
     alpha = 0.5
     worst = 0.0
-    s = ScaleFunctionSet(model, alpha)
-    s_M = shifted_scale_set(model, POLICY.M, alpha)
+    ev = PolicyEvaluator(model, POLICY, COSTS, reflected=True,
+                         options=ScaleOptions())
+    s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
     for x in (0.2, 0.8, 1.5):
-        q = cycle_end_lt(model, POLICY, alpha, x, reflected=True, s=s, s_M=s_M)
+        q = ev.cycle_end_lt(alpha, x)
         factor = (exit_lt_reflected(s, x, POLICY.lam)
                   * release_exit_lt(s_M, POLICY.lam, POLICY.tau, POLICY.V))
         worst = max(worst, abs(q - factor))

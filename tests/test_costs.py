@@ -5,28 +5,19 @@ import pytest
 
 from levydam import (
     CostSpec,
+    FillPhase,
     GammaDrift,
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
+    ReleasePhase,
     ScaleFunctionSet,
+    ScaleOptions,
     brownian,
     compound_poisson_exp,
-    cycle_cost,
-    cycle_end_lt,
     exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
-    fill_cost,
-    fill_overshoot_law,
-    long_run_average_cost,
-    overshoot_expectation,
-    release_cost,
     release_exit_lt,
-    release_exit_mean,
     shifted_scale_set,
-    total_discounted_cost,
 )
 
 CP = compound_poisson_exp(2.0, 1.0, 1.0)
@@ -36,6 +27,12 @@ G = PiecewisePoly((0.0, 2.0), ((0.2, 0.1),))
 G_STAR = PiecewisePoly((0.5, 4.0), ((0.1, 0.05),))
 COSTS = CostSpec(K1=1.0, K2=0.5, R=0.3, g=G, g_star=G_STAR)
 ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
+
+
+def evaluator(model, costs=COSTS, policy=POLICY, reflected=True):
+    """An evaluator on scale sets of the default options."""
+    return PolicyEvaluator(model, policy, costs, reflected=reflected,
+                           options=ScaleOptions())
 
 
 class TestPiecewisePoly:
@@ -110,16 +107,16 @@ class TestPiecewisePoly:
 class TestPhaseCosts:
     def test_zero_rate_gives_zero(self):
         s = ScaleFunctionSet(CP, 0.5)
-        assert fill_cost(CP, s, 0.5, 2.0, PiecewisePoly.zero()) == 0.0
+        assert FillPhase(s, 2.0, True).cost(0.5, PiecewisePoly.zero()) == 0.0
         s_M = shifted_scale_set(CP, 2.0, 0.5)
-        assert release_cost(CP, s_M, 3.0, 0.5, 4.0, PiecewisePoly.zero()) == 0.0
+        assert ReleasePhase(s_M, 0.5, 4.0).cost(3.0, PiecewisePoly.zero()) == 0.0
 
     @pytest.mark.parametrize("model", [CP, BM])
     def test_unit_rate_matches_transform_identity(self, model):
         alpha = 0.5
         s = ScaleFunctionSet(model, alpha)
         one = PiecewisePoly.constant(1.0, 0.0, 2.0)
-        got = fill_cost(model, s, 0.5, 2.0, one, reflected=True)
+        got = FillPhase(s, 2.0, True).cost(0.5, one)
         want = (1.0 - exit_lt_reflected(s, 0.5, 2.0)) / alpha
         assert got == pytest.approx(want, abs=1e-7)
 
@@ -128,7 +125,7 @@ class TestPhaseCosts:
         alpha = 0.5
         s_M = shifted_scale_set(model, 2.0, alpha)
         one = PiecewisePoly.constant(1.0, 0.5, 4.0)
-        got = release_cost(model, s_M, 4.0, 0.5, 4.0, one)
+        got = ReleasePhase(s_M, 0.5, 4.0).cost(4.0, one)
         want = (1.0 - release_exit_lt(s_M, 4.0, 0.5, 4.0)) / alpha
         assert got == pytest.approx(want, abs=1e-7)
 
@@ -137,58 +134,78 @@ class TestPhaseCosts:
         alpha = 0.5
         s = ScaleFunctionSet(CP, alpha)
         one = PiecewisePoly.constant(1.0, 0.0, 2.0)
-        with_atom = fill_cost(CP, s, 0.5, 2.0, one, reflected=True)
+        fill = FillPhase(s, 2.0, True)
+        with_atom = fill.cost(0.5, one)
         shifted = PiecewisePoly.constant(1.0, 1e-9, 2.0)  # misses y = 0
-        without = fill_cost(CP, s, 0.5, 2.0, shifted, reflected=True)
+        without = fill.cost(0.5, shifted)
         assert with_atom > without + 1e-4
+
+
+class TestFillFromThreshold:
+    """A fill started at the threshold has length zero: transform 1, mean 0,
+    a unit atom at the threshold as its overshoot law and no cost; a cycle
+    from there is a release from the threshold."""
+
+    @pytest.mark.parametrize("model, reflected", [
+        (CP, True), (CP, False), (BM, True), (GammaDrift(1.0, 3.0, 2.0), False)])
+    def test_length_zero(self, model, reflected):
+        s0, s = ScaleFunctionSet(model, 0.0), ScaleFunctionSet(model, 0.5)
+        assert FillPhase(s0, 2.0, reflected).exit_mean(2.0) == 0.0
+        fill = FillPhase(s, 2.0, reflected)
+        assert fill.exit_lt(2.0) == 1.0
+        law = fill.overshoot_law(2.0)
+        assert law.atom_at_lambda == 1.0 and law.total_mass() == 1.0
+        assert fill.cost(2.0, G) == 0.0
+        ev = evaluator(model, reflected=reflected)
+        assert ev.cycle_end_lt(0.5, 2.0) == ev.release_exit_lt(0.5, 2.0)
 
 
 class TestCycleCost:
     def test_all_zero(self):
-        assert cycle_cost(CP, POLICY, ZERO, 0.5, 0.5) == pytest.approx(0.0)
+        assert evaluator(CP, ZERO).cycle_cost(0.5, 0.5) == pytest.approx(0.0)
 
     def test_rejects_zero_alpha(self):
         with pytest.raises(ValueError):
-            cycle_cost(CP, POLICY, COSTS, 0.0, 0.5)
+            evaluator(CP).cycle_cost(0.0, 0.5)
 
     def test_charges_only_configuration(self):
         # g = g* = 0, R = 0: cost is M (K2 + K1 q_fill) below the threshold
         spec = CostSpec(1.0, 0.5, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
         alpha, x = 0.5, 0.5
-        s = ScaleFunctionSet(CP, alpha)
-        got = cycle_cost(CP, POLICY, spec, alpha, x, reflected=True, s=s)
-        q = exit_lt_reflected(s, x, 2.0)
+        ev = evaluator(CP, spec)
+        got = ev.cycle_cost(alpha, x)
+        q = exit_lt_reflected(ev.fill_set(alpha), x, 2.0)
         assert got == pytest.approx(2.0 * (0.5 + 1.0 * q), abs=1e-7)
 
     def test_release_phase_start(self):
         # lam < x <= V only sees the opening charge, reward and g*
         alpha, x = 0.5, 3.0
-        s_M = shifted_scale_set(CP, 2.0, alpha)
-        got = cycle_cost(CP, POLICY, COSTS, alpha, x, s_M=s_M)
+        ev = evaluator(CP)
+        got = ev.cycle_cost(alpha, x)
+        s_M = ev.release_set(alpha)
         rel_lt = release_exit_lt(s_M, x, 0.5, 4.0)
         want = (2.0 * (1.0 - 0.3 * (1.0 - rel_lt) / alpha)
-                + release_cost(CP, s_M, x, 0.5, 4.0, G_STAR))
+                + ReleasePhase(s_M, 0.5, 4.0).cost(x, G_STAR))
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_brownian_composition_reduces_to_release_at_threshold(self):
         # continuous input: the overshoot composition is exactly the release
         # cost started at the threshold
         alpha, x = 0.5, 0.8
-        s = ScaleFunctionSet(BM, alpha)
-        s_M = shifted_scale_set(BM, 2.0, alpha)
-        got = cycle_cost(BM, POLICY, COSTS, alpha, x, s=s, s_M=s_M)
+        ev = evaluator(BM)
+        s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
+        got = ev.cycle_cost(alpha, x)
         q = exit_lt_reflected(s, x, 2.0)
-        from levydam import cycle_end_lt
-        q_cycle = cycle_end_lt(BM, POLICY, alpha, x, s=s, s_M=s_M)
+        q_cycle = ev.cycle_end_lt(alpha, x)
         want = (2.0 * (0.5 + 1.0 * q - (0.3 / alpha) * (q - q_cycle))
-                + fill_cost(BM, s, x, 2.0, G, reflected=True)
-                + q * release_cost(BM, s_M, 2.0, 0.5, 4.0, G_STAR))
+                + FillPhase(s, 2.0, True).cost(x, G)
+                + q * ReleasePhase(s_M, 0.5, 4.0).cost(2.0, G_STAR))
         assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestTotalDiscounted:
     def test_all_zero(self):
-        assert total_discounted_cost(CP, POLICY, ZERO, 0.5, 0.5) == 0.0
+        assert evaluator(CP, ZERO).total_discounted(0.5, 0.5) == 0.0
 
     def test_geometric_identity_at_tau(self):
         ev = PolicyEvaluator(CP, POLICY, COSTS)
@@ -200,45 +217,54 @@ class TestTotalDiscounted:
 
     def test_monotone_in_opening_charge(self):
         bumped = CostSpec(K1=1.5, K2=0.5, R=0.3, g=G, g_star=G_STAR)
-        base = total_discounted_cost(CP, POLICY, COSTS, 0.5, 0.5)
-        more = total_discounted_cost(CP, POLICY, bumped, 0.5, 0.5)
+        base = evaluator(CP).total_discounted(0.5, 0.5)
+        more = evaluator(CP, bumped).total_discounted(0.5, 0.5)
         assert more > base + 1e-6
 
 
 class TestLongRunAverage:
     def test_all_zero(self):
-        assert long_run_average_cost(CP, POLICY, ZERO) == pytest.approx(0.0)
+        assert evaluator(CP, ZERO).long_run_average() == pytest.approx(0.0)
 
     def test_independent_of_start_state(self):
-        a = long_run_average_cost(CP, POLICY, COSTS, x=0.5)
-        b = long_run_average_cost(CP, POLICY, COSTS, x=1.5)
-        assert a == pytest.approx(b, abs=1e-9)
+        # the long-run average takes no start state; the Abelian limit of
+        # the discounted cost from inside the fill and from inside the
+        # release phase must both reach it
+        ev = PolicyEvaluator(CP, POLICY, COSTS)
+        lra = ev.long_run_average()
+        for x in (1.5, 3.0):
+            assert _abelian_limit(ev, x) == pytest.approx(lra, rel=1e-3), x
 
     def test_plain_input_with_downward_drift_rejected(self):
         with pytest.raises(ValueError):
-            long_run_average_cost(CP, POLICY, COSTS, reflected=False)
+            evaluator(CP, reflected=False).long_run_average()
 
     def test_infinite_capacity_slow_release_rejected(self):
         heavy = compound_poisson_exp(2.0, 1.0, 4.0)  # mean inflow +2
         policy = PolicyParams(lam=2.0, tau=0.5, M=1.0, V=math.inf)
         with pytest.raises(ValueError):
-            long_run_average_cost(heavy, policy, COSTS)
+            evaluator(heavy, policy=policy).long_run_average()
 
     @pytest.mark.parametrize("model", [CP, BM])
     def test_abelian_limit(self, model):
         ev = PolicyEvaluator(model, POLICY, COSTS)
         lra = ev.long_run_average()
-        vals = [a * ev.total_discounted(a) for a in (1e-2, 1e-3, 1e-4)]
-        first = (10 * vals[1] - vals[0]) / 9
-        second = (10 * vals[2] - vals[1]) / 9
-        extrap = (100 * second - first) / 99
-        assert extrap == pytest.approx(lra, rel=1e-3)
+        assert _abelian_limit(ev, POLICY.tau) == pytest.approx(lra, rel=1e-3)
+
+
+def _abelian_limit(ev, x):
+    """alpha * total_discounted(alpha, x) as alpha -> 0, by Richardson
+    extrapolation over alpha = 1e-2, 1e-3, 1e-4."""
+    vals = [a * ev.total_discounted(a, x) for a in (1e-2, 1e-3, 1e-4)]
+    first = (10 * vals[1] - vals[0]) / 9
+    second = (10 * vals[2] - vals[1]) / 9
+    return (100 * second - first) / 99
 
 
 class TestEvaluatorSharing:
-    """One evaluator shares its scale sets and overshoot laws across
-    quantities, and each quantity equals the free function computed from
-    freshly built sets, bit for bit."""
+    """One evaluator shares its phases, scale sets and overshoot laws across
+    quantities, and each quantity equals the same method on an evaluator of
+    its own, bit for bit."""
 
     CASES = {
         # reflected fill: compound Poisson, convolution series
@@ -252,69 +278,43 @@ class TestEvaluatorSharing:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_methods_equal_free_functions(self, case):
+    def test_methods_equal_fresh_evaluators(self, case):
         model, reflected, costs = self.CASES[case]
-        ev = PolicyEvaluator(model, POLICY, costs, reflected=reflected)
-        lam, tau, M, V = POLICY.lam, POLICY.tau, POLICY.M, POLICY.V
         alpha = 0.5
-
-        def fresh(a):
-            return (ScaleFunctionSet(model, a, options=ev.options),
-                    shifted_scale_set(model, M, a, options=ev.options))
-
-        def mean_release(s0, s_M0):
-            law = fill_overshoot_law(s0, tau, lam, reflected)
-            return overshoot_expectation(
-                law, lambda z: release_exit_mean(s_M0, min(z, V), tau, V), V)
-
-        exit_lt = exit_lt_reflected if reflected else exit_lt_up
-        exit_mean = exit_mean_reflected if reflected else exit_mean_up
-        kw = dict(reflected=reflected)
-        # evaluator calls in an order that reuses laws the earlier ones built
-        got = {
-            "fill_exit_lt": ev.fill_exit_lt(alpha),
-            "fill_exit_mean": ev.fill_exit_mean(),
-            "release_exit_lt": ev.release_exit_lt(alpha, 3.0),
-            "release_exit_mean": ev.release_exit_mean(3.0),
-            "mean_release_time": ev.mean_release_time(),
-            "mean_cycle_length": ev.mean_cycle_length(),
-            "long_run_average": ev.long_run_average(),
-            "cycle_cost": ev.cycle_cost(alpha),
-            "cycle_end_lt": ev.cycle_end_lt(alpha),
-            "total_discounted": ev.total_discounted(alpha),
-            "overshoot_mass": ev.overshoot_law(alpha).total_mass(),
+        calls = {
+            "fill_exit_lt": lambda ev: ev.fill_exit_lt(alpha),
+            "fill_exit_mean": lambda ev: ev.fill_exit_mean(),
+            "release_exit_lt": lambda ev: ev.release_exit_lt(alpha, 3.0),
+            "release_exit_mean": lambda ev: ev.release_exit_mean(3.0),
+            "mean_release_time": lambda ev: ev.mean_release_time(),
+            "mean_cycle_length": lambda ev: ev.mean_cycle_length(),
+            "long_run_average": lambda ev: ev.long_run_average(),
+            "cycle_cost": lambda ev: ev.cycle_cost(alpha),
+            "cycle_end_lt": lambda ev: ev.cycle_end_lt(alpha),
+            "total_discounted": lambda ev: ev.total_discounted(alpha),
+            "overshoot_mass": lambda ev: ev.overshoot_law(alpha).total_mass(),
         }
-        want = {
-            "fill_exit_lt": exit_lt(fresh(alpha)[0], tau, lam),
-            "fill_exit_mean": exit_mean(fresh(0.0)[0], tau, lam),
-            "release_exit_lt": release_exit_lt(fresh(alpha)[1], 3.0, tau, V),
-            "release_exit_mean": release_exit_mean(fresh(0.0)[1], 3.0, tau, V),
-            "mean_release_time": mean_release(*fresh(0.0)),
-            "mean_cycle_length": (exit_mean(fresh(0.0)[0], tau, lam)
-                                  + mean_release(*fresh(0.0))),
-            "long_run_average": long_run_average_cost(
-                model, POLICY, costs, options=ev.options, **kw),
-            "cycle_cost": cycle_cost(model, POLICY, costs, alpha, tau,
-                                     options=ev.options, **kw),
-            "cycle_end_lt": cycle_end_lt(model, POLICY, alpha, tau,
-                                         options=ev.options, **kw),
-            "total_discounted": total_discounted_cost(
-                model, POLICY, costs, alpha, tau, options=ev.options, **kw),
-            "overshoot_mass": fill_overshoot_law(
-                fresh(alpha)[0], tau, lam, reflected).total_mass(),
-        }
-        for name in want:
-            assert got[name] == want[name], name
-        assert set(ev._fill_sets) == set(ev._release_sets) == {0.0, alpha}
+        ev = PolicyEvaluator(model, POLICY, costs, reflected=reflected)
+        # one evaluator, in an order that reuses laws the earlier calls built
+        got = {name: call(ev) for name, call in calls.items()}
+        for name, call in calls.items():
+            fresh = PolicyEvaluator(model, POLICY, costs, reflected=reflected)
+            assert got[name] == call(fresh), name
+        assert set(ev._fills) == set(ev._releases) == {0.0, alpha}
 
     def test_fill_overshoot_law_built_once_per_set(self):
         s = ScaleFunctionSet(CP, 0.5)
-        law = fill_overshoot_law(s, 0.5, 2.0, True)
-        assert fill_overshoot_law(s, 0.5, 2.0, True) is law
-        assert fill_overshoot_law(s, 0.7, 2.0, True) is not law
-        other = fill_overshoot_law(ScaleFunctionSet(CP, 0.5), 0.5, 2.0, True)
+        fill = FillPhase(s, 2.0, True)
+        law = fill.overshoot_law(0.5)
+        assert fill.overshoot_law(0.5) is law
+        assert fill.overshoot_law(0.7) is not law
+        other = FillPhase(ScaleFunctionSet(CP, 0.5), 2.0, True).overshoot_law(0.5)
         assert other is not law
         assert other.total_mass() == law.total_mass()
+        # a grid rebuild of the scale set drops the kept laws
+        s.w(np.array([2.0 * s.options.x_max]))
+        assert s.generation == 1
+        assert fill.overshoot_law(0.5) is not law
 
     def test_dropped_evaluator_frees_its_sets_at_once(self):
         # laws refer to their set; the set must not refer back strongly, or

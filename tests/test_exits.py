@@ -5,17 +5,19 @@ import pytest
 
 from levydam import (
     BrownianDrift,
+    CostSpec,
     ExponentialJumps,
+    PiecewisePoly,
+    PolicyEvaluator,
     PolicyParams,
     ScaleFunctionSet,
+    ScaleOptions,
     brownian,
     compound_poisson_exp,
-    cycle_end_lt,
     exit_lt_reflected,
     exit_lt_up,
     exit_mean_reflected,
     exit_mean_up,
-    fill_overshoot_law,
     overshoot_reflected,
     overshoot_up,
     potential_reflected,
@@ -309,14 +311,22 @@ class TestOvershootLaws:
             assert law.density(z) >= -1e-10
 
 
+def cycle_evaluator(model, policy):
+    """The cycle functionals of a reflected fill on scale sets of the
+    default options."""
+    costs = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
+    return PolicyEvaluator(model, policy, costs, reflected=True,
+                           options=ScaleOptions())
+
+
 class TestCycleEnd:
     def test_brownian_factorization(self):
         model = brownian(1.0, 2.0)
         policy = PolicyParams(lam=1.0, tau=0.2, M=2.0, V=3.0)
         alpha, x = 0.5, 0.4
-        s = ScaleFunctionSet(model, alpha)
-        s_M = shifted_scale_set(model, 2.0, alpha)
-        q = cycle_end_lt(model, policy, alpha, x, reflected=True, s=s, s_M=s_M)
+        ev = cycle_evaluator(model, policy)
+        s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
+        q = ev.cycle_end_lt(alpha, x)
         factor = (exit_lt_reflected(s, x, 1.0)
                   * release_exit_lt(s_M, 1.0, 0.2, 3.0))
         assert q == pytest.approx(factor, abs=1e-8)
@@ -324,29 +334,30 @@ class TestCycleEnd:
     def test_alpha_zero_is_one_for_reflected_input(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
-        q = cycle_end_lt(model, policy, 0.0, 0.5, reflected=True)
+        q = cycle_evaluator(model, policy).cycle_end_lt(0.0, 0.5)
         assert q == pytest.approx(1.0, abs=1e-6)
 
     def test_above_threshold_falls_through_to_release(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
         alpha = 0.5
-        s_M = shifted_scale_set(model, 2.0, alpha)
-        got = cycle_end_lt(model, policy, alpha, 3.0, reflected=True, s_M=s_M)
+        ev = cycle_evaluator(model, policy)
+        s_M = ev.release_set(alpha)
+        got = ev.cycle_end_lt(alpha, 3.0)
         assert got == pytest.approx(release_exit_lt(s_M, 3.0, 0.5, 4.0),
                                     rel=1e-12)
 
     def test_monotone_in_alpha(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
-        vals = [cycle_end_lt(model, policy, a, 0.5, reflected=True)
-                for a in (0.897, 0.3, 0.1)]
+        ev = cycle_evaluator(model, policy)
+        vals = [ev.cycle_end_lt(a, 0.5) for a in (0.897, 0.3, 0.1)]
         assert vals[0] < vals[1] < vals[2] <= 1.0
 
     def test_infinite_capacity_composition(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=math.inf)
-        q = cycle_end_lt(model, policy, 0.4, 0.5, reflected=True)
+        q = cycle_evaluator(model, policy).cycle_end_lt(0.4, 0.5)
         assert 0.0 < q < 1.0
 
 

@@ -27,6 +27,7 @@ from levydam import (
     potential_reflected,
     run_policy_cycles,
     simulate_input_path,
+    simulate_total_discounted,
 )
 from levydam.simulate import PathConfig, path_rng, simulate_fill_phase
 
@@ -142,3 +143,41 @@ class TestReflectedOccupation:
             occ[i] = total
         se = occ.std(ddof=1) / math.sqrt(n)
         assert abs(occ.mean() - analytic) < 3 * se + 2e-3
+
+
+class TestTotalDiscounted:
+    """The discounted oracle books what falls due before its discount floor,
+    a cycle still open there included, and ends a fill from the threshold
+    at time 0."""
+
+    # the costs of acceptance criterion 9
+    COSTS = CostSpec(
+        K1=1.0, K2=0.5, R=0.3,
+        g=PiecewisePoly((0.0, 1.0, 2.0), ((0.2, 0.1), (0.3, -0.05))),
+        g_star=PiecewisePoly((0.5, 2.0, 4.0), ((0.1, 0.05), (0.175, -0.02))))
+    CHARGES = CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                       PiecewisePoly.zero())
+
+    def test_plain_fill_open_at_the_floor(self):
+        # compound Poisson input drifts down: many plain fills never reach
+        # the threshold, and their closing charge and maintenance still count
+        ev = PolicyEvaluator(CP, POLICY, self.COSTS, reflected=False)
+        mc = simulate_total_discounted(CP, POLICY, self.COSTS, 0.5, 0.5,
+                                       PathConfig(n_paths=4000, seed=3),
+                                       reflected=False)
+        assert mc.agrees_with(ev.total_discounted(0.5, 0.5))
+
+    @pytest.mark.parametrize("model, reflected, alpha, costs, config", [
+        (CP, True, 0.5, "COSTS", PathConfig(n_paths=4000, seed=3)),
+        (brownian(1.0, 2.0), True, 2.0, "CHARGES",
+         PathConfig(time_step=2e-3, n_paths=2000, seed=5)),
+        (GammaDrift(1.0, 3.0, 2.0), False, 2.0, "CHARGES",
+         PathConfig(time_step=1e-2, n_paths=2000, seed=5)),
+    ], ids=["cp", "brownian", "gamma"])
+    def test_start_at_the_threshold(self, model, reflected, alpha, costs,
+                                    config):
+        costs = getattr(self, costs)
+        ev = PolicyEvaluator(model, POLICY, costs, reflected=reflected)
+        mc = simulate_total_discounted(model, POLICY, costs, alpha, POLICY.lam,
+                                       config, reflected=reflected)
+        assert mc.agrees_with(ev.total_discounted(alpha, POLICY.lam))

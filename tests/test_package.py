@@ -41,3 +41,28 @@ def test_start_up_loads_neither_scipy_signal_nor_stats():
     assert "levydam.scale" in loaded
     assert [m for m in loaded
             if m.startswith(("scipy.signal", "scipy.stats"))] == []
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # perfbench/tracing.py wraps functions and methods of the package by
+    # name; a renamed one must fail here, not in a later traced benchmark run
+    import importlib.util
+
+    import levydam.cli  # noqa: F401  (the tracer wraps every module)
+    from levydam import ScaleFunctionSet, brownian
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    original = vars(ScaleFunctionSet)["w"]
+    tracer = tracing.Tracer().install()
+    try:
+        assert vars(ScaleFunctionSet)["w"] is not original
+        ScaleFunctionSet(brownian(1.0, 1.0), 0.5).w(1.0)
+    finally:
+        tracer.restore()
+    assert vars(ScaleFunctionSet)["w"] is original
+    count = tracer.layer_metrics()["count"]
+    assert count["scale.ScaleFunctionSet.__init__"] == 1
+    assert count["scale.ScaleFunctionSet.w"] == 1

@@ -25,12 +25,14 @@ from levydam import (
     ConvergenceError,
     CostSpec,
     ExponentialJumps,
+    FillPhase,
     GammaDrift,
     GenericBoundedVariation,
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
+    ReleasePhase,
     ScaleFunctionSet,
     ScaleOptions,
     compound_poisson_exp,
@@ -38,13 +40,10 @@ from levydam import (
     exit_lt_up,
     exit_mean_reflected,
     exit_mean_up,
-    fill_cost,
-    fill_overshoot_law,
     generic_measure,
     potential_reflected,
     potential_release,
     potential_up_killed,
-    release_cost,
     release_exit_lt,
     release_exit_mean,
     shifted_scale_set,
@@ -293,7 +292,7 @@ def test_panel_engine_matches_quad_reference(combo):
     s_ref = ScaleFunctionSet(model, alpha, options=ev.options)
     s_M_ref = shifted_scale_set(model, policy.M, alpha, options=ev.options)
 
-    law = fill_overshoot_law(s, tau, lam, reflected)
+    law = ev.overshoot_law(alpha)
     ref = RefLaw(s_ref, tau, lam, reflected)
     for z in (lam + 0.01, lam + 0.3, lam + 1.0, lam + 2.5):
         _close(law.density(z), ref.density(z), f"density({z})")
@@ -311,10 +310,10 @@ def test_panel_engine_matches_quad_reference(combo):
                                                      lo=-1.0, hi=lam),
                ref_potential_mass(ref_up_density(s_ref, lam), tau, -1.0, lam),
                "fill potential mass on [-1, lam]")
-    _close(fill_cost(model, s, tau, lam, G, reflected),
+    _close(FillPhase(s, lam, reflected).cost(tau, G),
            ref_fill_cost(s_ref, tau, lam, G, reflected), "fill_cost")
     x_rel = 3.0
-    _close(release_cost(model, s_M, x_rel, tau, V, G_STAR),
+    _close(ReleasePhase(s_M, tau, V).cost(x_rel, G_STAR),
            ref_release_cost(s_M_ref, x_rel, tau, V, G_STAR), "release_cost")
     if math.isfinite(V):
         _close(potential_release(s_M, tau, V).mass(x_rel),
@@ -369,7 +368,7 @@ def test_tiny_round_budget_raises(monkeypatch):
     monkeypatch.setattr(exits, "_MAX_ROUNDS", 1)
     s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
                          options=ScaleOptions(x_max=4.5))
-    law = fill_overshoot_law(s, 0.5, 2.0, True)
+    law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     with pytest.raises(ConvergenceError):
         law.density_mass()
 
@@ -387,7 +386,7 @@ def test_panel_cap_raises_before_the_panels_grow():
 def test_law_keeps_its_error_estimate():
     s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
                          options=ScaleOptions(x_max=4.5))
-    law = fill_overshoot_law(s, 0.5, 2.0, True)
+    law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     assert law.max_quad_error == 0.0
     law.density_mass()
     assert 0.0 < law.max_quad_error < 1e-8
@@ -447,13 +446,14 @@ def test_arrays_of_start_states_equal_scalar_calls():
     s = ScaleFunctionSet(model, 0.5, options=opts)
     s_M = shifted_scale_set(model, 2.0, 0.5, options=opts)
     xs = np.array([[0.5, 1.0], [2.5, 4.0]])
+    release = ReleasePhase(s_M, 0.5, 4.0)
     assert np.array_equal(
-        release_cost(model, s_M, xs, 0.5, 4.0, G_STAR),
-        [[release_cost(model, s_M, float(x), 0.5, 4.0, G_STAR) for x in r]
-         for r in xs])
+        release.cost(xs, G_STAR),
+        [[release.cost(float(x), G_STAR) for x in r] for r in xs])
     assert np.array_equal(
         release_exit_lt(s_M, xs, 0.5, 4.0),
         [[release_exit_lt(s_M, float(x), 0.5, 4.0) for x in r] for r in xs])
     fills = np.array([0.0, 0.5, 1.9, 2.0])
-    assert np.array_equal(fill_cost(model, s, fills, 2.0, G),
-                          [fill_cost(model, s, float(x), 2.0, G) for x in fills])
+    fill = FillPhase(s, 2.0, True)
+    assert np.array_equal(fill.cost(fills, G),
+                          [fill.cost(float(x), G) for x in fills])

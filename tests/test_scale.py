@@ -221,8 +221,8 @@ class TestShiftedModel:
 
 
 class TestScalarPath:
-    """A finite Python float takes the evaluator's scalar path, which must
-    return exactly the float of the array path."""
+    """A float is evaluated as a 0-d array and returned as a float, which
+    must equal the value of that point in any array, bit for bit."""
 
     SETS = {
         "series": lambda: ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0),
@@ -258,8 +258,8 @@ class TestScalarPath:
     @pytest.mark.parametrize("name", ["inversion_gamma",
                                       "inversion_jump_diffusion"])
     def test_inversion_derivative_matches_vectorised_reference(self, name):
-        # the finite-difference W' of the inversion method written with
-        # numpy over an array, as it stood before the scalar path
+        # the finite-difference W' of the inversion method, written out with
+        # numpy over an array, for floats and arrays alike
         s = self.SETS[name]()
         w = s.w
         x = np.array([0.0, 1e-5, 1e-4, 1.5e-4, 2e-3, 0.3, 1.0, 2.5, 7.0])
@@ -296,13 +296,10 @@ class TestScalarPath:
 
     def test_point_beyond_grid_rebuilds_and_matches_array_path(self):
         a, b = self.SETS["series"](), self.SETS["series"]()
-        derived = ScaleOptions()  # any object the caller holds
-        a.memo()["derived"] = derived
         x = 2.0 * a.options.x_max
         assert a.w(x) == float(b.w(np.asarray(x)))
         assert a.generation == b.generation == 1
         assert np.array_equal(a.grid[0], b.grid[0])
-        assert "derived" not in a.memo()
 
 
 def _fftconvolve_head(b):

@@ -193,6 +193,19 @@ class TestPhaseSimulators:
         assert est.agrees_with(exit_mean_reflected(s0, 0.5, 2.0))
 
     @pytest.mark.parametrize("model", [compound_poisson_exp(2.0, 1.0, 1.0),
+                                       brownian(1.0, 2.0),
+                                       GammaDrift(1.0, 3.0, 2.0)],
+                             ids=["cp", "brownian", "gamma"])
+    @pytest.mark.parametrize("reflected", [True, False])
+    def test_fill_from_threshold_has_length_zero(self, model, reflected):
+        t, states, partial = simulate_fill_phase(
+            model, 2.0, 2.0, PathConfig(time_step=1e-2, n_paths=50, seed=3),
+            reflected=reflected)
+        assert partial == 0
+        assert np.array_equal(t, np.zeros(50))
+        assert np.array_equal(states, np.full(50, 2.0))
+
+    @pytest.mark.parametrize("model", [compound_poisson_exp(2.0, 1.0, 1.0),
                                        brownian(1.0, 2.0)],
                              ids=["cp", "brownian"])
     @pytest.mark.parametrize("start", [
