@@ -28,9 +28,6 @@ from .scale import (
     CONVOLUTION_SERIES,
     LAPLACE_INVERSION,
     ScaleFunctionSet,
-    ScaleOptions,
-    shifted_model,
-    shifted_scale_set,
 )
 from .exits import (
     FillPhase,
@@ -77,7 +74,7 @@ __all__ = [
     "generic_measure", "inverse_gaussian_measure",
     # scale
     "CLOSED_FORM_BROWNIAN", "CONVOLUTION_SERIES", "LAPLACE_INVERSION",
-    "ScaleFunctionSet", "ScaleOptions", "shifted_model", "shifted_scale_set",
+    "ScaleFunctionSet",
     # exits
     "FillPhase", "OvershootLaw", "PotentialDensity", "ReleasePhase",
     "exit_lt_reflected", "exit_lt_up", "exit_mean_reflected", "exit_mean_up",

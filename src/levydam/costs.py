@@ -26,7 +26,7 @@ import numpy as np
 
 from .exits import FillPhase, OvershootLaw, ReleasePhase, quad_errors_into
 from .models import LevyModel
-from .scale import ScaleFunctionSet, ScaleOptions, shifted_scale_set
+from .scale import ScaleFunctionSet
 
 
 @dataclass(frozen=True)
@@ -206,20 +206,25 @@ class PolicyEvaluator:
     remains.  Every quantity at one discount rate uses the same two phases,
     built on demand with their scale sets, and a fill phase keeps each
     overshoot law it builds, so one evaluator per policy computes each law
-    once.  The start state x defaults to tau.  ``max_quad_error`` is the
-    largest error estimate of any integral computed for the evaluator so
-    far.
+    once.  The start state x >= 0 defaults to tau.  ``max_quad_error`` is
+    the largest error estimate of any integral computed for the evaluator
+    so far.
+
+    Both scale sets span [0, x_max], x_max = max(lam, V' - tau) + 1, where
+    V' is V when finite and else max(lam + 10, the end of g_star's
+    support), so that the release potential's W(y - tau) stays inside it.
     """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
-                 reflected: bool = True, options: ScaleOptions | None = None):
+                 reflected: bool = True):
         self.model = model
         self.policy = policy
         self.costs = costs
         self.reflected = reflected
-        self.options = options or ScaleOptions(
-            x_max=max(policy.lam, (policy.V if math.isfinite(policy.V)
-                                   else policy.lam + 10.0) - policy.tau) + 1.0)
+        top = policy.V
+        if math.isinf(top):
+            top = max(policy.lam + 10.0, costs.g_star.support[1])
+        self.x_max = max(policy.lam, top - policy.tau) + 1.0
         self._fills: dict[float, FillPhase] = {}
         self._releases: dict[float, ReleasePhase] = {}
         self._quad_error = 0.0
@@ -236,7 +241,7 @@ class PolicyEvaluator:
     def _fill(self, alpha: float) -> FillPhase:
         if alpha not in self._fills:
             self._fills[alpha] = FillPhase(
-                ScaleFunctionSet(self.model, alpha, options=self.options),
+                ScaleFunctionSet(self.model, alpha, x_max=self.x_max),
                 self.policy.lam, self.reflected)
         return self._fills[alpha]
 
@@ -244,7 +249,8 @@ class PolicyEvaluator:
         if alpha not in self._releases:
             p = self.policy
             self._releases[alpha] = ReleasePhase(
-                shifted_scale_set(self.model, p.M, alpha, options=self.options),
+                ScaleFunctionSet(self.model.shifted(p.M), alpha,
+                                 x_max=self.x_max),
                 p.tau, p.V)
         return self._releases[alpha]
 
@@ -369,4 +375,8 @@ class PolicyEvaluator:
         return numer / (mean_fill + mean_rel) - c.R * p.M
 
     def _start(self, x: float | None) -> float:
-        return self.policy.tau if x is None else x
+        if x is None:
+            return self.policy.tau
+        if x < 0:
+            raise ValueError("the start state must be nonnegative")
+        return x

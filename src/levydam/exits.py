@@ -28,15 +28,15 @@ breakpoints of the cost rates.  For input of infinite jump activity the
 panels are graded dyadically toward the points where the integrand is
 singular: the start state, where W(y - x) has a cusp, 0 in the reflected
 potential, where W' is unbounded, and the threshold, where the jump
-density is.  Each panel carries the QUADPACK error estimate of its rule;
-while an integral misses max(1e-11, 1e-9 |value|), its panels that miss
-their share of that tolerance are bisected worst first, every integral of
-a batch in the same round, and the others wait with their values kept.
-A panel is settled as it is when its two rules differ by no more than the
+density is.  Each panel carries the QUADPACK error estimate of its rule.
+A panel is settled as noise when its two rules differ by no more than the
 rounding noise of the scale functions in its integrand can make them, or
 when halving it lowers neither estimate nor value (QUADPACK's roundoff
-test).  An integral whose error exceeds its tolerance by more than the
-estimates of those noise panels, that is still open after
+test).  While an integral misses max(1e-11, 1e-9 |value|) plus the
+estimates of its noise panels, its panels that miss their share of that
+tolerance are bisected worst first, every integral of a batch in the same
+round, and the others wait with their values kept.  An integral whose
+error exceeds that bound, that is still open after
 ``_MAX_ROUNDS`` rounds, or that would need more than ``_MAX_PANELS``
 panels raises ``ConvergenceError``.  Integrands are evaluated on whole
 arrays of nodes, and the potentials, exit transforms and release
@@ -49,10 +49,9 @@ An overshoot law's density is the compensation formula
 ``integral U(x, dy) nu(z - y)`` over the potential ``U`` of the fill phase;
 each value is computed once per point.  A ``FillPhase`` builds each law
 once per start state and keeps it, so every cycle functional computed from
-one phase shares the law.  A grid rebuild of the scale set drops the kept
-laws, the kept density values and the law's grid of levels.  Each
-integral depends only on its own arguments, never on what was computed
-before.
+one phase shares the law; a scale set never changes, so neither do the
+kept laws.  Each integral depends only on its own arguments, never on what
+was computed before.
 """
 
 from __future__ import annotations
@@ -177,8 +176,9 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     each belongs to; zero-width panels are dropped.  ``f(row, y)`` gives
     the integrand of each row at the nodes y (arrays of one shape).  A row
     is done once the sum of its panels' error estimates is within
-    max(epsabs, epsrel |integral|).  Until then a panel that meets its
-    share of that tolerance, in proportion to its width, is settled; of
+    max(epsabs, epsrel |integral|) plus the estimates of its panels settled
+    as noise so far.  Until then a panel that meets its share of that
+    tolerance, in proportion to its width, is settled; of
     the others, those within a factor 10 of the row's worst estimate are
     bisected, as in QUADPACK's worst-first order, and the rest wait for a
     later round with their values kept.  A panel is settled as noise
@@ -227,7 +227,8 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
         noisy = np.concatenate((np.zeros(old, dtype=bool), noisy))
         value = total + np.bincount(row, k, n_rows)
         tol = np.maximum(_EPSABS, _EPSREL * np.abs(value))
-        done = (err + np.bincount(row, e, n_rows) <= tol)[row]
+        # the bound of the final check below
+        done = (err + np.bincount(row, e, n_rows) <= tol + noise)[row]
         over = ~done & (e > tol[row] * (b - a) / width[row])
         stuck = over & noisy
         wanted = over & ~noisy
@@ -427,23 +428,20 @@ class PotentialDensity:
         return float(self.integrals(x, _unit, y_lo, y_hi)[0]) + tail
 
 
-def _rounding(s: ScaleFunctionSet, derivative: bool = False) -> float:
-    """Relative rounding noise of the W (or W') values of the set.
+def _rounding(s: ScaleFunctionSet) -> float:
+    """Relative rounding noise of the W and W' values of the set.
 
     Against the Brownian closed forms, on 1e-6 <= x <= 10 at four drift,
     variance and discount settings, Talbot inversion resolves W to 8.5e-13
-    relative and its finite-difference W' to 7e-10; they are taken as
-    1e-11 and 1e-8.  The other methods evaluate to a few ulps.  Without
-    these floors the bisection chases the noise of W' for gamma input.
+    relative; it is taken as 1e-11, for W' too, which is inverted from its
+    own transform.  The other methods evaluate to a few ulps.
     """
-    if s.method != LAPLACE_INVERSION:
-        return 1e-15
-    return 1e-8 if derivative else 1e-11
+    return 1e-11 if s.method == LAPLACE_INVERSION else 1e-15
 
 
-def _potential(kind, terms, atom, x_range, y_range, s, derivative=False):
+def _potential(kind, terms, atom, x_range, y_range, s):
     return PotentialDensity(kind, terms, atom, x_range, y_range, s,
-                            _rounding(s, derivative), _infinite_activity(s))
+                            _rounding(s), _infinite_activity(s))
 
 
 def potential_two_sided(s: ScaleFunctionSet, a: float, lam: float) -> PotentialDensity:
@@ -498,7 +496,7 @@ def potential_reflected(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
         return w0 * w(lam - x) / wp_lam
 
     return _potential(REFLECTED_INFIMUM, terms, atom if w0 > 0 else None,
-                      (0.0, lam), (0.0, lam), s, derivative=True)
+                      (0.0, lam), (0.0, lam), s)
 
 
 def potential_release(s_M: ScaleFunctionSet, tau: float, V: float) -> PotentialDensity:
@@ -669,22 +667,16 @@ def _check_release_args(x, tau, V) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _PointValues:
-    """A vectorised function of z with each value kept; a grid rebuild of
-    the scale set drops the kept values.  ``fn`` maps an array of distinct
-    points to (values, error estimates)."""
+    """A vectorised function of z with each value kept.  ``fn`` maps an
+    array of distinct points to (values, error estimates)."""
 
-    def __init__(self, s: ScaleFunctionSet, fn: Callable):
-        self._s = s
+    def __init__(self, fn: Callable):
         self._fn = fn
-        self._generation = s.generation
         self._kept: dict = {}
         self.max_quad_error = 0.0
 
     def __call__(self, z):
         zs = np.asarray(z, dtype=float)
-        if self._s.generation != self._generation:
-            self._kept.clear()
-            self._generation = self._s.generation
         kept = self._kept
         flat = zs.ravel().tolist()
         new = [v for v in dict.fromkeys(flat) if v not in kept]
@@ -800,7 +792,7 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
     """
     y_lo = max(pot.y_range[0], lam - cut)
     span = lam - y_lo
-    grid = []                 # (generation of the scale set, panels, U)
+    grid = []                 # panels, nodes, U and its noise at the nodes
 
     def u_at(y):
         # the panels repeat across z: evaluate U once per panel
@@ -832,7 +824,7 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
         a, b = edges[:-1], edges[1:]
         y = _nodes(a, b)
         u, noise = u_at(y)
-        grid[:] = (pot.scale_set.generation, a, b, y, u, noise)
+        grid[:] = (a, b, y, u, noise)
 
     def kernel(zs):
         vals = np.zeros(zs.size)
@@ -841,10 +833,9 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
         z = zs[inside]
         if z.size == 0:
             return vals, errs
-        # a grid rebuild of the scale set changes U: build again
-        if not grid or grid[0] != pot.scale_set.generation:
+        if not grid:
             build()
-        _, a, b, y, u, noise = grid
+        a, b, y, u, noise = grid
         h = 0.5 * (b - a)
         got = np.empty(z.size)
         err = np.empty(z.size)
@@ -887,8 +878,8 @@ def _overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
     measure = s.model.measure
     cut = measure.tail_quantile(_TAIL_EPS)
     graded = _infinite_activity(s)
-    density = _PointValues(s, _crossing_density(pot, x, lam, _jump_density(s),
-                                                cut, graded))
+    density = _PointValues(_crossing_density(pot, x, lam, _jump_density(s),
+                                             cut, graded))
     law = OvershootLaw(x, lam, s.alpha, density, 0.0, lam + cut, graded)
     if s.model.sigma2 > 0.0:
         law.atom_at_lambda = max(transform - law.density_mass(), 0.0)
@@ -941,8 +932,7 @@ class FillPhase:
 
     A fill started at lam has length zero: its transform is 1, its mean 0,
     its overshoot law a unit atom at lam and its cost 0.  Each overshoot law
-    is built once per start state and kept until a grid rebuild of the
-    scale set; treat the laws as read-only.
+    is built once per start state and kept; treat the laws as read-only.
     """
 
     def __init__(self, s: ScaleFunctionSet, lam: float, reflected: bool):
@@ -950,7 +940,6 @@ class FillPhase:
         self.lam = lam
         self.reflected = reflected
         self._laws: dict[float, OvershootLaw] = {}
-        self._generation = s.generation
 
     def exit_lt(self, x: float) -> float:
         """E_x[exp(-alpha T)], T the end of the fill."""
@@ -968,9 +957,6 @@ class FillPhase:
         For continuous plain input it is the creeping atom at lam with the
         exit transform as weight.
         """
-        if self.s.generation != self._generation:
-            self._laws.clear()
-            self._generation = self.s.generation
         law = self._laws.get(x)
         if law is None:
             law = self._laws[x] = self._build_law(x)

@@ -10,30 +10,31 @@ Three evaluation methods are provided:
 
 * closed forms for pure Brownian input,
 * a convolution series for bounded variation input with jump load
-  ``rho = mu / zeta < 1``, built on a uniform grid and summed with a
-  certified geometric majorant; each term is one real FFT convolution at a
-  fixed padded length, and the spectrum of the ladder height increments is
-  taken once per grid and shared by all terms,
+  ``rho = mu / zeta < 1``, built on a uniform grid over [0, x_max] and
+  summed with a certified geometric majorant; each term is one real FFT
+  convolution at a fixed padded length, and the spectrum of the ladder
+  height increments is taken once per grid and shared by all terms,
 * numerical Laplace inversion (fixed Talbot contour applied to the
-  exponentially tilted transform), available whenever the exponent can be
-  evaluated at complex arguments; an array of points is inverted in
-  batches, each point's contour summed on its own, and every value is
+  exponentially tilted transforms), available whenever the exponent can be
+  evaluated at complex arguments.  W' is inverted from its own transform,
+  ``s / (phi(s) - alpha) - W(0+)`` (Kuznetsov, Kyprianou and Rivero 2012,
+  sections 2-3), not differenced from W.  An array of points is inverted
+  in batches, each point's contour summed on its own, and every value is
   kept per point.
 
-A ``ScaleFunctionSet`` bundles the model, the discount rate, the cached root
-``eta(alpha)`` and the evaluators.  Evaluation is pure, so sets can be shared
-freely; the one exception to immutability is the series grid, which is
-rebuilt in place when asked for a point beyond its range (``generation``
-counts these rebuilds, so that what was derived from the old grid can be
-dropped).  Each method has one evaluation path, for arrays: a float is
-evaluated as a 0-d array and returned as a float.
+A ``ScaleFunctionSet`` is a fixed function of the model, the discount rate,
+the method and ``x_max``: it is built once and never changes, so sets can be
+shared freely.  The series answers on [0, x_max] only and raises
+``ValueError`` beyond it; closed forms and inversion answer anywhere.  The
+set itself gives every function its value at and below 0; the evaluators
+see positive points only.  A float is evaluated as a 0-d array and returned
+as a float.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -49,25 +50,17 @@ LAPLACE_INVERSION = "laplace_inversion"
 _log = logging.getLogger("levydam")
 
 
-@dataclass(frozen=True)
-class ScaleOptions:
-    """Numerical controls for scale function construction.
-
-    ``x_max`` is the initial grid range (extended on demand),
-    ``grid_factor`` sets the starting step as a fraction of the range,
-    ``refine_tol`` is the sup-norm target between successive grid halvings
-    relative to the function scale, ``series_tol`` truncates the convolution
-    series via its geometric majorant, and ``talbot_nodes`` is the number of
-    contour nodes used by the inversion method.
-    """
-
-    x_max: float = 10.0
-    grid_factor: float = 1e-3
-    refine_tol: float = 1e-7
-    series_tol: float = 1e-12
-    max_refinements: int = 3
-    max_terms: int = 400
-    talbot_nodes: int = 24
+# the series grid: the starting step as a fraction of the range, the
+# sup-norm target between successive grid halvings relative to the function
+# scale, and the most halvings; the series is truncated by its geometric
+# majorant at _SERIES_TOL or after _MAX_TERMS terms
+_GRID_FACTOR = 1e-3
+_REFINE_TOL = 1e-7
+_MAX_REFINEMENTS = 3
+_SERIES_TOL = 1e-12
+_MAX_TERMS = 400
+# contour nodes of the inversion method
+_TALBOT_NODES = 24
 
 
 def _volterra_discount(w0: np.ndarray, h: float, alpha: float) -> np.ndarray:
@@ -135,13 +128,21 @@ def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Evaluators
+# Evaluators: each maps a 1-d array of points x > 0 to values
 # ---------------------------------------------------------------------------
 
-class _BrownianClosedForm:
-    """Exact formulas for Brownian input with drift mu and variance sigma2."""
+class _Evaluator:
+    """Z = 1 + alpha Wbar, which the closed forms override; the set asks
+    for Z at alpha > 0 only."""
 
-    generation = 0
+    alpha: float
+
+    def z(self, x):
+        return 1.0 + self.alpha * self.wbar(x)
+
+
+class _BrownianClosedForm(_Evaluator):
+    """Exact formulas for Brownian input with drift mu and variance sigma2."""
 
     def __init__(self, mu: float, sigma2: float, alpha: float):
         self.mu = mu
@@ -150,17 +151,13 @@ class _BrownianClosedForm:
         self.delta = math.sqrt(2.0 * alpha * sigma2 + mu * mu)
 
     def w(self, x):
-        x = np.asarray(x, dtype=float)
         p = self.mu / self.sigma2
         if self.delta == 0.0:
-            val = 2.0 * x / self.sigma2
-        else:
-            q = self.delta / self.sigma2
-            val = (2.0 / self.delta) * np.exp(p * x) * np.sinh(q * x)
-        return np.where(x < 0, 0.0, val)
+            return 2.0 * x / self.sigma2
+        q = self.delta / self.sigma2
+        return (2.0 / self.delta) * np.exp(p * x) * np.sinh(q * x)
 
     def wp(self, x):
-        x = np.asarray(x, dtype=float)
         p = self.mu / self.sigma2
         if self.delta == 0.0:
             return np.full_like(x, 2.0 / self.sigma2)
@@ -168,16 +165,12 @@ class _BrownianClosedForm:
         return p * self.w(x) + (2.0 / self.sigma2) * np.exp(p * x) * np.cosh(q * x)
 
     def z(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.alpha == 0.0:
-            return np.ones_like(x)
         p = self.mu / self.sigma2
         q = self.delta / self.sigma2
-        val = np.exp(p * x) * (np.cosh(q * x) - (self.mu / self.delta) * np.sinh(q * x))
-        return np.where(x < 0, 1.0, val)
+        return np.exp(p * x) * (np.cosh(q * x)
+                                - (self.mu / self.delta) * np.sinh(q * x))
 
     def wbar(self, x):
-        x = np.asarray(x, dtype=float)
         if self.alpha > 0.0:
             return (self.z(x) - 1.0) / self.alpha
         if self.mu == 0.0:
@@ -185,30 +178,26 @@ class _BrownianClosedForm:
         m, s2 = self.mu, self.sigma2
         return (s2 / (2.0 * m * m)) * np.expm1(2.0 * m * x / s2) - x / m
 
-    def w_at_zero(self) -> float:
-        return 0.0
 
-
-class _SeriesEvaluator:
-    """Convolution series on a uniform grid for bounded variation input.
+class _SeriesEvaluator(_Evaluator):
+    """Convolution series on a uniform grid over [0, x_max] for bounded
+    variation input.
 
     ``refine_diff`` is the sup-norm difference, relative to the function
     scale, between the kept grid and the one of twice its step; it is
     infinite when no halving was made.  A grid that does not reach
-    ``refine_tol`` is kept, with a warning on the ``levydam`` logger.
+    ``_REFINE_TOL`` is kept, with a warning on the ``levydam`` logger.
     """
 
-    def __init__(self, model: LevyModel, alpha: float, opts: ScaleOptions):
+    def __init__(self, model: LevyModel, alpha: float, x_max: float):
         self.model = model
         self.alpha = alpha
-        self.opts = opts
         self.zeta = model.zeta
         self.rho = model.rho
         if self.rho >= 1.0:
             raise ValueError("convolution series requires rho = mu/zeta < 1, "
                              f"got rho = {self.rho:.4f}")
-        self.generation = 0
-        self._build(opts.x_max)
+        self._build(x_max)
 
     # F is the distribution function with density tail(x)/mu
     def _ladder_cdf(self, xs: np.ndarray) -> np.ndarray:
@@ -254,8 +243,8 @@ class _SeriesEvaluator:
         Fk = np.ones(n)
         acc = Fk.copy()
         k = 0
-        tol = self.opts.series_tol
-        while self.rho ** (k + 1) / (1.0 - self.rho) >= tol and k < self.opts.max_terms:
+        while (self.rho ** (k + 1) / (1.0 - self.rho) >= _SERIES_TOL
+               and k < _MAX_TERMS):
             k += 1
             avg = 0.5 * (Fk[1:] + Fk[:-1])
             Fk = np.concatenate(([0.0], np.maximum(conv_dF(avg), 0.0)))
@@ -266,65 +255,51 @@ class _SeriesEvaluator:
         return _volterra_discount(w0, xs[1] - xs[0], self.alpha)
 
     def _build(self, x_max: float):
-        opts = self.opts
-        base = 1.0 / opts.grid_factor
+        base = 1.0 / _GRID_FACTOR
         # keep the step roughly proportional to the policy scale, with a cap
-        # so that wide tail extensions stay affordable
+        # so that wide ranges stay affordable
         n0 = int(min(max(base, x_max / 10.0 * base), 4.0 * base))
         n = max(n0, 256)
         xs = np.linspace(0.0, x_max, n + 1)
         vals = self._series_on_grid(xs)
         diff = math.inf
-        for _ in range(opts.max_refinements):
+        for _ in range(_MAX_REFINEMENTS):
             n2 = 2 * n
             xs2 = np.linspace(0.0, x_max, n2 + 1)
             vals2 = self._series_on_grid(xs2)
             diff = float(np.max(np.abs(vals2[::2] - vals)
                                 / np.maximum(np.abs(vals2[::2]), 1.0)))
             xs, vals, n = xs2, vals2, n2
-            if diff < opts.refine_tol:
+            if diff < _REFINE_TOL:
                 break
-        if diff >= opts.refine_tol:
+        if diff >= _REFINE_TOL:
             _log.warning("convolution series grid of %d steps on [0, %g] kept "
                          "with halving difference %.3g, not below refine_tol "
-                         "%.3g", n, x_max, diff, opts.refine_tol)
+                         "%.3g", n, x_max, diff, _REFINE_TOL)
         self.refine_diff = diff
         self.x_max = x_max
         self.grid_x = xs
         self.grid_w = vals
         self._interp = PchipInterpolator(xs, vals, extrapolate=False)
         self._interp_d = self._interp.derivative()
-        anti = self._interp.antiderivative()
-        self._interp_int = anti
+        self._interp_int = self._interp.antiderivative()
 
-    def _ensure(self, x):
-        top = float(np.max(x)) if np.size(x) else 0.0
+    def _inside(self, x):
+        top = float(np.max(x))
         if top > self.x_max:
-            self._build(max(1.5 * top, 2.0 * self.x_max))
-            self.generation += 1
+            raise ValueError(f"the convolution series is built on [0, "
+                             f"{self.x_max:g}] and is asked for x = {top:g}; "
+                             "build the scale set with a larger x_max")
+        return x
 
     def w(self, x):
-        x = np.asarray(x, dtype=float)
-        self._ensure(x)
-        return np.where(x < 0, 0.0, self._interp(np.clip(x, 0.0, self.x_max)))
+        return self._interp(self._inside(x))
 
     def wp(self, x):
-        x = np.asarray(x, dtype=float)
-        self._ensure(x)
-        return self._interp_d(np.clip(x, 0.0, self.x_max))
+        return self._interp_d(self._inside(x))
 
     def wbar(self, x):
-        x = np.asarray(x, dtype=float)
-        self._ensure(x)
-        return np.where(x <= 0, 0.0, self._interp_int(np.clip(x, 0.0, self.x_max)))
-
-    def z(self, x):
-        if self.alpha == 0.0:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return 1.0 + self.alpha * self.wbar(x)
-
-    def w_at_zero(self) -> float:
-        return 1.0 / self.zeta
+        return self._interp_int(self._inside(x))
 
 
 # times per batched inversion: 24 contour nodes x 16 bytes x 256 times is
@@ -332,79 +307,70 @@ class _SeriesEvaluator:
 _TALBOT_BATCH = 256
 
 
-class _InversionEvaluator:
-    """Fixed Talbot inversion of the tilted transform 1/(phi(s+eta) - alpha).
+class _InversionEvaluator(_Evaluator):
+    """Fixed Talbot inversion of the tilted transforms: 1/(phi(s) - alpha)
+    for W_eta(x) = exp(-eta x) W(x), s = p + eta, and for its derivative
+    p/(phi(s) - alpha) - W(0+), from which W' = exp(eta x) (eta W_eta +
+    W_eta').
 
-    The tilt removes the exponential growth of W, so the inverted target is
-    O(1) and the contour sees only left-plane singularities.  Each inverted
-    value is kept per point.
+    The tilt removes the exponential growth of W, so the inverted targets
+    are O(1) and the contour sees only left-plane singularities.  Each
+    inverted value is kept per point.
     """
 
-    generation = 0
-
-    def __init__(self, model: LevyModel, alpha: float, eta_alpha: float,
-                 opts: ScaleOptions):
+    def __init__(self, model: LevyModel, alpha: float, eta_alpha: float):
         if not model.supports_complex_exponent:
             raise ValueError("Laplace inversion needs an exponent defined for "
                              "complex arguments; use the convolution series")
         self.model = model
         self.alpha = alpha
         self.eta = eta_alpha
-        self.nodes = opts.talbot_nodes
         self._w_cache: dict[float, float] = {}
+        self._wp_cache: dict[float, float] = {}
         self._wbar_cache: dict[float, float] = {}
 
     def _w_hat(self, p):
         return 1.0 / (self.model.phi(p + self.eta) - self.alpha)
 
+    def _wp_hat(self, p):
+        """Transform of W_eta'.  For bounded variation input, where
+        W(0+) = 1/zeta and phi(s) = zeta s - Psi(s), it is written as
+        (Psi(s) + alpha - zeta eta) / (zeta (phi(s) - alpha)): the
+        difference p/(phi(s) - alpha) - 1/zeta cancels at the large p that
+        small x puts on the contour."""
+        model, s = self.model, p + self.eta
+        denom = model.phi(s) - self.alpha
+        if not model.is_bounded_variation:
+            return p / denom
+        psi = model.measure.one_minus_exp(s)
+        return ((psi + self.alpha - model.zeta * self.eta)
+                / (model.zeta * denom))
+
     def _wbar_hat(self, p):
         return 1.0 / ((p + self.eta) * (self.model.phi(p + self.eta) - self.alpha))
 
-    def _values(self, x, cache: dict, fhat: Callable, at_zero: float):
-        """The tilted inversion at every point of the array x, 0 below 0 and
-        at_zero at 0.  The points not kept in cache yet are inverted in
-        batches of _TALBOT_BATCH times and kept."""
-        x = np.asarray(x, dtype=float)
-        xs = x.ravel().tolist()
-        new = [v for v in dict.fromkeys(xs) if not v <= 0.0 and v not in cache]
+    def _values(self, x, cache: dict, fhat: Callable):
+        """exp(eta x) times the tilted inversion at every point of x; the
+        points not kept in cache yet are inverted in batches of
+        _TALBOT_BATCH times and kept."""
+        xs = x.tolist()
+        new = [v for v in dict.fromkeys(xs) if v not in cache]
         for i in range(0, len(new), _TALBOT_BATCH):
             ts = new[i:i + _TALBOT_BATCH]
-            vals = _talbot(fhat, np.array(ts), self.nodes).tolist()
+            vals = _talbot(fhat, np.array(ts), _TALBOT_NODES).tolist()
             cache.update((t, math.exp(self.eta * t) * v)
                          for t, v in zip(ts, vals))
-        return np.array([0.0 if v < 0.0 else at_zero if v == 0.0 else cache[v]
-                         for v in xs]).reshape(x.shape)
+        return np.array([cache[v] for v in xs])
 
     def w(self, x):
-        return self._values(x, self._w_cache, self._w_hat, self.w_at_zero())
-
-    def wbar(self, x):
-        return self._values(x, self._wbar_cache, self._wbar_hat, 0.0)
-
-    def z(self, x):
-        if self.alpha == 0.0:
-            return np.ones_like(np.asarray(x, dtype=float))
-        return 1.0 + self.alpha * self.wbar(x)
+        return self._values(x, self._w_cache, self._w_hat)
 
     def wp(self, x):
-        """Finite differences of W with one Richardson level: one-sided
-        close to the origin, where W may jump, central elsewhere."""
-        x = np.asarray(x, dtype=float)
-        h = 1e-3 * np.maximum(1.0, np.abs(x))
-        near = x < 2.0 * h
-        h = np.where(near, 1e-4, np.minimum(h, x * 0.5))
-        w0, w1, w2, w3 = self.w(np.where(
-            near, [x, x + h, x + 2.0 * h, x + 0.5 * h],
-            [x + h, x - h, x + 0.5 * h, x - 0.5 * h]))
-        d1 = np.where(near, (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * h),
-                      (w0 - w1) / (2.0 * h))
-        d2 = np.where(near, (-3.0 * w0 + 4.0 * w3 - w1) / h, (w2 - w3) / h)
-        return (4.0 * d2 - d1) / 3.0
+        return self.eta * self.w(x) + self._values(x, self._wp_cache,
+                                                   self._wp_hat)
 
-    def w_at_zero(self) -> float:
-        if self.model.is_bounded_variation:
-            return 1.0 / self.model.zeta
-        return 0.0
+    def wbar(self, x):
+        return self._values(x, self._wbar_cache, self._wbar_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -412,20 +378,24 @@ class _InversionEvaluator:
 # ---------------------------------------------------------------------------
 
 class ScaleFunctionSet:
-    """Evaluators for W, W', Z and Wbar of one model at one discount rate.
+    """W, W', Z and Wbar of one model at one discount rate.
 
     The construction picks a method automatically unless one is forced:
     closed forms for pure Brownian input, the convolution series for bounded
-    variation input with rho < 1, Laplace inversion otherwise.
+    variation input with rho < 1, Laplace inversion otherwise.  ``x_max``
+    is the range [0, x_max] of the series grid; the other methods answer
+    anywhere.
     """
 
     def __init__(self, model: LevyModel, alpha: float,
-                 method: str | None = None, options: ScaleOptions | None = None):
+                 method: str | None = None, x_max: float = 10.0):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        if not x_max > 0:
+            raise ValueError("x_max must be positive")
         self.model = model
         self.alpha = float(alpha)
-        self.options = options or ScaleOptions()
+        self.x_max = float(x_max)
         self.eta_alpha = model.eta(alpha)
         if method is None:
             method = _default_method(model)
@@ -437,51 +407,56 @@ class ScaleFunctionSet:
         elif method == CONVOLUTION_SERIES:
             if not model.is_bounded_variation:
                 raise ValueError("the convolution series needs bounded variation input")
-            self._ev = _SeriesEvaluator(model, self.alpha, self.options)
+            self._ev = _SeriesEvaluator(model, self.alpha, self.x_max)
         elif method == LAPLACE_INVERSION:
-            self._ev = _InversionEvaluator(model, self.alpha, self.eta_alpha,
-                                           self.options)
+            self._ev = _InversionEvaluator(model, self.alpha, self.eta_alpha)
         else:
             raise ValueError(f"unknown scale method {method!r}")
-
-    @property
-    def generation(self) -> int:
-        """Number of in-place grid rebuilds so far (series method only)."""
-        return self._ev.generation
 
     # -- evaluation: a float (or a 0-d array) gives a float, an array an
     # array of its shape
 
+    @staticmethod
+    def _at(fn, x, at_zero: float, below: float):
+        """fn at the positive entries of x, at_zero at 0 and below on the
+        negatives."""
+        arr = np.asarray(x, dtype=float)
+        out = np.where(arr < 0, below, np.where(arr == 0, at_zero, np.nan))
+        pos = arr > 0
+        if pos.any():
+            out[pos] = fn(arr[pos])
+        return float(out) if np.ndim(x) == 0 else out
+
     def w(self, x):
         """W(x); zero for negative x."""
-        val = self._ev.w(np.asarray(x, dtype=float))
-        return float(val) if np.ndim(x) == 0 else val
+        return self._at(self._ev.w, x, self.w_at_zero(), 0.0)
 
     def wp(self, x):
-        """Right derivative of W; defined on [0, inf)."""
-        if np.ndim(x) == 0 and x < 0:
+        """Right derivative of W; defined on [0, inf).  At 0 it is the limit
+        W'(0+): 2/sigma2 with a Brownian part, else (alpha + nu(0, inf)) /
+        zeta^2, infinite for jumps of infinite activity."""
+        if np.any(np.asarray(x) < 0):
             raise ValueError("the derivative is defined for x >= 0")
-        val = self._ev.wp(np.asarray(x, dtype=float))
-        return float(val) if np.ndim(x) == 0 else val
+        model = self.model
+        if model.sigma2 > 0.0:
+            at_zero = 2.0 / model.sigma2
+        else:
+            at_zero = (self.alpha + model.measure.total) / model.zeta ** 2
+        return self._at(self._ev.wp, x, at_zero, 0.0)
 
     def z(self, x):
         """Z(x) = 1 + alpha * int_0^x W; equals 1 for x <= 0."""
-        x_arr = np.asarray(x, dtype=float)
-        val = np.where(x_arr <= 0, 1.0, self._ev.z(np.maximum(x_arr, 0.0)))
-        return float(val) if np.ndim(x) == 0 else val
+        z = self._ev.z if self.alpha > 0.0 else np.ones_like
+        return self._at(z, x, 1.0, 1.0)
 
     def wbar(self, x):
-        """int_0^x W(y) dy for x >= 0."""
-        x_arr = np.asarray(x, dtype=float)
-        val = np.where(x_arr <= 0, 0.0, self._ev.wbar(np.maximum(x_arr, 0.0)))
-        return float(val) if np.ndim(x) == 0 else val
+        """int_0^x W(y) dy; zero for x <= 0."""
+        return self._at(self._ev.wbar, x, 0.0, 0.0)
 
     def w_at_zero(self) -> float:
         """W(0+): 1/zeta for bounded variation input, 0 otherwise."""
-        return self._ev.w_at_zero()
-
-    def phi_prime_at_eta(self) -> float:
-        return float(self.model.phi_prime(self.eta_alpha))
+        model = self.model
+        return 1.0 / model.zeta if model.is_bounded_variation else 0.0
 
     @property
     def grid(self):
@@ -512,16 +487,3 @@ def _default_method(model: LevyModel) -> str:
         return LAPLACE_INVERSION
     raise ValueError("no applicable scale function method: the jump load is "
                      "not below one and the exponent is real-only")
-
-
-def shifted_model(model: LevyModel, M: float) -> LevyModel:
-    """Model of the net inflow minus release at rate M > 0."""
-    return model.shifted(M)
-
-
-def shifted_scale_set(model: LevyModel, M: float, alpha: float,
-                      method: str | None = None,
-                      options: ScaleOptions | None = None) -> ScaleFunctionSet:
-    """Scale function set of the release phase process."""
-    return ScaleFunctionSet(shifted_model(model, M), alpha, method=method,
-                            options=options)

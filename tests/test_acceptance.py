@@ -25,7 +25,6 @@ from levydam import (
     PolicyEvaluator,
     PolicyParams,
     ScaleFunctionSet,
-    ScaleOptions,
     brownian,
     compound_poisson_exp,
     estimate,
@@ -42,7 +41,6 @@ from levydam import (
     release_exit_lt,
     release_exit_mean,
     run_policy_cycles,
-    shifted_scale_set,
     simulate_total_discounted,
 )
 from levydam.simulate import (
@@ -124,7 +122,7 @@ def test_criterion_4_busy_period_limit():
     model = CP_MODEL
     x, tau, M = 1.0, 0.0, 2.0
     closed = (x - tau) / (M - model.mean_input())
-    s_M0 = shifted_scale_set(model, M, 0.0)
+    s_M0 = ScaleFunctionSet(model.shifted(M), 0.0, x_max=40.0)
     exact = release_exit_mean(s_M0, x, tau, math.inf)
     conv_ok = abs(exact - closed) < 1e-12
     for V in (20.0, 40.0):
@@ -150,7 +148,7 @@ def test_criterion_5_laplace_identity_all_families():
     ]
     worst = 0.0
     for model in families:
-        s = ScaleFunctionSet(model, alpha)
+        s = ScaleFunctionSet(model, alpha, x_max=90.0)  # X below reaches 90
         eta = s.eta_alpha
         for gap in (0.5, 1.0, 2.0):
             beta = eta + gap
@@ -188,7 +186,7 @@ def test_criterion_6_potential_mass_consistency():
         worst = max(worst, abs(alpha * pot.mass(x)
                                + exit_lt_reflected(s_cp, x, lam) - 1.0))
 
-    s_M = shifted_scale_set(CP_MODEL, 2.0, alpha)
+    s_M = ScaleFunctionSet(CP_MODEL.shifted(2.0), alpha)
     pot = potential_release(s_M, 0.5, 4.0)
     for x in np.linspace(0.6, 3.9, 5):
         worst = max(worst, abs(alpha * pot.mass(x)
@@ -226,8 +224,7 @@ def test_criterion_8_cycle_factorization_continuous_input():
     model = BM_MODEL
     alpha = 0.5
     worst = 0.0
-    ev = PolicyEvaluator(model, POLICY, COSTS, reflected=True,
-                         options=ScaleOptions())
+    ev = PolicyEvaluator(model, POLICY, COSTS, reflected=True)
     s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
     for x in (0.2, 0.8, 1.5):
         q = ev.cycle_end_lt(alpha, x)

@@ -12,12 +12,10 @@ from levydam import (
     PolicyParams,
     ReleasePhase,
     ScaleFunctionSet,
-    ScaleOptions,
     brownian,
     compound_poisson_exp,
     exit_lt_reflected,
     release_exit_lt,
-    shifted_scale_set,
 )
 
 CP = compound_poisson_exp(2.0, 1.0, 1.0)
@@ -30,9 +28,7 @@ ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
 
 
 def evaluator(model, costs=COSTS, policy=POLICY, reflected=True):
-    """An evaluator on scale sets of the default options."""
-    return PolicyEvaluator(model, policy, costs, reflected=reflected,
-                           options=ScaleOptions())
+    return PolicyEvaluator(model, policy, costs, reflected=reflected)
 
 
 class TestPiecewisePoly:
@@ -108,7 +104,7 @@ class TestPhaseCosts:
     def test_zero_rate_gives_zero(self):
         s = ScaleFunctionSet(CP, 0.5)
         assert FillPhase(s, 2.0, True).cost(0.5, PiecewisePoly.zero()) == 0.0
-        s_M = shifted_scale_set(CP, 2.0, 0.5)
+        s_M = ScaleFunctionSet(CP.shifted(2.0), 0.5)
         assert ReleasePhase(s_M, 0.5, 4.0).cost(3.0, PiecewisePoly.zero()) == 0.0
 
     @pytest.mark.parametrize("model", [CP, BM])
@@ -123,7 +119,7 @@ class TestPhaseCosts:
     @pytest.mark.parametrize("model", [CP, BM])
     def test_unit_rate_release_matches_transform_identity(self, model):
         alpha = 0.5
-        s_M = shifted_scale_set(model, 2.0, alpha)
+        s_M = ScaleFunctionSet(model.shifted(2.0), alpha)
         one = PiecewisePoly.constant(1.0, 0.5, 4.0)
         got = ReleasePhase(s_M, 0.5, 4.0).cost(4.0, one)
         want = (1.0 - release_exit_lt(s_M, 4.0, 0.5, 4.0)) / alpha
@@ -302,6 +298,44 @@ class TestEvaluatorSharing:
             assert got[name] == call(fresh), name
         assert set(ev._fills) == set(ev._releases) == {0.0, alpha}
 
+    def test_sets_span_what_every_method_evaluates(self):
+        # infinite capacity: the release potential reaches W(y - tau) for y
+        # up to the end of g_star's support, here beyond lam + 10
+        g_star = PiecewisePoly((0.5, 15.0), ((0.1, 0.05),))
+        costs = CostSpec(1.0, 0.5, 0.3, G, g_star)
+        policy = PolicyParams(lam=2.0, tau=0.5, M=2.0)
+        ev = PolicyEvaluator(CP, policy, costs)
+        assert ev.x_max == 15.5
+        alpha = 0.5
+        for x in (None, 0.0, 1.0, 2.0, 5.0, 20.0):
+            assert math.isfinite(ev.cycle_cost(alpha, x))
+            assert 0.0 < ev.cycle_end_lt(alpha, x) < 1.0
+            assert math.isfinite(ev.total_discounted(alpha, x))
+        for x in (None, 0.0, 1.0, 2.0):
+            assert 0.0 < ev.fill_exit_lt(alpha, x) <= 1.0
+            assert 0.0 <= ev.fill_exit_mean(x) < math.inf
+            assert ev.overshoot_law(alpha, x).total_mass() > 0.0
+        for z in (0.5, 3.0, 20.0):
+            assert 0.0 < ev.release_exit_lt(alpha, z) <= 1.0
+            assert 0.0 <= ev.release_exit_mean(z) < math.inf
+        assert math.isfinite(ev.mean_release_time())
+        assert math.isfinite(ev.mean_cycle_length())
+        assert math.isfinite(ev.long_run_average())
+        for s in (ev.fill_set(0.0), ev.release_set(0.0), ev.fill_set(alpha),
+                  ev.release_set(alpha)):
+            assert s.x_max == ev.x_max
+
+    def test_negative_start_state_rejected(self):
+        ev = evaluator(CP)
+        for call in (lambda: ev.fill_exit_lt(0.5, -0.1),
+                     lambda: ev.fill_exit_mean(-0.1),
+                     lambda: ev.overshoot_law(0.5, -0.1),
+                     lambda: ev.cycle_end_lt(0.5, -0.1),
+                     lambda: ev.cycle_cost(0.5, -0.1),
+                     lambda: ev.total_discounted(0.5, -0.1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                call()
+
     def test_fill_overshoot_law_built_once_per_set(self):
         s = ScaleFunctionSet(CP, 0.5)
         fill = FillPhase(s, 2.0, True)
@@ -311,10 +345,6 @@ class TestEvaluatorSharing:
         other = FillPhase(ScaleFunctionSet(CP, 0.5), 2.0, True).overshoot_law(0.5)
         assert other is not law
         assert other.total_mass() == law.total_mass()
-        # a grid rebuild of the scale set drops the kept laws
-        s.w(np.array([2.0 * s.options.x_max]))
-        assert s.generation == 1
-        assert fill.overshoot_law(0.5) is not law
 
     def test_dropped_evaluator_frees_its_sets_at_once(self):
         # laws refer to their set; the set must not refer back strongly, or

@@ -7,11 +7,13 @@ from levydam import (
     BrownianDrift,
     CostSpec,
     ExponentialJumps,
+    FillPhase,
+    GammaDrift,
+    InverseGaussianDrift,
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
     ScaleFunctionSet,
-    ScaleOptions,
     brownian,
     compound_poisson_exp,
     exit_lt_reflected,
@@ -26,7 +28,6 @@ from levydam import (
     potential_up_killed,
     release_exit_lt,
     release_exit_mean,
-    shifted_scale_set,
 )
 from levydam.simulate import PathConfig, path_rng
 
@@ -59,7 +60,8 @@ class TestPotentials:
                                                           abs=1e-8)
 
     def test_release_support_and_capacity_edge(self):
-        s_M = shifted_scale_set(compound_poisson_exp(2.0, 1.0, 1.0), 2.0, 0.4)
+        s_M = ScaleFunctionSet(
+            compound_poisson_exp(2.0, 1.0, 1.0).shifted(2.0), 0.4)
         pot = potential_release(s_M, 0.5, 4.0)
         assert pot.density(1.0, 0.3) == 0.0
         # at x = V the capacity ratio is Z(0) = 1
@@ -115,7 +117,7 @@ class TestPotentials:
 
         tau, V = 0.5, 4.0
         for model in (bm, cp):
-            s_M = shifted_scale_set(model, 2.0, alpha)
+            s_M = ScaleFunctionSet(model.shifted(2.0), alpha)
             pot = potential_release(s_M, tau, V)
             for x in np.linspace(0.6, 4.0, 5):
                 total = alpha * pot.mass(x) + release_exit_lt(s_M, x, tau, V)
@@ -218,21 +220,21 @@ class TestExitTransforms:
 
 class TestReleasePhase:
     def test_start_at_bottom(self):
-        s_M = shifted_scale_set(brownian(1.0, 2.0), 2.0, 0.5)
+        s_M = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.5)
         assert release_exit_lt(s_M, 0.5, 0.5, 4.0) == pytest.approx(1.0)
 
     def test_alpha_zero(self):
-        s_M0 = shifted_scale_set(brownian(1.0, 2.0), 2.0, 0.0)
+        s_M0 = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.0)
         assert release_exit_lt(s_M0, 2.0, 0.5, 4.0) == 1.0
 
     def test_mean_at_bottom_is_zero(self):
-        s_M0 = shifted_scale_set(brownian(1.0, 2.0), 2.0, 0.0)
+        s_M0 = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.0)
         assert release_exit_mean(s_M0, 0.5, 0.5, 4.0) == pytest.approx(0.0,
                                                                        abs=1e-12)
 
     def test_infinite_capacity_busy_period(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
-        s_M0 = shifted_scale_set(model, 2.0, 0.0)
+        s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0, x_max=40.0)
         closed = (1.0 - 0.0) / (2.0 - model.mean_input())
         assert release_exit_mean(s_M0, 1.0, 0.0, math.inf) == pytest.approx(
             closed, rel=1e-12)
@@ -243,19 +245,19 @@ class TestReleasePhase:
 
     def test_infinite_capacity_slow_release_diverges(self):
         model = compound_poisson_exp(2.0, 1.0, 4.0)  # mean inflow +2
-        s_M0 = shifted_scale_set(model, 1.0, 0.0)
+        s_M0 = ScaleFunctionSet(model.shifted(1.0), 0.0)
         assert release_exit_mean(s_M0, 1.0, 0.0, math.inf) == math.inf
 
     def test_transform_slope_matches_mean(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
-        s_small = shifted_scale_set(model, 2.0, 1e-6)
-        s_M0 = shifted_scale_set(model, 2.0, 0.0)
+        s_small = ScaleFunctionSet(model.shifted(2.0), 1e-6)
+        s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0)
         lt = release_exit_lt(s_small, 2.5, 0.5, 4.0)
         mean = release_exit_mean(s_M0, 2.5, 0.5, 4.0)
         assert (1.0 - lt) / 1e-6 == pytest.approx(mean, rel=1e-4)
 
     def test_argument_validation(self):
-        s_M = shifted_scale_set(brownian(1.0, 2.0), 2.0, 0.5)
+        s_M = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.5)
         with pytest.raises(ValueError):
             release_exit_lt(s_M, 5.0, 0.5, 4.0)
         with pytest.raises(ValueError):
@@ -283,6 +285,19 @@ class TestOvershootLaws:
         law = overshoot_reflected(s, 0.5, 2.0)
         assert law.total_mass() == pytest.approx(
             exit_lt_reflected(s, 0.5, 2.0), abs=1e-6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("model", [GammaDrift(1.0, 1.0, 2.0),
+                                       InverseGaussianDrift(1.0, 1.0, 2.0)],
+                             ids=["gamma", "inverse_gaussian"])
+    def test_reflected_mass_matches_exit_transform_infinite_activity(
+            self, model, alpha):
+        # W' near 0, which the reflected potential weighs, must be exact:
+        # with a finite-difference W' the alpha = 0 mass fell short of 1 by
+        # 3.7e-6 (gamma) and 7.2e-4 (inverse Gaussian)
+        fill = FillPhase(ScaleFunctionSet(model, alpha), 2.0, True)
+        law = fill.overshoot_law(0.5)
+        assert abs(law.total_mass() - fill.exit_lt(0.5)) <= 1e-9
 
     def test_pure_brownian_up_is_rejected(self):
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.5)
@@ -312,11 +327,9 @@ class TestOvershootLaws:
 
 
 def cycle_evaluator(model, policy):
-    """The cycle functionals of a reflected fill on scale sets of the
-    default options."""
+    """The cycle functionals of a reflected fill."""
     costs = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
-    return PolicyEvaluator(model, policy, costs, reflected=True,
-                           options=ScaleOptions())
+    return PolicyEvaluator(model, policy, costs, reflected=True)
 
 
 class TestCycleEnd:

@@ -5,9 +5,8 @@ tolerances, how potentials, overshoot laws and costs were integrated before
 the engine moved to batched Gauss-Kronrod panels: one ``quad`` per density
 value, per cost integral and per outer expectation.  Every comparison is to
 1e-7 relative.  The guard tests check that the engine never calls ``quad``,
-never rebuilds a scale grid, raises when its round budget or its panel cap
-runs out, keeps its error estimates, refines a panel that waited behind a
-worse one, and follows a rebuilt scale grid.
+raises when its round budget or its panel cap runs out, keeps its error
+estimates and refines a panel that waited behind a worse one.
 """
 
 import json
@@ -34,7 +33,6 @@ from levydam import (
     PolicyParams,
     ReleasePhase,
     ScaleFunctionSet,
-    ScaleOptions,
     compound_poisson_exp,
     exit_lt_reflected,
     exit_lt_up,
@@ -46,7 +44,6 @@ from levydam import (
     potential_up_killed,
     release_exit_lt,
     release_exit_mean,
-    shifted_scale_set,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -239,11 +236,7 @@ FAMILIES = {
 }
 
 # (family, reflected fill, capacity V, alpha); plain compound Poisson drifts
-# down, so its long-run average does not exist and is left out.  Reflected
-# gamma input is left out: there the former quad misses the density by
-# 1.6e-7 to 2.4e-7 against a quad at 1e-13 (it stops at its 300
-# subintervals on the finite-difference W'), while the panels are within
-# 6.4e-9 of it.
+# down, so its long-run average does not exist and is left out
 COMBOS = [
     ("cp_exponential", True, 4.0, 0.0),
     ("cp_exponential", True, 4.0, 0.5),
@@ -259,6 +252,8 @@ COMBOS = [
     ("gamma", False, 4.0, 0.0),
     ("gamma", False, 4.0, 0.5),
     ("gamma", False, math.inf, 2.0),
+    ("gamma", True, 4.0, 0.0),
+    ("gamma", True, 4.0, 0.5),
     ("inverse_gaussian", False, 4.0, 0.0),
     ("inverse_gaussian", False, 4.0, 2.0),
     ("inverse_gaussian", True, math.inf, 0.5),
@@ -289,8 +284,8 @@ def test_panel_engine_matches_quad_reference(combo):
     ev = PolicyEvaluator(model, policy, costs, reflected=reflected)
     s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
     # fresh sets for the reference, so neither side sees the other's caches
-    s_ref = ScaleFunctionSet(model, alpha, options=ev.options)
-    s_M_ref = shifted_scale_set(model, policy.M, alpha, options=ev.options)
+    s_ref = ScaleFunctionSet(model, alpha, x_max=ev.x_max)
+    s_M_ref = ScaleFunctionSet(model.shifted(policy.M), alpha, x_max=ev.x_max)
 
     law = ev.overshoot_law(alpha)
     ref = RefLaw(s_ref, tau, lam, reflected)
@@ -354,9 +349,6 @@ def test_engine_makes_no_quad_call_and_no_grid_rebuild(monkeypatch):
                          build_costs(cfg["costs"]), reflected=cfg["reflected"])
     assert math.isfinite(ev.long_run_average())
     assert math.isfinite(ev.total_discounted(0.5))
-    for s in (ev.fill_set(0.0), ev.release_set(0.0), ev.fill_set(0.5),
-              ev.release_set(0.5)):
-        assert s.generation == 0
     assert 0.0 < ev.max_quad_error < 1e-8
     report = cmd_evaluate(cfg)
     summary = report["quantities"]["overshoot"]
@@ -366,8 +358,7 @@ def test_engine_makes_no_quad_call_and_no_grid_rebuild(monkeypatch):
 
 def test_tiny_round_budget_raises(monkeypatch):
     monkeypatch.setattr(exits, "_MAX_ROUNDS", 1)
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
-                         options=ScaleOptions(x_max=4.5))
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
     law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     with pytest.raises(ConvergenceError):
         law.density_mass()
@@ -384,8 +375,7 @@ def test_panel_cap_raises_before_the_panels_grow():
 
 
 def test_law_keeps_its_error_estimate():
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
-                         options=ScaleOptions(x_max=4.5))
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
     law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     assert law.max_quad_error == 0.0
     law.density_mass()
@@ -393,33 +383,13 @@ def test_law_keeps_its_error_estimate():
 
 
 def test_density_lookups_return_kept_values():
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
-                         options=ScaleOptions(x_max=4.5))
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
     law = exits.overshoot_reflected(s, 0.5, 2.0)
     law.density_mass()
     kept = law.density._kept
     zs = np.array(sorted(kept)[:5])
     assert np.array_equal(law.density(zs), [kept[z] for z in zs])
     assert law.density(float(zs[0])) == kept[zs[0]]
-
-
-def test_density_grid_follows_a_scale_grid_rebuild():
-    import inspect
-
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
-                         options=ScaleOptions(x_max=4.5))
-    law = exits.overshoot_reflected(s, 0.5, 2.0)
-    kept = inspect.getclosurevars(law.density._fn).nonlocals
-    grid, pot = kept["grid"], kept["pot"]
-    law.density(2.5)
-    assert grid[0] == s.generation == 0
-    s.w(np.array([9.0]))      # beyond x_max: the series grid is rebuilt
-    assert s.generation == 1
-    law.density(2.6)
-    assert grid[0] == 1
-    # U on the grid is read from the rebuilt scale functions
-    y, u = grid[3], grid[4]
-    assert np.allclose(u, pot.values(0.5, y), rtol=1e-13, atol=0.0)
 
 
 def test_waiting_panels_are_refined_not_settled():
@@ -442,9 +412,8 @@ def test_waiting_panels_are_refined_not_settled():
 
 def test_arrays_of_start_states_equal_scalar_calls():
     model = compound_poisson_exp(2.0, 1.0, 1.0)
-    opts = ScaleOptions(x_max=4.5)
-    s = ScaleFunctionSet(model, 0.5, options=opts)
-    s_M = shifted_scale_set(model, 2.0, 0.5, options=opts)
+    s = ScaleFunctionSet(model, 0.5, x_max=4.5)
+    s_M = ScaleFunctionSet(model.shifted(2.0), 0.5, x_max=4.5)
     xs = np.array([[0.5, 1.0], [2.5, 4.0]])
     release = ReleasePhase(s_M, 0.5, 4.0)
     assert np.array_equal(

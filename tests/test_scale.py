@@ -1,5 +1,7 @@
+import json
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +20,9 @@ from levydam import (
     GenericBoundedVariation,
     InverseGaussianDrift,
     ScaleFunctionSet,
-    ScaleOptions,
     brownian,
     compound_poisson_exp,
     generic_measure,
-    shifted_model,
-    shifted_scale_set,
 )
 
 
@@ -148,7 +147,7 @@ class TestLaplaceIdentity:
     @pytest.mark.parametrize("model,_", MODELS)
     def test_forward_transform(self, model, _):
         alpha = 0.5
-        s = ScaleFunctionSet(model, alpha)
+        s = ScaleFunctionSet(model, alpha, x_max=90.0)  # X below reaches 90
         eta = s.eta_alpha
         for gap in (0.5, 1.0, 2.0):
             beta = eta + gap
@@ -158,6 +157,67 @@ class TestLaplaceIdentity:
             val += math.exp(-beta * X) * s.w(X) / gap  # geometric tail
             target = 1.0 / (model.phi(beta) - alpha)
             assert val == pytest.approx(target, rel=1e-5)
+
+
+REFERENCE = Path(__file__).resolve().parent / "data" / "scale_reference.json"
+
+
+class TestReferenceValues:
+    """Every method against W, W' and Z at 30 digits from mpmath (written by
+    tests/scale_reference.py), for alpha in {0, 0.5, 2} and 1e-5 <= x <= 50.
+
+    W and Z are compared relative to their values; W' relative to
+    max(W', W), since W' falls to 1e-30 where W flattens.  The tolerances
+    are two to three times the largest errors measured: 1.8e-15 for the
+    closed forms; for inversion 7.1e-13 (W), 5.6e-12 (W') and 5.5e-13 (Z);
+    7.4e-6 for the series, at alpha = 2 and x = 50, where the grid of its
+    range is coarsest.  The series is checked on its default family only: on
+    gamma and inverse Gaussian input it is off by up to 6.8e-4 and 1.5e-2
+    at x = 50, which is why those families default to inversion.
+    """
+
+    METHODS = {
+        "bm": {CLOSED_FORM_BROWNIAN: (5e-15, 5e-15, 5e-15),
+               LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
+        "cp": {CONVOLUTION_SERIES: (1.5e-5, 1.5e-5, 1.5e-5),
+               LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
+        "gamma": {LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
+        "ig": {LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
+    }
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return json.loads(REFERENCE.read_text())
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_every_method_matches_the_table(self, name, table):
+        spec = table["models"][name]
+        model = getattr(levydam, spec["family"])(**spec["params"])
+        for method, tols in self.METHODS[name].items():
+            for alpha in (0.0, 0.5, 2.0):
+                rows = [e for e in table["entries"]
+                        if e["model"] == name and e["alpha"] == alpha]
+                assert len(rows) == 10
+                s = ScaleFunctionSet(model, alpha, method=method, x_max=50.0)
+                xs = np.array([e["x"] for e in rows])
+                w = np.array([float(e["w"]) for e in rows])
+                for kind, tol in zip(("w", "wp", "z"), tols):
+                    want = np.array([float(e[kind]) for e in rows])
+                    scale = np.maximum(want, w) if kind == "wp" else want
+                    err = np.abs(getattr(s, kind)(xs) - want) / scale
+                    assert err.max() < tol, (method, alpha, kind,
+                                             xs[err.argmax()], err.max())
+
+    def test_table_regenerates(self, table):
+        pytest.importorskip("mpmath")
+        import scale_reference
+
+        for name, alpha, x in (("gamma", 0.5, 1e-5), ("ig", 2.0, 1.0),
+                               ("cp", 2.0, 50.0)):
+            row = next(e for e in table["entries"] if e["model"] == name
+                       and e["alpha"] == alpha and e["x"] == x)
+            got = scale_reference.entry(name, alpha, x)
+            assert got == {k: row[k] for k in ("w", "wp", "z")}
 
 
 class TestShapeProperties:
@@ -196,12 +256,12 @@ class TestShapeProperties:
 
 class TestShiftedModel:
     def test_brownian_drift_shift(self):
-        m = shifted_model(brownian(1.0, 2.0), 2.0)
+        m = brownian(1.0, 2.0).shifted(2.0)
         assert m.mu == -1.0 and m.sigma2 == 2.0
 
     def test_exponent_shift_pointwise(self):
         base = compound_poisson_exp(2.0, 1.0, 1.0)
-        m = shifted_model(base, 2.0)
+        m = base.shifted(2.0)
         for theta in (0.5, 1.0, 2.0):
             assert m.phi(theta) == pytest.approx(base.phi(theta) + 2.0 * theta,
                                                  rel=1e-12)
@@ -209,7 +269,7 @@ class TestShiftedModel:
     def test_eta_consistency(self):
         base = compound_poisson_exp(2.0, 1.0, 1.0)
         M, alpha = 2.0, 0.7
-        s_M = shifted_scale_set(base, M, alpha)
+        s_M = ScaleFunctionSet(base.shifted(M), alpha)
         # root of phi(theta) + theta M = alpha found on the base exponent
         from scipy.optimize import brentq
         root = brentq(lambda th: base.phi(th) + th * M - alpha, 0.0, 10.0)
@@ -217,7 +277,7 @@ class TestShiftedModel:
 
     def test_shift_requires_positive_rate(self):
         with pytest.raises(ValueError):
-            shifted_model(brownian(1.0, 2.0), 0.0)
+            brownian(1.0, 2.0).shifted(0.0)
 
 
 class TestScalarPath:
@@ -226,10 +286,9 @@ class TestScalarPath:
 
     SETS = {
         "series": lambda: ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0),
-                                           0.0, options=ScaleOptions(x_max=4.5)),
+                                           0.0, x_max=4.5),
         "series_discounted": lambda: ScaleFunctionSet(
-            compound_poisson_exp(2.0, 1.0, 1.0), 0.5,
-            options=ScaleOptions(x_max=4.5)),
+            compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5),
         "inversion_gamma": lambda: ScaleFunctionSet(GammaDrift(1.0, 3.0, 2.0),
                                                     0.3),
         "inversion_jump_diffusion": lambda: ScaleFunctionSet(
@@ -240,7 +299,7 @@ class TestScalarPath:
     def test_scalar_equals_array_bit_for_bit(self, name):
         s = self.SETS[name]()
         assert s.method in (CONVOLUTION_SERIES, LAPLACE_INVERSION)
-        x_max = s.options.x_max
+        x_max = s.x_max
         rng = np.random.default_rng(5)
         points = ([-2.0, -1e-9, 0.0, 1e-12, 1e-4, 1.5e-4, 0.3, 1.0, x_max,
                    math.nextafter(x_max, 0.0)]
@@ -254,27 +313,6 @@ class TestScalarPath:
                 assert type(fast) is float
                 assert fast == float(fn(np.asarray(x))), (kind, x)
                 assert fast == fn(np.array([x, 0.5]))[0], (kind, x)
-
-    @pytest.mark.parametrize("name", ["inversion_gamma",
-                                      "inversion_jump_diffusion"])
-    def test_inversion_derivative_matches_vectorised_reference(self, name):
-        # the finite-difference W' of the inversion method, written out with
-        # numpy over an array, for floats and arrays alike
-        s = self.SETS[name]()
-        w = s.w
-        x = np.array([0.0, 1e-5, 1e-4, 1.5e-4, 2e-3, 0.3, 1.0, 2.5, 7.0])
-        h = 1e-3 * np.maximum(1.0, np.abs(x))
-        near = x < 2.0 * h
-        h = np.where(near, 1e-4, np.minimum(h, x * 0.5))
-        d1 = np.where(near,
-                      (-3.0 * w(x) + 4.0 * w(x + h) - w(x + 2 * h)) / (2.0 * h),
-                      (w(x + h) - w(x - h)) / (2.0 * h))
-        d2 = np.where(near,
-                      (-3.0 * w(x) + 4.0 * w(x + 0.5 * h) - w(x + h)) / h,
-                      (w(x + 0.5 * h) - w(x - 0.5 * h)) / h)
-        want = (4.0 * d2 - d1) / 3.0
-        assert [s.wp(v) for v in x.tolist()] == want.tolist()
-        assert np.array_equal(s.wp(x), want)
 
     @pytest.mark.parametrize("name", ["inversion_gamma",
                                       "inversion_jump_diffusion"])
@@ -294,12 +332,29 @@ class TestScalarPath:
             with pytest.raises(ValueError, match="x >= 0"):
                 s.wp(x)
 
-    def test_point_beyond_grid_rebuilds_and_matches_array_path(self):
-        a, b = self.SETS["series"](), self.SETS["series"]()
-        x = 2.0 * a.options.x_max
-        assert a.w(x) == float(b.w(np.asarray(x)))
-        assert a.generation == b.generation == 1
-        assert np.array_equal(a.grid[0], b.grid[0])
+    def test_point_beyond_grid_raises_on_both_paths(self):
+        s = self.SETS["series_discounted"]()
+        x = math.nextafter(s.x_max, math.inf)
+        for kind in ("w", "wp", "z", "wbar"):
+            for arg in (x, np.asarray(x), np.array([0.5, x])):
+                with pytest.raises(ValueError, match=r"built on \[0, 4.5\]"):
+                    getattr(s, kind)(arg)
+
+    @pytest.mark.parametrize("name", sorted(SETS))
+    def test_values_do_not_depend_on_other_calls(self, name):
+        # a set is fixed when built: a value is the same float before and
+        # after any other call on the set, out-of-range calls included
+        s = self.SETS[name]()
+        xs = [0.0, 1e-5, 0.3, 1.0, s.x_max]
+        first = {k: [getattr(s, k)(x) for x in xs]
+                 for k in ("w", "wp", "z", "wbar")}
+        for kind in ("w", "wp", "z", "wbar"):
+            getattr(s, kind)(np.linspace(0.0, s.x_max, 97))
+            try:
+                getattr(s, kind)(3.0 * s.x_max)
+            except ValueError:
+                assert s.method == CONVOLUTION_SERIES
+        assert {k: [getattr(s, k)(x) for x in xs] for k in first} == first
 
 
 def _fftconvolve_head(b):
@@ -345,7 +400,7 @@ class TestSeriesConvolution:
 
         monkeypatch.setattr(levydam.scale, "_head_convolver", checked)
         ScaleFunctionSet(self.MODELS[name](), 0.5, method=CONVOLUTION_SERIES,
-                         options=ScaleOptions(x_max=4.5))
+                         x_max=4.5)
         assert len(calls) > 100 and all(calls)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -357,18 +412,18 @@ class TestSeriesConvolution:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
-    def test_unconverged_refinement_warns_and_keeps_grid(self, caplog):
+    def test_unconverged_refinement_warns_and_keeps_grid(self, caplog,
+                                                         monkeypatch):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         with caplog.at_level(logging.WARNING, logger="levydam"):
-            converged = ScaleFunctionSet(model, 0.5,
-                                         options=ScaleOptions(x_max=4.5))
+            converged = ScaleFunctionSet(model, 0.5, x_max=4.5)
             assert caplog.records == []
-            assert converged._ev.refine_diff < converged.options.refine_tol
-            ref = ScaleFunctionSet(model, 0.5, options=ScaleOptions(
-                x_max=4.5, max_refinements=1))
+            assert converged._ev.refine_diff < levydam.scale._REFINE_TOL
+            monkeypatch.setattr(levydam.scale, "_MAX_REFINEMENTS", 1)
+            ref = ScaleFunctionSet(model, 0.5, x_max=4.5)
             caplog.clear()
-            s = ScaleFunctionSet(model, 0.5, options=ScaleOptions(
-                x_max=4.5, max_refinements=1, refine_tol=1e-300))
+            monkeypatch.setattr(levydam.scale, "_REFINE_TOL", 1e-300)
+            s = ScaleFunctionSet(model, 0.5, x_max=4.5)
         assert [r.name for r in caplog.records] == ["levydam"]
         assert "not below refine_tol" in caplog.text
         assert s._ev.refine_diff == ref._ev.refine_diff

@@ -11,12 +11,12 @@ from levydam import (
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyParams,
+    ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
     estimate,
     release_exit_mean,
     run_policy_cycles,
-    shifted_scale_set,
     simulate_input_path,
 )
 from levydam.models import BrownianDrift, ExponentialJumps
@@ -241,7 +241,7 @@ class TestPhaseSimulators:
             model, z, tau, V, M,
             PathConfig(time_step=1e-3, n_paths=20_000, seed=21))
         assert partial == 0
-        s_M0 = shifted_scale_set(model, M, 0.0)
+        s_M0 = ScaleFunctionSet(model.shifted(M), 0.0)
         est = estimate("rel", times)
         assert est.agrees_with(release_exit_mean(s_M0, z, tau, V))
 
