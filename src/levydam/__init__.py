@@ -34,18 +34,10 @@ from .exits import (
     OvershootLaw,
     PotentialDensity,
     ReleasePhase,
-    exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
-    overshoot_reflected,
-    overshoot_up,
     potential_reflected,
     potential_release,
     potential_two_sided,
     potential_up_killed,
-    release_exit_lt,
-    release_exit_mean,
 )
 from .costs import (
     CostSpec,
@@ -77,10 +69,8 @@ __all__ = [
     "ScaleFunctionSet",
     # exits
     "FillPhase", "OvershootLaw", "PotentialDensity", "ReleasePhase",
-    "exit_lt_reflected", "exit_lt_up", "exit_mean_reflected", "exit_mean_up",
-    "overshoot_reflected", "overshoot_up",
     "potential_reflected", "potential_release", "potential_two_sided",
-    "potential_up_killed", "release_exit_lt", "release_exit_mean",
+    "potential_up_killed",
     # costs
     "CostSpec", "PiecewisePoly", "PolicyEvaluator", "PolicyParams",
     # simulate

@@ -83,21 +83,32 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+_COUNT = "count"         # kinds of config value besides the JSON types
+_POSITIVE = "positive"
+
+
+def _typed(val, kind, path: str):
+    """val, checked to be of the kind (a JSON type, _COUNT or _POSITIVE),
+    else a ConfigError naming its key path; numbers come back as floats."""
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    integer = number and isinstance(val, int)
+    ok, what = {
+        float: (number, "a number"),
+        int: (integer, "an integer"),
+        _COUNT: (integer and val >= 0, "an integer >= 0"),
+        _POSITIVE: (number and 0.0 < val < math.inf, "a positive number"),
+        bool: (isinstance(val, bool), "a boolean"),
+        dict: (isinstance(val, dict), "an object"),
+    }.get(kind) or (isinstance(val, kind), kind.__name__)
+    if not ok:
+        raise ConfigError(f"{path}: expected {what}, got {val!r}")
+    return float(val) if kind in (float, _POSITIVE) else val
+
+
 def _need(cfg: dict, key: str, kind, path: str):
     if key not in cfg:
         raise ConfigError(f"{path}.{key}: missing required key")
-    val = cfg[key]
-    if kind is float:
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-        return float(val)
-    if kind is int:
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-        return val
-    if not isinstance(val, kind):
-        raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {val!r}")
-    return val
+    return _typed(cfg[key], kind, f"{path}.{key}")
 
 
 def build_model(spec: dict, path: str = "model") -> LevyModel:
@@ -144,17 +155,20 @@ def _analytic_model(cfg: dict) -> LevyModel:
     return model
 
 
+def _capacity(spec: dict, path: str) -> float:
+    v_raw = spec.get("V")
+    if v_raw in (None, "inf"):
+        return math.inf
+    if isinstance(v_raw, (int, float)) and not isinstance(v_raw, bool):
+        return float(v_raw)
+    raise ConfigError(f'{path}.V: expected a number, null or "inf"')
+
+
 def build_policy(spec: dict, path: str = "policy") -> PolicyParams:
     lam = _need(spec, "lambda", float, path)
     tau = _need(spec, "tau", float, path)
     M = _need(spec, "M", float, path)
-    v_raw = spec.get("V", None)
-    if v_raw in (None, "inf"):
-        V = math.inf
-    elif isinstance(v_raw, (int, float)) and not isinstance(v_raw, bool):
-        V = float(v_raw)
-    else:
-        raise ConfigError(f'{path}.V: expected a number, null or "inf"')
+    V = _capacity(spec, path)
     try:
         return PolicyParams(lam=lam, tau=tau, M=M, V=V)
     except ValueError as exc:
@@ -220,7 +234,7 @@ def cmd_evaluate(cfg: dict) -> dict:
     model = _analytic_model(cfg)
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
-    reflected = bool(cfg.get("reflected", True))
+    reflected = _typed(cfg.get("reflected", True), bool, "reflected")
     alphas = _alphas(cfg)
     ev = PolicyEvaluator(model, policy, costs, reflected=reflected)
 
@@ -284,13 +298,15 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     model = _analytic_model(cfg)
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
-    reflected = bool(cfg.get("reflected", True))
+    reflected = _typed(cfg.get("reflected", True), bool, "reflected")
     alphas = [a for a in _alphas(cfg) if a > 0]
     block = cfg.get("verification")
     if not isinstance(block, dict):
         raise ConfigError("verification: block required for verify")
-    tol_se = float(block.get("tolerance_se", 3.0))
-    check_total = bool(block.get("check_total_discounted", False))
+    tol_se = _typed(block.get("tolerance_se", 3.0), _POSITIVE,
+                    "verification.tolerance_se")
+    check_total = _typed(block.get("check_total_discounted", False), bool,
+                         "verification.check_total_discounted")
     corrupt = block.get("corrupt")
     config = _path_config(cfg, seed=seed, paths=paths)
 
@@ -393,7 +409,7 @@ def _axis(spec, path: str) -> np.ndarray:
 
 
 def _objective_fn(cfg: dict, model, costs, reflected):
-    spec = cfg.get("objective", {"criterion": "long_run_average"})
+    spec = _typed(cfg.get("objective", {}), dict, "objective")
     crit = spec.get("criterion", "long_run_average")
     if crit == "long_run_average":
         def fn(policy):
@@ -401,10 +417,7 @@ def _objective_fn(cfg: dict, model, costs, reflected):
                                    reflected=reflected).long_run_average()
         return fn, crit
     if crit == "total_discounted":
-        alpha = float(spec.get("alpha", 0.0))
-        if alpha <= 0:
-            raise ConfigError("objective.alpha: needed and positive for "
-                              "total_discounted")
+        alpha = _typed(spec.get("alpha"), _POSITIVE, "objective.alpha")
         def fn(policy):
             return PolicyEvaluator(model, policy, costs,
                                    reflected=reflected).total_discounted(alpha)
@@ -415,16 +428,16 @@ def _objective_fn(cfg: dict, model, costs, reflected):
 def cmd_optimize(cfg: dict) -> dict:
     model = _analytic_model(cfg)
     costs = build_costs(_need(cfg, "costs", dict, "config"))
-    reflected = bool(cfg.get("reflected", True))
+    reflected = _typed(cfg.get("reflected", True), bool, "reflected")
     base = _need(cfg, "policy", dict, "config")
     M = _need(base, "M", float, "policy")
-    v_raw = base.get("V")
-    V = math.inf if v_raw in (None, "inf") else float(v_raw)
+    V = _capacity(base, "policy")
     sweep = _need(cfg, "sweep", dict, "config")
     lam_axis = _axis(sweep.get("lambda", base.get("lambda")), "sweep.lambda")
     tau_axis = _axis(sweep.get("tau", base.get("tau")), "sweep.tau")
     objective, obj_name = _objective_fn(cfg, model, costs, reflected)
-    refine_rounds = int(sweep.get("refine_rounds", 2))
+    refine_rounds = _typed(sweep.get("refine_rounds", 2), _COUNT,
+                           "sweep.refine_rounds")
 
     cache: dict[tuple, float] = {}
 
@@ -559,7 +572,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or cfg.get("output", {}).get("dir", "out")
+        out_dir = args.out or _typed(cfg.get("output", {}), dict,
+                                     "output").get("dir", "out")
         if args.command == "evaluate":
             report = cmd_evaluate(cfg)
         elif args.command == "verify":

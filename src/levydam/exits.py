@@ -1,23 +1,22 @@
 """Exit analysis for the dam content process.
 
 A cycle of the policy is cut at the first passage above the release
-threshold into two phases, each built on one ``ScaleFunctionSet``:
+threshold into two phases, each built on one ``ScaleFunctionSet``.  The
+phases are the entry points of this module and the one home of its exit
+and overshoot formulas:
 
 * ``FillPhase``: the plain or infimum-reflected input, killed when it first
-  passes above the threshold;
+  passes above the threshold; the transform and mean of its length, its
+  cost and its overshoot law (the law of the content at the crossing: a
+  density above the threshold plus a creeping atom at it);
 * ``ReleasePhase``: the input minus the release rate (the shifted set),
   capped at the capacity, killed when it first falls to the lower
-  threshold.
+  threshold; the transform and mean of its length and its cost.
 
-The fill phase hands its overshoot law (the law of the content at the
-crossing: a density above the threshold plus a creeping atom at it) to the
-release phase; the cycle functionals in ``costs`` are expectations of
-release-phase quantities under that law.  Each phase picks among the
-formulas below:
-
-* potential densities of the four killed processes,
-* Laplace transforms and means of the exit times,
-* the overshoot laws of the plain and the reflected input.
+The cycle functionals in ``costs`` are expectations of release-phase
+quantities under the fill phase's overshoot law.  Costs and overshoot laws
+integrate against the potential densities of the killed processes
+(``potential_*``, the two-sided one for direct use).
 
 Functions are pure; the discount rate is the one carried by the scale set.
 
@@ -39,8 +38,8 @@ round, and the others wait with their values kept.  An integral whose
 error exceeds that bound, that is still open after
 ``_MAX_ROUNDS`` rounds, or that would need more than ``_MAX_PANELS``
 panels raises ``ConvergenceError``.  Integrands are evaluated on whole
-arrays of nodes, and the potentials, exit transforms and release
-functionals take arrays of start states, so a nested integral is one
+arrays of nodes, and the potentials and the release phase take arrays of
+start states, so a nested integral is one
 batched integral per round of its outer integral.  The worst error
 estimate is kept on each overshoot law and on any ``quad_errors_into``
 holder (``PolicyEvaluator`` is one).
@@ -190,7 +189,8 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     panels would number more than ``_MAX_PANELS`` raises
     ``ConvergenceError``, so a row that never settles cannot grow without
     bound.  The new panels of all rows are evaluated together, in blocks,
-    once per round, and a row's result depends only on its own panels.  Returns the integrals and their error estimates,
+    once per round, and a row's result depends only on its own panels.
+    Returns the integrals and their error estimates,
     and with ``keep_panels`` also the final panels' ends and rows, sorted.
     The estimates go to the open error holders unless ``record`` is off.
     """
@@ -296,15 +296,6 @@ def _dyadic(p, d, depth=_GRADE_DEPTH):
     return (p[..., None] + d[..., None] * k).reshape(-1, depth)
 
 
-def _pointwise(fn):
-    """Apply a function of one float to every entry of an array."""
-    def values(ys):
-        ys = np.asarray(ys, dtype=float)
-        return np.array([fn(y) for y in ys.ravel().tolist()],
-                        dtype=float).reshape(ys.shape)
-    return values
-
-
 def _infinite_activity(s: ScaleFunctionSet) -> bool:
     """Jumps of infinite activity: W' is unbounded at 0 for bounded
     variation input and the jump density is unbounded at 0."""
@@ -320,37 +311,30 @@ def _unit(ys):
 # Potential densities
 # ---------------------------------------------------------------------------
 
-TWO_SIDED_KILLED = "two_sided_killed"
-UP_KILLED = "up_killed"
-REFLECTED_INFIMUM = "reflected_infimum"
-RELEASE_PHASE = "release_phase"
-
-
 @dataclass
 class PotentialDensity:
     """Discounted occupation density of a killed content process.
 
     The absolutely continuous part is the difference of two terms,
     ``terms(x, y) -> (t1, t2)`` for broadcasting arrays of start states x
-    and levels y, both zero outside the support; ``values(x, y)`` is
+    and levels y, both zero outside ``y_range``; ``values(x, y)`` is
     t1 - t2 and ``density(x, y)`` one value of it.  ``atom_at_zero(x)`` is
     the weight of the atom at 0 (reflected fill phase only, nonzero for
     bounded variation input).  ``rounding`` is the relative rounding noise
     of the terms: no integral is refined below rounding * (|t1| + |t2|).
     Integrals split at the start state, where W(y - x) starts; under jumps
     of infinite activity, where W has unbounded slope at 0+ (and W' at 0+
-    is unbounded), ``graded`` grades them toward the start state and, in
-    the reflected potential, toward 0.
+    is unbounded), ``graded`` grades them toward the start state and, with
+    ``grade_zero`` (the reflected potential), toward 0.
     """
 
-    kind: str
     terms: Callable
     atom_at_zero: Callable | None
-    x_range: tuple
     y_range: tuple
     scale_set: ScaleFunctionSet = field(repr=False)
     rounding: float = 0.0
     graded: bool = False
+    grade_zero: bool = False
 
     def values(self, x, y):
         t1, t2 = self.terms(x, y)
@@ -359,35 +343,31 @@ class PotentialDensity:
     def density(self, x: float, y: float) -> float:
         return float(self.values(np.asarray(float(x)), np.asarray(float(y))))
 
-    def integrate(self, x: float, fn: Callable, lo: float | None = None,
-                  hi: float | None = None, points=()) -> float:
-        """Integral of fn against the potential measure at start state x."""
-        return float(self.integrals(x, _pointwise(fn), lo, hi, points)[0])
-
-    def integrals(self, x, fv: Callable, lo: float | None = None,
-                  hi: float | None = None, points=()) -> np.ndarray:
-        """Integrals of fv against the potential measure at each start
-        state of the array x; fv maps an array of levels to values."""
-        x = np.asarray(x, dtype=float).ravel()
+    def integrate(self, x, fv: Callable, lo: float | None = None,
+                  hi: float | None = None, points=()):
+        """Integral of fv against the potential measure at start state x, a
+        float or an array of start states of any shape; fv maps an array of
+        levels to values, with kinks at ``points``."""
+        xs = np.asarray(x, dtype=float).ravel()
         y_lo = self.y_range[0] if lo is None else max(lo, self.y_range[0])
         y_hi = self.y_range[1] if hi is None else min(hi, self.y_range[1])
-        val = np.zeros(x.size)
+        val = np.zeros(xs.size)
         if y_lo < y_hi:
             if math.isinf(y_lo) or math.isinf(y_hi):
                 raise ValueError("explicit finite limits are required here")
-            a, b, row = _row_panels(x.size, y_lo, y_hi, x, *points,
-                                    *self.grading(x, y_lo, y_hi))
+            a, b, row = _row_panels(xs.size, y_lo, y_hi, xs, *points,
+                                    *self.grading(xs, y_lo, y_hi))
 
             def integrand(r, y):
-                t1, t2 = self.terms(x[r], y)
+                t1, t2 = self.terms(xs[r], y)
                 g = fv(y)
                 return g * (t1 - t2), self.rounding * np.abs(g) * (
                     np.abs(t1) + np.abs(t2))
 
-            val = _integrate(integrand, a, b, row, x.size)[0]
+            val = _integrate(integrand, a, b, row, xs.size)[0]
         if self.atom_at_zero is not None and y_lo <= 0.0 <= y_hi:
-            val = val + fv(np.zeros(1))[0] * self.atom_at_zero(x)
-        return val
+            val = val + fv(np.zeros(1)) * self.atom_at_zero(xs)
+        return _shaped_like(x, val)
 
     def grading(self, x, y_lo: float, y_hi: float) -> tuple:
         """Dyadic cuts toward each start state in x, where W(y - x) has a
@@ -397,13 +377,18 @@ class PotentialDensity:
             return ()
         x = np.clip(x, y_lo, y_hi)
         cuts = (_dyadic(x, y_hi - x, _START_GRADE_DEPTH),)
-        if self.kind == REFLECTED_INFIMUM and y_lo <= 0.0 < y_hi:
+        if self.grade_zero and y_lo <= 0.0 < y_hi:
             cuts += (_dyadic(0.0, y_hi, _START_GRADE_DEPTH),)
         return cuts
 
     def mass(self, x: float) -> float:
         """Total potential mass at start state x (expected discounted time)."""
         y_lo, y_hi = self.y_range
+        if math.isinf(y_hi):
+            raise ConvergenceError(
+                "the potential mass with infinite capacity is not computed: "
+                "its two terms grow alike and cancel until they are written "
+                "in bounded form (ROADMAP item 1)")
         tail = 0.0
         if math.isinf(y_lo):
             s = self.scale_set
@@ -414,18 +399,12 @@ class PotentialDensity:
             lam = y_hi
             tail = s.w(lam - x) * math.exp(-eta * (lam - x)) / eta
             y_lo = x
-        if math.isinf(y_hi):
-            # infinite capacity release: extend in blocks until negligible
-            val = 0.0
-            lo, step = y_lo, max(4.0 * (x - y_lo + 1.0), 4.0)
-            for _ in range(60):
-                chunk = float(self.integrals(x, _unit, lo, lo + step)[0])
-                val += chunk
-                lo += step
-                if abs(chunk) < 1e-13 * max(1.0, abs(val)):
-                    break
-            return val + tail
-        return float(self.integrals(x, _unit, y_lo, y_hi)[0]) + tail
+        return self.integrate(x, _unit, y_lo, y_hi) + tail
+
+
+def _shaped_like(x, val):
+    """val, computed on the flattened start states, in the shape of x."""
+    return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
 def _rounding(s: ScaleFunctionSet) -> float:
@@ -439,9 +418,9 @@ def _rounding(s: ScaleFunctionSet) -> float:
     return 1e-11 if s.method == LAPLACE_INVERSION else 1e-15
 
 
-def _potential(kind, terms, atom, x_range, y_range, s):
-    return PotentialDensity(kind, terms, atom, x_range, y_range, s,
-                            _rounding(s), _infinite_activity(s))
+def _potential(terms, atom, y_range, s, grade_zero=False):
+    return PotentialDensity(terms, atom, y_range, s, _rounding(s),
+                            _infinite_activity(s), grade_zero)
 
 
 def potential_two_sided(s: ScaleFunctionSet, a: float, lam: float) -> PotentialDensity:
@@ -456,7 +435,7 @@ def potential_two_sided(s: ScaleFunctionSet, a: float, lam: float) -> PotentialD
         return (np.where(out, 0.0, w(lam - x) * w(yc - a) / denom),
                 np.where(out, 0.0, w(yc - x)))
 
-    return _potential(TWO_SIDED_KILLED, terms, None, (a, lam), (a, lam), s)
+    return _potential(terms, None, (a, lam), s)
 
 
 def potential_up_killed(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
@@ -469,8 +448,7 @@ def potential_up_killed(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
         return (np.where(out, 0.0, w(lam - x) * np.exp(-eta * (lam - yc))),
                 np.where(out, 0.0, w(yc - x)))
 
-    return _potential(UP_KILLED, terms, None, (-math.inf, lam),
-                      (-math.inf, lam), s)
+    return _potential(terms, None, (-math.inf, lam), s)
 
 
 def potential_reflected(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
@@ -495,8 +473,8 @@ def potential_reflected(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
     def atom(x):
         return w0 * w(lam - x) / wp_lam
 
-    return _potential(REFLECTED_INFIMUM, terms, atom if w0 > 0 else None,
-                      (0.0, lam), (0.0, lam), s)
+    return _potential(terms, atom if w0 > 0 else None, (0.0, lam), s,
+                      grade_zero=True)
 
 
 def potential_release(s_M: ScaleFunctionSet, tau: float, V: float) -> PotentialDensity:
@@ -526,11 +504,11 @@ def potential_release(s_M: ScaleFunctionSet, tau: float, V: float) -> PotentialD
             return (np.where(out, 0.0, z(V - x) * w(yc - tau) / z_denom),
                     np.where(out, 0.0, w(yc - x)))
 
-    return _potential(RELEASE_PHASE, terms, None, (tau, V), (tau, V), s_M)
+    return _potential(terms, None, (tau, V), s_M)
 
 
 # ---------------------------------------------------------------------------
-# Exit transforms and means
+# Checks of the phases' arguments and results
 # ---------------------------------------------------------------------------
 
 def _checked_transform(val, what: str):
@@ -553,99 +531,6 @@ def _checked_mean(val, what: str):
             f"{what} = {arr[bad].flat[0]!r} is not a finite positive mean: "
             "the scale functions lose precision at these thresholds")
     return val
-
-
-def exit_lt_up(s: ScaleFunctionSet, x: float, lam: float) -> float:
-    """E_x[exp(-alpha T+_lam)] for the plain input, alpha from the scale set.
-
-    At alpha = 0 the monotone limit is returned: 1 when the input drifts up,
-    and the finite passage probability 1 - phi'(0+) W(lam - x) otherwise.
-    """
-    if x >= lam:
-        return 1.0
-    alpha = s.alpha
-    if alpha == 0.0:
-        if s.eta_alpha > 0.0:
-            return 1.0
-        slope = float(s.model.phi_prime(0.0))
-        return _checked_transform(1.0 - slope * s.w(lam - x), "exit_lt_up")
-    return _checked_transform(
-        s.z(lam - x) - (alpha / s.eta_alpha) * s.w(lam - x), "exit_lt_up")
-
-
-def exit_mean_up(s: ScaleFunctionSet, x: float, lam: float) -> float:
-    """E_x[T+_lam] for the plain input; infinite when the input drifts down."""
-    _require_zero_alpha(s)
-    if x >= lam:
-        return 0.0
-    eta0 = s.eta_alpha
-    if eta0 <= 0.0:
-        return math.inf
-    return _checked_mean(s.w(lam - x) / eta0 - s.wbar(lam - x), "exit_mean_up")
-
-
-def exit_lt_reflected(s: ScaleFunctionSet, x: float, lam: float) -> float:
-    """E_x[exp(-alpha tau_lam)] for the infimum-reflected input."""
-    if not 0 <= x <= lam:
-        raise ValueError("need 0 <= x <= lam")
-    if x == lam:
-        return 1.0
-    alpha = s.alpha
-    if alpha == 0.0:
-        return 1.0
-    return _checked_transform(
-        s.z(lam - x) - s.w(lam - x) * alpha * s.w(lam) / s.wp(lam),
-        "exit_lt_reflected")
-
-
-def exit_mean_reflected(s: ScaleFunctionSet, x: float, lam: float) -> float:
-    """E_x[tau_lam] for the infimum-reflected input; 0 at x = lam, where
-    the fill phase has length zero, as the transform there is 1."""
-    _require_zero_alpha(s)
-    if not 0 <= x <= lam:
-        raise ValueError("need 0 <= x <= lam")
-    if x == lam:
-        return 0.0
-    return _checked_mean(s.w(lam - x) * s.w(lam) / s.wp(lam) - s.wbar(lam - x),
-                         "exit_mean_reflected")
-
-
-def _shaped_like(x, val):
-    """val, computed on the flattened start states, in the shape of x."""
-    return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
-
-
-def release_exit_lt(s_M: ScaleFunctionSet, x, tau: float, V: float):
-    """E_x[exp(-alpha T-_tau)] during release; x in [tau, V], a float or
-    an array of start states of any shape."""
-    xs = _check_release_args(x, tau, V)
-    if s_M.alpha == 0.0:
-        return _shaped_like(x, np.ones(xs.size))
-    if math.isinf(V):
-        val = np.exp(-s_M.eta_alpha * (xs - tau))
-    else:
-        val = s_M.z(V - xs) / s_M.z(V - tau)
-    return _shaped_like(x, _checked_transform(val, "release_exit_lt"))
-
-
-def release_exit_mean(s_M: ScaleFunctionSet, x, tau: float, V: float):
-    """E_x[T-_tau] during release; x a float or an array of start states
-    of any shape.
-
-    With infinite capacity this is (x - tau) / (M - mean inflow) when the
-    release rate exceeds the mean inflow, infinite otherwise.
-    """
-    _require_zero_alpha(s_M)
-    xs = _check_release_args(x, tau, V)
-    if math.isinf(V):
-        net_down = float(s_M.model.phi_prime(0.0))
-        if net_down <= 0.0:
-            return _shaped_like(x, np.full(xs.size, math.inf))
-        return _shaped_like(x, (xs - tau) / net_down)
-    val = s_M.wbar(V - tau) - s_M.wbar(V - xs)
-    above = xs > tau
-    _checked_mean(val[above], "release_exit_mean")
-    return _shaped_like(x, val)
 
 
 def _require_zero_alpha(s):
@@ -720,15 +605,10 @@ class OvershootLaw:
         return max(self._quad_error,
                    getattr(self.density, "max_quad_error", 0.0))
 
-    def integrate(self, fn: Callable, lo: float | None = None,
-                  hi: float | None = None) -> float:
-        """Integral of fn against the density part over (lo, hi]."""
-        return self.integral(_pointwise(fn), lo, hi)
-
-    def integral(self, fv: Callable, lo: float | None = None,
-                 hi: float | None = None, points=()) -> float:
-        """As ``integrate``, for fv mapping an array of z to values; the
-        panels split at ``points``, where fv may have kinks."""
+    def integrate(self, fv: Callable, lo: float | None = None,
+                  hi: float | None = None, points=()) -> float:
+        """Integral of fv against the density part over (lo, hi]; fv maps
+        an array of z to values, with kinks at ``points``."""
         lo = self.lam if lo is None else max(lo, self.lam)
         hi = self.z_cut if hi is None or math.isinf(hi) else min(hi, self.z_cut)
         if hi <= lo:
@@ -749,14 +629,14 @@ class OvershootLaw:
         if self.atom_at_lambda != 0.0:
             val = self.atom_at_lambda * float(fv(np.array([self.lam]))[0])
         if math.isinf(V):
-            return val + self.integral(fv, points=points)
-        val += self.integral(fv, self.lam, V, points)
+            return val + self.integrate(fv, points=points)
+        val += self.integrate(fv, self.lam, V, points)
         if self.z_cut > V:
             val += self.mass_above(V) * float(fv(np.array([V]))[0])
         return val
 
     def density_mass(self, lo: float | None = None, hi: float | None = None) -> float:
-        return self.integral(_unit, lo, hi)
+        return self.integrate(_unit, lo, hi)
 
     def mass_above(self, v: float) -> float:
         return self.density_mass(lo=v)
@@ -888,39 +768,6 @@ def _overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
     return law
 
 
-def overshoot_up(s: ScaleFunctionSet, x: float, lam: float) -> OvershootLaw:
-    """Law of (discounted) first passage state above lam for the plain input.
-
-    Pure Brownian input is rejected: crossing is by creeping and the law is a
-    point mass at lam with the exit transform as its weight.
-    """
-    if x > lam:
-        raise ValueError("need x <= lam")
-    if not s.model.has_jumps:
-        raise ValueError("the plain overshoot law is degenerate at lam for "
-                         "continuous input; use the exit transform directly")
-    if x == lam:
-        return OvershootLaw(x, lam, s.alpha, _zero_density, 1.0, lam)
-    transform = exit_lt_up(s, x, lam) if s.model.sigma2 > 0.0 else 0.0
-    return _overshoot_law(s, x, lam, potential_up_killed(s, lam), transform)
-
-
-def overshoot_reflected(s: ScaleFunctionSet, x: float, lam: float) -> OvershootLaw:
-    """Law of the first passage state above lam for the reflected input.
-
-    The density part integrates the jump density against the reflected
-    potential, whose atom at 0 (bounded variation input) contributes
-    atom * nu(z); the creeping atom at lam carries the rest of the exit
-    transform mass.  For continuous input the law is the pure atom.
-    """
-    if not 0 <= x <= lam:
-        raise ValueError("need 0 <= x <= lam")
-    transform = exit_lt_reflected(s, x, lam)
-    if not s.model.has_jumps or x == lam:
-        return OvershootLaw(x, lam, s.alpha, _zero_density, transform, lam)
-    return _overshoot_law(s, x, lam, potential_reflected(s, lam), transform)
-
-
 # ---------------------------------------------------------------------------
 # The two phases of a cycle
 # ---------------------------------------------------------------------------
@@ -941,21 +788,59 @@ class FillPhase:
         self.reflected = reflected
         self._laws: dict[float, OvershootLaw] = {}
 
+    def _check_start(self, x: float):
+        if self.reflected and not 0 <= x <= self.lam:
+            raise ValueError("need 0 <= x <= lam")
+
+    def _potential(self) -> PotentialDensity:
+        if self.reflected:
+            return potential_reflected(self.s, self.lam)
+        return potential_up_killed(self.s, self.lam)
+
     def exit_lt(self, x: float) -> float:
-        """E_x[exp(-alpha T)], T the end of the fill."""
-        exit_lt = exit_lt_reflected if self.reflected else exit_lt_up
-        return exit_lt(self.s, x, self.lam)
+        """E_x[exp(-alpha T)], T the end of the fill.
+
+        At alpha = 0 the monotone limit is returned: 1 for the reflected
+        fill and for plain input that drifts up, and the finite passage
+        probability 1 - phi'(0+) W(lam - x) otherwise.
+        """
+        self._check_start(x)
+        s, lam, alpha = self.s, self.lam, self.s.alpha
+        if x >= lam:
+            return 1.0
+        if self.reflected:
+            if alpha == 0.0:
+                return 1.0
+            val = s.z(lam - x) - s.w(lam - x) * alpha * s.w(lam) / s.wp(lam)
+        elif alpha == 0.0:
+            if s.eta_alpha > 0.0:
+                return 1.0
+            val = 1.0 - float(s.model.phi_prime(0.0)) * s.w(lam - x)
+        else:
+            val = s.z(lam - x) - (alpha / s.eta_alpha) * s.w(lam - x)
+        return _checked_transform(val, "fill exit transform")
 
     def exit_mean(self, x: float) -> float:
-        """E_x[T]; the scale set must be built at alpha = 0."""
-        exit_mean = exit_mean_reflected if self.reflected else exit_mean_up
-        return exit_mean(self.s, x, self.lam)
+        """E_x[T]; the scale set must be built at alpha = 0.  Infinite when
+        the plain input drifts down."""
+        _require_zero_alpha(self.s)
+        self._check_start(x)
+        s, lam = self.s, self.lam
+        if x >= lam:
+            return 0.0
+        if self.reflected:
+            val = s.w(lam - x) * s.w(lam) / s.wp(lam) - s.wbar(lam - x)
+        elif s.eta_alpha <= 0.0:
+            return math.inf
+        else:
+            val = s.w(lam - x) / s.eta_alpha - s.wbar(lam - x)
+        return _checked_mean(val, "fill exit mean")
 
     def overshoot_law(self, x: float) -> OvershootLaw:
-        """Discounted law of the content at the end of the fill from x.
+        """Discounted law of the content at the end of the fill from x <= lam.
 
-        For continuous plain input it is the creeping atom at lam with the
-        exit transform as weight.
+        For continuous input it is the creeping atom at lam with the exit
+        transform as weight.
         """
         law = self._laws.get(x)
         if law is None:
@@ -964,14 +849,12 @@ class FillPhase:
 
     def _build_law(self, x: float) -> OvershootLaw:
         s, lam = self.s, self.lam
-        if x == lam:
-            return OvershootLaw(x, lam, s.alpha, _zero_density, 1.0, lam)
-        if self.reflected:
-            return overshoot_reflected(s, x, lam)
-        if not s.model.has_jumps:
-            return OvershootLaw(x, lam, s.alpha, _zero_density,
-                                exit_lt_up(s, x, lam), lam)
-        return overshoot_up(s, x, lam)
+        if x > lam:
+            raise ValueError("need x <= lam")
+        transform = self.exit_lt(x)
+        if x == lam or not s.model.has_jumps:
+            return OvershootLaw(x, lam, s.alpha, _zero_density, transform, lam)
+        return _overshoot_law(s, x, lam, self._potential(), transform)
 
     @property
     def max_quad_error(self) -> float:
@@ -988,13 +871,11 @@ class FillPhase:
         below = xs < self.lam
         if below.any() and not g.is_zero:
             if self.reflected:
-                pot = potential_reflected(self.s, self.lam)
                 lo, hi = 0.0, self.lam
             else:
-                pot = potential_up_killed(self.s, self.lam)
                 lo, hi = g.support[0], min(g.support[1], self.lam)
-            out[below] = pot.integrals(xs[below], g.values, lo, hi,
-                                       g.breakpoints)
+            out[below] = self._potential().integrate(xs[below], g.values, lo,
+                                                     hi, g.breakpoints)
         return _shaped_like(x, out)
 
 
@@ -1013,26 +894,50 @@ class ReleasePhase:
         self.tau = tau
         self.V = V
 
+    def _starts(self, z) -> np.ndarray:
+        return _check_release_args(np.minimum(z, self.V), self.tau, self.V)
+
     def exit_lt(self, z):
         """E_z[exp(-alpha T)], T the end of the release."""
-        return release_exit_lt(self.s, np.minimum(z, self.V), self.tau, self.V)
+        s, tau, V = self.s, self.tau, self.V
+        zs = self._starts(z)
+        if s.alpha == 0.0:
+            return _shaped_like(z, np.ones(zs.size))
+        if math.isinf(V):
+            val = np.exp(-s.eta_alpha * (zs - tau))
+        else:
+            val = s.z(V - zs) / s.z(V - tau)
+        return _shaped_like(z, _checked_transform(val, "release exit transform"))
 
     def exit_mean(self, z):
-        """E_z[T]; the scale set must be built at alpha = 0."""
-        return release_exit_mean(self.s, np.minimum(z, self.V), self.tau,
-                                 self.V)
+        """E_z[T]; the scale set must be built at alpha = 0.
+
+        With infinite capacity this is (z - tau) / (M - mean inflow) when the
+        release rate exceeds the mean inflow, infinite otherwise.
+        """
+        _require_zero_alpha(self.s)
+        s, tau, V = self.s, self.tau, self.V
+        zs = self._starts(z)
+        if math.isinf(V):
+            net_down = float(s.model.phi_prime(0.0))
+            if net_down <= 0.0:
+                return _shaped_like(z, np.full(zs.size, math.inf))
+            return _shaped_like(z, (zs - tau) / net_down)
+        val = s.wbar(V - tau) - s.wbar(V - zs)
+        _checked_mean(val[zs > tau], "release exit mean")
+        return _shaped_like(z, val)
 
     def cost(self, z, g_star):
         """Expected discounted integral of the rate g_star(content) until
         the end of the release; g_star is a ``PiecewisePoly``."""
         tau, V = self.tau, self.V
-        zs = _check_release_args(np.minimum(z, V), tau, V)
+        zs = self._starts(z)
         out = np.zeros(zs.size)
         above = zs > tau
         if above.any() and not g_star.is_zero:
             pot = potential_release(self.s, tau, V)
             lo, hi = g_star.support
             hi = hi if math.isinf(V) else min(hi, V)
-            out[above] = pot.integrals(zs[above], g_star.values, max(lo, tau),
+            out[above] = pot.integrate(zs[above], g_star.values, max(lo, tau),
                                        hi, g_star.breakpoints)
         return _shaped_like(z, out)

@@ -140,9 +140,7 @@ class LevyMeasure:
     one_minus_exp: Callable
     x_mean_exp: Callable
     complex_ok: bool = True
-    atoms: AtomJumps | None = None
     jump_dist: object | None = None
-    rate: float | None = None
 
     def tail_quantile(self, eps: float, hint: float = 1.0) -> float:
         """Smallest x (up to doubling) with nu([x, inf)) < eps."""
@@ -157,7 +155,6 @@ class LevyMeasure:
 def compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
     if rate <= 0:
         raise ValueError("jump rate must be positive")
-    atoms = jumps if isinstance(jumps, AtomJumps) else None
     density = None
     if getattr(jumps, "density", None) is not None:
         density = lambda x: rate * jumps.density(x)
@@ -169,9 +166,7 @@ def compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
         one_minus_exp=lambda th: rate * (1.0 - jumps.laplace(th)),
         x_mean_exp=lambda th: rate * jumps.mean_exp(th),
         complex_ok=True,
-        atoms=atoms,
         jump_dist=jumps,
-        rate=rate,
     )
 
 

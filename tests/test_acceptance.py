@@ -19,27 +19,21 @@ from levydam import (
     CLOSED_FORM_BROWNIAN,
     LAPLACE_INVERSION,
     CostSpec,
+    FillPhase,
     GammaDrift,
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
+    ReleasePhase,
     ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
     estimate,
-    exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
-    overshoot_reflected,
-    overshoot_up,
     potential_reflected,
     potential_release,
     potential_two_sided,
     potential_up_killed,
-    release_exit_lt,
-    release_exit_mean,
     run_policy_cycles,
     simulate_total_discounted,
 )
@@ -89,7 +83,7 @@ def test_criterion_2_wiener_exit_mean():
     mu, sig2, lam = 1.0, 1.0, 1.0
     model = brownian(mu, sig2)
     s0 = ScaleFunctionSet(model, 0.0)
-    analytic = exit_mean_up(s0, 0.0, lam)
+    analytic = FillPhase(s0, lam, False).exit_mean(0.0)
     formula_ok = abs(analytic - lam / mu) < 1e-10
     times, _, partial = simulate_fill_phase(
         model, 0.0, lam, PathConfig(time_step=1e-3, n_paths=100_000, seed=2),
@@ -106,7 +100,7 @@ def test_criterion_3_reflected_driftless_exit_mean():
     sig2, lam = 1.0, 1.0
     model = brownian(0.0, sig2)
     s0 = ScaleFunctionSet(model, 0.0)
-    analytic = exit_mean_reflected(s0, 0.0, lam)
+    analytic = FillPhase(s0, lam, True).exit_mean(0.0)
     formula_ok = abs(analytic - lam * lam / sig2) < 1e-8
     times, _, partial = simulate_fill_phase(
         model, 0.0, lam, PathConfig(time_step=1e-3, n_paths=100_000, seed=5),
@@ -123,10 +117,10 @@ def test_criterion_4_busy_period_limit():
     x, tau, M = 1.0, 0.0, 2.0
     closed = (x - tau) / (M - model.mean_input())
     s_M0 = ScaleFunctionSet(model.shifted(M), 0.0, x_max=40.0)
-    exact = release_exit_mean(s_M0, x, tau, math.inf)
+    exact = ReleasePhase(s_M0, tau, math.inf).exit_mean(x)
     conv_ok = abs(exact - closed) < 1e-12
     for V in (20.0, 40.0):
-        val = release_exit_mean(s_M0, x, tau, V)
+        val = ReleasePhase(s_M0, tau, V).exit_mean(x)
         conv_ok = conv_ok and abs(val - closed) / closed < 1e-3
     times, partial = simulate_release_phase(
         model, x, tau, math.inf, M, PathConfig(n_paths=100_000, seed=21))
@@ -134,7 +128,7 @@ def test_criterion_4_busy_period_limit():
     mc_ok = est.agrees_with(closed) and partial == 0
     report(4, conv_ok and mc_ok,
            f"closed {closed:.6f}, V=40 err "
-           f"{abs(release_exit_mean(s_M0, x, tau, 40.0) - closed):.1e}, "
+           f"{abs(ReleasePhase(s_M0, tau, 40.0).exit_mean(x) - closed):.1e}, "
            f"mc {est.mean:.4f}+-{est.std_error:.4f}")
 
 
@@ -179,18 +173,19 @@ def test_criterion_6_potential_mass_consistency():
     pot = potential_up_killed(s_bm, lam)
     for x in np.linspace(-0.5, 1.6, 5):
         worst = max(worst,
-                    abs(alpha * pot.mass(x) + exit_lt_up(s_bm, x, lam) - 1.0))
+                    abs(alpha * pot.mass(x)
+                        + FillPhase(s_bm, lam, False).exit_lt(x) - 1.0))
 
     pot = potential_reflected(s_cp, lam)
     for x in np.linspace(0.0, 1.8, 5):
         worst = max(worst, abs(alpha * pot.mass(x)
-                               + exit_lt_reflected(s_cp, x, lam) - 1.0))
+                               + FillPhase(s_cp, lam, True).exit_lt(x) - 1.0))
 
     s_M = ScaleFunctionSet(CP_MODEL.shifted(2.0), alpha)
     pot = potential_release(s_M, 0.5, 4.0)
     for x in np.linspace(0.6, 3.9, 5):
         worst = max(worst, abs(alpha * pot.mass(x)
-                               + release_exit_lt(s_M, x, 0.5, 4.0) - 1.0))
+                               + ReleasePhase(s_M, 0.5, 4.0).exit_lt(x) - 1.0))
     report(6, worst < 1e-6, f"max |alpha*mass + transform - 1| = {worst:.2e}")
 
 
@@ -200,16 +195,16 @@ def test_criterion_7_overshoot_memorylessness():
     s0 = ScaleFunctionSet(model, 0.0)
 
     # analytic law: the normalised overshoot density must be Exp(1)
-    law_up = overshoot_up(s0, x, lam)
+    law_up = FillPhase(s0, lam, False).overshoot_law(x)
     mass_up = law_up.total_mass()
     zs = np.linspace(2.05, 6.0, 9)
     dens = np.array([law_up.density(z) for z in zs]) / mass_up
     exp_err = float(np.max(np.abs(dens - np.exp(-(zs - lam)))))
-    mass_up_err = abs(mass_up - exit_lt_up(s0, x, lam))
+    mass_up_err = abs(mass_up - FillPhase(s0, lam, False).exit_lt(x))
 
-    law_refl = overshoot_reflected(s0, x, lam)
+    law_refl = FillPhase(s0, lam, True).overshoot_law(x)
     mass_refl_err = abs(law_refl.total_mass()
-                        - exit_lt_reflected(s0, x, lam))
+                        - FillPhase(s0, lam, True).exit_lt(x))
 
     _, states, _ = simulate_fill_phase(
         model, x, lam, PathConfig(n_paths=100_000, seed=23), reflected=True)
@@ -228,8 +223,9 @@ def test_criterion_8_cycle_factorization_continuous_input():
     s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
     for x in (0.2, 0.8, 1.5):
         q = ev.cycle_end_lt(alpha, x)
-        factor = (exit_lt_reflected(s, x, POLICY.lam)
-                  * release_exit_lt(s_M, POLICY.lam, POLICY.tau, POLICY.V))
+        factor = (FillPhase(s, POLICY.lam, True).exit_lt(x)
+                  * ReleasePhase(s_M, POLICY.tau, POLICY.V).exit_lt(
+                      POLICY.lam))
         worst = max(worst, abs(q - factor))
     report(8, worst < 1e-8, f"max |composed - factorized| = {worst:.2e}")
 

@@ -87,6 +87,54 @@ class TestConfigValidation:
         assert "config error" in capsys.readouterr().err
 
 
+def all_verbs_config(out_dir):
+    """A config that every verb accepts: a one-point sweep."""
+    cfg = wiener_config(out_dir)
+    cfg["sweep"] = {"lambda": 2.0, "tau": 0.0, "refine_rounds": 0}
+    cfg["objective"] = {"criterion": "long_run_average"}
+    return cfg
+
+
+# (verb, key path, value): each value fails its key's typed check
+BAD_VALUES = [
+    ("evaluate", "reflected", "false"),
+    ("verify", "reflected", 1),
+    ("optimize", "reflected", None),
+    ("verify", "verification.tolerance_se", "3"),
+    ("verify", "verification.tolerance_se", 0.0),
+    ("verify", "verification.check_total_discounted", "false"),
+    ("optimize", "sweep.refine_rounds", 1.5),
+    ("optimize", "sweep.refine_rounds", -1),
+    ("optimize", "sweep.refine_rounds", True),
+    ("optimize", "objective", "long_run_average"),
+    ("optimize", "objective.alpha", "0.5"),
+    ("optimize", "objective.alpha", -0.5),
+    ("optimize", "policy.V", "big"),
+    ("optimize", "policy.V", True),
+    ("evaluate", "output", "out"),
+]
+
+
+class TestTypedValues:
+    @pytest.mark.parametrize("verb, key, value", BAD_VALUES)
+    def test_rejected_with_key_path(self, tmp_path, capsys, verb, key, value):
+        out = tmp_path / "out"
+        cfg = all_verbs_config(out)
+        if key == "objective.alpha":
+            cfg["objective"] = {"criterion": "total_discounted"}
+        *parents, last = key.split(".")
+        block = cfg
+        for name in parents:
+            block = block[name]
+        block[last] = value
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 def atomic_jump_config(out_dir):
     """Compound Poisson input whose jump sizes are atoms: no jump density."""
     cfg = wiener_config(out_dir)

@@ -14,8 +14,6 @@ from levydam import (
     ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
-    exit_lt_reflected,
-    release_exit_lt,
 )
 
 CP = compound_poisson_exp(2.0, 1.0, 1.0)
@@ -113,7 +111,7 @@ class TestPhaseCosts:
         s = ScaleFunctionSet(model, alpha)
         one = PiecewisePoly.constant(1.0, 0.0, 2.0)
         got = FillPhase(s, 2.0, True).cost(0.5, one)
-        want = (1.0 - exit_lt_reflected(s, 0.5, 2.0)) / alpha
+        want = (1.0 - FillPhase(s, 2.0, True).exit_lt(0.5)) / alpha
         assert got == pytest.approx(want, abs=1e-7)
 
     @pytest.mark.parametrize("model", [CP, BM])
@@ -122,7 +120,7 @@ class TestPhaseCosts:
         s_M = ScaleFunctionSet(model.shifted(2.0), alpha)
         one = PiecewisePoly.constant(1.0, 0.5, 4.0)
         got = ReleasePhase(s_M, 0.5, 4.0).cost(4.0, one)
-        want = (1.0 - release_exit_lt(s_M, 4.0, 0.5, 4.0)) / alpha
+        want = (1.0 - ReleasePhase(s_M, 0.5, 4.0).exit_lt(4.0)) / alpha
         assert got == pytest.approx(want, abs=1e-7)
 
     def test_fill_cost_includes_atom_for_bounded_variation(self):
@@ -170,7 +168,7 @@ class TestCycleCost:
         alpha, x = 0.5, 0.5
         ev = evaluator(CP, spec)
         got = ev.cycle_cost(alpha, x)
-        q = exit_lt_reflected(ev.fill_set(alpha), x, 2.0)
+        q = FillPhase(ev.fill_set(alpha), 2.0, True).exit_lt(x)
         assert got == pytest.approx(2.0 * (0.5 + 1.0 * q), abs=1e-7)
 
     def test_release_phase_start(self):
@@ -179,7 +177,7 @@ class TestCycleCost:
         ev = evaluator(CP)
         got = ev.cycle_cost(alpha, x)
         s_M = ev.release_set(alpha)
-        rel_lt = release_exit_lt(s_M, x, 0.5, 4.0)
+        rel_lt = ReleasePhase(s_M, 0.5, 4.0).exit_lt(x)
         want = (2.0 * (1.0 - 0.3 * (1.0 - rel_lt) / alpha)
                 + ReleasePhase(s_M, 0.5, 4.0).cost(x, G_STAR))
         assert got == pytest.approx(want, rel=1e-10)
@@ -191,7 +189,7 @@ class TestCycleCost:
         ev = evaluator(BM)
         s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
         got = ev.cycle_cost(alpha, x)
-        q = exit_lt_reflected(s, x, 2.0)
+        q = FillPhase(s, 2.0, True).exit_lt(x)
         q_cycle = ev.cycle_end_lt(alpha, x)
         want = (2.0 * (0.5 + 1.0 * q - (0.3 / alpha) * (q - q_cycle))
                 + FillPhase(s, 2.0, True).cost(x, G)
@@ -366,7 +364,7 @@ class TestEvaluatorSharing:
         import levydam.exits as exits
 
         s = ScaleFunctionSet(CP, 0.5)
-        law = exits.overshoot_reflected(s, 0.5, 2.0)
+        law = exits.FillPhase(s, 2.0, True).overshoot_law(0.5)
         points = []
         real = law.density._fn
 

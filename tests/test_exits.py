@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from levydam import (
+    LAPLACE_INVERSION,
     BrownianDrift,
+    ConvergenceError,
     CostSpec,
     ExponentialJumps,
     FillPhase,
@@ -13,21 +15,14 @@ from levydam import (
     PiecewisePoly,
     PolicyEvaluator,
     PolicyParams,
+    ReleasePhase,
     ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
-    exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
-    overshoot_reflected,
-    overshoot_up,
     potential_reflected,
     potential_release,
     potential_two_sided,
     potential_up_killed,
-    release_exit_lt,
-    release_exit_mean,
 )
 from levydam.simulate import PathConfig, path_rng
 
@@ -106,13 +101,15 @@ class TestPotentials:
 
         pot = potential_up_killed(s_bm, lam)
         for x in np.linspace(-0.5, 1.3, 5):
-            total = alpha * pot.mass(x) + exit_lt_up(s_bm, x, lam)
+            total = (alpha * pot.mass(x)
+                     + FillPhase(s_bm, lam, False).exit_lt(x))
             assert total == pytest.approx(1.0, abs=1e-6)
 
         for s in (s_bm, s_cp):
             pot = potential_reflected(s, lam)
             for x in np.linspace(0.0, 1.3, 5):
-                total = alpha * pot.mass(x) + exit_lt_reflected(s, x, lam)
+                total = (alpha * pot.mass(x)
+                         + FillPhase(s, lam, True).exit_lt(x))
                 assert total == pytest.approx(1.0, abs=1e-6)
 
         tau, V = 0.5, 4.0
@@ -120,8 +117,20 @@ class TestPotentials:
             s_M = ScaleFunctionSet(model.shifted(2.0), alpha)
             pot = potential_release(s_M, tau, V)
             for x in np.linspace(0.6, 4.0, 5):
-                total = alpha * pot.mass(x) + release_exit_lt(s_M, x, tau, V)
+                total = (alpha * pot.mass(x)
+                         + ReleasePhase(s_M, tau, V).exit_lt(x))
                 assert total == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("method", [None, LAPLACE_INVERSION])
+    def test_infinite_capacity_mass_raises(self, method):
+        # the two terms of the release density both grow like e^{eta y} and
+        # cancel: by alpha * mass + transform = 1 the mass here is 0.1532,
+        # where inversion gave 1.2e12 and the series ran past its x_max
+        model = compound_poisson_exp(2.0, 1.0, 1.0).shifted(2.0)
+        pot = potential_release(ScaleFunctionSet(model, 0.5, method), 0.5,
+                                math.inf)
+        with pytest.raises(ConvergenceError, match="cancel"):
+            pot.mass(1.0)
 
     def test_two_sided_mass_against_occupation_mc(self):
         # driftless Brownian on [0, 1]: expected occupation of [0.4, 0.6]
@@ -147,27 +156,29 @@ class TestExitTransforms:
     def test_wiener_transform_unit_variance_form(self):
         # sigma2 = 1: exp((delta - mu)(x - lam))
         s = ScaleFunctionSet(brownian(1.0, 1.0), 0.5)
-        assert exit_lt_up(s, 0.0, 1.0) == pytest.approx(
+        assert FillPhase(s, 1.0, False).exit_lt(0.0) == pytest.approx(
             math.exp(1.0 - math.sqrt(2.0)), rel=1e-12)
 
     def test_wiener_transform_general_variance(self):
         mu, sig2, alpha, lam, x = 1.0, 2.0, 0.5, 1.5, 0.2
         delta = math.sqrt(2 * alpha * sig2 + mu * mu)
         s = ScaleFunctionSet(brownian(mu, sig2), alpha)
-        assert exit_lt_up(s, x, lam) == pytest.approx(
+        assert FillPhase(s, lam, False).exit_lt(x) == pytest.approx(
             math.exp((delta - mu) * (x - lam) / sig2), rel=1e-12)
 
     def test_wiener_exit_mean(self):
         s0 = ScaleFunctionSet(brownian(1.0, 1.0), 0.0)
-        assert exit_mean_up(s0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-10)
+        assert FillPhase(s0, 2.0, False).exit_mean(0.0) == pytest.approx(
+            2.0, rel=1e-10)
 
     def test_exit_mean_infinite_for_downward_drift(self):
         s0 = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.0)
-        assert exit_mean_up(s0, 0.0, 2.0) == math.inf
+        assert FillPhase(s0, 2.0, False).exit_mean(0.0) == math.inf
 
     def test_boundary_limit_unbounded_variation(self):
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.5)
-        assert exit_lt_up(s, 1.0 - 1e-12, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert FillPhase(s, 1.0, False).exit_lt(1.0 - 1e-12) == pytest.approx(
+            1.0, abs=1e-9)
 
     def test_reflected_transform_matches_display(self):
         mu, sig2, alpha, lam = 1.0, 2.0, 0.5, 1.0
@@ -179,17 +190,18 @@ class TestExitTransforms:
                 math.cosh((lam - x) * delta / sig2)
                 - math.sinh((lam - x) * delta / sig2) / delta
                 * (mu + 2 * alpha * sig2 / (mu + delta * coth)))
-            assert exit_lt_reflected(s, x, lam) == pytest.approx(display,
+            assert FillPhase(s, lam, True).exit_lt(x) == pytest.approx(display,
                                                                  rel=1e-12)
 
     def test_reflected_alpha_zero_is_one(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.0)
-        assert exit_lt_reflected(s, 0.5, 2.0) == 1.0
+        assert FillPhase(s, 2.0, True).exit_lt(0.5) == 1.0
 
     def test_reflected_mean_driftless(self):
         s0 = ScaleFunctionSet(brownian(0.0, 1.0), 0.0)
-        assert exit_mean_reflected(s0, 0.0, 1.0) == pytest.approx(1.0, rel=1e-10)
-        assert exit_mean_reflected(s0, 0.5, 1.0) == pytest.approx(0.75, rel=1e-10)
+        fill = FillPhase(s0, 1.0, True)
+        assert fill.exit_mean(0.0) == pytest.approx(1.0, rel=1e-10)
+        assert fill.exit_mean(0.5) == pytest.approx(0.75, rel=1e-10)
 
     def test_reflected_mean_with_drift(self):
         mu, sig2, lam = 1.0, 2.0, 1.0
@@ -198,76 +210,84 @@ class TestExitTransforms:
             closed = ((lam - x) / mu + sig2 / (2 * mu * mu)
                       * (math.exp(-2 * mu * lam / sig2)
                          - math.exp(-2 * mu * x / sig2)))
-            assert exit_mean_reflected(s0, x, lam) == pytest.approx(closed,
-                                                                    rel=1e-10)
+            assert FillPhase(s0, lam, True).exit_mean(x) == pytest.approx(
+                closed, rel=1e-10)
 
     def test_transforms_monotone_in_alpha_and_distance(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         sets = [ScaleFunctionSet(model, a) for a in (0.2, 0.5, 1.0)]
-        vals = [exit_lt_reflected(s, 0.5, 2.0) for s in sets]
+        vals = [FillPhase(s, 2.0, True).exit_lt(0.5) for s in sets]
         assert vals[0] > vals[1] > vals[2] > 0
         s = sets[1]
-        near, far = exit_lt_reflected(s, 1.5, 2.0), exit_lt_reflected(s, 0.2, 2.0)
+        fill = FillPhase(s, 2.0, True)
+        near, far = fill.exit_lt(1.5), fill.exit_lt(0.2)
         assert near > far
 
     def test_transforms_within_unit_interval(self):
         for model in (brownian(1.0, 2.0), compound_poisson_exp(2.0, 1.0, 1.0)):
             s = ScaleFunctionSet(model, 0.6)
             for x in (0.0, 0.5, 1.4):
-                assert 0.0 < exit_lt_reflected(s, x, 1.5) <= 1.0
-                assert 0.0 < exit_lt_up(s, x, 1.5) <= 1.0
+                assert 0.0 < FillPhase(s, 1.5, True).exit_lt(x) <= 1.0
+                assert 0.0 < FillPhase(s, 1.5, False).exit_lt(x) <= 1.0
 
 
 class TestReleasePhase:
     def test_start_at_bottom(self):
         s_M = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.5)
-        assert release_exit_lt(s_M, 0.5, 0.5, 4.0) == pytest.approx(1.0)
+        assert ReleasePhase(s_M, 0.5, 4.0).exit_lt(0.5) == pytest.approx(1.0)
 
     def test_alpha_zero(self):
         s_M0 = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.0)
-        assert release_exit_lt(s_M0, 2.0, 0.5, 4.0) == 1.0
+        assert ReleasePhase(s_M0, 0.5, 4.0).exit_lt(2.0) == 1.0
 
     def test_mean_at_bottom_is_zero(self):
         s_M0 = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.0)
-        assert release_exit_mean(s_M0, 0.5, 0.5, 4.0) == pytest.approx(0.0,
-                                                                       abs=1e-12)
+        assert ReleasePhase(s_M0, 0.5, 4.0).exit_mean(0.5) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_infinite_capacity_busy_period(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0, x_max=40.0)
         closed = (1.0 - 0.0) / (2.0 - model.mean_input())
-        assert release_exit_mean(s_M0, 1.0, 0.0, math.inf) == pytest.approx(
-            closed, rel=1e-12)
+        busy = ReleasePhase(s_M0, 0.0, math.inf).exit_mean(1.0)
+        assert busy == pytest.approx(closed, rel=1e-12)
         # and the finite-capacity formula converges to it
         for V in (20.0, 40.0):
-            val = release_exit_mean(s_M0, 1.0, 0.0, V)
+            val = ReleasePhase(s_M0, 0.0, V).exit_mean(1.0)
             assert val == pytest.approx(closed, rel=1e-3)
 
     def test_infinite_capacity_slow_release_diverges(self):
         model = compound_poisson_exp(2.0, 1.0, 4.0)  # mean inflow +2
         s_M0 = ScaleFunctionSet(model.shifted(1.0), 0.0)
-        assert release_exit_mean(s_M0, 1.0, 0.0, math.inf) == math.inf
+        assert ReleasePhase(s_M0, 0.0, math.inf).exit_mean(1.0) == math.inf
 
     def test_transform_slope_matches_mean(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         s_small = ScaleFunctionSet(model.shifted(2.0), 1e-6)
         s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0)
-        lt = release_exit_lt(s_small, 2.5, 0.5, 4.0)
-        mean = release_exit_mean(s_M0, 2.5, 0.5, 4.0)
+        lt = ReleasePhase(s_small, 0.5, 4.0).exit_lt(2.5)
+        mean = ReleasePhase(s_M0, 0.5, 4.0).exit_mean(2.5)
         assert (1.0 - lt) / 1e-6 == pytest.approx(mean, rel=1e-4)
+
+    def test_start_above_capacity_starts_at_capacity(self):
+        s_M = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.5)
+        release = ReleasePhase(s_M, 0.5, 4.0)
+        assert release.exit_lt(5.0) == release.exit_lt(4.0)
+        assert np.array_equal(release.exit_lt(np.array([4.0, 7.5])),
+                              [release.exit_lt(4.0)] * 2)
 
     def test_argument_validation(self):
         s_M = ScaleFunctionSet(brownian(1.0, 2.0).shifted(2.0), 0.5)
         with pytest.raises(ValueError):
-            release_exit_lt(s_M, 5.0, 0.5, 4.0)
+            ReleasePhase(s_M, 0.5, 4.0).exit_lt(0.4)  # below tau
         with pytest.raises(ValueError):
-            release_exit_mean(s_M, 1.0, 0.5, 4.0)  # alpha != 0
+            ReleasePhase(s_M, 0.5, 4.0).exit_mean(1.0)  # alpha != 0
 
 
 class TestOvershootLaws:
     def test_memorylessness_of_exponential_jumps(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.0)
-        law = overshoot_up(s, 0.5, 2.0)
+        law = FillPhase(s, 2.0, False).overshoot_law(0.5)
         zs = np.array([2.1, 2.6, 3.4, 4.5])
         dens = np.array([law.density(z) for z in zs])
         ratios = dens / np.exp(-(zs - 2.0))
@@ -275,16 +295,16 @@ class TestOvershootLaws:
 
     def test_total_mass_matches_exit_transform_plain(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.3)
-        law = overshoot_up(s, 0.5, 2.0)
-        assert law.total_mass() == pytest.approx(exit_lt_up(s, 0.5, 2.0),
-                                                 abs=1e-6)
+        fill = FillPhase(s, 2.0, False)
+        law = fill.overshoot_law(0.5)
+        assert law.total_mass() == pytest.approx(fill.exit_lt(0.5), abs=1e-6)
         assert law.atom_at_lambda == 0.0  # no creeping without a diffusion part
 
     def test_total_mass_matches_exit_transform_reflected(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.3)
-        law = overshoot_reflected(s, 0.5, 2.0)
+        law = FillPhase(s, 2.0, True).overshoot_law(0.5)
         assert law.total_mass() == pytest.approx(
-            exit_lt_reflected(s, 0.5, 2.0), abs=1e-6)
+            FillPhase(s, 2.0, True).exit_lt(0.5), abs=1e-6)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
     @pytest.mark.parametrize("model", [GammaDrift(1.0, 1.0, 2.0),
@@ -299,29 +319,31 @@ class TestOvershootLaws:
         law = fill.overshoot_law(0.5)
         assert abs(law.total_mass() - fill.exit_lt(0.5)) <= 1e-9
 
-    def test_pure_brownian_up_is_rejected(self):
+    def test_pure_brownian_up_is_creeping_atom(self):
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.5)
-        with pytest.raises(ValueError):
-            overshoot_up(s, 0.5, 2.0)
+        fill = FillPhase(s, 2.0, False)
+        law = fill.overshoot_law(0.5)
+        assert law.atom_at_lambda == fill.exit_lt(0.5)
+        assert law.density_mass() == 0.0
 
     def test_pure_brownian_reflected_is_atom(self):
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.5)
-        law = overshoot_reflected(s, 0.5, 2.0)
+        law = FillPhase(s, 2.0, True).overshoot_law(0.5)
         assert law.atom_at_lambda == pytest.approx(
-            exit_lt_reflected(s, 0.5, 2.0), rel=1e-12)
+            FillPhase(s, 2.0, True).exit_lt(0.5), rel=1e-12)
         assert law.density_mass() == 0.0
 
     def test_jump_diffusion_creeping_atom(self):
         model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
         s = ScaleFunctionSet(model, 0.4)
-        law = overshoot_up(s, 0.5, 1.5)
+        fill = FillPhase(s, 1.5, False)
+        law = fill.overshoot_law(0.5)
         assert law.atom_at_lambda > 0.0
-        assert law.total_mass() == pytest.approx(exit_lt_up(s, 0.5, 1.5),
-                                                 abs=1e-6)
+        assert law.total_mass() == pytest.approx(fill.exit_lt(0.5), abs=1e-6)
 
     def test_law_nonnegative(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.3)
-        law = overshoot_reflected(s, 1.0, 2.0)
+        law = FillPhase(s, 2.0, True).overshoot_law(1.0)
         for z in np.linspace(2.01, 6.0, 17):
             assert law.density(z) >= -1e-10
 
@@ -340,8 +362,8 @@ class TestCycleEnd:
         ev = cycle_evaluator(model, policy)
         s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
         q = ev.cycle_end_lt(alpha, x)
-        factor = (exit_lt_reflected(s, x, 1.0)
-                  * release_exit_lt(s_M, 1.0, 0.2, 3.0))
+        factor = (FillPhase(s, 1.0, True).exit_lt(x)
+                  * ReleasePhase(s_M, 0.2, 3.0).exit_lt(1.0))
         assert q == pytest.approx(factor, abs=1e-8)
 
     def test_alpha_zero_is_one_for_reflected_input(self):
@@ -357,7 +379,7 @@ class TestCycleEnd:
         ev = cycle_evaluator(model, policy)
         s_M = ev.release_set(alpha)
         got = ev.cycle_end_lt(alpha, 3.0)
-        assert got == pytest.approx(release_exit_lt(s_M, 3.0, 0.5, 4.0),
+        assert got == pytest.approx(ReleasePhase(s_M, 0.5, 4.0).exit_lt(3.0),
                                     rel=1e-12)
 
     def test_monotone_in_alpha(self):
@@ -411,6 +433,6 @@ class TestRangeGuards:
     def test_in_range_values_pass_unchanged(self):
         ev = self.evaluator(5.0)
         s = ev.fill_set(0.5)
-        assert ev.fill_exit_lt(0.5) == exit_lt_reflected(s, 0.5, 5.0)
+        assert ev.fill_exit_lt(0.5) == FillPhase(s, 5.0, True).exit_lt(0.5)
         assert 0.0 < ev.fill_exit_lt(0.5) < 1.0
         assert 0.0 < ev.fill_exit_mean() < math.inf

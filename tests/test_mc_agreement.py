@@ -15,6 +15,7 @@ from levydam import (
     BrownianDrift,
     CostSpec,
     ExponentialJumps,
+    FillPhase,
     GammaDrift,
     PiecewisePoly,
     PolicyEvaluator,
@@ -23,7 +24,6 @@ from levydam import (
     brownian,
     compound_poisson_exp,
     estimate,
-    exit_mean_reflected,
     potential_reflected,
     run_policy_cycles,
     simulate_input_path,
@@ -78,7 +78,7 @@ class TestSubordinatorFamilies:
     def test_gamma_reflected_fill_mean(self):
         model = GammaDrift(1.0, 1.0, 2.0)
         s0 = ScaleFunctionSet(model, 0.0)
-        analytic = exit_mean_reflected(s0, 0.2, 1.0)
+        analytic = FillPhase(s0, 1.0, True).exit_mean(0.2)
         times, _, partial = simulate_fill_phase(
             model, 0.2, 1.0, PathConfig(time_step=5e-4, n_paths=20_000,
                                         seed=29), reflected=True)
@@ -108,8 +108,7 @@ class TestJumpDiffusion:
     def test_fill_transform_with_creeping_and_jumps(self):
         model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
         s = ScaleFunctionSet(model, 0.4)
-        from levydam import exit_lt_reflected
-        analytic = exit_lt_reflected(s, 0.2, 1.2)
+        analytic = FillPhase(s, 1.2, True).exit_lt(0.2)
         times, states, _ = simulate_fill_phase(
             model, 0.2, 1.2, PathConfig(time_step=5e-4, n_paths=20_000,
                                         seed=43), reflected=True)

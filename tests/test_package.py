@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import types
@@ -66,3 +67,13 @@ def test_benchmark_tracer_installs_and_restores():
     count = tracer.layer_metrics()["count"]
     assert count["scale.ScaleFunctionSet.__init__"] == 1
     assert count["scale.ScaleFunctionSet.w"] == 1
+
+
+def test_readme_library_quick_start_runs():
+    # the README's documented API must keep working as written
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    assert isinstance(ns["ev"], levydam.PolicyEvaluator)

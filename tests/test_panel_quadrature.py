@@ -34,16 +34,10 @@ from levydam import (
     ReleasePhase,
     ScaleFunctionSet,
     compound_poisson_exp,
-    exit_lt_reflected,
-    exit_lt_up,
-    exit_mean_reflected,
-    exit_mean_up,
     generic_measure,
     potential_reflected,
     potential_release,
     potential_up_killed,
-    release_exit_lt,
-    release_exit_mean,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -122,7 +116,7 @@ class RefLaw:
                 return (w_lam_x * first - wp_lam * second) / wp_lam
 
             self._fn = kernel
-            transform = exit_lt_reflected(s, x, lam)
+            transform = FillPhase(s, lam, True).exit_lt(x)
         else:
             dens = ref_up_density(s, lam)
 
@@ -134,7 +128,8 @@ class RefLaw:
                                  y_lo, lam, pts=(x, 0.0))
 
             self._fn = plain
-            transform = exit_lt_up(s, x, lam) if model.sigma2 > 0 else 0.0
+            transform = (FillPhase(s, lam, False).exit_lt(x)
+                         if model.sigma2 > 0 else 0.0)
         self.atom = 0.0
         if model.sigma2 > 0.0:
             self.atom = max(transform - self.integrate(lambda z: 1.0), 0.0)
@@ -190,9 +185,9 @@ def ref_release_cost(s_M, x, tau, V, g_star):
 def ref_cycle_cost(s, s_M, law, policy, costs, alpha, reflected):
     lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
     x = tau
-    q_fill = exit_lt_reflected(s, x, lam) if reflected else exit_lt_up(s, x, lam)
+    q_fill = FillPhase(s, lam, reflected).exit_lt(x)
     q_cycle = law.expectation(
-        lambda z: release_exit_lt(s_M, min(z, V), tau, V), V)
+        lambda z: ReleasePhase(s_M, tau, V).exit_lt(min(z, V)), V)
     fill = ref_fill_cost(s, x, lam, costs.g, reflected)
     rel = law.expectation(
         lambda z: ref_release_cost(s_M, min(z, V), tau, V, costs.g_star), V)
@@ -203,9 +198,9 @@ def ref_cycle_cost(s, s_M, law, policy, costs, alpha, reflected):
 
 def ref_long_run_average(s0, s_M0, law, policy, costs, reflected):
     lam, tau, M, V = policy.lam, policy.tau, policy.M, policy.V
-    mean_fill = (exit_mean_reflected if reflected else exit_mean_up)(s0, tau, lam)
+    mean_fill = FillPhase(s0, lam, reflected).exit_mean(tau)
     mean_rel = law.expectation(
-        lambda z: release_exit_mean(s_M0, min(z, V), tau, V), V)
+        lambda z: ReleasePhase(s_M0, tau, V).exit_mean(min(z, V)), V)
     cost_fill = ref_fill_cost(s0, tau, lam, costs.g, reflected)
     cost_rel = law.expectation(
         lambda z: ref_release_cost(s_M0, min(z, V), tau, V, costs.g_star), V)
@@ -384,7 +379,7 @@ def test_law_keeps_its_error_estimate():
 
 def test_density_lookups_return_kept_values():
     s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
-    law = exits.overshoot_reflected(s, 0.5, 2.0)
+    law = exits.FillPhase(s, 2.0, True).overshoot_law(0.5)
     law.density_mass()
     kept = law.density._kept
     zs = np.array(sorted(kept)[:5])
@@ -420,8 +415,9 @@ def test_arrays_of_start_states_equal_scalar_calls():
         release.cost(xs, G_STAR),
         [[release.cost(float(x), G_STAR) for x in r] for r in xs])
     assert np.array_equal(
-        release_exit_lt(s_M, xs, 0.5, 4.0),
-        [[release_exit_lt(s_M, float(x), 0.5, 4.0) for x in r] for r in xs])
+        ReleasePhase(s_M, 0.5, 4.0).exit_lt(xs),
+        [[ReleasePhase(s_M, 0.5, 4.0).exit_lt(float(x)) for x in r]
+         for r in xs])
     fills = np.array([0.0, 0.5, 1.9, 2.0])
     fill = FillPhase(s, 2.0, True)
     assert np.array_equal(fill.cost(fills, G),

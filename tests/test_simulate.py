@@ -7,15 +7,16 @@ from scipy import stats
 
 from levydam import (
     CostSpec,
+    FillPhase,
     GammaDrift,
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyParams,
+    ReleasePhase,
     ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
     estimate,
-    release_exit_mean,
     run_policy_cycles,
     simulate_input_path,
 )
@@ -187,10 +188,10 @@ class TestPhaseSimulators:
             model, 0.5, 2.0, PathConfig(n_paths=5000, seed=23), reflected=True)
         assert partial == 0
         assert np.all(states >= 2.0)
-        from levydam import ScaleFunctionSet, exit_mean_reflected
+        from levydam import ScaleFunctionSet
         s0 = ScaleFunctionSet(model, 0.0)
         est = estimate("fill", t)
-        assert est.agrees_with(exit_mean_reflected(s0, 0.5, 2.0))
+        assert est.agrees_with(FillPhase(s0, 2.0, True).exit_mean(0.5))
 
     @pytest.mark.parametrize("model", [compound_poisson_exp(2.0, 1.0, 1.0),
                                        brownian(1.0, 2.0),
@@ -243,7 +244,7 @@ class TestPhaseSimulators:
         assert partial == 0
         s_M0 = ScaleFunctionSet(model.shifted(M), 0.0)
         est = estimate("rel", times)
-        assert est.agrees_with(release_exit_mean(s_M0, z, tau, V))
+        assert est.agrees_with(ReleasePhase(s_M0, tau, V).exit_mean(z))
 
 
 class TestDump:
