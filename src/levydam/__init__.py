@@ -47,13 +47,11 @@ from .costs import (
 )
 from .simulate import (
     CycleRecords,
-    InputPath,
     PathConfig,
     SimulationEstimate,
     estimate,
     path_rng,
     run_policy_cycles,
-    simulate_input_path,
     simulate_total_discounted,
 )
 
@@ -74,7 +72,6 @@ __all__ = [
     # costs
     "CostSpec", "PiecewisePoly", "PolicyEvaluator", "PolicyParams",
     # simulate
-    "CycleRecords", "InputPath", "PathConfig", "SimulationEstimate",
-    "estimate", "path_rng", "run_policy_cycles", "simulate_input_path",
-    "simulate_total_discounted",
+    "CycleRecords", "PathConfig", "SimulationEstimate", "estimate",
+    "path_rng", "run_policy_cycles", "simulate_total_discounted",
 ]

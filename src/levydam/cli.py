@@ -185,6 +185,10 @@ def _build_poly(spec: dict, path: str) -> PiecewisePoly:
 
 
 def build_costs(spec: dict, path: str = "costs") -> CostSpec:
+    # a bound given as null is no declared bound
+    bounds = {key: _typed(spec[key], float, f"{path}.{key}")
+              for key in ("g_bound", "g_star_bound")
+              if spec.get(key) is not None}
     try:
         return CostSpec(
             K1=_need(spec, "K1", float, path),
@@ -193,8 +197,7 @@ def build_costs(spec: dict, path: str = "costs") -> CostSpec:
             g=_build_poly(_need(spec, "g", dict, path), path + ".g"),
             g_star=_build_poly(_need(spec, "g_star", dict, path),
                                path + ".g_star"),
-            g_bound=spec.get("g_bound"),
-            g_star_bound=spec.get("g_star_bound"),
+            **bounds,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -209,18 +212,23 @@ def _alphas(cfg: dict) -> list:
     return [float(a) for a in alphas]
 
 
-def _path_config(cfg: dict, seed=None, paths=None) -> PathConfig:
-    block = cfg.get("verification", {})
-    if not isinstance(block, dict):
-        raise ConfigError("verification: expected an object")
+_VERIFICATION_KEYS = {"n_paths", "seed", "tolerance_se", "time_step",
+                      "horizon", "check_total_discounted"}
+
+
+def _path_config(block: dict, seed=None, paths=None) -> PathConfig:
+    """The simulation controls of the verification block; ``seed`` and
+    ``paths`` override its own."""
+    def get(key, kind, default):
+        return _typed(block.get(key, default), kind, f"verification.{key}")
+
     try:
         return PathConfig(
-            time_step=float(block.get("time_step", 1e-3)),
-            n_paths=int(paths if paths is not None
-                        else block.get("n_paths", 10_000)),
-            seed=int(seed if seed is not None else block.get("seed", 0)),
-            horizon=float(block.get("horizon", 1e4)),
-            small_jump_cutoff=float(block.get("small_jump_cutoff", 1e-6)),
+            time_step=get("time_step", float, 1e-3),
+            n_paths=(paths if paths is not None
+                     else get("n_paths", int, 10_000)),
+            seed=seed if seed is not None else get("seed", int, 0),
+            horizon=get("horizon", float, 1e4),
         )
     except ValueError as exc:
         raise ConfigError(f"verification: {exc}") from exc
@@ -303,12 +311,14 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     block = cfg.get("verification")
     if not isinstance(block, dict):
         raise ConfigError("verification: block required for verify")
+    unknown = sorted(block.keys() - _VERIFICATION_KEYS)
+    if unknown:
+        raise ConfigError(f"verification.{unknown[0]}: unknown key")
     tol_se = _typed(block.get("tolerance_se", 3.0), _POSITIVE,
                     "verification.tolerance_se")
     check_total = _typed(block.get("check_total_discounted", False), bool,
                          "verification.check_total_discounted")
-    corrupt = block.get("corrupt")
-    config = _path_config(cfg, seed=seed, paths=paths)
+    config = _path_config(block, seed=seed, paths=paths)
 
     ev = PolicyEvaluator(model, policy, costs, reflected=reflected)
     records = run_policy_cycles(model, policy, costs, config,
@@ -319,8 +329,6 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     notes = []
 
     def add(name, analytic, est):
-        if corrupt and corrupt.get("quantity") == name:
-            analytic = analytic * float(corrupt.get("factor", 2.0))
         z = ((analytic - est.mean) / est.std_error
              if est.std_error > 0 else 0.0)
         checks.append({
@@ -572,8 +580,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        out_dir = args.out or _typed(cfg.get("output", {}), dict,
-                                     "output").get("dir", "out")
+        out_dir = args.out or _typed(
+            _typed(cfg.get("output", {}), dict, "output").get("dir", "out"),
+            str, "output.dir")
         if args.command == "evaluate":
             report = cmd_evaluate(cfg)
         elif args.command == "verify":

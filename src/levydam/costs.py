@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exits import FillPhase, OvershootLaw, ReleasePhase, quad_errors_into
+from .exits import FillPhase, OvershootLaw, ReleasePhase
 from .models import LevyModel
 from .scale import ScaleFunctionSet
 
@@ -188,15 +188,6 @@ class CostSpec:
 # The cycle functionals
 # ---------------------------------------------------------------------------
 
-def _records_quad_error(method):
-    """Run the method with the evaluator collecting quadrature errors."""
-    @functools.wraps(method)
-    def recorded(self, *args, **kwargs):
-        with quad_errors_into(self):
-            return method(self, *args, **kwargs)
-    return recorded
-
-
 class PolicyEvaluator:
     """The cost functionals of one policy, composed from one fill phase and
     one release phase per discount rate.
@@ -207,8 +198,7 @@ class PolicyEvaluator:
     built on demand with their scale sets, and a fill phase keeps each
     overshoot law it builds, so one evaluator per policy computes each law
     once.  The start state x >= 0 defaults to tau.  ``max_quad_error`` is
-    the largest error estimate of any integral computed for the evaluator
-    so far.
+    the largest error estimate of any integral of its phases so far.
 
     Both scale sets span [0, x_max], x_max = max(lam, V' - tau) + 1, where
     V' is V when finite and else max(lam + 10, the end of g_star's
@@ -227,16 +217,11 @@ class PolicyEvaluator:
         self.x_max = max(policy.lam, top - policy.tau) + 1.0
         self._fills: dict[float, FillPhase] = {}
         self._releases: dict[float, ReleasePhase] = {}
-        self._quad_error = 0.0
 
     @property
     def max_quad_error(self) -> float:
-        return max([self._quad_error]
-                   + [fill.max_quad_error for fill in self._fills.values()])
-
-    @max_quad_error.setter
-    def max_quad_error(self, value: float):
-        self._quad_error = value
+        phases = [*self._fills.values(), *self._releases.values()]
+        return max((phase.max_quad_error for phase in phases), default=0.0)
 
     def _fill(self, alpha: float) -> FillPhase:
         if alpha not in self._fills:
@@ -272,11 +257,9 @@ class PolicyEvaluator:
     def release_exit_mean(self, z: float) -> float:
         return self._release(0.0).exit_mean(z)
 
-    @_records_quad_error
     def overshoot_law(self, alpha: float, x: float | None = None) -> OvershootLaw:
         return self._fill(alpha).overshoot_law(self._start(x))
 
-    @_records_quad_error
     def mean_release_time(self) -> float:
         law = self.overshoot_law(0.0)
         return law.expectation(self._release(0.0).exit_mean, self.policy.V)
@@ -284,7 +267,6 @@ class PolicyEvaluator:
     def mean_cycle_length(self) -> float:
         return self.fill_exit_mean() + self.mean_release_time()
 
-    @_records_quad_error
     def cycle_end_lt(self, alpha: float, x: float | None = None) -> float:
         """E_x[exp(-alpha T)], T the end of the first cycle."""
         x = self._start(x)
@@ -293,7 +275,6 @@ class PolicyEvaluator:
         law = self._fill(alpha).overshoot_law(x)
         return law.expectation(self._release(alpha).exit_lt, self.policy.V)
 
-    @_records_quad_error
     def cycle_cost(self, alpha: float, x: float | None = None) -> float:
         """Expected discounted cost of the first cycle started at x.
 
@@ -327,7 +308,6 @@ class PolicyEvaluator:
                        - (c.R / alpha) * (q_fill - q_cycle))
                 + fill_cost + rel)
 
-    @_records_quad_error
     def total_discounted(self, alpha: float, x: float | None = None) -> float:
         """Total discounted cost over an infinite horizon started at x.
 
@@ -347,7 +327,6 @@ class PolicyEvaluator:
                              "the discounted series diverges")
         return c_x + q_x * c_tau / (1.0 - q_tau)
 
-    @_records_quad_error
     def long_run_average(self) -> float:
         """Long-run average cost per unit time of running the policy.
 

@@ -41,8 +41,8 @@ panels raises ``ConvergenceError``.  Integrands are evaluated on whole
 arrays of nodes, and the potentials and the release phase take arrays of
 start states, so a nested integral is one
 batched integral per round of its outer integral.  The worst error
-estimate is kept on each overshoot law and on any ``quad_errors_into``
-holder (``PolicyEvaluator`` is one).
+estimate is kept on each potential and each overshoot law, and a phase's
+``max_quad_error`` is the largest of its potential's and its kept laws'.
 
 An overshoot law's density is the compensation formula
 ``integral U(x, dy) nu(z - y)`` over the potential ``U`` of the fill phase;
@@ -55,9 +55,7 @@ was computed before.
 
 from __future__ import annotations
 
-import contextvars
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -103,21 +101,6 @@ _WG = np.concatenate((_WG_HALF, [_WG_MID], _WG_HALF[::-1]))
 # rules that a unit of noise at that node can make
 _WKG = np.abs(_WK - np.insert(_WG, np.arange(8), 0.0))
 
-_holders: contextvars.ContextVar = contextvars.ContextVar(
-    "levydam_quad_error_holders", default=())
-
-
-@contextmanager
-def quad_errors_into(holder):
-    """Raise ``holder.max_quad_error`` to every integral's error estimate
-    made inside the block."""
-    token = _holders.set(_holders.get() + (holder,))
-    try:
-        yield holder
-    finally:
-        _holders.reset(token)
-
-
 def _panel_rule(f, a, b, row):
     """Kronrod values, error estimates and noise floors of f on each
     panel; f may also return the rounding noise of its values."""
@@ -161,14 +144,7 @@ def _rule(v, h, noise=None):
     return resk * h, err, floor
 
 
-def _note_errors(err):
-    """Raise every open holder's ``max_quad_error`` to the largest of err."""
-    worst = float(np.max(err, initial=0.0))
-    for holder in _holders.get():
-        holder.max_quad_error = max(holder.max_quad_error, worst)
-
-
-def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
+def _integrate(f, a, b, row, n_rows, keep_panels=False):
     """Integrals of f over the panels of each row, one integral per row.
 
     ``a``, ``b`` and ``row`` list the starting panels [a, b] and the row
@@ -192,7 +168,6 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
     once per round, and a row's result depends only on its own panels.
     Returns the integrals and their error estimates,
     and with ``keep_panels`` also the final panels' ends and rows, sorted.
-    The estimates go to the open error holders unless ``record`` is off.
     """
     a, b, row = (np.asarray(v) for v in np.broadcast_arrays(a, b, row))
     a, b = a.astype(float), b.astype(float)
@@ -262,8 +237,6 @@ def _integrate(f, a, b, row, n_rows, keep_panels=False, record=True):
         raise ConvergenceError(
             f"quadrature error {err[r]:.3g} on a value of {total[r]:.6g} "
             "exceeds its tolerance beyond the integrand's rounding noise")
-    if record:
-        _note_errors(err)
     if not keep_panels:
         return total, err
     fa, fb, frow = (np.concatenate(v) for v in zip(*final))
@@ -325,7 +298,8 @@ class PotentialDensity:
     Integrals split at the start state, where W(y - x) starts; under jumps
     of infinite activity, where W has unbounded slope at 0+ (and W' at 0+
     is unbounded), ``graded`` grades them toward the start state and, with
-    ``grade_zero`` (the reflected potential), toward 0.
+    ``grade_zero`` (the reflected potential), toward 0.  ``max_quad_error``
+    is the largest error estimate of its integrals so far.
     """
 
     terms: Callable
@@ -335,6 +309,7 @@ class PotentialDensity:
     rounding: float = 0.0
     graded: bool = False
     grade_zero: bool = False
+    max_quad_error: float = field(default=0.0, repr=False)
 
     def values(self, x, y):
         t1, t2 = self.terms(x, y)
@@ -364,7 +339,9 @@ class PotentialDensity:
                 return g * (t1 - t2), self.rounding * np.abs(g) * (
                     np.abs(t1) + np.abs(t2))
 
-            val = _integrate(integrand, a, b, row, xs.size)[0]
+            val, err = _integrate(integrand, a, b, row, xs.size)
+            self.max_quad_error = max(self.max_quad_error,
+                                      float(err.max(initial=0.0)))
         if self.atom_at_zero is not None and y_lo <= 0.0 <= y_hi:
             val = val + fv(np.zeros(1)) * self.atom_at_zero(xs)
         return _shaped_like(x, val)
@@ -400,6 +377,11 @@ class PotentialDensity:
             tail = s.w(lam - x) * math.exp(-eta * (lam - x)) / eta
             y_lo = x
         return self.integrate(x, _unit, y_lo, y_hi) + tail
+
+
+def _max_quad_error(pot: PotentialDensity | None) -> float:
+    """The potential's largest error estimate, 0 before it is built."""
+    return 0.0 if pot is None else pot.max_quad_error
 
 
 def _shaped_like(x, val):
@@ -699,7 +681,7 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
         a, b, row = _row_panels(probes.size, y_lo, lam, *cuts)
         # the probes only shape the grid: their errors are no result's
         a, b = _integrate(integrand(probes), a, b, row, probes.size,
-                          keep_panels=True, record=False)[2:4]
+                          keep_panels=True)[2:4]
         edges = np.unique(np.concatenate((a, b)))
         a, b = edges[:-1], edges[1:]
         y = _nodes(a, b)
@@ -732,7 +714,6 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
                 zc.size, -1).sum(axis=1)
         # as in _integrate: only the error beyond the noise of U counts
         miss = err > np.maximum(_EPSABS, _EPSREL * np.abs(got)) + at_noise
-        _note_errors(err[~miss])
         if miss.any():
             zm = z[miss]
             row = np.repeat(np.arange(zm.size), a.size)
@@ -778,14 +759,16 @@ class FillPhase:
     above lam.
 
     A fill started at lam has length zero: its transform is 1, its mean 0,
-    its overshoot law a unit atom at lam and its cost 0.  Each overshoot law
-    is built once per start state and kept; treat the laws as read-only.
+    its overshoot law a unit atom at lam and its cost 0.  Its potential is
+    built once and each overshoot law once per start state, and both are
+    kept; treat them as read-only.
     """
 
     def __init__(self, s: ScaleFunctionSet, lam: float, reflected: bool):
         self.s = s
         self.lam = lam
         self.reflected = reflected
+        self._pot: PotentialDensity | None = None
         self._laws: dict[float, OvershootLaw] = {}
 
     def _check_start(self, x: float):
@@ -793,9 +776,10 @@ class FillPhase:
             raise ValueError("need 0 <= x <= lam")
 
     def _potential(self) -> PotentialDensity:
-        if self.reflected:
-            return potential_reflected(self.s, self.lam)
-        return potential_up_killed(self.s, self.lam)
+        if self._pot is None:
+            self._pot = (potential_reflected if self.reflected
+                         else potential_up_killed)(self.s, self.lam)
+        return self._pot
 
     def exit_lt(self, x: float) -> float:
         """E_x[exp(-alpha T)], T the end of the fill.
@@ -858,9 +842,10 @@ class FillPhase:
 
     @property
     def max_quad_error(self) -> float:
-        """The largest error estimate of the kept laws' integrals."""
-        return max((law.max_quad_error for law in self._laws.values()),
-                   default=0.0)
+        """The largest error estimate of the integrals of its potential and
+        its kept laws."""
+        kept = [law.max_quad_error for law in self._laws.values()]
+        return max(kept + [_max_quad_error(self._pot)])
 
     def cost(self, x, g):
         """Expected discounted integral of the rate g(content) until the end
@@ -893,6 +878,17 @@ class ReleasePhase:
         self.s = s_M
         self.tau = tau
         self.V = V
+        self._pot: PotentialDensity | None = None
+
+    def _potential(self) -> PotentialDensity:
+        if self._pot is None:
+            self._pot = potential_release(self.s, self.tau, self.V)
+        return self._pot
+
+    @property
+    def max_quad_error(self) -> float:
+        """The largest error estimate of its potential's integrals."""
+        return _max_quad_error(self._pot)
 
     def _starts(self, z) -> np.ndarray:
         return _check_release_args(np.minimum(z, self.V), self.tau, self.V)
@@ -935,9 +931,8 @@ class ReleasePhase:
         out = np.zeros(zs.size)
         above = zs > tau
         if above.any() and not g_star.is_zero:
-            pot = potential_release(self.s, tau, V)
             lo, hi = g_star.support
             hi = hi if math.isinf(V) else min(hi, V)
-            out[above] = pot.integrate(zs[above], g_star.values, max(lo, tau),
-                                       hi, g_star.breakpoints)
+            out[above] = self._potential().integrate(
+                zs[above], g_star.values, max(lo, tau), hi, g_star.breakpoints)
         return _shaped_like(z, out)

@@ -23,7 +23,7 @@ Models are immutable and safe to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -142,9 +142,9 @@ class LevyMeasure:
     complex_ok: bool = True
     jump_dist: object | None = None
 
-    def tail_quantile(self, eps: float, hint: float = 1.0) -> float:
-        """Smallest x (up to doubling) with nu([x, inf)) < eps."""
-        x = max(hint, 1e-6)
+    def tail_quantile(self, eps: float) -> float:
+        """Smallest x = 2^k, k >= 0, with nu([x, inf)) < eps."""
+        x = 1.0
         for _ in range(200):
             if float(self.tail(x)) < eps:
                 return x
@@ -414,6 +414,12 @@ class _BoundedVariationModel(LevyModel):
         if self.zeta <= 0:
             raise ValueError("bounded variation models need zeta > 0")
 
+    def shifted(self, M: float) -> "_BoundedVariationModel":
+        # __post_init__ rebuilds a family's own measure; a generic one is kept
+        if M <= 0:
+            raise ValueError("release rate must be positive")
+        return replace(self, zeta=self.zeta + M)
+
 
 @dataclass(frozen=True)
 class CompoundPoissonDrift(_BoundedVariationModel):
@@ -429,11 +435,6 @@ class CompoundPoissonDrift(_BoundedVariationModel):
         object.__setattr__(self, "measure",
                            compound_poisson_measure(self.rate, self.jumps))
 
-    def shifted(self, M: float) -> "CompoundPoissonDrift":
-        if M <= 0:
-            raise ValueError("release rate must be positive")
-        return CompoundPoissonDrift(self.zeta + M, self.rate, self.jumps)
-
 
 @dataclass(frozen=True)
 class GammaDrift(_BoundedVariationModel):
@@ -447,11 +448,6 @@ class GammaDrift(_BoundedVariationModel):
     def __post_init__(self):
         self._check_zeta()
         object.__setattr__(self, "measure", gamma_measure(self.a, self.b))
-
-    def shifted(self, M: float) -> "GammaDrift":
-        if M <= 0:
-            raise ValueError("release rate must be positive")
-        return GammaDrift(self.zeta + M, self.a, self.b)
 
 
 @dataclass(frozen=True)
@@ -468,11 +464,6 @@ class InverseGaussianDrift(_BoundedVariationModel):
         object.__setattr__(self, "measure",
                            inverse_gaussian_measure(self.sigma, self.c))
 
-    def shifted(self, M: float) -> "InverseGaussianDrift":
-        if M <= 0:
-            raise ValueError("release rate must be positive")
-        return InverseGaussianDrift(self.zeta + M, self.sigma, self.c)
-
 
 @dataclass(frozen=True)
 class GenericBoundedVariation(_BoundedVariationModel):
@@ -487,11 +478,6 @@ class GenericBoundedVariation(_BoundedVariationModel):
         if not math.isfinite(self.measure.mu):
             raise ValueError("generic bounded variation input needs a finite "
                              "jump moment")
-
-    def shifted(self, M: float) -> "GenericBoundedVariation":
-        if M <= 0:
-            raise ValueError("release rate must be positive")
-        return GenericBoundedVariation(self.zeta + M, self.measure)
 
 
 def brownian(mu: float, sigma2: float) -> BrownianDrift:

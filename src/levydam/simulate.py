@@ -13,9 +13,10 @@ Simulation schemes per family:
   barrier and the cap, and a Brownian bridge correction for threshold
   crossings;
 * gamma / inverse Gaussian drift: exact increment sampling on the grid,
-  accepting grid resolution error in crossing detection;
-* generic bounded variation: jumps below ``small_jump_cutoff`` replaced by
-  their mean drift, larger jumps sampled from the tail via a quantile table.
+  accepting grid resolution error in crossing detection.
+
+Other bounded variation input (``GenericBoundedVariation``) is priced
+analytically but not simulated: its first draw raises ``TypeError``.
 
 The compound Poisson event loop only draws and records the linear pieces of
 each path; their maintenance integrals are computed afterwards, vectorised
@@ -34,11 +35,11 @@ are trapezoids added in blocks by a ``_GridSink``.
 ``_total_discounted_grid`` runs successive cycles until the discount floor
 and books each charge as it falls due.
 
-Randomness is counter based: the compound Poisson simulators and
-``simulate_input_path`` draw from Philox streams keyed by (seed, path
-index); the grid kernel consumes the (seed, 0) stream for all live paths in
-lock step, so a grid path's draws depend on ``n_paths``.  Fixed (seed,
-config, model, policy) reproduce results bit for bit.
+Randomness is counter based: the compound Poisson simulators draw from
+Philox streams keyed by (seed, path index); the grid kernel consumes the
+(seed, 0) stream for all live paths in lock step, so a grid path's draws
+depend on ``n_paths``.  Fixed (seed, config, model, policy) reproduce
+results bit for bit.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .models import (
     BrownianDrift,
     CompoundPoissonDrift,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
     LevyModel,
 )
@@ -75,7 +75,6 @@ class PathConfig:
     n_paths: int = 10_000
     seed: int = 0
     horizon: float = 1e4
-    small_jump_cutoff: float = 1e-6
 
     def __post_init__(self):
         for name in ("time_step", "horizon"):
@@ -83,9 +82,6 @@ class PathConfig:
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {val!r}")
-        if not self.small_jump_cutoff > 0:
-            raise ValueError("small_jump_cutoff must be positive, got "
-                             f"{self.small_jump_cutoff!r}")
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
 
@@ -106,82 +102,6 @@ class SimulationEstimate:
 def path_rng(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-# ---------------------------------------------------------------------------
-# Raw input paths
-# ---------------------------------------------------------------------------
-
-@dataclass
-class InputPath:
-    """Sampled net inflow path started at zero.
-
-    ``times`` and ``values`` record the skeleton (event times for compound
-    Poisson, the uniform grid otherwise); jump events are listed separately.
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-    jump_times: np.ndarray
-    jump_sizes: np.ndarray
-
-    def value_at(self, t: float) -> float:
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return float(self.values[max(idx, 0)])
-
-
-def simulate_input_path(model: LevyModel, config: PathConfig, t_end: float,
-                        path_index: int = 0) -> InputPath:
-    """One path of the raw input process on [0, t_end]."""
-    if t_end > config.horizon:
-        raise ValueError("t_end exceeds the configured horizon")
-    rng = path_rng(config.seed, path_index)
-    if isinstance(model, CompoundPoissonDrift):
-        zeta, rate = model.zeta, model.rate
-        jt, js = [], []
-        t = 0.0
-        while True:
-            t += rng.exponential(1.0 / rate)
-            if t >= t_end:
-                break
-            jt.append(t)
-            js.append(float(model.jumps.sample(rng, 1)[0]))
-        jt = np.array(jt)
-        js = np.array(js)
-        times = np.concatenate(([0.0], jt, [t_end]))
-        cum = np.concatenate(([0.0], np.cumsum(js), [js.sum()]))
-        values = cum - zeta * times
-        return InputPath(times, values, jt, js)
-    n = int(math.ceil(t_end / config.time_step))
-    dt = t_end / n
-    times = np.linspace(0.0, t_end, n + 1)
-    if isinstance(model, BrownianDrift):
-        incs = rng.normal(model.mu * dt, math.sqrt(model.sigma2 * dt), size=n)
-        jt = js = np.empty(0)
-        if model.has_jumps:
-            jt, js = _poisson_jumps(rng, model.jump_rate, model.jumps, t_end)
-            idx = np.minimum(np.searchsorted(times[1:], jt, side="left"), n - 1)
-            np.add.at(incs, idx, js)
-        values = np.concatenate(([0.0], np.cumsum(incs)))
-        return InputPath(times, values, jt, js)
-    incs = _subordinator_increments(model, rng, dt, n) - model.zeta * dt
-    values = np.concatenate(([0.0], np.cumsum(incs)))
-    return InputPath(times, values, np.empty(0), np.empty(0))
-
-
-def _poisson_jumps(rng, rate, jumps, t_end):
-    count = rng.poisson(rate * t_end)
-    jt = np.sort(rng.uniform(0.0, t_end, size=count))
-    js = jumps.sample(rng, count) if count else np.empty(0)
-    return jt, np.asarray(js, dtype=float)
-
-
-def _subordinator_increments(model, rng, dt, size):
-    if isinstance(model, GammaDrift):
-        return rng.gamma(model.a * dt, 1.0 / model.b, size=size)
-    if isinstance(model, InverseGaussianDrift):
-        return rng.wald(dt / model.c, dt * dt / (model.sigma ** 2), size=size)
-    raise TypeError(f"no grid sampler for {type(model).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +364,14 @@ def _run_cycles_cp(model, policy, costs, config, reflected, alphas):
     return recs.build(fill_g.result(), release_g.result())
 
 
+def _cp_paths(config, run):
+    """The outcomes of run(rng) with path i on the (seed, i) stream that
+    are not None, and the number of None (paths open at the horizon)."""
+    got = [run(path_rng(config.seed, i)) for i in range(config.n_paths)]
+    done = [g for g in got if g is not None]
+    return done, len(got) - len(done)
+
+
 class _RecordBuilder:
     def __init__(self, alphas, M):
         self.alphas = alphas
@@ -482,6 +410,14 @@ class _RecordBuilder:
 # ---------------------------------------------------------------------------
 # Grid based paths: Brownian and subordinator families, vectorised
 # ---------------------------------------------------------------------------
+
+def _subordinator_increments(model, rng, dt, size):
+    if isinstance(model, GammaDrift):
+        return rng.gamma(model.a * dt, 1.0 / model.b, size=size)
+    if isinstance(model, InverseGaussianDrift):
+        return rng.wald(dt / model.c, dt * dt / (model.sigma ** 2), size=size)
+    raise TypeError(f"no grid sampler for {type(model).__name__}")
+
 
 _GRID_BLOCK = 4096  # 8,192 raised the peak RSS of a verify-bm run by 1 MB
 
@@ -844,45 +780,20 @@ def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
 # ---------------------------------------------------------------------------
 
 def run_policy_cycles(model: LevyModel, policy, costs, config: PathConfig,
-                      reflected: bool = True, alphas: Sequence[float] = (),
-                      dump_path: str | None = None) -> CycleRecords:
+                      reflected: bool = True,
+                      alphas: Sequence[float] = ()) -> CycleRecords:
     """Simulate independent regeneration cycles started at the lower threshold.
 
     Returns per-cycle records; ``alphas`` selects the discount rates carried
     through the integrals (0.0, the undiscounted case, is always included).
-    With ``dump_path`` set, one JSON record per cycle is written to that
-    file.
     """
     alpha_list = sorted({0.0, *map(float, alphas)})
-    model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
-        records = _run_cycles_cp(model, policy, costs, config, reflected,
-                                 alpha_list)
-    else:
-        step = _GridStep(model, config, reflected, policy.lam, policy.tau,
-                         policy.V, policy.M)
-        records = _grid_cycles(step, config, policy.tau, True, costs,
-                               alpha_list)
-    if dump_path is not None:
-        _dump_records(records, dump_path)
-    return records
-
-
-def _dump_records(records: CycleRecords, path: str):
-    import json
-
-    with open(path, "w") as fh:
-        for i in range(records.n_cycles):
-            row = {
-                "fill_time": records.fill_time[i],
-                "release_time": records.release_time[i],
-                "crossing_state": records.crossing_state[i],
-                "output_volume": records.output_volume[i],
-            }
-            for a in sorted(records.e_fill):
-                if a:
-                    row[f"e_cycle[{a:g}]"] = records.e_cycle[a][i]
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        return _run_cycles_cp(model, policy, costs, config, reflected,
+                              alpha_list)
+    step = _GridStep(model, config, reflected, policy.lam, policy.tau,
+                     policy.V, policy.M)
+    return _grid_cycles(step, config, policy.tau, True, costs, alpha_list)
 
 
 def simulate_fill_phase(model: LevyModel, x: float, lam: float,
@@ -896,18 +807,11 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
         # a fill from the threshold has length zero
         n = config.n_paths
         return np.zeros(n), np.full(n, float(x)), 0
-    model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
-        times, states, partial = [], [], 0
-        for i in range(config.n_paths):
-            rng = path_rng(config.seed, i)
-            got = _cp_fill(model, rng, x, lam, config.horizon, reflected)
-            if got is None:
-                partial += 1
-            else:
-                times.append(got[0])
-                states.append(got[1])
-        return np.asarray(times), np.asarray(states), partial
+        fills, partial = _cp_paths(config, lambda rng: _cp_fill(
+            model, rng, x, lam, config.horizon, reflected))
+        return (np.asarray([f[0] for f in fills]),
+                np.asarray([f[1] for f in fills]), partial)
     # no release follows, so it has no barrier (tau = -inf) and no cap
     step = _GridStep(model, config, reflected, lam, -math.inf, math.inf, 0.0)
     rec = _grid_cycles(step, config, x, True, fill_only=True)
@@ -926,16 +830,9 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
         raise ValueError("the release phase needs tau < V")
     if not M > 0:
         raise ValueError("release rate M must be positive")
-    model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
-        times, partial = [], 0
-        for i in range(config.n_paths):
-            rng = path_rng(config.seed, i)
-            got = _cp_release(model, rng, z, tau, V, M, config.horizon, 0.0)
-            if got is None:
-                partial += 1
-            else:
-                times.append(got)
+        times, partial = _cp_paths(config, lambda rng: _cp_release(
+            model, rng, z, tau, V, M, config.horizon, 0.0))
         return np.asarray(times), partial
     # the shifted model draws the release drift (mu - M or zeta + M) into
     # each increment, so the kernel subtracts no M dt; no fill comes first,
@@ -960,7 +857,6 @@ def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
     """
     if alpha <= 0:
         raise ValueError("needs alpha > 0")
-    model = _prepare_model(model, config)
     if isinstance(model, CompoundPoissonDrift):
         totals = _total_discounted_cp(model, policy, costs, alpha, x, config,
                                       reflected, discount_floor)
@@ -1088,34 +984,3 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
             phases.move(opened, closed)
         t += dt
     return totals
-
-
-def _prepare_model(model: LevyModel, config: PathConfig) -> LevyModel:
-    """Replace small jumps of a generic measure by their mean drift."""
-    if not isinstance(model, GenericBoundedVariation):
-        return model
-    cut = config.small_jump_cutoff
-    measure = model.measure
-    rate = float(measure.tail(cut))
-    from scipy.integrate import quad
-    small_mean, _ = quad(lambda v: v * measure.density(v), 0.0, cut,
-                         epsabs=1e-12, epsrel=1e-10, limit=200)
-    jumps = _TailSampler(measure, cut, rate)
-    return CompoundPoissonDrift(model.zeta - small_mean, rate, jumps)
-
-
-class _TailSampler:
-    """Samples jump sizes above a cutoff via an inverse-tail quantile table."""
-
-    def __init__(self, measure, cut, rate):
-        hi = measure.tail_quantile(1e-12 * rate, hint=max(1.0, cut))
-        xs = np.geomspace(cut, hi, 4096)
-        tails = np.asarray(measure.tail(xs), dtype=float) / rate
-        keep = np.concatenate(([True], np.diff(tails) < 0))
-        self._q = np.flip(tails[keep])
-        self._x = np.flip(xs[keep])
-        self.mean = float(measure.mu)  # informational only
-
-    def sample(self, rng, size):
-        u = rng.uniform(size=size)
-        return np.interp(u, self._q, self._x)

@@ -112,6 +112,17 @@ BAD_VALUES = [
     ("optimize", "policy.V", "big"),
     ("optimize", "policy.V", True),
     ("evaluate", "output", "out"),
+    ("evaluate", "output.dir", 5),
+    ("verify", "verification.n_paths", "300"),
+    ("verify", "verification.seed", True),
+    ("verify", "verification.time_step", "0.01"),
+    ("verify", "verification.horizon", "100"),
+    ("evaluate", "costs.g_bound", "1"),
+    ("evaluate", "costs.g_star_bound", "1"),
+    # keys that are no longer read must not pass silently
+    ("verify", "verification.small_jump_cutoff", 1e-6),
+    ("verify", "verification.corrupt", {"quantity": "fill_exit_mean",
+                                        "factor": 1.5}),
 ]
 
 
@@ -250,6 +261,13 @@ class TestEvaluate:
         assert not (tmp_path / "evaluate.json").exists()
 
 
+def _inflate_fill_exit_mean(monkeypatch):
+    """A wrong analytic side: the fill exit mean 1.5 times too large."""
+    exact = PolicyEvaluator.fill_exit_mean
+    monkeypatch.setattr(PolicyEvaluator, "fill_exit_mean",
+                        lambda self, x=None: 1.5 * exact(self, x))
+
+
 class TestVerify:
     def test_wiener_passes(self, tmp_path):
         report = cmd_verify(wiener_config(tmp_path))
@@ -273,21 +291,17 @@ class TestVerify:
         assert "long_run_average_cost" not in names
         assert "fill_exit_mean" in names
 
-    def test_corrupted_analytic_fails(self, tmp_path):
-        cfg = wiener_config(tmp_path)
-        cfg["verification"]["corrupt"] = {"quantity": "fill_exit_mean",
-                                          "factor": 1.5}
-        report = cmd_verify(cfg)
+    def test_corrupted_analytic_fails(self, tmp_path, monkeypatch):
+        _inflate_fill_exit_mean(monkeypatch)
+        report = cmd_verify(wiener_config(tmp_path))
         assert report["pass"] is False
         bad = [c for c in report["checks"]
                if c["quantity"] == "fill_exit_mean"][0]
         assert bad["pass"] is False
 
-    def test_exit_code_on_failure(self, tmp_path, capsys):
-        cfg = wiener_config(tmp_path)
-        cfg["verification"]["corrupt"] = {"quantity": "fill_exit_mean",
-                                          "factor": 1.5}
-        path = write_config(tmp_path, cfg)
+    def test_exit_code_on_failure(self, tmp_path, monkeypatch):
+        _inflate_fill_exit_mean(monkeypatch)
+        path = write_config(tmp_path, wiener_config(tmp_path))
         assert main(["verify", "--config", path, "--quiet"]) == EXIT_VERIFY
 
     def test_bad_horizon_is_config_error(self, tmp_path, capsys):

@@ -26,7 +26,6 @@ from levydam import (
     estimate,
     potential_reflected,
     run_policy_cycles,
-    simulate_input_path,
     simulate_total_discounted,
 )
 from levydam.simulate import PathConfig, path_rng, simulate_fill_phase
@@ -87,24 +86,8 @@ class TestSubordinatorFamilies:
         # grid-resolution crossing detection biases upward by O(dt)
         assert abs(est.mean - analytic) < 3 * est.std_error + 5e-3
 
-    def test_gamma_input_path_mean(self):
-        model = GammaDrift(1.0, 1.0, 2.0)
-        cfg = PathConfig(time_step=0.05, n_paths=1, seed=3)
-        vals = np.array([simulate_input_path(model, cfg, 1.0, i).values[-1]
-                         for i in range(3000)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - model.mean_input()) < 3 * se
-
 
 class TestJumpDiffusion:
-    def test_input_path_mean(self):
-        model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
-        cfg = PathConfig(time_step=5e-3, n_paths=1, seed=19)
-        vals = np.array([simulate_input_path(model, cfg, 1.0, i).values[-1]
-                         for i in range(3000)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - model.mean_input()) < 3 * se
-
     def test_fill_transform_with_creeping_and_jumps(self):
         model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
         s = ScaleFunctionSet(model, 0.4)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from levydam import (
     InverseGaussianDrift,
     brownian,
     compound_poisson_exp,
+    gamma_measure,
     generic_measure,
 )
 
@@ -151,6 +153,33 @@ class TestConstruction:
             for theta in (0.5, 1.0, 2.0):
                 assert shifted.phi(theta) == pytest.approx(
                     model.phi(theta) + 2.0 * theta, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("model, rebuilt", [
+        (compound_poisson_exp(2.0, 1.0, 1.0),
+         lambda zeta: compound_poisson_exp(zeta, 1.0, 1.0)),
+        (GammaDrift(1.0, 1.0, 2.0), lambda zeta: GammaDrift(zeta, 1.0, 2.0)),
+        (InverseGaussianDrift(1.0, 1.0, 2.0),
+         lambda zeta: InverseGaussianDrift(zeta, 1.0, 2.0)),
+    ], ids=["cp", "gamma", "inverse_gaussian"])
+    def test_shifted_bounded_variation_is_rebuilt(self, model, rebuilt):
+        # the drift moves by M; the measure is rebuilt from the same
+        # parameters, so the exponent keeps its bits
+        shifted, want = model.shifted(2.0), rebuilt(model.zeta + 2.0)
+        assert type(shifted) is type(want)
+        init = [f.name for f in dataclasses.fields(want) if f.init]
+        assert ([getattr(shifted, name) for name in init]
+                == [getattr(want, name) for name in init])
+        for theta in (0.5, 1.0, 2.0):
+            assert shifted.phi(theta) == want.phi(theta)
+        with pytest.raises(ValueError, match="release rate"):
+            model.shifted(0.0)
+
+    def test_shifted_generic_keeps_its_measure(self):
+        model = GenericBoundedVariation(1.0, gamma_measure(1.0, 2.0))
+        shifted = model.shifted(2.0)
+        assert shifted == GenericBoundedVariation(3.0, model.measure)
+        with pytest.raises(ValueError, match="release rate"):
+            model.shifted(-1.0)
 
     def test_generic_measure_matches_parametric(self):
         # exp(1) jumps at rate 1 under drift 2, via the generic constructor

@@ -377,6 +377,23 @@ def test_law_keeps_its_error_estimate():
     assert 0.0 < law.max_quad_error < 1e-8
 
 
+@pytest.mark.parametrize("reflected", [True, False])
+def test_potentials_keep_their_error_estimates(reflected):
+    # continuous input has no overshoot density: only the potential
+    # integrals of the two phases' costs carry error estimates
+    policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
+    ev = PolicyEvaluator(BrownianDrift(1.0, 1.0), policy, COSTS,
+                         reflected=reflected)
+    assert ev.max_quad_error == 0.0
+    ev.cycle_cost(0.5)
+    fill, release = ev._fill(0.5), ev._release(0.5)
+    assert not fill.overshoot_law(policy.tau).max_quad_error
+    assert 0.0 < fill.max_quad_error < 1e-8
+    assert 0.0 < release.max_quad_error < 1e-8
+    assert ev.max_quad_error == max(fill.max_quad_error,
+                                    release.max_quad_error)
+
+
 def test_density_lookups_return_kept_values():
     s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
     law = exits.FillPhase(s, 2.0, True).overshoot_law(0.5)

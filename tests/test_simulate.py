@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,6 +8,7 @@ from levydam import (
     CostSpec,
     FillPhase,
     GammaDrift,
+    GenericBoundedVariation,
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyParams,
@@ -17,8 +17,8 @@ from levydam import (
     brownian,
     compound_poisson_exp,
     estimate,
+    gamma_measure,
     run_policy_cycles,
-    simulate_input_path,
 )
 from levydam.models import BrownianDrift, ExponentialJumps
 from levydam.simulate import (
@@ -42,57 +42,30 @@ ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
 POLICY = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
 
 
-class TestInputPaths:
-    def test_brownian_mean_at_horizon(self):
-        cfg = PathConfig(time_step=1e-2, n_paths=1, seed=101)
-        t_end = 1.0
-        vals = np.array([
-            simulate_input_path(brownian(1.0, 2.0), cfg, t_end, i).values[-1]
-            for i in range(4000)])
-        se = vals.std(ddof=1) / math.sqrt(len(vals))
-        assert abs(vals.mean() - 1.0) < 3 * se
-
-    def test_poisson_jump_counts(self):
-        model = compound_poisson_exp(2.0, 1.0, 1.0)
-        cfg = PathConfig(n_paths=1, seed=7)
-        t_end = 5.0
-        counts = np.array([
-            len(simulate_input_path(model, cfg, t_end, i).jump_times)
-            for i in range(3000)])
-        # chi-square against Poisson(5), bins 0..12+
-        edges = list(range(0, 13))
-        observed = np.array([(counts == k).sum() for k in edges]
-                            + [(counts >= 13).sum()])
-        probs = np.array([stats.poisson.pmf(k, 5.0) for k in edges]
-                         + [1.0 - stats.poisson.cdf(12, 5.0)])
-        keep = probs * len(counts) >= 5
-        chi2 = ((observed[keep] - len(counts) * probs[keep]) ** 2
-                / (len(counts) * probs[keep])).sum()
-        dof = keep.sum() - 1
-        assert chi2 < stats.chi2.ppf(0.99, dof)
+class TestSubordinatorIncrements:
+    """The grid kernel's exact increments, against their laws over dt."""
 
     def test_gamma_increments_distribution(self):
-        model = GammaDrift(1.0, 1.0, 2.0)
-        cfg = PathConfig(time_step=0.25, n_paths=1, seed=31)
-        t_end = 0.25
-        incs = np.array([
-            simulate_input_path(model, cfg, t_end, i).values[-1]
-            + model.zeta * t_end
-            for i in range(4000)])
-        ks = stats.kstest(incs, "gamma", args=(model.a * t_end, 0.0,
+        model, dt = GammaDrift(1.0, 1.0, 2.0), 0.25
+        incs = _subordinator_increments(model, path_rng(31, 0), dt, 4000)
+        ks = stats.kstest(incs, "gamma", args=(model.a * dt, 0.0,
                                                1.0 / model.b))
         assert ks.pvalue > 0.01
 
-    def test_path_starts_at_zero(self):
-        path = simulate_input_path(brownian(1.0, 2.0),
-                                   PathConfig(n_paths=1, seed=1), 1.0)
-        assert path.values[0] == 0.0
-        assert path.times[0] == 0.0
+    def test_inverse_gaussian_increments_distribution(self):
+        # IG(mean dt / c, shape dt^2 / sigma^2): scipy's invgauss(m, scale=s)
+        # has mean m s and shape s
+        model, dt = InverseGaussianDrift(1.0, 1.0, 2.0), 0.25
+        mean, shape = dt / model.c, dt * dt / model.sigma ** 2
+        incs = _subordinator_increments(model, path_rng(32, 0), dt, 4000)
+        ks = stats.kstest(incs, "invgauss", args=(mean / shape, 0.0, shape))
+        assert ks.pvalue > 0.01
 
-    def test_horizon_guard(self):
-        with pytest.raises(ValueError):
-            simulate_input_path(brownian(1.0, 2.0),
-                                PathConfig(n_paths=1, horizon=1.0), 2.0)
+    def test_generic_measure_is_not_simulated(self):
+        model = GenericBoundedVariation(1.0, gamma_measure(3.0, 2.0))
+        with pytest.raises(TypeError, match="GenericBoundedVariation"):
+            run_policy_cycles(model, POLICY, ZERO,
+                              PathConfig(time_step=1e-2, n_paths=10, seed=1))
 
 
 class TestDeterminism:
@@ -113,13 +86,18 @@ class TestDeterminism:
         assert np.array_equal(a.release_time, b.release_time)
 
     def test_paths_keyed_by_index(self):
-        cfg = PathConfig(n_paths=1, seed=5)
+        # path i's release depends on (seed, i) only, not on n_paths
         model = compound_poisson_exp(2.0, 1.0, 1.0)
-        p0 = simulate_input_path(model, cfg, 3.0, path_index=0)
-        p0_again = simulate_input_path(model, cfg, 3.0, path_index=0)
-        p1 = simulate_input_path(model, cfg, 3.0, path_index=1)
-        assert np.array_equal(p0.values, p0_again.values)
-        assert not np.array_equal(p0.values, p1.values)
+
+        def release(seed, n):
+            return simulate_release_phase(model, 10.0, 0.0, math.inf, 2.0,
+                                          PathConfig(n_paths=n, seed=seed))[0]
+
+        few, many = release(5, 20), release(5, 60)
+        assert np.array_equal(few, many[:20])
+        # each path has a stream of its own
+        assert len(np.unique(few)) > 1
+        assert not np.array_equal(few, release(6, 20))
 
 
 class TestReflectionInvariants:
@@ -247,26 +225,11 @@ class TestPhaseSimulators:
         assert est.agrees_with(ReleasePhase(s_M0, tau, V).exit_mean(z))
 
 
-class TestDump:
-    def test_jsonl_dump(self, tmp_path):
-        model = compound_poisson_exp(2.0, 1.0, 1.0)
-        out = tmp_path / "cycles.jsonl"
-        rec = run_policy_cycles(model, POLICY, ZERO,
-                                PathConfig(n_paths=50, seed=2),
-                                alphas=[0.5], dump_path=str(out))
-        lines = out.read_text().splitlines()
-        assert len(lines) == rec.n_cycles
-        row = json.loads(lines[0])
-        assert row["fill_time"] == rec.fill_time[0]
-        assert "e_cycle[0.5]" in row
-
-
 class TestPathConfig:
     @pytest.mark.parametrize("kwargs", [
         {"time_step": math.nan}, {"time_step": math.inf}, {"time_step": 0.0},
         {"horizon": -1.0}, {"horizon": math.nan}, {"horizon": math.inf},
-        {"small_jump_cutoff": -1.0}, {"small_jump_cutoff": 0.0},
-        {"small_jump_cutoff": math.nan}, {"n_paths": 0},
+        {"n_paths": 0},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
