@@ -417,18 +417,22 @@ def _axis(spec, path: str) -> np.ndarray:
 
 
 def _objective_fn(cfg: dict, model, costs, reflected):
+    """The objective of a policy, and its name.  Every policy of the sweep
+    has the same model and release rate, so their evaluators share one dict
+    of scale sets."""
     spec = _typed(cfg.get("objective", {}), dict, "objective")
     crit = spec.get("criterion", "long_run_average")
+    sets: dict = {}
     if crit == "long_run_average":
         def fn(policy):
-            return PolicyEvaluator(model, policy, costs,
-                                   reflected=reflected).long_run_average()
+            return PolicyEvaluator(model, policy, costs, reflected=reflected,
+                                   scale_sets=sets).long_run_average()
         return fn, crit
     if crit == "total_discounted":
         alpha = _typed(spec.get("alpha"), _POSITIVE, "objective.alpha")
         def fn(policy):
-            return PolicyEvaluator(model, policy, costs,
-                                   reflected=reflected).total_discounted(alpha)
+            return PolicyEvaluator(model, policy, costs, reflected=reflected,
+                                   scale_sets=sets).total_discounted(alpha)
         return fn, f"total_discounted:{alpha:g}"
     raise ConfigError(f"objective.criterion: unknown criterion {crit!r}")
 

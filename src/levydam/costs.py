@@ -203,10 +203,14 @@ class PolicyEvaluator:
     Both scale sets span [0, x_max], x_max = max(lam, V' - tau) + 1, where
     V' is V when finite and else max(lam + 10, the end of g_star's
     support), so that the release potential's W(y - tau) stays inside it.
+    A set depends only on the model, the release rate M, the discount rate
+    and x_max, so evaluators of one model and one M may share the dict
+    ``scale_sets``: it holds each set built, keyed by ("fill" or "release",
+    alpha, x_max), and a set found there is not built again.
     """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
-                 reflected: bool = True):
+                 reflected: bool = True, scale_sets: dict | None = None):
         self.model = model
         self.policy = policy
         self.costs = costs
@@ -215,6 +219,7 @@ class PolicyEvaluator:
         if math.isinf(top):
             top = max(policy.lam + 10.0, costs.g_star.support[1])
         self.x_max = max(policy.lam, top - policy.tau) + 1.0
+        self._sets = {} if scale_sets is None else scale_sets
         self._fills: dict[float, FillPhase] = {}
         self._releases: dict[float, ReleasePhase] = {}
 
@@ -223,20 +228,25 @@ class PolicyEvaluator:
         phases = [*self._fills.values(), *self._releases.values()]
         return max((phase.max_quad_error for phase in phases), default=0.0)
 
+    def _scale_set(self, phase: str, alpha: float) -> ScaleFunctionSet:
+        key = (phase, alpha, self.x_max)
+        if key not in self._sets:
+            model = (self.model if phase == "fill"
+                     else self.model.shifted(self.policy.M))
+            self._sets[key] = ScaleFunctionSet(model, alpha, x_max=self.x_max)
+        return self._sets[key]
+
     def _fill(self, alpha: float) -> FillPhase:
         if alpha not in self._fills:
-            self._fills[alpha] = FillPhase(
-                ScaleFunctionSet(self.model, alpha, x_max=self.x_max),
-                self.policy.lam, self.reflected)
+            self._fills[alpha] = FillPhase(self._scale_set("fill", alpha),
+                                           self.policy.lam, self.reflected)
         return self._fills[alpha]
 
     def _release(self, alpha: float) -> ReleasePhase:
         if alpha not in self._releases:
             p = self.policy
             self._releases[alpha] = ReleasePhase(
-                ScaleFunctionSet(self.model.shifted(p.M), alpha,
-                                 x_max=self.x_max),
-                p.tau, p.V)
+                self._scale_set("release", alpha), p.tau, p.V)
         return self._releases[alpha]
 
     def fill_set(self, alpha: float) -> ScaleFunctionSet:

@@ -10,10 +10,9 @@ Three evaluation methods are provided:
 
 * closed forms for pure Brownian input,
 * a convolution series for bounded variation input with jump load
-  ``rho = mu / zeta < 1``, built on a uniform grid over [0, x_max] and
-  summed with a certified geometric majorant; each term is one real FFT
-  convolution at a fixed padded length, and the spectrum of the ladder
-  height increments is taken once per grid and shared by all terms,
+  ``rho = mu / zeta < 1`` on a uniform grid over [0, x_max]: the ladder
+  series to all orders and its discount ``W_a = W + a W * W_a`` (Kuznetsov,
+  Kyprianou and Rivero 2012, section 2) are one triangular Toeplitz solve each,
 * numerical Laplace inversion (fixed Talbot contour applied to the
   exponentially tilted transforms), available whenever the exponent can be
   evaluated at complex arguments.  W' is inverted from its own transform,
@@ -52,56 +51,58 @@ _log = logging.getLogger("levydam")
 
 # the series grid: the starting step as a fraction of the range, the
 # sup-norm target between successive grid halvings relative to the function
-# scale, and the most halvings; the series is truncated by its geometric
-# majorant at _SERIES_TOL or after _MAX_TERMS terms
+# scale, and the most halvings
 _GRID_FACTOR = 1e-3
 _REFINE_TOL = 1e-7
 _MAX_REFINEMENTS = 3
-_SERIES_TOL = 1e-12
-_MAX_TERMS = 400
+# triangular Toeplitz solves: unknowns per leaf, and the most unknowns of a
+# block whose merge convolves directly rather than by real FFT
+_LEAF = 128
+_DIRECT_MAX = 1024
 # contour nodes of the inversion method
 _TALBOT_NODES = 24
 
 
-def _volterra_discount(w0: np.ndarray, h: float, alpha: float) -> np.ndarray:
-    """Discounted scale function from the zero-discount one.
+def _toeplitz_solve(d: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The y with ``y[m] d - sum_{l<m} c[m-l] y[l] = r[m]`` for every m.
 
-    Solves the renewal identity W_a = W + a * (W conv W_a), the resummed
-    form of the discount power series, by trapezoid forward substitution.
-    Summing the series term by term is numerically unstable on wide grids
-    (roundoff is re-amplified by roughly exp(a * int W) per term), while the
-    Volterra forward solve is stable.
+    Divide and conquer: a leaf of ``_LEAF`` unknowns is a product with its
+    inverse matrix, whose first column is a forward substitution; a merge
+    adds the solved left half to the right half by one convolution.  For
+    d > 0 and c, r >= 0 every term summed is nonnegative.
     """
-    n = len(w0)
-    out = np.empty_like(w0)
-    out[0] = w0[0]
-    rev = w0[::-1]
-    denom = 1.0 - 0.5 * alpha * h * w0[0]
-    for j in range(1, n):
-        inner = np.dot(out[1:j], rev[n - j:n - 1]) if j > 1 else 0.0
-        conv = 0.5 * out[0] * w0[j] + inner
-        out[j] = (w0[j] + alpha * h * conv) / denom
-    return out
+    k = min(len(r), _LEAF)
+    col = np.empty(k)
+    col[0] = 1.0 / d
+    for m in range(1, k):
+        col[m] = np.dot(c[m:0:-1], col[:m]) / d
+    idx = np.arange(k)
+    inv = np.tril(col[idx[:, None] - idx])  # tril zeroes the wrapped lags
+    y = np.array(r, dtype=float)
+    _solve_block(y, c, inv, 0, len(y))
+    return y
 
 
-def _head_convolver(b: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Map ``a`` of the length m of ``b`` to ``(a * b)[:m]``, the head of
-    their linear convolution.
-
-    Pads to the length ``scipy.signal.fftconvolve`` picks and repeats its
-    real FFT steps, so the result equals ``fftconvolve(a, b)[:m]`` bit for
-    bit.  The spectrum of ``b`` is taken once, so each call costs two real
-    FFTs.
-    """
-    m = len(b)
-    size = sp_fft.next_fast_len(2 * m - 1, True)
-    b_hat = sp_fft.rfftn(b, [size], axes=[0])
-
-    def conv(a: np.ndarray) -> np.ndarray:
-        a_hat = sp_fft.rfftn(a, [size], axes=[0])
-        return sp_fft.irfftn(a_hat * b_hat, [size], axes=[0])[:m]
-
-    return conv
+def _solve_block(y: np.ndarray, c: np.ndarray, inv: np.ndarray,
+                 lo: int, hi: int):
+    """Solve in place for y[lo:hi], which holds its right-hand side plus
+    the terms of every unknown before lo."""
+    n = hi - lo
+    if n <= len(inv):
+        y[lo:hi] = inv[:n, :n] @ y[lo:hi]
+        return
+    mid = lo + _LEAF * ((-(-n // _LEAF) + 1) // 2)
+    _solve_block(y, c, inv, lo, mid)
+    # entries mid-lo-1 .. n-2 of the convolution of y[lo:mid] with c[1:n];
+    # a circular one of length >= n - 1 wraps nothing onto them
+    left, kernel = y[lo:mid], c[1:n]
+    if n <= _DIRECT_MAX:
+        y[mid:hi] += np.convolve(left, kernel, "valid")
+    else:
+        size = sp_fft.next_fast_len(n - 1, True)
+        spec = sp_fft.rfft(left, size) * sp_fft.rfft(kernel, size)
+        y[mid:hi] += sp_fft.irfft(spec, size)[mid - lo - 1:n - 1]
+    _solve_block(y, c, inv, mid, hi)
 
 
 def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -181,7 +182,7 @@ class _BrownianClosedForm(_Evaluator):
 
 class _SeriesEvaluator(_Evaluator):
     """Convolution series on a uniform grid over [0, x_max] for bounded
-    variation input.
+    variation input, by two Toeplitz solves per grid.
 
     ``refine_diff`` is the sup-norm difference, relative to the function
     scale, between the kept grid and the one of twice its step; it is
@@ -237,22 +238,20 @@ class _SeriesEvaluator(_Evaluator):
         return np.minimum(cum / measure.mu, 1.0)
 
     def _series_on_grid(self, xs: np.ndarray) -> np.ndarray:
-        n = len(xs)
-        F = self._ladder_cdf(xs)
-        conv_dF = _head_convolver(np.diff(F))
-        Fk = np.ones(n)
-        acc = Fk.copy()
-        k = 0
-        while (self.rho ** (k + 1) / (1.0 - self.rho) >= _SERIES_TOL
-               and k < _MAX_TERMS):
-            k += 1
-            avg = 0.5 * (Fk[1:] + Fk[:-1])
-            Fk = np.concatenate(([0.0], np.maximum(conv_dF(avg), 0.0)))
-            acc += (self.rho ** k) * Fk
-        w0 = acc / self.zeta
+        # the trapezoid series acc = sum_k rho^k F^{*k} to all orders solves
+        # acc = 1 + rho [0, dF conv avg(acc)], where acc[0] = 1
+        half = 0.5 * self.rho * np.diff(self._ladder_cdf(xs))
+        c = np.concatenate(([0.0], half[:-1] + half[1:]))
+        acc = _toeplitz_solve(1.0 - half[0], c, 1.0 + half)
+        w0 = np.append(1.0, acc) / self.zeta
         if self.alpha == 0.0:
             return w0
-        return _volterra_discount(w0, xs[1] - xs[0], self.alpha)
+        # W_a = W + a W conv W_a by the trapezoid rule, W_a(0) = W(0); its
+        # power series summed term by term would lose digits on wide grids
+        ah = self.alpha * (xs[1] - xs[0])
+        wa = _toeplitz_solve(1.0 - 0.5 * ah * w0[0], ah * w0[:-1],
+                             w0[1:] * (1.0 + 0.5 * ah * w0[0]))
+        return np.append(w0[0], wa)
 
     def _build(self, x_max: float):
         base = 1.0 / _GRID_FACTOR

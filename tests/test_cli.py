@@ -399,3 +399,28 @@ class TestOptimize:
         assert abs(fine["argmin"]["lambda"] - coarse["argmin"]["lambda"]) <= 0.5
         assert abs(fine["argmin"]["tau"] - coarse["argmin"]["tau"]) <= 0.3
         assert fine["argmin"]["objective"] <= coarse["argmin"]["objective"] + 1e-12
+
+    def test_shared_scale_sets_change_no_byte(self, tmp_path, monkeypatch):
+        import levydam.cli as cli
+        import levydam.costs as costs
+
+        cfg = self.sweep_config(tmp_path, model={
+            "kind": "compound_poisson", "zeta": 2.0, "rate": 1.0,
+            "jump_mean": 1.0})
+        cfg["sweep"]["tau"] = 0.5
+        builds = []
+
+        def counted(*args, **kwargs):
+            builds.append(args[1:])
+            return real_set(*args, **kwargs)
+
+        real_set = costs.ScaleFunctionSet
+        monkeypatch.setattr(costs, "ScaleFunctionSet", counted)
+        shared = json.dumps(cmd_optimize(cfg))
+        # three policies of one tau: one fill and one release set at alpha 0
+        assert len(builds) == 2
+        builds.clear()
+        monkeypatch.setattr(cli, "PolicyEvaluator",
+                            lambda *a, scale_sets, **k: PolicyEvaluator(*a, **k))
+        assert json.dumps(cmd_optimize(cfg)) == shared
+        assert len(builds) == 6

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import math
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy.integrate import quad
 
 import levydam.scale
@@ -357,15 +359,53 @@ class TestScalarPath:
         assert {k: [getattr(s, k)(x) for x in xs] for k in first} == first
 
 
-def _fftconvolve_head(b):
-    """The series convolution as it stood, on scipy.signal.fftconvolve."""
-    from scipy.signal import fftconvolve
-    return lambda a: fftconvolve(a, b)[: len(b)]
+class _TermSeries(levydam.scale._SeriesEvaluator):
+    """The reference series: the trapezoid terms summed one FFT
+    convolution at a time until their geometric majorant drops below
+    1e-12, then the discount by a Python forward substitution.  The grid,
+    its halvings and refine_diff are inherited."""
+
+    def _series_on_grid(self, xs):
+        n = len(xs)
+        F = self._ladder_cdf(xs)
+        b = np.diff(F)
+        size = sp_fft.next_fast_len(2 * (n - 1) - 1, True)
+        b_hat = sp_fft.rfftn(b, [size], axes=[0])
+        Fk = np.ones(n)
+        acc = Fk.copy()
+        k = 0
+        while self.rho ** (k + 1) / (1.0 - self.rho) >= 1e-12 and k < 400:
+            k += 1
+            avg = 0.5 * (Fk[1:] + Fk[:-1])
+            a_hat = sp_fft.rfftn(avg, [size], axes=[0])
+            conv = sp_fft.irfftn(a_hat * b_hat, [size], axes=[0])[:n - 1]
+            Fk = np.concatenate(([0.0], np.maximum(conv, 0.0)))
+            acc += (self.rho ** k) * Fk
+        w0 = acc / self.zeta
+        if self.alpha == 0.0:
+            return w0
+        h, alpha = xs[1] - xs[0], self.alpha
+        out = np.empty_like(w0)
+        out[0] = w0[0]
+        rev = w0[::-1].copy()  # contiguous: the same products, faster
+        denom = 1.0 - 0.5 * alpha * h * w0[0]
+        for j in range(1, n):
+            inner = np.dot(out[1:j], rev[n - j:n - 1]) if j > 1 else 0.0
+            conv = 0.5 * out[0] * w0[j] + inner
+            out[j] = (w0[j] + alpha * h * conv) / denom
+        return out
+
+
+def _forward_substitution(d, c, r):
+    y = np.empty(len(r))
+    for m in range(len(r)):
+        y[m] = (r[m] + np.dot(c[m:0:-1], y[:m])) / d
+    return y
 
 
 class TestSeriesConvolution:
-    """The series sums its terms by real FFT convolution, which must equal
-    scipy.signal.fftconvolve bit for bit."""
+    """The series solves two lower triangular Toeplitz systems, which must
+    give the term-by-term series and its forward-substituted discount."""
 
     MODELS = {
         "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
@@ -374,43 +414,44 @@ class TestSeriesConvolution:
         "generic": lambda: GenericBoundedVariation(
             2.0, generic_measure(lambda x: np.exp(-x), lambda x: np.exp(-x), 1.0)),
     }
+    LEAF = levydam.scale._LEAF
 
-    # 2m - 1 is padded to the next fast length, except for m = 313 and 1013
-    # (625 = 5**4 and 2025 = 3**4 * 5**2)
-    @pytest.mark.parametrize("m", [256, 257, 313, 1000, 1013, 2001, 4000, 8001])
-    def test_random_vectors(self, m):
-        rng = np.random.default_rng(m)
-        a, b = rng.standard_normal(m), rng.standard_normal(m)
-        got = levydam.scale._head_convolver(b)(a)
-        assert np.array_equal(got, _fftconvolve_head(b)(a))
+    # 1000 merges directly only, 4097 by real FFT too
+    @pytest.mark.parametrize("n", [1, 2, LEAF - 1, LEAF, LEAF + 1, 1000, 4097])
+    def test_solve_equals_forward_substitution(self, n):
+        rng = np.random.default_rng(n)
+        for c in (rng.random(n) * (2.0 / n),
+                  rng.random(n) * np.exp(-np.arange(n) / 50.0) / 50.0):
+            d, r = 1.0 + rng.random(), rng.random(n)
+            got = levydam.scale._toeplitz_solve(d, c, r)
+            want = _forward_substitution(d, c, r)
+            assert np.max(np.abs(got - want) / want) < 1e-13
 
-    @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_series_inputs(self, name, monkeypatch):
-        real, calls = levydam.scale._head_convolver, []
+    def test_solve_leaves_no_reference_cycles(self):
+        rng = np.random.default_rng(0)
+        c, r = rng.random(4097) / 4097, rng.random(4097)
+        gc.collect()
+        gc.disable()
+        try:
+            levydam.scale._toeplitz_solve(1.0, c, r)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
-        def checked(b):
-            conv, ref = real(b), _fftconvolve_head(b)
-
-            def both(a):
-                got = conv(a)
-                calls.append(np.array_equal(got, ref(a)))
-                return got
-
-            return both
-
-        monkeypatch.setattr(levydam.scale, "_head_convolver", checked)
-        ScaleFunctionSet(self.MODELS[name](), 0.5, method=CONVOLUTION_SERIES,
-                         x_max=4.5)
-        assert len(calls) > 100 and all(calls)
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_table_equals_fftconvolve_table(self, alpha, monkeypatch):
-        model = compound_poisson_exp(2.0, 1.0, 1.0)
-        got = ScaleFunctionSet(model, alpha).grid
-        monkeypatch.setattr(levydam.scale, "_head_convolver", _fftconvolve_head)
-        want = ScaleFunctionSet(model, alpha).grid
-        assert np.array_equal(got[0], want[0])
-        assert np.array_equal(got[1], want[1])
+    @pytest.mark.parametrize("name,alpha,x_max", [
+        *((name, alpha, 4.5) for name in sorted(MODELS)
+          for alpha in (0.0, 0.5, 2.0)),
+        *(("cp_exponential", alpha, x_max) for alpha in (0.5, 2.0)
+          for x_max in (30.0, 60.5))])
+    def test_table_equals_term_series(self, name, alpha, x_max):
+        model = self.MODELS[name]()
+        got = ScaleFunctionSet(model, alpha, method=CONVOLUTION_SERIES,
+                               x_max=x_max)._ev
+        want = _TermSeries(model, alpha, x_max)
+        assert np.array_equal(got.grid_x, want.grid_x)
+        assert abs(got.refine_diff - want.refine_diff) <= 1e-12
+        assert np.max(np.abs(got.grid_w - want.grid_w)
+                      / np.abs(want.grid_w)) <= 1e-12
 
     def test_unconverged_refinement_warns_and_keeps_grid(self, caplog,
                                                          monkeypatch):
