@@ -77,6 +77,11 @@ class ExponentialJumps:
     def sample(self, rng, size):
         return rng.exponential(self.mean, size=size)
 
+    def from_exponential(self, e):
+        """One jump per standard exponential e: mean * e, which is bit for
+        bit what ``rng.exponential(mean)`` draws from the same bits."""
+        return self.mean * e
+
 
 @dataclass(frozen=True)
 class AtomJumps:
@@ -114,6 +119,15 @@ class AtomJumps:
 
     def sample(self, rng, size):
         idx = rng.choice(len(self.sizes), size=size, p=np.asarray(self.probs))
+        return np.asarray(self.sizes)[idx]
+
+    def from_exponential(self, e):
+        """One jump per standard exponential e: the quantile of the uniform
+        u = 1 - exp(-e), found on the cdf as ``rng.choice`` finds it."""
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        # without the last entry, so u rounded up to 1 takes the last atom
+        idx = np.searchsorted(cdf[:-1], -np.expm1(-e), side="right")
         return np.asarray(self.sizes)[idx]
 
 

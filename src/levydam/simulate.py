@@ -18,9 +18,9 @@ Simulation schemes per family:
 Other bounded variation input (``GenericBoundedVariation``) is priced
 analytically but not simulated: its first draw raises ``TypeError``.
 
-The compound Poisson event loop only draws and records the linear pieces of
-each path; their maintenance integrals are computed afterwards, vectorised
-over blocks of pieces (``_SegmentSink``).
+Compound Poisson paths run in lock step (``_cp_events``): each NumPy step
+takes every live path one event on, as a scalar event loop would; the
+pieces between events go to a ``_SegmentSink``, integrated in blocks.
 
 The grid families share one step kernel, ``_GridStep``: it draws one step
 for every live path (increments, jumps, within-step extremum, bridge test,
@@ -35,17 +35,18 @@ are trapezoids added in blocks by a ``_GridSink``.
 ``_total_discounted_grid`` runs successive cycles until the discount floor
 and books each charge as it falls due.
 
-Randomness is counter based: the compound Poisson simulators draw from
-Philox streams keyed by (seed, path index); the grid kernel consumes the
-(seed, 0) stream for all live paths in lock step, so a grid path's draws
-depend on ``n_paths``.  Fixed (seed, config, model, policy) reproduce
-results bit for bit.
+Randomness is counter based.  A compound Poisson path reads standard
+exponentials from the Philox stream keyed by (seed, path index), in blocks
+(``_Streams``): a gap or an exponential jump is a scale times one, an atom
+jump the quantile of one, so its outcome does not depend on ``n_paths``.
+The grid kernel consumes the (seed, 0) stream for all live paths in lock
+step, so a grid path's draws depend on ``n_paths``.  Fixed (seed, config,
+model, policy) reproduce results bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -183,10 +184,12 @@ def estimate(quantity_tag: str, values, lengths=None) -> SimulationEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Compound Poisson cycles: exact event-driven simulation
+# Compound Poisson cycles: exact event-driven simulation, all paths in step
 # ---------------------------------------------------------------------------
 
 _SINK_BLOCK = 1024
+_FIRST_DRAWS = 32  # the first block of draws of a path's stream
+_MAX_DRAWS = 4096  # the longest block a refill draws
 
 
 def _integrate_segments(g, slot, y0, slope, t0, duration, stick, alphas,
@@ -202,7 +205,7 @@ def _integrate_segments(g, slot, y0, slope, t0, duration, stick, alphas,
     keep = duration > 0.0
     if g.is_zero or not keep.any():
         return
-    stick = np.broadcast_to(stick, keep.shape)
+    slope, stick = (np.broadcast_to(v, keep.shape) for v in (slope, stick))
     slot, y0, slope, t0, duration, stick = (
         v[keep] for v in (slot, y0, slope, t0, duration, stick))
     bps = np.asarray(g.breakpoints)
@@ -223,188 +226,211 @@ def _integrate_segments(g, slot, y0, slope, t0, duration, stick, alphas,
     gs = g.values(ys)
     for a in alphas:
         damped = gs * np.exp(-a * (t0[seg, None] + ts)) if a else gs
-        np.add.at(out[a], slot[seg], half * (damped @ _GL_WEIGHTS))
+        # padded: matmul sums a lone row as a dot product, rounded otherwise
+        sums = np.vstack((damped, damped[:1])) @ _GL_WEIGHTS
+        np.add.at(out[a], slot[seg], half * sums[:len(seg)])
 
 
 class _SegmentSink:
-    """Maintenance integrals of one rate function, one slot per kept cycle.
+    """Maintenance integrals of one rate function, one slot per cycle.
 
-    The event loop adds each linear piece y0 - slope t, 0 <= t <= duration,
-    of the cycle in progress; t0 is the piece's start from the cycle start.
-    ``close`` keeps the cycle under the next slot and ``drop`` discards it
-    (a partial cycle).  At most ``block`` pieces are held before they are
-    integrated by ``_integrate_segments``.
+    The event loop adds pieces y0 - ``slope`` t, 0 <= t <= duration, at most
+    one per cycle at a time, with t0 the piece's start from its cycle start;
+    each slot sums its pieces in event order, wherever the blocks of at most
+    ``block`` rows end.
     """
 
-    def __init__(self, g, alphas, stick: bool, block: int = _SINK_BLOCK):
-        self.g = g
-        self.alphas = alphas
-        self.stick = stick
-        self.block = block
-        self.n_slots = 0
-        self._live = not g.is_zero
-        self._rows = []
-        self._open = 0  # index in _rows where the open cycle starts
+    def __init__(self, g, alphas, stick: bool, slope: float,
+                 block: int = _SINK_BLOCK):
+        self.g, self.alphas, self.stick = g, alphas, stick
+        self.slope, self.block = slope, block
+        self.live = not g.is_zero
+        self._rows, self._held = [], 0
         self._out = {a: np.zeros(0) for a in alphas}
 
-    def add(self, y0, slope, t0, duration):
-        if self._live:
-            self._rows.append((self.n_slots, y0, slope, t0, duration))
-            if len(self._rows) >= self.block:
-                self._flush()
+    def add(self, slot, y0, t0, duration):
+        if self.live and len(slot):
+            self._rows.append((slot, y0, t0, duration))
+            self._held += len(slot)
+            if self._held >= self.block:
+                self.result(0)
 
-    def close(self):
-        self.n_slots += 1
-        self._open = len(self._rows)
-
-    def drop(self):
-        del self._rows[self._open:]
-        for v in self._out.values():
-            if self.n_slots < len(v):
-                v[self.n_slots] = 0.0
-
-    def _flush(self):
-        need = self.n_slots + 1
-        for a, v in self._out.items():
-            if len(v) < need:
-                grown = np.zeros(max(need, 2 * len(v)))
-                grown[:len(v)] = v
-                self._out[a] = grown
+    def result(self, n: int) -> dict:
+        """Integrals of slots 0 to n - 1 by alpha, after the rows held."""
         if self._rows:
-            slot, y0, slope, t0, dur = np.array(self._rows).T
-            self._rows.clear()
-            self._open = 0
-            _integrate_segments(self.g, slot.astype(np.intp), y0, slope, t0,
-                                dur, self.stick, self.alphas, self._out)
+            slot, y0, t0, dur = (np.concatenate(c) for c in zip(*self._rows))
+            self._rows, self._held = [], 0
+            need = int(slot.max()) + 1
+            self._out = {a: np.pad(v, (0, max(0, need - len(v))))
+                         for a, v in self._out.items()}
+            for k in range(0, len(slot), self.block):
+                part = slice(k, k + self.block)
+                _integrate_segments(self.g, slot[part], y0[part], self.slope,
+                                    t0[part], dur[part], self.stick,
+                                    self.alphas, self._out)
+        return {a: np.pad(v, (0, max(0, n - len(v))))[:n]
+                for a, v in self._out.items()}
 
-    def result(self) -> dict:
-        """Integrals of the closed cycles, keyed by alpha."""
-        self._flush()
-        return {a: v[:self.n_slots].copy() for a, v in self._out.items()}
 
+class _Streams:
+    """Standard exponentials of each live row's (seed, path) Philox stream.
 
-def _cp_fill(model, rng, x, lam, horizon, reflected, sink=None):
-    """Fill phase of a compound Poisson cycle; returns (T, state), or None
-    when it is still open at the horizon.
-
-    A fill from lam or above has length zero.  Each linear piece of the
-    path between jumps goes to ``sink``.
+    One Philox re-keyed by assigning its state draws as ``path_rng(seed,
+    path)``, and ``s * e`` is bit for bit ``Generator.exponential(s)``.  Row
+    r reads ``buf[cur[r]]``, draw ``cur[r] - shift[r]`` of its stream; a row
+    left with under two is redrawn with a block as long as what it used,
+    which is skipped.  Dead rows' draws go once they fill half of ``buf``.
     """
-    if x >= lam:
-        return 0.0, x
-    zeta, rate = model.zeta, model.rate
-    y, t = x, 0.0
-    while t < horizon:
-        gap = rng.exponential(1.0 / rate)
-        gap = min(gap, horizon - t)
-        if sink is not None:
-            sink.add(y, zeta, t, gap)
-        y_end = y - zeta * gap
-        if reflected:
-            y_end = max(y_end, 0.0)
-        t += gap
-        if t >= horizon:
-            break
-        jump = float(model.jumps.sample(rng, 1)[0])
-        y = y_end + jump
-        if y >= lam:
-            return t, y
-    return None
+
+    def __init__(self, seed: int, paths):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+        self._bits = np.random.Philox(key=key)
+        self._rng = np.random.Generator(self._bits)
+        self._state = self._bits.state  # counter 0: a stream's start
+        self.buf = np.zeros(0)
+        self.cur, self.end, self.shift = np.zeros((3, len(paths)), np.intp)
+        self._refill(paths, np.arange(len(paths)))
+
+    def _refill(self, paths, rows):
+        used = self.cur[rows] - self.shift[rows]
+        # as long as what was used, and at least the two a step may take
+        size = np.maximum(np.clip(used, _FIRST_DRAWS, _MAX_DRAWS), 2)
+        fresh = []
+        for path, skip, count in zip(paths[rows].tolist(), used.tolist(),
+                                     size.tolist()):
+            self._state["state"]["key"][1] = path
+            self._bits.state = self._state
+            fresh.append(self._rng.standard_exponential(skip + count)[skip:])
+        held = self.end - self.cur
+        held[rows] = 0
+        if len(self.buf) > 2 * held.sum():  # keep the unread draws only
+            at = np.cumsum(held) - held
+            self.buf = self.buf[np.repeat(self.cur - at, held)
+                                + np.arange(held.sum())]
+            self.shift = self.shift - (self.cur - at)
+            self.cur, self.end = at, at + held
+        at = len(self.buf) + np.cumsum(size) - size
+        self.buf = np.concatenate([self.buf, *fresh])
+        self.cur[rows], self.end[rows], self.shift[rows] = (at, at + size,
+                                                            at - used)
+
+    def next_two(self, paths):
+        """Each row's next two draws, both taken (see ``put_back``)."""
+        short = (self.end - self.cur < 2).nonzero()[0]
+        if len(short):
+            self._refill(paths, short)
+        draws = self.buf[self.cur], self.buf[1:][self.cur]
+        self.cur += 2
+        return draws
+
+    def put_back(self, one):
+        """Rows marked in ``one`` used only the first of their two draws."""
+        self.cur -= one
+
+    def keep(self, order):
+        self.cur, self.end, self.shift = (
+            v[order] for v in (self.cur, self.end, self.shift))
 
 
-def _cp_release(model, rng, z, tau, V, M, horizon, t_start, sink=None):
-    """Release phase from z; returns its duration or None.
+def _cp_events(model, config, start, lam, tau, V, M, reflected, horizon,
+               sinks=(None, None), fill_only=False, renew=False):
+    """Cycles of every path from ``start``, all live paths one event a step.
 
-    Pieces go to ``sink`` with start times counted from ``t_start``, the
-    cycle start.
+    A fill ends when a jump reaches ``lam`` (at once from ``lam`` or above),
+    a release at rate M from min(state, V) when it meets ``tau``; a phase
+    open at ``horizon`` from its cycle start leaves the cycle partial.  A
+    path stops after one fill if ``fill_only``, one cycle unless ``renew``,
+    else when a cycle start reaches ``horizon``.  A step draws each path's
+    gap, and its jump where the phase goes on, with a scalar loop's float
+    operations in its order; a row's phase (filling rows first) enters only
+    through its constants.  Returns per cycle (path, start time, fill time,
+    crossing state, release time), NaN where a phase did not end.
     """
-    zeta, rate = model.zeta, model.rate
-    slope = zeta + M
-    y = min(z, V)
-    t = 0.0
-    while t_start + t < horizon:
-        gap = rng.exponential(1.0 / rate)
-        t_abs = (y - tau) / slope
-        if t_abs <= gap:
-            if sink is not None:
-                sink.add(y, slope, t_start + t, t_abs)
-            return t + t_abs
-        gap = min(gap, horizon - t_start - t)
-        if sink is not None:
-            sink.add(y, slope, t_start + t, gap)
-        y -= slope * gap
-        t += gap
-        if t_start + t >= horizon:
-            break
-        y = min(y + float(model.jumps.sample(rng, 1)[0]), V)
-    return None
-
-
-def _run_cycles_cp(model, policy, costs, config, reflected, alphas):
-    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
-    recs = _RecordBuilder(alphas, M)
-    fill_g = _SegmentSink(costs.g, alphas, reflected)
-    release_g = _SegmentSink(costs.g_star, alphas, False)
-    for i in range(config.n_paths):
-        rng = path_rng(config.seed, i)
-        fill = _cp_fill(model, rng, tau, lam, config.horizon, reflected,
-                        fill_g)
-        t_rel = None
-        if fill is not None:
-            t_rel = _cp_release(model, rng, fill[1], tau, V, M,
-                                config.horizon, fill[0], release_g)
-        if t_rel is None:
-            recs.n_partial += 1
-            fill_g.drop()
-            release_g.drop()
+    n = config.n_paths
+    scale, jumps, inf = 1.0 / model.rate, model.jumps, math.inf
+    # per phase (fill, release): slope, release barrier, floor, cap, threshold
+    table = np.array([(model.zeta, -inf, 0.0 if reflected else -inf, inf,
+                       lam), (model.zeta + M, tau, -inf, V, inf)]).T
+    path = slot = np.arange(n)
+    streams = _Streams(config.seed, path)
+    nf = n if start < lam else 0
+    y = np.full(n, float(start) if nf else min(start, V))
+    t, t0, cyc = np.zeros(n), np.zeros(n), np.zeros(n)
+    hor = np.full(n, float(horizon))
+    rec = [(0, slot, path), (1, slot, cyc)]  # (column, cycles, values)
+    if not nf:
+        rec += [(2, slot, t0), (3, slot, np.full(n, float(start)))]
+    n_cycles = n
+    sinks = [(s, k) for k, s in enumerate(sinks) if s is not None and s.live]
+    constants = lambda nf, m: np.repeat(table, (nf, m - nf), axis=1)
+    slope, bar, floor, cap, top = constants(nf, n)
+    while len(path):
+        e, e_jump = streams.next_two(path)
+        gap = scale * e
+        t_abs = (y - bar) / slope  # inf while filling
+        fin = t_abs <= gap
+        dur = np.where(fin, t_abs, np.minimum(gap, (hor - t0) - t))
+        for sink, k in sinks:
+            part = slice(nf) if k == 0 else slice(nf, None)
+            sink.add(slot[part], y[part], (t0 + t)[part], dur[part])
+        t = t + dur
+        stop = fin | (t0 + t >= hor)
+        y = np.minimum(np.maximum(y - slope * dur, floor)
+                       + jumps.from_exponential(e_jump), cap)
+        cross = y >= top  # less the stopped rows, below
+        if not (np.count_nonzero(stop) or np.count_nonzero(cross)):
             continue
-        fill_g.close()
-        release_g.close()
-        recs.add(fill[0], t_rel, fill[1])
-    return recs.build(fill_g.result(), release_g.result())
+
+        streams.put_back(stop)
+        cross &= ~stop
+        ix, jx = cross.nonzero()[0], fin.nonzero()[0]
+        rec += [(2, slot[ix], t[ix]), (3, slot[ix], y[ix]),
+                (4, slot[jx], t[jx])]
+        ends = cyc + (t0 + t)
+        renewed = fin & (ends < horizon) if renew else np.zeros_like(fin)
+        is_fill = np.arange(len(path)) < nf
+        stay_fill = np.where(is_fill, ~(stop | cross), renewed)
+        order = np.concatenate((stay_fill.nonzero()[0], np.where(
+            is_fill, cross & (not fill_only), ~stop).nonzero()[0]))
+        nf = int(np.count_nonzero(stay_fill))
+        streams.keep(order)
+        path, slot, y, t, t0, hor, cyc, ends = (
+            v[order] for v in (path, slot, y, t, t0, hor, cyc, ends))
+        # a crossing opens the valve: the release runs from min(state, V)
+        ix = cross[order].nonzero()[0]
+        t0[ix], t[ix], y[ix] = t[ix], 0.0, np.minimum(y[ix], V)
+        ix = renewed[order].nonzero()[0]
+        if len(ix):
+            cyc[ix] = ends[ix]
+            hor[ix], y[ix], t[ix], t0[ix] = horizon - cyc[ix], tau, 0.0, 0.0
+            slot[ix] = np.arange(n_cycles, n_cycles + len(ix))
+            n_cycles += len(ix)
+            rec += [(0, slot[ix], path[ix]), (1, slot[ix], cyc[ix])]
+        slope, bar, floor, cap, top = constants(nf, len(path))
+
+    cols = np.full((5, n_cycles), np.nan)
+    for k, cycles, values in rec:
+        cols[k, cycles] = values
+    return (cols[0].astype(np.intp), *cols[1:])
 
 
-def _cp_paths(config, run):
-    """The outcomes of run(rng) with path i on the (seed, i) stream that
-    are not None, and the number of None (paths open at the horizon)."""
-    got = [run(path_rng(config.seed, i)) for i in range(config.n_paths)]
-    done = [g for g in got if g is not None]
-    return done, len(got) - len(done)
+def _exp(a, ts):
+    """e^{-a t} for each t by ``math.exp``, whose last bits np.exp misses."""
+    return np.array([math.exp(-a * v) for v in ts.tolist()])
 
 
-class _RecordBuilder:
-    def __init__(self, alphas, M):
-        self.alphas = alphas
-        self.M = M
-        self.fill_time = []
-        self.release_time = []
-        self.state = []
-        self.e_fill = {a: [] for a in alphas}
-        self.e_cycle = {a: [] for a in alphas}
-        self.rel_disc_time = {a: [] for a in alphas}
-        self.n_partial = 0
-
-    def add(self, t_fill, t_rel, state):
-        self.fill_time.append(t_fill)
-        self.release_time.append(t_rel)
-        self.state.append(state)
-        for a in self.alphas:
-            ef = math.exp(-a * t_fill)
-            ec = math.exp(-a * (t_fill + t_rel))
-            self.e_fill[a].append(ef)
-            self.e_cycle[a].append(ec)
-            self.rel_disc_time[a].append((ef - ec) / a if a else t_rel)
-
-    def build(self, fill_g: dict, release_g: dict) -> CycleRecords:
-        arr = lambda d: {a: np.asarray(v, dtype=float) for a, v in d.items()}
-        return CycleRecords(
-            fill_time=np.asarray(self.fill_time, dtype=float),
-            release_time=np.asarray(self.release_time, dtype=float),
-            crossing_state=np.asarray(self.state, dtype=float),
-            e_fill=arr(self.e_fill), e_cycle=arr(self.e_cycle),
-            fill_g=fill_g, release_g=release_g,
-            release_disc_time=arr(self.rel_disc_time),
-            n_partial=self.n_partial, M=self.M)
+def _records(done, t_fill, t_rel, state, e_fill, e_cycle, fill_g, release_g,
+             M) -> CycleRecords:
+    """The records of the cycles marked ``done``, from per-cycle arrays."""
+    sel = lambda d: {a: v[done] for a, v in d.items()}
+    e_fill, e_cycle = sel(e_fill), sel(e_cycle)
+    return CycleRecords(
+        fill_time=t_fill[done], release_time=t_rel[done],
+        crossing_state=state[done], e_fill=e_fill, e_cycle=e_cycle,
+        fill_g=sel(fill_g), release_g=sel(release_g),
+        release_disc_time={a: (e_fill[a] - e_cycle[a]) / a if a
+                           else t_rel[done] for a in e_fill},
+        n_partial=int(len(done) - done.sum()), M=M)
 
 
 # ---------------------------------------------------------------------------
@@ -760,19 +786,8 @@ def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
             orig, y = orig[live], y[live]
             phases.keep(live)
     sink.flush()
-
-    sel = lambda d: {a: v[done] for a, v in d.items()}
-    rel_disc = {}
-    for a in alphas:
-        if a:
-            rel_disc[a] = (e_fill[a][done] - e_cycle[a][done]) / a
-        else:
-            rel_disc[a] = release_time[done]
-    return CycleRecords(
-        fill_time=t_fill[done], release_time=release_time[done],
-        crossing_state=cross[done], e_fill=sel(e_fill), e_cycle=sel(e_cycle),
-        fill_g=sel(sink.fill), release_g=sel(sink.release),
-        release_disc_time=rel_disc, n_partial=int(n - done.sum()), M=step.M)
+    return _records(done, t_fill, release_time, cross, e_fill, e_cycle,
+                    sink.fill, sink.release, step.M)
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +804,17 @@ def run_policy_cycles(model: LevyModel, policy, costs, config: PathConfig,
     """
     alpha_list = sorted({0.0, *map(float, alphas)})
     if isinstance(model, CompoundPoissonDrift):
-        return _run_cycles_cp(model, policy, costs, config, reflected,
-                              alpha_list)
+        sinks = (_SegmentSink(costs.g, alpha_list, reflected, model.zeta),
+                 _SegmentSink(costs.g_star, alpha_list, False,
+                              model.zeta + policy.M))
+        _, _, t_fill, state, t_rel = _cp_events(
+            model, config, policy.tau, policy.lam, policy.tau, policy.V,
+            policy.M, reflected, config.horizon, sinks)
+        n = config.n_paths
+        return _records(~np.isnan(t_rel), t_fill, t_rel, state,
+                        {a: _exp(a, t_fill) for a in alpha_list},
+                        {a: _exp(a, t_fill + t_rel) for a in alpha_list},
+                        sinks[0].result(n), sinks[1].result(n), policy.M)
     step = _GridStep(model, config, reflected, policy.lam, policy.tau,
                      policy.V, policy.M)
     return _grid_cycles(step, config, policy.tau, True, costs, alpha_list)
@@ -808,10 +832,11 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
         n = config.n_paths
         return np.zeros(n), np.full(n, float(x)), 0
     if isinstance(model, CompoundPoissonDrift):
-        fills, partial = _cp_paths(config, lambda rng: _cp_fill(
-            model, rng, x, lam, config.horizon, reflected))
-        return (np.asarray([f[0] for f in fills]),
-                np.asarray([f[1] for f in fills]), partial)
+        _, _, t_fill, state, _ = _cp_events(
+            model, config, x, lam, -math.inf, math.inf, 0.0, reflected,
+            config.horizon, fill_only=True)
+        done = ~np.isnan(t_fill)
+        return t_fill[done], state[done], int(len(done) - done.sum())
     # no release follows, so it has no barrier (tau = -inf) and no cap
     step = _GridStep(model, config, reflected, lam, -math.inf, math.inf, 0.0)
     rec = _grid_cycles(step, config, x, True, fill_only=True)
@@ -831,9 +856,11 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
     if not M > 0:
         raise ValueError("release rate M must be positive")
     if isinstance(model, CompoundPoissonDrift):
-        times, partial = _cp_paths(config, lambda rng: _cp_release(
-            model, rng, z, tau, V, M, config.horizon, 0.0))
-        return np.asarray(times), partial
+        # no fill comes first: from a threshold of -inf it has length zero
+        *_, t_rel = _cp_events(model, config, z, -math.inf, tau, V, M, False,
+                               config.horizon)
+        done = ~np.isnan(t_rel)
+        return t_rel[done], int(len(done) - done.sum())
     # the shifted model draws the release drift (mu - M or zeta + M) into
     # each increment, so the kernel subtracts no M dt; no fill comes first,
     # so it has no threshold (lam = inf)
@@ -868,56 +895,29 @@ def simulate_total_discounted(model: LevyModel, policy, costs, alpha: float,
 
 def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
                          floor):
-    """Per-path totals; the integrals of all booked cycles are added at the
-    end.
-
-    Each phase runs at most to the discount floor: a cycle still open there
-    keeps what fell due before it (its closing charge, its maintenance and,
-    once the valve is open, its opening charge and the reward on what was
-    released).  The loop's control flow reads only times and states, so
-    each cycle records its path, discount factor and fixed charges, and its
-    cost is assembled once the sinks hold its maintenance integrals.
-    """
-    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    """Per-path totals, from the records and integrals of all cycles."""
+    lam, M = policy.lam, policy.M
     t_max = -math.log(floor) / alpha
-    fill_g = _SegmentSink(costs.g, [alpha], reflected)
-    release_g = _SegmentSink(costs.g_star, [alpha], False)
-    path, disc, fixed_net = array("q"), array("d"), array("d")
-    for i in range(config.n_paths):
-        rng = path_rng(config.seed, i)
-        t, start = 0.0, x
-        while t < t_max:
-            left = t_max - t  # the floor, from the cycle start
-            if start <= lam:
-                fill = _cp_fill(model, rng, start, lam, left, reflected,
-                                fill_g)
-                fixed = M * costs.K2
-            else:
-                fill, fixed = (0.0, start), 0.0
-            t_rel = None
-            if fill is not None:
-                t_fill, state = fill
-                t_rel = _cp_release(model, rng, state, tau, V, M, left, t_fill,
-                                    release_g)
-                ef = math.exp(-alpha * t_fill)
-                ec = math.exp(-alpha * (left if t_rel is None
-                                        else t_fill + t_rel))
-                fixed += M * costs.K1 * ef
-                fixed -= costs.R * M * (ef - ec) / alpha
-            fill_g.close()
-            release_g.close()
-            path.append(i)
-            disc.append(math.exp(-alpha * t))
-            fixed_net.append(fixed)
-            if t_rel is None:
-                break
-            t += t_fill + t_rel
-            start = tau
-    cost = (np.frombuffer(fixed_net) + fill_g.result()[alpha]
-            + release_g.result()[alpha])
-    totals = np.zeros(config.n_paths)
-    np.add.at(totals, np.frombuffer(path, dtype=np.int64),
-              np.frombuffer(disc) * cost)
+    sinks = (_SegmentSink(costs.g, [alpha], reflected, model.zeta),
+             _SegmentSink(costs.g_star, [alpha], False, model.zeta + M))
+    path, start, t_fill, _, t_rel = _cp_events(
+        model, config, x, lam, policy.tau, policy.V, M, reflected, t_max,
+        sinks, renew=True)
+    n, n_cycles = config.n_paths, len(path)
+    # every cycle from lam or below pays the closing charge at its start;
+    # only a path's first cycle (slots below n) can start above
+    fixed = np.where((np.arange(n_cycles) >= n) | (x <= lam),
+                     M * costs.K2, 0.0)
+    opened = ~np.isnan(t_fill)
+    # a release still open at the floor is discounted to the floor
+    ends = np.where(np.isnan(t_rel), t_max - start, t_fill + t_rel)
+    ef, ec = _exp(alpha, t_fill[opened]), _exp(alpha, ends[opened])
+    fixed[opened] = (fixed[opened] + M * costs.K1 * ef
+                     - costs.R * M * (ef - ec) / alpha)
+    cost = (fixed + sinks[0].result(n_cycles)[alpha]
+            + sinks[1].result(n_cycles)[alpha])
+    totals = np.zeros(n)
+    np.add.at(totals, path, _exp(alpha, start) * cost)
     return totals
 
 

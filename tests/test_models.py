@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
 
 from levydam import (
@@ -17,6 +18,7 @@ from levydam import (
     compound_poisson_exp,
     gamma_measure,
     generic_measure,
+    path_rng,
 )
 
 ALL_MODELS = [
@@ -198,3 +200,31 @@ class TestConstruction:
             mu_num = quad(lambda x: float(model.measure.tail(x)), 0, np.inf,
                           limit=300)[0]
             assert mu_num == pytest.approx(model.measure.mu, rel=1e-8)
+
+
+class TestJumpsFromExponential:
+    """One jump per standard exponential, as the compound Poisson simulator
+    draws them."""
+
+    def test_exponential_is_the_scalar_draw(self):
+        jumps = ExponentialJumps(0.7)
+        e = path_rng(3, 1).standard_exponential(200)
+        rng = path_rng(3, 1)
+        want = np.array([jumps.sample(rng, 1)[0] for _ in range(200)])
+        assert np.array_equal(jumps.from_exponential(e), want)
+
+    def test_atom_frequencies(self):
+        jumps = AtomJumps((0.5, 1.0, 2.5), (0.2, 0.5, 0.3))
+        e = path_rng(5, 0).standard_exponential(20000)
+        got = jumps.from_exponential(e)
+        counts = [np.count_nonzero(got == x) for x in jumps.sizes]
+        assert sum(counts) == len(got)
+        expected = 20000 * np.asarray(jumps.probs)
+        assert stats.chisquare(counts, expected).pvalue > 0.01
+
+    def test_atom_quantile_ends(self):
+        # u = 1 - exp(-e): 0 takes the first atom; u rounded up to 1 (e
+        # past about 37) takes the last, not an index past the end
+        jumps = AtomJumps((0.5, 1.0, 2.5), (0.2, 0.5, 0.3))
+        e = np.array([0.0, -math.log1p(-0.2) * 0.999, 1.0, 60.0])
+        assert jumps.from_exponential(e).tolist() == [0.5, 0.5, 1.0, 2.5]

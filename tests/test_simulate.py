@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from levydam import (
+    CompoundPoissonDrift,
     CostSpec,
     FillPhase,
     GammaDrift,
@@ -20,7 +21,8 @@ from levydam import (
     gamma_measure,
     run_policy_cycles,
 )
-from levydam.models import BrownianDrift, ExponentialJumps
+from levydam import simulate
+from levydam.models import AtomJumps, BrownianDrift, ExponentialJumps
 from levydam.simulate import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -86,18 +88,28 @@ class TestDeterminism:
         assert np.array_equal(a.release_time, b.release_time)
 
     def test_paths_keyed_by_index(self):
-        # path i's release depends on (seed, i) only, not on n_paths
+        # path i's outcome depends on (seed, i) only, not on n_paths; the
+        # outcomes of finished paths come in path order
         model = compound_poisson_exp(2.0, 1.0, 1.0)
 
-        def release(seed, n):
-            return simulate_release_phase(model, 10.0, 0.0, math.inf, 2.0,
-                                          PathConfig(n_paths=n, seed=seed))[0]
+        def outcome(kind, seed, n):
+            cfg = PathConfig(n_paths=n, seed=seed)
+            if kind == "release":
+                return simulate_release_phase(model, 10.0, 0.0, math.inf, 2.0,
+                                              cfg)[0]
+            cfg = PathConfig(n_paths=n, seed=seed, horizon=3.0)
+            if kind == "fill":
+                return simulate_fill_phase(model, 0.5, 2.0, cfg)[0]
+            return run_policy_cycles(model, POLICY, ZERO, cfg).fill_time
 
-        few, many = release(5, 20), release(5, 60)
-        assert np.array_equal(few, many[:20])
-        # each path has a stream of its own
-        assert len(np.unique(few)) > 1
-        assert not np.array_equal(few, release(6, 20))
+        for kind in ("release", "fill", "cycles"):
+            few, many = outcome(kind, 5, 20), outcome(kind, 5, 60)
+            # the horizon leaves some fills open
+            assert 1 < len(few) < 20 or kind == "release"
+            assert np.array_equal(few, many[:len(few)]), kind
+            # each path has a stream of its own
+            assert len(np.unique(few)) > 1
+            assert not np.array_equal(few, outcome(kind, 6, 20))
 
 
 class TestReflectionInvariants:
@@ -159,6 +171,16 @@ class TestPhaseSimulators:
         est = estimate("rel", times)
         closed = 1.0 / (2.0 - model.mean_input())
         assert est.agrees_with(closed)
+
+    def test_busy_period_mean_atom_jumps(self):
+        # Wald's identity holds for any jump law: (x - tau) / (M - E input)
+        model = CompoundPoissonDrift(2.0, 1.0, AtomJumps((0.5, 1.5),
+                                                         (0.6, 0.4)))
+        times, partial = simulate_release_phase(
+            model, 1.0, 0.0, math.inf, 2.0, PathConfig(n_paths=20000, seed=21))
+        assert partial == 0
+        est = estimate("rel", times)
+        assert est.agrees_with(1.0 / (2.0 - model.mean_input()))
 
     def test_fill_phase_matches_cycles(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
@@ -324,24 +346,25 @@ class TestBatchedSegmentIntegrals:
             assert got[a][0] == pytest.approx(ref[a], rel=1e-13, abs=0.0)
 
     def test_block_boundaries_do_not_matter(self):
+        # pieces of 60 cycles, added a few cycles at a time as the event
+        # loop adds them; each slot sums its pieces in order, bit for bit,
+        # wherever the blocks end (a lone piece included)
         rng = np.random.default_rng(4)
-        _, y0, slope, t0, duration, stick = _random_segments(rng, 400)
-        ends = rng.uniform(size=400) < 0.3
-        keep = rng.uniform(size=400) < 0.8
+        _, y0, _, t0, duration, _ = _random_segments(rng, 400)
+        slot = rng.integers(0, 60, 400)
+        cuts = np.sort(rng.choice(np.arange(1, 400), 90, replace=False))
         results = []
-        for block in (1, 7, 10 ** 9):
-            sink = _SegmentSink(G_MULTI, ALPHAS, True, block)
-            for i in range(400):
-                sink.add(y0[i], abs(slope[i]), t0[i], duration[i])
-                if ends[i]:
-                    sink.close() if keep[i] else sink.drop()
-            sink.drop()
-            results.append(sink.result())
-        assert len(results[0][0.0]) == (ends & keep).sum()
-        for other in results[1:]:
-            for a in ALPHAS:
-                np.testing.assert_allclose(other[a], results[0][a],
-                                           rtol=1e-15, atol=0.0)
+        for block in (1, 2, 7, 10 ** 9):
+            sink = _SegmentSink(G_MULTI, ALPHAS, True, 2.0, block)
+            for part in np.split(np.arange(400), cuts):
+                sink.add(slot[part], y0[part], t0[part], duration[part])
+            results.append(_raw(sink.result(64)))
+        want = {a: np.zeros(64) for a in ALPHAS}
+        _integrate_segments(G_MULTI, slot, y0, np.full(400, 2.0), t0,
+                            duration, True, ALPHAS, want)
+        assert np.count_nonzero(want[0.5]) > 50
+        for got in results:
+            assert got == _raw(want)
 
 
 class TestCostsLeavePathsAlone:
@@ -715,3 +738,308 @@ def test_grid_sink_blocks_do_not_matter():
     assert results[0].fill_g[0.5].any()
     for other in results[1:]:
         assert _raw(other) == _raw(results[0])
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: the compound Poisson simulators as they were, one path
+# at a time with scalar draws from its own generator, and their sink with
+# one slot per kept cycle.  The lock-step event loop must reproduce them bit
+# for bit.
+# ---------------------------------------------------------------------------
+
+class _ReferenceSegmentSink:
+    """The former sink: pieces of the open cycle, kept by ``close`` under
+    the next slot or discarded by ``drop``."""
+
+    def __init__(self, g, alphas, stick: bool, block: int = 1024):
+        self.g = g
+        self.alphas = alphas
+        self.stick = stick
+        self.block = block
+        self.n_slots = 0
+        self._live = not g.is_zero
+        self._rows = []
+        self._open = 0  # index in _rows where the open cycle starts
+        self._out = {a: np.zeros(0) for a in alphas}
+
+    def add(self, y0, slope, t0, duration):
+        if self._live:
+            self._rows.append((self.n_slots, y0, slope, t0, duration))
+            if len(self._rows) >= self.block:
+                self._flush()
+
+    def close(self):
+        self.n_slots += 1
+        self._open = len(self._rows)
+
+    def drop(self):
+        del self._rows[self._open:]
+        for v in self._out.values():
+            if self.n_slots < len(v):
+                v[self.n_slots] = 0.0
+
+    def _flush(self):
+        need = self.n_slots + 1
+        for a, v in self._out.items():
+            if len(v) < need:
+                grown = np.zeros(max(need, 2 * len(v)))
+                grown[:len(v)] = v
+                self._out[a] = grown
+        if self._rows:
+            slot, y0, slope, t0, dur = np.array(self._rows).T
+            self._rows.clear()
+            self._open = 0
+            _integrate_segments(self.g, slot.astype(np.intp), y0, slope, t0,
+                                dur, self.stick, self.alphas, self._out)
+
+    def result(self) -> dict:
+        self._flush()
+        return {a: v[:self.n_slots].copy() for a, v in self._out.items()}
+
+
+def _reference_cp_fill(model, rng, x, lam, horizon, reflected, sink=None):
+    """Fill phase of one path; (T, state), or None when open at the
+    horizon."""
+    if x >= lam:
+        return 0.0, x
+    zeta, rate = model.zeta, model.rate
+    y, t = x, 0.0
+    while t < horizon:
+        gap = rng.exponential(1.0 / rate)
+        gap = min(gap, horizon - t)
+        if sink is not None:
+            sink.add(y, zeta, t, gap)
+        y_end = y - zeta * gap
+        if reflected:
+            y_end = max(y_end, 0.0)
+        t += gap
+        if t >= horizon:
+            break
+        jump = float(model.jumps.sample(rng, 1)[0])
+        y = y_end + jump
+        if y >= lam:
+            return t, y
+    return None
+
+
+def _reference_cp_release(model, rng, z, tau, V, M, horizon, t_start,
+                          sink=None):
+    """Release phase of one path from z; its duration or None."""
+    zeta, rate = model.zeta, model.rate
+    slope = zeta + M
+    y = min(z, V)
+    t = 0.0
+    while t_start + t < horizon:
+        gap = rng.exponential(1.0 / rate)
+        t_abs = (y - tau) / slope
+        if t_abs <= gap:
+            if sink is not None:
+                sink.add(y, slope, t_start + t, t_abs)
+            return t + t_abs
+        gap = min(gap, horizon - t_start - t)
+        if sink is not None:
+            sink.add(y, slope, t_start + t, gap)
+        y -= slope * gap
+        t += gap
+        if t_start + t >= horizon:
+            break
+        y = min(y + float(model.jumps.sample(rng, 1)[0]), V)
+    return None
+
+
+def _reference_cp_cycles(model, policy, costs, config, reflected, alphas):
+    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    alphas = sorted({0.0, *alphas})
+    t_fills, t_rels, states, n_partial = [], [], [], 0
+    fill_g = _ReferenceSegmentSink(costs.g, alphas, reflected)
+    release_g = _ReferenceSegmentSink(costs.g_star, alphas, False)
+    for i in range(config.n_paths):
+        rng = path_rng(config.seed, i)
+        fill = _reference_cp_fill(model, rng, tau, lam, config.horizon,
+                                  reflected, fill_g)
+        t_rel = None
+        if fill is not None:
+            t_rel = _reference_cp_release(model, rng, fill[1], tau, V, M,
+                                          config.horizon, fill[0], release_g)
+        if t_rel is None:
+            n_partial += 1
+            fill_g.drop()
+            release_g.drop()
+            continue
+        fill_g.close()
+        release_g.close()
+        t_fills.append(fill[0])
+        t_rels.append(t_rel)
+        states.append(fill[1])
+    e_fill = {a: [math.exp(-a * tf) for tf in t_fills] for a in alphas}
+    e_cycle = {a: [math.exp(-a * (tf + tr)) for tf, tr in zip(t_fills, t_rels)]
+               for a in alphas}
+    rel_disc = {a: [(ef - ec) / a if a else tr for ef, ec, tr
+                    in zip(e_fill[a], e_cycle[a], t_rels)] for a in alphas}
+    arr = lambda d: {a: np.asarray(v, dtype=float) for a, v in d.items()}
+    return CycleRecords(
+        fill_time=np.asarray(t_fills, dtype=float),
+        release_time=np.asarray(t_rels, dtype=float),
+        crossing_state=np.asarray(states, dtype=float),
+        e_fill=arr(e_fill), e_cycle=arr(e_cycle), fill_g=fill_g.result(),
+        release_g=release_g.result(), release_disc_time=arr(rel_disc),
+        n_partial=n_partial, M=M)
+
+
+def _reference_cp_paths(config, run):
+    """The outcomes of run(rng) with path i on the (seed, i) stream that
+    are not None, and the number of None (paths open at the horizon)."""
+    got = [run(path_rng(config.seed, i)) for i in range(config.n_paths)]
+    done = [g for g in got if g is not None]
+    return done, len(got) - len(done)
+
+
+def _reference_cp_total(model, policy, costs, alpha, x, config, reflected,
+                        floor):
+    """Per-path totals, each path's cycles run one after another."""
+    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    t_max = -math.log(floor) / alpha
+    fill_g = _ReferenceSegmentSink(costs.g, [alpha], reflected)
+    release_g = _ReferenceSegmentSink(costs.g_star, [alpha], False)
+    path, disc, fixed_net = [], [], []
+    for i in range(config.n_paths):
+        rng = path_rng(config.seed, i)
+        t, start = 0.0, x
+        while t < t_max:
+            left = t_max - t  # the floor, from the cycle start
+            if start <= lam:
+                fill = _reference_cp_fill(model, rng, start, lam, left,
+                                          reflected, fill_g)
+                fixed = M * costs.K2
+            else:
+                fill, fixed = (0.0, start), 0.0
+            t_rel = None
+            if fill is not None:
+                t_fill, state = fill
+                t_rel = _reference_cp_release(model, rng, state, tau, V, M,
+                                              left, t_fill, release_g)
+                ef = math.exp(-alpha * t_fill)
+                ec = math.exp(-alpha * (left if t_rel is None
+                                        else t_fill + t_rel))
+                fixed += M * costs.K1 * ef
+                fixed -= costs.R * M * (ef - ec) / alpha
+            fill_g.close()
+            release_g.close()
+            path.append(i)
+            disc.append(math.exp(-alpha * t))
+            fixed_net.append(fixed)
+            if t_rel is None:
+                break
+            t += t_fill + t_rel
+            start = tau
+    cost = (np.asarray(fixed_net) + fill_g.result()[alpha]
+            + release_g.result()[alpha])
+    totals = np.zeros(config.n_paths)
+    np.add.at(totals, np.asarray(path), np.asarray(disc) * cost)
+    return estimate(f"total_discounted:{alpha:g}", totals)
+
+
+CP_MODEL = compound_poisson_exp(2.0, 1.0, 1.0)
+
+
+class TestEventLoopMatchesReference:
+    """Every output of the compound Poisson simulator, byte for byte,
+    against the per-path scalar loops, on fixed seeds."""
+
+    def test_policy_cycles(self):
+        partial = {}
+        for refl in (True, False):
+            for cost in ORACLE_COSTS:
+                for horizon in (2.5, 1e4):
+                    for V in (4.0, math.inf):
+                        policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+                        # a plain fill that never reaches lam runs to the
+                        # horizon: few paths there
+                        n = 12 if horizon > 100 and not refl else 120
+                        cfg = PathConfig(n_paths=n, seed=33, horizon=horizon)
+                        args = (CP_MODEL, policy, ORACLE_COSTS[cost], cfg)
+                        got = run_policy_cycles(*args, reflected=refl,
+                                                alphas=[0.5, 2.0])
+                        want = _reference_cp_cycles(*args, refl, [0.5, 2.0])
+                        assert _raw(got) == _raw(want), (refl, cost, horizon,
+                                                         V)
+                        partial[horizon] = (partial.get(horizon, 0)
+                                            + got.n_partial)
+                        if cost == "paid":
+                            assert got.fill_g[2.0].any()
+                            assert got.release_g[0.0].any()
+        # both horizons leave cycles unfinished
+        assert partial[2.5] > 0 and partial[1e4] > 0
+
+    def test_fill_phase(self):
+        for refl in (True, False):
+            for x, horizon in ((0.0, 100.0), (1.0, 2.0), (1.9, 1e4)):
+                n = 12 if horizon > 100 and not refl else 150
+                cfg = PathConfig(n_paths=n, seed=34, horizon=horizon)
+                got = simulate_fill_phase(CP_MODEL, x, 2.0, cfg,
+                                          reflected=refl)
+                fills, partial = _reference_cp_paths(
+                    cfg, lambda rng: _reference_cp_fill(
+                        CP_MODEL, rng, x, 2.0, horizon, refl))
+                want = [np.asarray([f[0] for f in fills]),
+                        np.asarray([f[1] for f in fills]), partial]
+                assert _raw(list(got)) == _raw(want), (refl, x, horizon)
+
+    def test_release_phase(self):
+        for z, V in ((1.5, math.inf), (3.0, 2.3), (6.0, 4.0)):
+            for horizon in (0.5, 40.0):
+                cfg = PathConfig(n_paths=150, seed=35, horizon=horizon)
+                got = simulate_release_phase(CP_MODEL, z, 0.5, V, 2.0, cfg)
+                times, partial = _reference_cp_paths(
+                    cfg, lambda rng: _reference_cp_release(
+                        CP_MODEL, rng, z, 0.5, V, 2.0, horizon, 0.0))
+                assert (_raw(list(got))
+                        == _raw([np.asarray(times), partial])), (z, V)
+
+    def test_total_discounted(self):
+        # starts below lam, at lam and above V
+        for refl in (True, False):
+            for cost in ORACLE_COSTS:
+                for x, V in ((0.5, 4.0), (2.0, 4.0), (5.0, 4.0),
+                             (0.5, math.inf)):
+                    for alpha in (0.5, 2.0):
+                        policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+                        cfg = PathConfig(n_paths=60, seed=36)
+                        args = (CP_MODEL, policy, ORACLE_COSTS[cost], alpha,
+                                x, cfg)
+                        got = simulate_total_discounted(
+                            *args, reflected=refl, discount_floor=1e-3)
+                        want = _reference_cp_total(*args, refl, 1e-3)
+                        assert _raw(got) == _raw(want), (refl, cost, x, V)
+
+
+class TestStreamBlocks:
+    """Outputs do not depend on where a path's blocks of draws end."""
+
+    @pytest.mark.parametrize("first, longest", [(1, 4096), (2, 4096),
+                                                (1, 3)])
+    def test_refills_do_not_matter(self, monkeypatch, first, longest):
+        costs = ORACLE_COSTS["paid"]
+        policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
+        runs = {
+            "cycles": lambda: run_policy_cycles(
+                CP_MODEL, policy, costs, PathConfig(n_paths=80, seed=37),
+                reflected=True, alphas=[0.5]),
+            "plain cycles": lambda: run_policy_cycles(
+                CP_MODEL, policy, costs,
+                PathConfig(n_paths=20, seed=37, horizon=500.0),
+                reflected=False),
+            "fill": lambda: list(simulate_fill_phase(
+                CP_MODEL, 0.0, 2.0, PathConfig(n_paths=80, seed=38))),
+            "release": lambda: list(simulate_release_phase(
+                CP_MODEL, 3.0, 0.5, math.inf, 2.0,
+                PathConfig(n_paths=80, seed=39))),
+            "total": lambda: simulate_total_discounted(
+                CP_MODEL, policy, costs, 0.5, 5.0,
+                PathConfig(n_paths=40, seed=40), discount_floor=1e-3),
+        }
+        default = {k: _raw(run()) for k, run in runs.items()}
+        monkeypatch.setattr(simulate, "_FIRST_DRAWS", first)
+        monkeypatch.setattr(simulate, "_MAX_DRAWS", longest)
+        for k, run in runs.items():
+            assert _raw(run()) == default[k], k
