@@ -12,16 +12,11 @@ from .models import (
     ConvergenceError,
     ExponentialJumps,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
     LevyMeasure,
     LevyModel,
     brownian,
     compound_poisson_exp,
-    compound_poisson_measure,
-    gamma_measure,
-    generic_measure,
-    inverse_gaussian_measure,
 )
 from .scale import (
     CLOSED_FORM_BROWNIAN,
@@ -58,10 +53,8 @@ from .simulate import (
 __all__ = [
     # models
     "AtomJumps", "BrownianDrift", "CompoundPoissonDrift", "ConvergenceError",
-    "ExponentialJumps", "GammaDrift", "GenericBoundedVariation",
-    "InverseGaussianDrift", "LevyMeasure", "LevyModel", "brownian",
-    "compound_poisson_exp", "compound_poisson_measure", "gamma_measure",
-    "generic_measure", "inverse_gaussian_measure",
+    "ExponentialJumps", "GammaDrift", "InverseGaussianDrift", "LevyMeasure",
+    "LevyModel", "brownian", "compound_poisson_exp",
     # scale
     "CLOSED_FORM_BROWNIAN", "CONVOLUTION_SERIES", "LAPLACE_INVERSION",
     "ScaleFunctionSet",

@@ -89,11 +89,12 @@ _POSITIVE = "positive"
 
 def _typed(val, kind, path: str):
     """val, checked to be of the kind (a JSON type, _COUNT or _POSITIVE),
-    else a ConfigError naming its key path; numbers come back as floats."""
+    else a ConfigError naming its key path; numbers come back as floats,
+    and a float kind admits only finite ones."""
     number = isinstance(val, (int, float)) and not isinstance(val, bool)
     integer = number and isinstance(val, int)
     ok, what = {
-        float: (number, "a number"),
+        float: (number and math.isfinite(val), "a finite number"),
         int: (integer, "an integer"),
         _COUNT: (integer and val >= 0, "an integer >= 0"),
         _POSITIVE: (number and 0.0 < val < math.inf, "a positive number"),
@@ -206,9 +207,10 @@ def build_costs(spec: dict, path: str = "costs") -> CostSpec:
 def _alphas(cfg: dict) -> list:
     alphas = cfg.get("alphas", [])
     if not isinstance(alphas, list) or any(
-            not isinstance(a, (int, float)) or isinstance(a, bool) or a < 0
-            for a in alphas):
-        raise ConfigError("alphas: expected a list of nonnegative numbers")
+            not isinstance(a, (int, float)) or isinstance(a, bool)
+            or not 0 <= a < math.inf for a in alphas):
+        raise ConfigError("alphas: expected a list of finite nonnegative "
+                          "numbers")
     return [float(a) for a in alphas]
 
 
@@ -405,7 +407,7 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
 
 def _axis(spec, path: str) -> np.ndarray:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return np.array([float(spec)])
+        return np.array([_typed(spec, float, path)])
     if isinstance(spec, dict):
         start = _need(spec, "start", float, path)
         stop = _need(spec, "stop", float, path)
@@ -452,27 +454,29 @@ def cmd_optimize(cfg: dict) -> dict:
                            "sweep.refine_rounds")
 
     cache: dict[tuple, float] = {}
+    rows = []
+    best_key, best_val = None, math.inf
 
-    def eval_point(lam, tau):
+    def visit(lam, tau):
+        """Evaluate a point once, list it and keep the argmin."""
+        nonlocal best_key, best_val
         key = (round(lam, 12), round(tau, 12))
         if key not in cache:
             policy = PolicyParams(lam=lam, tau=tau, M=M, V=V)
             cache[key] = float(objective(policy))
-        return key, cache[key]
-
-    rows = []
-    feasible = [(lam, tau) for lam in lam_axis for tau in tau_axis
-                if 0 <= tau < lam <= V]
-    if not feasible:
-        raise ConfigError("sweep: no grid point satisfies 0 <= tau < lambda <= V")
-    best_key, best_val = None, math.inf
-    for lam, tau in feasible:
-        key, val = eval_point(lam, tau)
+        val = cache[key]
         rows.append({"lambda": key[0], "tau": key[1], "objective": val})
         # lexicographic tie break on (lambda, tau)
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15
                                       and (best_key is None or key < best_key)):
             best_key, best_val = key, val
+
+    feasible = [(lam, tau) for lam in lam_axis for tau in tau_axis
+                if 0 <= tau < lam <= V]
+    if not feasible:
+        raise ConfigError("sweep: no grid point satisfies 0 <= tau < lambda <= V")
+    for lam, tau in feasible:
+        visit(lam, tau)
 
     h_lam = lam_axis[1] - lam_axis[0] if len(lam_axis) > 1 else 0.0
     h_tau = tau_axis[1] - tau_axis[0] if len(tau_axis) > 1 else 0.0
@@ -493,11 +497,7 @@ def cmd_optimize(cfg: dict) -> dict:
                 if tau_axis.size > 1 and not (
                         tau_axis[0] - 1e-12 <= tau <= tau_axis[-1] + 1e-12):
                     continue
-                key, val = eval_point(lam, tau)
-                rows.append({"lambda": key[0], "tau": key[1], "objective": val})
-                if val < best_val - 1e-15 or (
-                        abs(val - best_val) <= 1e-15 and key < best_key):
-                    best_key, best_val = key, val
+                visit(lam, tau)
 
     rows.sort(key=lambda r: (r["lambda"], r["tau"]))
     return {

@@ -39,10 +39,10 @@ class PolicyParams:
     V: float = math.inf
 
     def __post_init__(self):
-        if not (0 <= self.tau < self.lam <= self.V):
-            raise ValueError("policy needs 0 <= tau < lam <= V")
-        if self.M <= 0:
-            raise ValueError("release rate M must be positive")
+        if not (0 <= self.tau < self.lam <= self.V) or math.isinf(self.lam):
+            raise ValueError("policy needs 0 <= tau < lam <= V, lam finite")
+        if not 0 < self.M < math.inf:
+            raise ValueError("release rate M must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,8 @@ class PiecewisePoly:
         cfs = tuple(tuple(float(c) for c in piece) for piece in self.coeffs)
         object.__setattr__(self, "breakpoints", bps)
         object.__setattr__(self, "coeffs", cfs)
-        if len(bps) < 2 or any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
+        # not b1 < b2 also rejects a NaN breakpoint
+        if len(bps) < 2 or any(not b1 < b2 for b1, b2 in zip(bps, bps[1:])):
             raise ValueError("breakpoints must be strictly increasing, >= 2 of them")
         if len(cfs) != len(bps) - 1:
             raise ValueError("need one coefficient list per piece")

@@ -364,8 +364,8 @@ class PotentialDensity:
         if math.isinf(y_hi):
             raise ConvergenceError(
                 "the potential mass with infinite capacity is not computed: "
-                "its two terms grow alike and cancel until they are written "
-                "in bounded form (ROADMAP item 1)")
+                "its two terms grow alike and cancel, and no bounded form "
+                "of them is implemented")
         tail = 0.0
         if math.isinf(y_lo):
             s = self.scale_set

@@ -13,7 +13,10 @@ Supported families:
 * ``CompoundPoissonDrift``-- compound Poisson jumps minus a linear drift.
 * ``GammaDrift``          -- gamma subordinator minus a linear drift.
 * ``InverseGaussianDrift``-- inverse Gaussian subordinator minus a drift.
-* ``GenericBoundedVariation`` -- user supplied jump measure minus a drift.
+
+Each family is built by a config ``kind`` of the CLI and sampled by the
+Monte Carlo oracle.  Every exponent accepts complex arguments, so Laplace
+inversion applies to each of them.
 
 All bounded variation families store the downward drift rate ``zeta > 0``
 and have ``phi(theta) = zeta * theta - int (1 - exp(-theta x)) nu(dx)``.
@@ -28,7 +31,6 @@ from typing import Callable
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 
@@ -143,8 +145,8 @@ class LevyMeasure:
     ``tail`` maps x to nu([x, inf)), ``mu`` is the first moment
     ``int_0^inf x nu(dx)`` and ``total`` is the total mass (inf for
     infinite activity).  ``one_minus_exp`` evaluates
-    ``int (1 - exp(-theta x)) nu(dx)`` and must accept complex theta
-    whenever ``complex_ok`` is set.
+    ``int (1 - exp(-theta x)) nu(dx)`` and ``x_mean_exp`` evaluates
+    ``int x exp(-theta x) nu(dx)``; both accept complex theta.
     """
 
     density: Callable | None
@@ -153,8 +155,6 @@ class LevyMeasure:
     total: float
     one_minus_exp: Callable
     x_mean_exp: Callable
-    complex_ok: bool = True
-    jump_dist: object | None = None
 
     def tail_quantile(self, eps: float) -> float:
         """Smallest x = 2^k, k >= 0, with nu([x, inf)) < eps."""
@@ -166,7 +166,7 @@ class LevyMeasure:
         raise ConvergenceError("levy measure tail does not decay below %g" % eps)
 
 
-def compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
+def _compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
     if rate <= 0:
         raise ValueError("jump rate must be positive")
     density = None
@@ -179,12 +179,10 @@ def compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
         total=rate,
         one_minus_exp=lambda th: rate * (1.0 - jumps.laplace(th)),
         x_mean_exp=lambda th: rate * jumps.mean_exp(th),
-        complex_ok=True,
-        jump_dist=jumps,
     )
 
 
-def gamma_measure(a: float, b: float) -> LevyMeasure:
+def _gamma_measure(a: float, b: float) -> LevyMeasure:
     """nu(dx) = a * exp(-b x) / x dx on (0, inf)."""
     if a <= 0 or b <= 0:
         raise ValueError("gamma measure needs a > 0 and b > 0")
@@ -199,11 +197,10 @@ def gamma_measure(a: float, b: float) -> LevyMeasure:
         total=math.inf,
         one_minus_exp=lambda th: a * np.log(1.0 + th / b),
         x_mean_exp=lambda th: a / (b + th),
-        complex_ok=True,
     )
 
 
-def inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
+def _inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
     """nu(dx) = (2 pi x^3)^{-1/2} sigma^{-1} exp(-x c^2 / (2 sigma^2)) dx."""
     if sigma <= 0 or c <= 0:
         raise ValueError("inverse Gaussian measure needs sigma > 0 and c > 0")
@@ -229,47 +226,6 @@ def inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
         total=math.inf,
         one_minus_exp=one_minus_exp,
         x_mean_exp=x_mean_exp,
-        complex_ok=True,
-    )
-
-
-def generic_measure(density: Callable, tail: Callable, mu: float) -> LevyMeasure:
-    """Numerically integrated measure given its density, tail and first moment.
-
-    The exponent integral is evaluated with adaptive quadrature for real
-    arguments only, so models built on this measure cannot use the Laplace
-    inversion scale method.
-    """
-    if mu <= 0 or not math.isfinite(mu):
-        raise ValueError("generic measure needs a finite positive first moment")
-    total = float(tail(1e-12))
-    if not math.isfinite(total):
-        raise ValueError("generic measure must have finite activity near zero "
-                         "after accounting for the tail supplied")
-
-    def one_minus_exp(th):
-        if th == 0:
-            return 0.0
-        # integrate (1 - e^{-th x}) nu(dx); split at 1 to tame the tail
-        f = lambda x: -np.expm1(-th * x) * density(x)
-        v1, _ = quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=200)
-        v2, _ = quad(f, 1.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=200)
-        return v1 + v2
-
-    def x_mean_exp(th):
-        f = lambda x: x * np.exp(-th * x) * density(x)
-        v1, _ = quad(f, 0.0, 1.0, epsabs=1e-12, epsrel=1e-11, limit=200)
-        v2, _ = quad(f, 1.0, np.inf, epsabs=1e-12, epsrel=1e-11, limit=200)
-        return v1 + v2
-
-    return LevyMeasure(
-        density=density,
-        tail=tail,
-        mu=mu,
-        total=total,
-        one_minus_exp=one_minus_exp,
-        x_mean_exp=x_mean_exp,
-        complex_ok=False,
     )
 
 
@@ -301,15 +257,6 @@ class LevyModel:
     @property
     def is_bounded_variation(self) -> bool:
         return self.sigma2 == 0.0
-
-    @property
-    def supports_complex_exponent(self) -> bool:
-        return self.measure is None or self.measure.complex_ok
-
-    @property
-    def rho(self) -> float | None:
-        """Jump load mu / zeta for bounded variation models, else None."""
-        return None
 
     def shifted(self, M: float) -> "LevyModel":
         """Model of the net process during release at rate M > 0.
@@ -383,7 +330,7 @@ class BrownianDrift(LevyModel):
             raise ValueError("jump_rate and jumps must be supplied together")
         if self.jump_rate > 0:
             object.__setattr__(self, "measure",
-                               compound_poisson_measure(self.jump_rate, self.jumps))
+                               _compound_poisson_measure(self.jump_rate, self.jumps))
 
     def phi(self, theta):
         self._check_theta(theta)
@@ -422,6 +369,7 @@ class _BoundedVariationModel(LevyModel):
 
     @property
     def rho(self) -> float:
+        """Jump load mu / zeta."""
         return self.measure.mu / self.zeta
 
     def _check_zeta(self):
@@ -429,7 +377,7 @@ class _BoundedVariationModel(LevyModel):
             raise ValueError("bounded variation models need zeta > 0")
 
     def shifted(self, M: float) -> "_BoundedVariationModel":
-        # __post_init__ rebuilds a family's own measure; a generic one is kept
+        # __post_init__ rebuilds the family's measure
         if M <= 0:
             raise ValueError("release rate must be positive")
         return replace(self, zeta=self.zeta + M)
@@ -447,7 +395,7 @@ class CompoundPoissonDrift(_BoundedVariationModel):
     def __post_init__(self):
         self._check_zeta()
         object.__setattr__(self, "measure",
-                           compound_poisson_measure(self.rate, self.jumps))
+                           _compound_poisson_measure(self.rate, self.jumps))
 
 
 @dataclass(frozen=True)
@@ -461,7 +409,7 @@ class GammaDrift(_BoundedVariationModel):
 
     def __post_init__(self):
         self._check_zeta()
-        object.__setattr__(self, "measure", gamma_measure(self.a, self.b))
+        object.__setattr__(self, "measure", _gamma_measure(self.a, self.b))
 
 
 @dataclass(frozen=True)
@@ -476,22 +424,7 @@ class InverseGaussianDrift(_BoundedVariationModel):
     def __post_init__(self):
         self._check_zeta()
         object.__setattr__(self, "measure",
-                           inverse_gaussian_measure(self.sigma, self.c))
-
-
-@dataclass(frozen=True)
-class GenericBoundedVariation(_BoundedVariationModel):
-    """Bounded variation input with a user supplied jump measure."""
-
-    zeta: float
-    measure: LevyMeasure
-
-    def __post_init__(self):
-        self._check_zeta()
-        # integrability near zero: int_0^1 x nu(dx) <= mu must be finite
-        if not math.isfinite(self.measure.mu):
-            raise ValueError("generic bounded variation input needs a finite "
-                             "jump moment")
+                           _inverse_gaussian_measure(self.sigma, self.c))
 
 
 def brownian(mu: float, sigma2: float) -> BrownianDrift:

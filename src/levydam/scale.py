@@ -9,13 +9,14 @@ is ``Z(x) = 1 + alpha * int_0^x W``, and ``Wbar(x) = int_0^x W``.
 Three evaluation methods are provided:
 
 * closed forms for pure Brownian input,
-* a convolution series for bounded variation input with jump load
-  ``rho = mu / zeta < 1`` on a uniform grid over [0, x_max]: the ladder
-  series to all orders and its discount ``W_a = W + a W * W_a`` (Kuznetsov,
-  Kyprianou and Rivero 2012, section 2) are one triangular Toeplitz solve each,
+* a convolution series for compound Poisson input with exponential or
+  atomic jumps and jump load ``rho = mu / zeta < 1`` on a uniform grid over
+  [0, x_max]: the ladder series to all orders and its discount
+  ``W_a = W + a W * W_a`` (Kuznetsov, Kyprianou and Rivero 2012, section 2)
+  are one triangular Toeplitz solve each,
 * numerical Laplace inversion (fixed Talbot contour applied to the
-  exponentially tilted transforms), available whenever the exponent can be
-  evaluated at complex arguments.  W' is inverted from its own transform,
+  exponentially tilted transforms), available for every family, since every
+  exponent accepts complex arguments.  W' is inverted from its own transform,
   ``s / (phi(s) - alpha) - W(0+)`` (Kuznetsov, Kyprianou and Rivero 2012,
   sections 2-3), not differenced from W.  An array of points is inverted
   in batches, each point's contour summed on its own, and every value is
@@ -40,7 +41,8 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.interpolate import PchipInterpolator
 
-from .models import LevyModel
+from .models import (AtomJumps, BrownianDrift, CompoundPoissonDrift,
+                     ExponentialJumps, LevyModel)
 
 CLOSED_FORM_BROWNIAN = "closed_form_brownian"
 CONVOLUTION_SERIES = "convolution_series"
@@ -181,8 +183,8 @@ class _BrownianClosedForm(_Evaluator):
 
 
 class _SeriesEvaluator(_Evaluator):
-    """Convolution series on a uniform grid over [0, x_max] for bounded
-    variation input, by two Toeplitz solves per grid.
+    """Convolution series on a uniform grid over [0, x_max] for compound
+    Poisson input, by two Toeplitz solves per grid.
 
     ``refine_diff`` is the sup-norm difference, relative to the function
     scale, between the kept grid and the one of twice its step; it is
@@ -200,42 +202,19 @@ class _SeriesEvaluator(_Evaluator):
                              f"got rho = {self.rho:.4f}")
         self._build(x_max)
 
-    # F is the distribution function with density tail(x)/mu
+    # F is the ladder height law: the integrated jump tail over its mean
     def _ladder_cdf(self, xs: np.ndarray) -> np.ndarray:
-        model = self.model
-        measure = model.measure
-        from .models import AtomJumps, ExponentialJumps
-
-        jump = measure.jump_dist
-        if isinstance(jump, ExponentialJumps):
-            return -np.expm1(-xs / jump.mean)
-        if isinstance(jump, AtomJumps):
-            # integrated tail of a discrete law is piecewise linear
-            vals = np.zeros_like(xs)
-            for s, p in zip(jump.sizes, jump.probs):
-                vals += p * np.minimum(xs, s)
-            return vals / jump.mean
-        from .models import GammaDrift, InverseGaussianDrift
-        if isinstance(model, GammaDrift):
-            from scipy.special import exp1
-            b = model.b
-            out = -np.expm1(-b * xs) + xs * b * np.where(xs > 0, exp1(np.maximum(b * xs, 1e-300)), 0.0)
-            out[xs <= 0] = 0.0
-            return np.minimum(out, 1.0)
-        if isinstance(model, InverseGaussianDrift):
-            from scipy.special import erf
-            c, sig = model.c, model.sigma
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tail = np.where(xs > 0, measure.tail(np.maximum(xs, 1e-300)), 0.0)
-            out = erf(c * np.sqrt(np.maximum(xs, 0.0) / (2.0 * sig * sig))) + xs * c * tail
-            out[xs <= 0] = 0.0
-            return np.minimum(out, 1.0)
-        # generic: integrate the tail cumulatively (trapezoid)
-        tail_vals = np.asarray(measure.tail(np.maximum(xs, 1e-300)), dtype=float)
-        tail_vals[xs <= 0] = float(measure.tail(1e-300))
-        steps = np.diff(xs)
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (tail_vals[1:] + tail_vals[:-1]) * steps)))
-        return np.minimum(cum / measure.mu, 1.0)
+        jumps = self.model.jumps
+        if isinstance(jumps, ExponentialJumps):
+            return -np.expm1(-xs / jumps.mean)
+        if not isinstance(jumps, AtomJumps):
+            raise ValueError("the convolution series needs exponential or "
+                             "atomic jump sizes")
+        # integrated tail of a discrete law is piecewise linear
+        vals = np.zeros_like(xs)
+        for s, p in zip(jumps.sizes, jumps.probs):
+            vals += p * np.minimum(xs, s)
+        return vals / jumps.mean
 
     def _series_on_grid(self, xs: np.ndarray) -> np.ndarray:
         # the trapezoid series acc = sum_k rho^k F^{*k} to all orders solves
@@ -318,9 +297,6 @@ class _InversionEvaluator(_Evaluator):
     """
 
     def __init__(self, model: LevyModel, alpha: float, eta_alpha: float):
-        if not model.supports_complex_exponent:
-            raise ValueError("Laplace inversion needs an exponent defined for "
-                             "complex arguments; use the convolution series")
         self.model = model
         self.alpha = alpha
         self.eta = eta_alpha
@@ -380,8 +356,8 @@ class ScaleFunctionSet:
     """W, W', Z and Wbar of one model at one discount rate.
 
     The construction picks a method automatically unless one is forced:
-    closed forms for pure Brownian input, the convolution series for bounded
-    variation input with rho < 1, Laplace inversion otherwise.  ``x_max``
+    closed forms for pure Brownian input, the convolution series for compound
+    Poisson input with rho < 1, Laplace inversion otherwise.  ``x_max``
     is the range [0, x_max] of the series grid; the other methods answer
     anywhere.
     """
@@ -404,8 +380,9 @@ class ScaleFunctionSet:
                 raise ValueError("closed forms apply to pure Brownian input only")
             self._ev = _BrownianClosedForm(model.mu, model.sigma2, self.alpha)
         elif method == CONVOLUTION_SERIES:
-            if not model.is_bounded_variation:
-                raise ValueError("the convolution series needs bounded variation input")
+            if not isinstance(model, CompoundPoissonDrift):
+                raise ValueError("the convolution series needs compound "
+                                 "Poisson input")
             self._ev = _SeriesEvaluator(model, self.alpha, self.x_max)
         elif method == LAPLACE_INVERSION:
             self._ev = _InversionEvaluator(model, self.alpha, self.eta_alpha)
@@ -469,20 +446,13 @@ class ScaleFunctionSet:
 def _default_method(model: LevyModel) -> str:
     """Pick the most accurate applicable method for the family.
 
-    Gamma and inverse Gaussian input default to inversion: their ladder
-    height distributions have unbounded densities at zero, which drags the
-    uniform-grid series to roughly 1e-5 accuracy, while their exponents have
-    closed complex forms that invert to near machine precision.
+    Gamma and inverse Gaussian input take inversion: their ladder height
+    distributions have unbounded densities at zero, which would drag a
+    uniform-grid series to roughly 1e-5 accuracy, while their exponents
+    have closed complex forms that invert to near machine precision.
     """
-    from .models import BrownianDrift, GammaDrift, InverseGaussianDrift
-
     if isinstance(model, BrownianDrift) and not model.has_jumps:
         return CLOSED_FORM_BROWNIAN
-    if isinstance(model, (GammaDrift, InverseGaussianDrift)):
-        return LAPLACE_INVERSION
-    if model.is_bounded_variation and model.rho is not None and model.rho < 1.0:
+    if isinstance(model, CompoundPoissonDrift) and model.rho < 1.0:
         return CONVOLUTION_SERIES
-    if model.supports_complex_exponent:
-        return LAPLACE_INVERSION
-    raise ValueError("no applicable scale function method: the jump load is "
-                     "not below one and the exponent is real-only")
+    return LAPLACE_INVERSION

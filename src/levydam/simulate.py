@@ -15,8 +15,8 @@ Simulation schemes per family:
 * gamma / inverse Gaussian drift: exact increment sampling on the grid,
   accepting grid resolution error in crossing detection.
 
-Other bounded variation input (``GenericBoundedVariation``) is priced
-analytically but not simulated: its first draw raises ``TypeError``.
+Every family the package defines is simulated; a model of any other class
+raises ``TypeError`` at its first grid draw.
 
 Compound Poisson paths run in lock step (``_cp_events``): each NumPy step
 takes every live path one event on, as a scalar event loop would; the

@@ -119,6 +119,18 @@ BAD_VALUES = [
     ("verify", "verification.horizon", "100"),
     ("evaluate", "costs.g_bound", "1"),
     ("evaluate", "costs.g_star_bound", "1"),
+    # non-finite numbers
+    ("evaluate", "policy.lambda", math.inf),
+    ("verify", "policy.lambda", math.inf),
+    ("evaluate", "policy.M", math.nan),
+    ("verify", "policy.M", math.inf),
+    ("optimize", "policy.M", math.nan),
+    ("evaluate", "alphas", [math.nan]),
+    ("verify", "alphas", [math.nan]),
+    ("verify", "alphas", [0.5, math.inf]),
+    ("optimize", "sweep.lambda", math.inf),
+    ("evaluate", "model.mu", math.nan),
+    ("verify", "verification.horizon", math.inf),
     # keys that are no longer read must not pass silently
     ("verify", "verification.small_jump_cutoff", 1e-6),
     ("verify", "verification.corrupt", {"quantity": "fill_exit_mean",

@@ -29,6 +29,15 @@ def evaluator(model, costs=COSTS, policy=POLICY, reflected=True):
     return PolicyEvaluator(model, policy, costs, reflected=reflected)
 
 
+class TestPolicyParams:
+    @pytest.mark.parametrize("lam, M", [(math.inf, 2.0), (math.nan, 2.0),
+                                        (2.0, math.inf), (2.0, math.nan),
+                                        (2.0, 0.0)])
+    def test_non_finite_or_bad_values_rejected(self, lam, M):
+        with pytest.raises(ValueError):
+            PolicyParams(lam=lam, tau=0.5, M=M, V=math.inf)
+
+
 class TestPiecewisePoly:
     def test_piece_evaluation(self):
         p = PiecewisePoly((0.0, 1.0, 2.0), ((1.0, 2.0), (3.0,)))
@@ -44,6 +53,8 @@ class TestPiecewisePoly:
             PiecewisePoly((0.0, 1.0), ((1.0,), (2.0,)))
         with pytest.raises(ValueError):
             PiecewisePoly((0.0, 1.0), ((math.inf,),))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PiecewisePoly((0.0, math.nan), ((1.0,),))
 
     def test_array_values_equal_scalar_calls(self):
         p = PiecewisePoly((-0.5, 0.3, 1.0, 2.25, 4.0),

@@ -12,12 +12,9 @@ from levydam import (
     CompoundPoissonDrift,
     ExponentialJumps,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
     brownian,
     compound_poisson_exp,
-    gamma_measure,
-    generic_measure,
     path_rng,
 )
 
@@ -175,23 +172,6 @@ class TestConstruction:
             assert shifted.phi(theta) == want.phi(theta)
         with pytest.raises(ValueError, match="release rate"):
             model.shifted(0.0)
-
-    def test_shifted_generic_keeps_its_measure(self):
-        model = GenericBoundedVariation(1.0, gamma_measure(1.0, 2.0))
-        shifted = model.shifted(2.0)
-        assert shifted == GenericBoundedVariation(3.0, model.measure)
-        with pytest.raises(ValueError, match="release rate"):
-            model.shifted(-1.0)
-
-    def test_generic_measure_matches_parametric(self):
-        # exp(1) jumps at rate 1 under drift 2, via the generic constructor
-        dens = lambda x: np.exp(-x)
-        tail = lambda x: np.exp(-x)
-        m = GenericBoundedVariation(2.0, generic_measure(dens, tail, 1.0))
-        ref = compound_poisson_exp(2.0, 1.0, 1.0)
-        for theta in (0.2, 1.0, 3.0):
-            assert m.phi(theta) == pytest.approx(ref.phi(theta), rel=1e-9)
-        assert m.mean_input() == pytest.approx(-1.0, abs=1e-9)
 
     def test_measure_moments(self):
         # tail functions integrate back to the stated first moment

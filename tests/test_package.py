@@ -77,3 +77,35 @@ def test_readme_library_quick_start_runs():
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)
     assert isinstance(ns["ev"], levydam.PolicyEvaluator)
+
+
+# one config model per kind of cli.build_model, the jump diffusion included
+MODEL_SPECS = [
+    {"kind": "brownian", "mu": 1.0, "sigma2": 1.0},
+    {"kind": "brownian", "mu": 0.5, "sigma2": 1.0, "jump_rate": 0.8,
+     "jump_mean": 0.5},
+    {"kind": "compound_poisson", "zeta": 2.0, "rate": 1.0, "jump_mean": 1.0},
+    {"kind": "gamma", "zeta": 1.0, "a": 3.0, "b": 2.0},
+    {"kind": "inverse_gaussian", "zeta": 1.0, "sigma": 1.0, "c": 0.8},
+]
+
+
+def test_every_public_family_is_built_priced_and_simulated():
+    # a family the CLI cannot build or the oracle cannot run must not be
+    # public: every number the package prices has to be checkable
+    from levydam import cli
+
+    public = {obj for obj in map(vars(levydam).get, levydam.__all__)
+              if isinstance(obj, type) and issubclass(obj, levydam.LevyModel)
+              and obj is not levydam.LevyModel}
+    models = [cli.build_model(spec) for spec in MODEL_SPECS]
+    assert public <= {type(model) for model in models}
+    policy = levydam.PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
+    zero = levydam.PiecewisePoly.zero()
+    costs = levydam.CostSpec(0.0, 0.0, 0.0, zero, zero)
+    config = levydam.PathConfig(time_step=1e-2, n_paths=5, seed=1)
+    for model in models:
+        ev = levydam.PolicyEvaluator(model, policy, costs)
+        assert 0.0 < ev.fill_exit_lt(0.5) <= 1.0, model
+        records = levydam.run_policy_cycles(model, policy, costs, config)
+        assert records.n_cycles > 0, model

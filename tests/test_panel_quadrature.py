@@ -26,7 +26,6 @@ from levydam import (
     ExponentialJumps,
     FillPhase,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
     PiecewisePoly,
     PolicyEvaluator,
@@ -34,7 +33,6 @@ from levydam import (
     ReleasePhase,
     ScaleFunctionSet,
     compound_poisson_exp,
-    generic_measure,
     potential_reflected,
     potential_release,
     potential_up_killed,
@@ -220,9 +218,6 @@ def ref_potential_mass(dens, x, lo, hi, atom=0.0):
 FAMILIES = {
     # convolution series
     "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
-    # series on a generic measure: unit rate, Gamma(2, 1) jump sizes
-    "cp_generic": lambda: GenericBoundedVariation(3.0, generic_measure(
-        lambda x: x * np.exp(-x), lambda x: (1.0 + x) * np.exp(-x), 2.0)),
     # Laplace inversion, jumps of infinite activity, drifting up
     "gamma": lambda: GammaDrift(1.0, 3.0, 2.0),
     "inverse_gaussian": lambda: InverseGaussianDrift(1.0, 1.0, 0.8),
@@ -240,10 +235,6 @@ COMBOS = [
     ("cp_exponential", True, math.inf, 0.5),
     ("cp_exponential", False, 4.0, 0.5),
     ("cp_exponential", False, math.inf, 2.0),
-    ("cp_generic", True, 4.0, 0.0),
-    ("cp_generic", True, 4.0, 0.5),
-    ("cp_generic", True, math.inf, 2.0),
-    ("cp_generic", False, 4.0, 0.5),
     ("gamma", False, 4.0, 0.0),
     ("gamma", False, 4.0, 0.5),
     ("gamma", False, math.inf, 2.0),

@@ -19,12 +19,10 @@ from levydam import (
     CompoundPoissonDrift,
     ExponentialJumps,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
     ScaleFunctionSet,
     brownian,
     compound_poisson_exp,
-    generic_measure,
 )
 
 
@@ -97,18 +95,6 @@ class TestCompoundPoissonMethods:
         rel = np.abs(s1.w(xs) - s2.w(xs)) / s2.w(xs)
         assert np.max(rel) < 1e-5
 
-    def test_generic_measure_series_matches_parametric(self):
-        from levydam import GenericBoundedVariation, generic_measure
-        dens = lambda x: np.exp(-x)
-        tail = lambda x: np.exp(-x)
-        gen = GenericBoundedVariation(2.0, generic_measure(dens, tail, 1.0))
-        ref = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5)
-        s = ScaleFunctionSet(gen, 0.5)
-        assert s.method == CONVOLUTION_SERIES
-        xs = np.linspace(0.2, 5.0, 20)
-        rel = np.abs(s.w(xs) - ref.w(xs)) / ref.w(xs)
-        assert np.max(rel) < 1e-4
-
     def test_value_at_zero_bounded_variation(self):
         for alpha in (0.0, 0.5):
             s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), alpha)
@@ -121,6 +107,15 @@ class TestCompoundPoissonMethods:
     def test_series_rejects_heavy_load(self):
         model = compound_poisson_exp(0.5, 1.0, 1.0)  # rho = 2
         with pytest.raises(ValueError):
+            ScaleFunctionSet(model, 0.5, method=CONVOLUTION_SERIES)
+
+    @pytest.mark.parametrize("model", [
+        GammaDrift(1.0, 1.0, 2.0),
+        InverseGaussianDrift(1.0, 1.0, 2.0),
+        BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5)),
+    ], ids=["gamma", "inverse_gaussian", "jump_diffusion"])
+    def test_series_needs_compound_poisson(self, model):
+        with pytest.raises(ValueError, match="needs compound Poisson input"):
             ScaleFunctionSet(model, 0.5, method=CONVOLUTION_SERIES)
 
     def test_series_bound_from_load(self):
@@ -173,9 +168,8 @@ class TestReferenceValues:
     are two to three times the largest errors measured: 1.8e-15 for the
     closed forms; for inversion 7.1e-13 (W), 5.6e-12 (W') and 5.5e-13 (Z);
     7.4e-6 for the series, at alpha = 2 and x = 50, where the grid of its
-    range is coarsest.  The series is checked on its default family only: on
-    gamma and inverse Gaussian input it is off by up to 6.8e-4 and 1.5e-2
-    at x = 50, which is why those families default to inversion.
+    range is coarsest.  The series serves compound Poisson input only, so
+    it is checked on ``cp`` alone; every family is checked by inversion.
     """
 
     METHODS = {
@@ -411,8 +405,6 @@ class TestSeriesConvolution:
         "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
         "cp_atoms": lambda: CompoundPoissonDrift(
             2.0, 1.0, AtomJumps((0.5, 1.5), (0.4, 0.6))),
-        "generic": lambda: GenericBoundedVariation(
-            2.0, generic_measure(lambda x: np.exp(-x), lambda x: np.exp(-x), 1.0)),
     }
     LEAF = levydam.scale._LEAF
 

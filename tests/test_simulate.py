@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,8 @@ from levydam import (
     CostSpec,
     FillPhase,
     GammaDrift,
-    GenericBoundedVariation,
     InverseGaussianDrift,
+    LevyMeasure,
     PiecewisePoly,
     PolicyParams,
     ReleasePhase,
@@ -18,11 +19,11 @@ from levydam import (
     brownian,
     compound_poisson_exp,
     estimate,
-    gamma_measure,
     run_policy_cycles,
 )
 from levydam import simulate
-from levydam.models import AtomJumps, BrownianDrift, ExponentialJumps
+from levydam.models import (AtomJumps, BrownianDrift, ExponentialJumps,
+                            _BoundedVariationModel)
 from levydam.simulate import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -44,6 +45,14 @@ ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
 POLICY = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
 
 
+@dataclasses.dataclass(frozen=True)
+class _NoSampler(_BoundedVariationModel):
+    """A bounded variation family the oracle has no sampler for."""
+
+    zeta: float
+    measure: LevyMeasure
+
+
 class TestSubordinatorIncrements:
     """The grid kernel's exact increments, against their laws over dt."""
 
@@ -63,9 +72,9 @@ class TestSubordinatorIncrements:
         ks = stats.kstest(incs, "invgauss", args=(mean / shape, 0.0, shape))
         assert ks.pvalue > 0.01
 
-    def test_generic_measure_is_not_simulated(self):
-        model = GenericBoundedVariation(1.0, gamma_measure(3.0, 2.0))
-        with pytest.raises(TypeError, match="GenericBoundedVariation"):
+    def test_unknown_family_is_not_simulated(self):
+        model = _NoSampler(1.0, GammaDrift(1.0, 3.0, 2.0).measure)
+        with pytest.raises(TypeError, match="no grid sampler for _NoSampler"):
             run_policy_cycles(model, POLICY, ZERO,
                               PathConfig(time_step=1e-2, n_paths=10, seed=1))
 
