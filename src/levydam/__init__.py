@@ -6,7 +6,6 @@ and checks every analytic quantity against a Monte Carlo path oracle.
 """
 
 from .models import (
-    AtomJumps,
     BrownianDrift,
     CompoundPoissonDrift,
     ConvergenceError,
@@ -52,7 +51,7 @@ from .simulate import (
 
 __all__ = [
     # models
-    "AtomJumps", "BrownianDrift", "CompoundPoissonDrift", "ConvergenceError",
+    "BrownianDrift", "CompoundPoissonDrift", "ConvergenceError",
     "ExponentialJumps", "GammaDrift", "InverseGaussianDrift", "LevyMeasure",
     "LevyModel", "brownian", "compound_poisson_exp",
     # scale

@@ -32,7 +32,6 @@ from .costs import (
     PolicyParams,
 )
 from .models import (
-    AtomJumps,
     BrownianDrift,
     CompoundPoissonDrift,
     ConvergenceError,
@@ -113,6 +112,9 @@ def _need(cfg: dict, key: str, kind, path: str):
 
 
 def build_model(spec: dict, path: str = "model") -> LevyModel:
+    if "atoms" in spec:
+        raise ConfigError(f"{path}.atoms: atomic jump sizes are not "
+                          "supported; jumps are exponential (jump_mean)")
     kind = _need(spec, "kind", str, path)
     try:
         if kind == "brownian":
@@ -126,11 +128,6 @@ def build_model(spec: dict, path: str = "model") -> LevyModel:
         if kind == "compound_poisson":
             zeta = _need(spec, "zeta", float, path)
             rate = _need(spec, "rate", float, path)
-            if "atoms" in spec:
-                atoms = _need(spec, "atoms", list, path)
-                sizes = tuple(float(a[0]) for a in atoms)
-                probs = tuple(float(a[1]) for a in atoms)
-                return CompoundPoissonDrift(zeta, rate, AtomJumps(sizes, probs))
             mean = _need(spec, "jump_mean", float, path)
             return CompoundPoissonDrift(zeta, rate, ExponentialJumps(mean))
         if kind == "gamma":
@@ -146,23 +143,16 @@ def build_model(spec: dict, path: str = "model") -> LevyModel:
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
-def _analytic_model(cfg: dict) -> LevyModel:
-    """The config's model, rejected if the analytic side cannot price it."""
-    model = build_model(_need(cfg, "model", dict, "config"))
-    if model.has_jumps and model.measure.density is None:
-        raise ConfigError("model.atoms: the analytic side needs a jump "
-                          "density; purely atomic jump sizes are not "
-                          "supported")
-    return model
-
-
 def _capacity(spec: dict, path: str) -> float:
     v_raw = spec.get("V")
     if v_raw in (None, "inf"):
         return math.inf
-    if isinstance(v_raw, (int, float)) and not isinstance(v_raw, bool):
+    # the comparison fails for NaN and -inf only; inf is unlimited
+    if (isinstance(v_raw, (int, float)) and not isinstance(v_raw, bool)
+            and v_raw > -math.inf):
         return float(v_raw)
-    raise ConfigError(f'{path}.V: expected a number, null or "inf"')
+    raise ConfigError(f'{path}.V: expected a number (not NaN or -Infinity), '
+                      f'null or "inf", got {v_raw!r}')
 
 
 def build_policy(spec: dict, path: str = "policy") -> PolicyParams:
@@ -236,12 +226,27 @@ def _path_config(block: dict, seed=None, paths=None) -> PathConfig:
         raise ConfigError(f"verification: {exc}") from exc
 
 
+def _overshoot_summary(ev: PolicyEvaluator) -> dict:
+    """The undiscounted overshoot law over lambda: its atom at lambda, its
+    jump crossing mass and, when that is positive, the mean overshoot given
+    a jump crossing."""
+    lam = ev.policy.lam
+    law = ev.overshoot_law(0.0)
+    dens_mass = law.density_mass()
+    summary = {"atom_mass_at_threshold": law.atom_at_lambda,
+               "jump_crossing_mass": dens_mass}
+    if dens_mass > 0:
+        summary["mean_overshoot_given_jump"] = law.integrate(
+            lambda z: z - lam) / dens_mass
+    return summary
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
 
 def cmd_evaluate(cfg: dict) -> dict:
-    model = _analytic_model(cfg)
+    model = build_model(_need(cfg, "model", dict, "config"))
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = _typed(cfg.get("reflected", True), bool, "reflected")
@@ -268,14 +273,7 @@ def cmd_evaluate(cfg: dict) -> dict:
         quantities["long_run_average_cost"] = None
         notes.append(f"long-run average unavailable: {exc}")
     try:
-        law = ev.overshoot_law(0.0)
-        dens_mass = law.density_mass()
-        summary = {"atom_mass_at_threshold": law.atom_at_lambda,
-                   "jump_crossing_mass": dens_mass}
-        if dens_mass > 0:
-            summary["mean_overshoot_given_jump"] = law.integrate(
-                lambda z: z - policy.lam) / dens_mass
-        quantities["overshoot"] = summary
+        quantities["overshoot"] = _overshoot_summary(ev)
     except ValueError as exc:
         notes.append(f"overshoot law unavailable: {exc}")
     per_alpha = {}
@@ -305,7 +303,7 @@ def cmd_evaluate(cfg: dict) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
-    model = _analytic_model(cfg)
+    model = build_model(_need(cfg, "model", dict, "config"))
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = _typed(cfg.get("reflected", True), bool, "reflected")
@@ -373,11 +371,9 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
         if model.has_jumps:
             over = records.overshoot_samples(policy.lam)
             if len(over) >= 2:
-                law = ev.overshoot_law(0.0)
-                dens_mass = law.density_mass()
-                if dens_mass > 0:
-                    mean_over = law.integrate(
-                        lambda z: z - policy.lam) / dens_mass
+                mean_over = _overshoot_summary(ev).get(
+                    "mean_overshoot_given_jump")
+                if mean_over is not None:
                     add("mean_overshoot", mean_over,
                         estimate("mean_overshoot", over))
 
@@ -440,7 +436,7 @@ def _objective_fn(cfg: dict, model, costs, reflected):
 
 
 def cmd_optimize(cfg: dict) -> dict:
-    model = _analytic_model(cfg)
+    model = build_model(_need(cfg, "model", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = _typed(cfg.get("reflected", True), bool, "reflected")
     base = _need(cfg, "policy", dict, "config")

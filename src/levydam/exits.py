@@ -627,16 +627,6 @@ class OvershootLaw:
         return self.atom_at_lambda + self.density_mass()
 
 
-def _jump_density(s: ScaleFunctionSet):
-    measure = s.model.measure
-    if measure is None:
-        return None
-    if measure.density is None:
-        raise ValueError("analytic overshoot laws require a Levy density; "
-                         "purely atomic jump measures are not supported here")
-    return measure.density
-
-
 def _crossing_density(pot: PotentialDensity, x: float, lam: float,
                       nu: Callable, cut: float, graded: bool) -> Callable:
     """z -> integral U(x, dy) nu(z - y), the density of the state at the
@@ -739,7 +729,7 @@ def _overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
     measure = s.model.measure
     cut = measure.tail_quantile(_TAIL_EPS)
     graded = _infinite_activity(s)
-    density = _PointValues(_crossing_density(pot, x, lam, _jump_density(s),
+    density = _PointValues(_crossing_density(pot, x, lam, measure.density,
                                              cut, graded))
     law = OvershootLaw(x, lam, s.alpha, density, 0.0, lam + cut, graded)
     if s.model.sigma2 > 0.0:

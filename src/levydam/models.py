@@ -14,6 +14,9 @@ Supported families:
 * ``GammaDrift``          -- gamma subordinator minus a linear drift.
 * ``InverseGaussianDrift``-- inverse Gaussian subordinator minus a drift.
 
+Compound Poisson jumps, alone or in the jump diffusion, have one size law,
+``ExponentialJumps``; any other ``jumps`` raises ``ValueError``.
+
 Each family is built by a config ``kind`` of the CLI and sampled by the
 Monte Carlo oracle.  Every exponent accepts complex arguments, so Laplace
 inversion applies to each of them.
@@ -42,7 +45,7 @@ _ETA_REL_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
-# Jump size distributions for compound Poisson input
+# Jump size law of compound Poisson input
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -85,54 +88,6 @@ class ExponentialJumps:
         return self.mean * e
 
 
-@dataclass(frozen=True)
-class AtomJumps:
-    """Discrete jump sizes: atoms (x_i, p_i) with sum(p_i) = 1."""
-
-    sizes: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        if len(self.sizes) != len(self.probs) or not self.sizes:
-            raise ValueError("sizes and probs must be non-empty and equal length")
-        if any(x <= 0 for x in self.sizes):
-            raise ValueError("jump sizes must be positive")
-        if abs(sum(self.probs) - 1.0) > 1e-12 or any(p < 0 for p in self.probs):
-            raise ValueError("probs must be nonnegative and sum to one")
-
-    @property
-    def mean(self) -> float:
-        return float(sum(x * p for x, p in zip(self.sizes, self.probs)))
-
-    def laplace(self, theta):
-        return sum(p * np.exp(-theta * x) for x, p in zip(self.sizes, self.probs))
-
-    def mean_exp(self, theta):
-        return sum(p * x * np.exp(-theta * x) for x, p in zip(self.sizes, self.probs))
-
-    def tail(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for s, p in zip(self.sizes, self.probs):
-            out = out + np.where(x <= s, p, 0.0)
-        return out
-
-    density = None
-
-    def sample(self, rng, size):
-        idx = rng.choice(len(self.sizes), size=size, p=np.asarray(self.probs))
-        return np.asarray(self.sizes)[idx]
-
-    def from_exponential(self, e):
-        """One jump per standard exponential e: the quantile of the uniform
-        u = 1 - exp(-e), found on the cdf as ``rng.choice`` finds it."""
-        cdf = np.cumsum(self.probs)
-        cdf /= cdf[-1]
-        # without the last entry, so u rounded up to 1 takes the last atom
-        idx = np.searchsorted(cdf[:-1], -np.expm1(-e), side="right")
-        return np.asarray(self.sizes)[idx]
-
-
 # ---------------------------------------------------------------------------
 # Levy measure descriptor
 # ---------------------------------------------------------------------------
@@ -141,15 +96,15 @@ class AtomJumps:
 class LevyMeasure:
     """Jump measure nu on (0, inf).
 
-    ``density`` is the Levy density (None for purely atomic measures),
-    ``tail`` maps x to nu([x, inf)), ``mu`` is the first moment
-    ``int_0^inf x nu(dx)`` and ``total`` is the total mass (inf for
-    infinite activity).  ``one_minus_exp`` evaluates
+    ``density`` is the Levy density (every family has one), ``tail`` maps
+    x to nu([x, inf)), ``mu`` is the first moment ``int_0^inf x nu(dx)``
+    and ``total`` is the total mass (inf for infinite activity).
+    ``one_minus_exp`` evaluates
     ``int (1 - exp(-theta x)) nu(dx)`` and ``x_mean_exp`` evaluates
     ``int x exp(-theta x) nu(dx)``; both accept complex theta.
     """
 
-    density: Callable | None
+    density: Callable
     tail: Callable
     mu: float
     total: float
@@ -169,11 +124,11 @@ class LevyMeasure:
 def _compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
     if rate <= 0:
         raise ValueError("jump rate must be positive")
-    density = None
-    if getattr(jumps, "density", None) is not None:
-        density = lambda x: rate * jumps.density(x)
+    if not isinstance(jumps, ExponentialJumps):
+        raise ValueError("jump sizes must be ExponentialJumps, got "
+                         f"{type(jumps).__name__}")
     return LevyMeasure(
-        density=density,
+        density=lambda x: rate * jumps.density(x),
         tail=lambda x: rate * jumps.tail(x),
         mu=rate * jumps.mean,
         total=rate,
@@ -320,7 +275,7 @@ class BrownianDrift(LevyModel):
     mu: float
     sigma2: float
     jump_rate: float = 0.0
-    jumps: object | None = None
+    jumps: ExponentialJumps | None = None
     measure: LevyMeasure | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
@@ -389,7 +344,7 @@ class CompoundPoissonDrift(_BoundedVariationModel):
 
     zeta: float
     rate: float
-    jumps: object
+    jumps: ExponentialJumps
     measure: LevyMeasure = field(init=False, repr=False)
 
     def __post_init__(self):

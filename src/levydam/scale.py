@@ -9,9 +9,9 @@ is ``Z(x) = 1 + alpha * int_0^x W``, and ``Wbar(x) = int_0^x W``.
 Three evaluation methods are provided:
 
 * closed forms for pure Brownian input,
-* a convolution series for compound Poisson input with exponential or
-  atomic jumps and jump load ``rho = mu / zeta < 1`` on a uniform grid over
-  [0, x_max]: the ladder series to all orders and its discount
+* a convolution series for compound Poisson input, whose jumps are
+  exponential, with jump load ``rho = mu / zeta < 1`` on a uniform grid
+  over [0, x_max]: the ladder series to all orders and its discount
   ``W_a = W + a W * W_a`` (Kuznetsov, Kyprianou and Rivero 2012, section 2)
   are one triangular Toeplitz solve each,
 * numerical Laplace inversion (fixed Talbot contour applied to the
@@ -41,8 +41,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.interpolate import PchipInterpolator
 
-from .models import (AtomJumps, BrownianDrift, CompoundPoissonDrift,
-                     ExponentialJumps, LevyModel)
+from .models import BrownianDrift, CompoundPoissonDrift, LevyModel
 
 CLOSED_FORM_BROWNIAN = "closed_form_brownian"
 CONVOLUTION_SERIES = "convolution_series"
@@ -202,19 +201,10 @@ class _SeriesEvaluator(_Evaluator):
                              f"got rho = {self.rho:.4f}")
         self._build(x_max)
 
-    # F is the ladder height law: the integrated jump tail over its mean
+    # F is the ladder height law: the integrated jump tail over its mean,
+    # for exponential jumps the jump law itself
     def _ladder_cdf(self, xs: np.ndarray) -> np.ndarray:
-        jumps = self.model.jumps
-        if isinstance(jumps, ExponentialJumps):
-            return -np.expm1(-xs / jumps.mean)
-        if not isinstance(jumps, AtomJumps):
-            raise ValueError("the convolution series needs exponential or "
-                             "atomic jump sizes")
-        # integrated tail of a discrete law is piecewise linear
-        vals = np.zeros_like(xs)
-        for s, p in zip(jumps.sizes, jumps.probs):
-            vals += p * np.minimum(xs, s)
-        return vals / jumps.mean
+        return -np.expm1(-xs / self.model.jumps.mean)
 
     def _series_on_grid(self, xs: np.ndarray) -> np.ndarray:
         # the trapezoid series acc = sum_k rho^k F^{*k} to all orders solves

@@ -37,8 +37,8 @@ and books each charge as it falls due.
 
 Randomness is counter based.  A compound Poisson path reads standard
 exponentials from the Philox stream keyed by (seed, path index), in blocks
-(``_Streams``): a gap or an exponential jump is a scale times one, an atom
-jump the quantile of one, so its outcome does not depend on ``n_paths``.
+(``_Streams``): a gap or a jump is a scale times one, so its outcome does
+not depend on ``n_paths``.
 The grid kernel consumes the (seed, 0) stream for all live paths in lock
 step, so a grid path's draws depend on ``n_paths``.  Fixed (seed, config,
 model, policy) reproduce results bit for bit.

@@ -78,8 +78,10 @@ class TestConfigValidation:
             build_policy({"lambda": 1.0, "tau": 1.5, "M": 1.0, "V": 4.0})
 
     def test_infinite_capacity_spelling(self):
-        pol = build_policy({"lambda": 1.0, "tau": 0.5, "M": 1.0, "V": "inf"})
-        assert math.isinf(pol.V)
+        # "inf", JSON Infinity, null and a missing V are all unlimited
+        for spec in ({"V": "inf"}, {"V": math.inf}, {"V": None}, {}):
+            pol = build_policy({"lambda": 1.0, "tau": 0.5, "M": 1.0, **spec})
+            assert pol.V == math.inf
 
     def test_main_reports_config_error(self, tmp_path, capsys):
         path = write_config(tmp_path, {"schema_version": 2})
@@ -131,6 +133,11 @@ BAD_VALUES = [
     ("optimize", "sweep.lambda", math.inf),
     ("evaluate", "model.mu", math.nan),
     ("verify", "verification.horizon", math.inf),
+    ("evaluate", "policy.V", math.nan),
+    ("verify", "policy.V", math.nan),
+    ("optimize", "policy.V", math.nan),
+    ("evaluate", "policy.V", -math.inf),
+    ("optimize", "policy.V", -math.inf),
     # keys that are no longer read must not pass silently
     ("verify", "verification.small_jump_cutoff", 1e-6),
     ("verify", "verification.corrupt", {"quantity": "fill_exit_mean",
@@ -158,11 +165,16 @@ class TestTypedValues:
         assert not out.exists()
 
 
-def atomic_jump_config(out_dir):
-    """Compound Poisson input whose jump sizes are atoms: no jump density."""
+# atomic jump sizes as the config once gave them, well formed or not
+ATOMS = {"well_formed": [[0.5, 0.5], [1.5, 0.5]],
+         "malformed": [[0.5], [1.5, 0.5]]}
+
+
+def atomic_jump_config(out_dir, atoms):
+    """Compound Poisson input whose jump sizes are atoms."""
     cfg = wiener_config(out_dir)
     cfg["model"] = {"kind": "compound_poisson", "zeta": 2.0, "rate": 1.0,
-                    "atoms": [[0.5, 0.5], [1.5, 0.5]]}
+                    "atoms": atoms}
     cfg["reflected"] = True
     cfg["sweep"] = {"lambda": 2.0, "tau": 0.0}
     cfg["objective"] = {"criterion": "long_run_average"}
@@ -170,18 +182,20 @@ def atomic_jump_config(out_dir):
 
 
 class TestAtomicJumps:
-    def test_model_builds(self):
-        model = build_model(atomic_jump_config("out")["model"])
-        assert model.has_jumps and model.measure.density is None
+    def test_model_is_not_built(self):
+        spec = atomic_jump_config("out", ATOMS["well_formed"])["model"]
+        with pytest.raises(ConfigError, match=r"^model\.atoms: "):
+            build_model(spec)
 
+    @pytest.mark.parametrize("atoms", ATOMS.values(), ids=ATOMS.keys())
     @pytest.mark.parametrize("verb", ["evaluate", "verify", "optimize"])
-    def test_rejected_up_front(self, tmp_path, capsys, verb):
+    def test_rejected_up_front(self, tmp_path, capsys, verb, atoms):
         out = tmp_path / "out"
-        path = write_config(tmp_path, atomic_jump_config(out))
+        path = write_config(tmp_path, atomic_jump_config(out, atoms))
         assert main([verb, "--config", path, "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert "jump density" in err and "Traceback" not in err
+        assert err.startswith("config error: model.atoms: ")
+        assert "not supported" in err and "Traceback" not in err
         assert not out.exists()
 
 

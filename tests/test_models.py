@@ -7,7 +7,6 @@ from scipy import stats
 from scipy.integrate import quad
 
 from levydam import (
-    AtomJumps,
     BrownianDrift,
     CompoundPoissonDrift,
     ExponentialJumps,
@@ -134,17 +133,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BrownianDrift(1.0, 0.0)
 
-    def test_atom_jumps_validate(self):
-        with pytest.raises(ValueError):
-            AtomJumps((1.0, 2.0), (0.6, 0.6))
-        with pytest.raises(ValueError):
-            AtomJumps((-1.0,), (1.0,))
-
-    def test_atom_model_round_trip(self):
-        m = CompoundPoissonDrift(2.0, 1.0, AtomJumps((1.0, 2.0), (0.5, 0.5)))
-        assert m.mean_input() == pytest.approx(1.5 - 2.0)
-        assert m.phi(1.0) == pytest.approx(
-            2.0 - (1 - 0.5 * (math.exp(-1) + math.exp(-2))))
+    @pytest.mark.parametrize("jumps", [(0.5, 1.5), stats.expon(scale=0.5)],
+                             ids=["sizes", "scipy_law"])
+    def test_jumps_must_be_exponential(self, jumps):
+        # ExponentialJumps is the one jump law: anything else is refused
+        # when the model is built, not when it is first priced
+        with pytest.raises(ValueError, match="ExponentialJumps"):
+            CompoundPoissonDrift(2.0, 1.0, jumps)
+        with pytest.raises(ValueError, match="ExponentialJumps"):
+            BrownianDrift(0.5, 1.0, 0.8, jumps)
 
     def test_shifted_model_exponent(self):
         for model in ALL_MODELS:
@@ -192,19 +189,3 @@ class TestJumpsFromExponential:
         rng = path_rng(3, 1)
         want = np.array([jumps.sample(rng, 1)[0] for _ in range(200)])
         assert np.array_equal(jumps.from_exponential(e), want)
-
-    def test_atom_frequencies(self):
-        jumps = AtomJumps((0.5, 1.0, 2.5), (0.2, 0.5, 0.3))
-        e = path_rng(5, 0).standard_exponential(20000)
-        got = jumps.from_exponential(e)
-        counts = [np.count_nonzero(got == x) for x in jumps.sizes]
-        assert sum(counts) == len(got)
-        expected = 20000 * np.asarray(jumps.probs)
-        assert stats.chisquare(counts, expected).pvalue > 0.01
-
-    def test_atom_quantile_ends(self):
-        # u = 1 - exp(-e): 0 takes the first atom; u rounded up to 1 (e
-        # past about 37) takes the last, not an index past the end
-        jumps = AtomJumps((0.5, 1.0, 2.5), (0.2, 0.5, 0.3))
-        e = np.array([0.0, -math.log1p(-0.2) * 0.999, 1.0, 60.0])
-        assert jumps.from_exponential(e).tolist() == [0.5, 0.5, 1.0, 2.5]

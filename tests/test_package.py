@@ -91,15 +91,21 @@ MODEL_SPECS = [
 
 
 def test_every_public_family_is_built_priced_and_simulated():
-    # a family the CLI cannot build or the oracle cannot run must not be
-    # public: every number the package prices has to be checkable
+    # a family or jump law the CLI cannot build or the oracle cannot run
+    # must not be public: every number the package prices has to be
+    # checkable
     from levydam import cli
 
-    public = {obj for obj in map(vars(levydam).get, levydam.__all__)
-              if isinstance(obj, type) and issubclass(obj, levydam.LevyModel)
+    classes = [obj for obj in map(vars(levydam).get, levydam.__all__)
+               if isinstance(obj, type)]
+    public = {obj for obj in classes if issubclass(obj, levydam.LevyModel)
               and obj is not levydam.LevyModel}
+    jump_laws = {obj for obj in classes if obj.__name__.endswith("Jumps")}
     models = [cli.build_model(spec) for spec in MODEL_SPECS]
     assert public <= {type(model) for model in models}
+    assert levydam.ExponentialJumps in jump_laws
+    assert jump_laws <= {type(getattr(model, "jumps", None))
+                         for model in models}
     policy = levydam.PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
     zero = levydam.PiecewisePoly.zero()
     costs = levydam.CostSpec(0.0, 0.0, 0.0, zero, zero)
@@ -107,5 +113,7 @@ def test_every_public_family_is_built_priced_and_simulated():
     for model in models:
         ev = levydam.PolicyEvaluator(model, policy, costs)
         assert 0.0 < ev.fill_exit_lt(0.5) <= 1.0, model
+        # past the fill the cycle needs the overshoot law
+        assert 0.0 < ev.cycle_end_lt(0.5) <= 1.0, model
         records = levydam.run_policy_cycles(model, policy, costs, config)
         assert records.n_cycles > 0, model

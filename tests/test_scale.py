@@ -14,9 +14,7 @@ from levydam import (
     CLOSED_FORM_BROWNIAN,
     CONVOLUTION_SERIES,
     LAPLACE_INVERSION,
-    AtomJumps,
     BrownianDrift,
-    CompoundPoissonDrift,
     ExponentialJumps,
     GammaDrift,
     InverseGaussianDrift,
@@ -403,8 +401,6 @@ class TestSeriesConvolution:
 
     MODELS = {
         "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
-        "cp_atoms": lambda: CompoundPoissonDrift(
-            2.0, 1.0, AtomJumps((0.5, 1.5), (0.4, 0.6))),
     }
     LEAF = levydam.scale._LEAF
 

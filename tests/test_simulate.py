@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 
 from levydam import (
-    CompoundPoissonDrift,
     CostSpec,
     FillPhase,
     GammaDrift,
@@ -22,7 +21,7 @@ from levydam import (
     run_policy_cycles,
 )
 from levydam import simulate
-from levydam.models import (AtomJumps, BrownianDrift, ExponentialJumps,
+from levydam.models import (BrownianDrift, ExponentialJumps,
                             _BoundedVariationModel)
 from levydam.simulate import (
     _GL_NODES,
@@ -180,16 +179,6 @@ class TestPhaseSimulators:
         est = estimate("rel", times)
         closed = 1.0 / (2.0 - model.mean_input())
         assert est.agrees_with(closed)
-
-    def test_busy_period_mean_atom_jumps(self):
-        # Wald's identity holds for any jump law: (x - tau) / (M - E input)
-        model = CompoundPoissonDrift(2.0, 1.0, AtomJumps((0.5, 1.5),
-                                                         (0.6, 0.4)))
-        times, partial = simulate_release_phase(
-            model, 1.0, 0.0, math.inf, 2.0, PathConfig(n_paths=20000, seed=21))
-        assert partial == 0
-        est = estimate("rel", times)
-        assert est.agrees_with(1.0 / (2.0 - model.mean_input()))
 
     def test_fill_phase_matches_cycles(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
