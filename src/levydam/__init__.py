@@ -18,8 +18,7 @@ from .models import (
     compound_poisson_exp,
 )
 from .scale import (
-    CLOSED_FORM_BROWNIAN,
-    CONVOLUTION_SERIES,
+    CLOSED_FORM,
     LAPLACE_INVERSION,
     ScaleFunctionSet,
 )
@@ -55,8 +54,7 @@ __all__ = [
     "ExponentialJumps", "GammaDrift", "InverseGaussianDrift", "LevyMeasure",
     "LevyModel", "brownian", "compound_poisson_exp",
     # scale
-    "CLOSED_FORM_BROWNIAN", "CONVOLUTION_SERIES", "LAPLACE_INVERSION",
-    "ScaleFunctionSet",
+    "CLOSED_FORM", "LAPLACE_INVERSION", "ScaleFunctionSet",
     # exits
     "FillPhase", "OvershootLaw", "PotentialDensity", "ReleasePhase",
     "potential_reflected", "potential_release", "potential_two_sided",

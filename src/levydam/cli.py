@@ -111,11 +111,27 @@ def _need(cfg: dict, key: str, kind, path: str):
     return _typed(cfg[key], kind, f"{path}.{key}")
 
 
+# the parameters each model kind reads; a brownian model given jump_rate is
+# a jump diffusion and also reads jump_rate and jump_mean
+_MODEL_KEYS = {
+    "brownian": ("mu", "sigma2"),
+    "compound_poisson": ("zeta", "rate", "jump_mean"),
+    "gamma": ("zeta", "a", "b"),
+    "inverse_gaussian": ("zeta", "sigma", "c"),
+}
+
+
 def build_model(spec: dict, path: str = "model") -> LevyModel:
-    if "atoms" in spec:
-        raise ConfigError(f"{path}.atoms: atomic jump sizes are not "
-                          "supported; jumps are exponential (jump_mean)")
     kind = _need(spec, "kind", str, path)
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
+    keys = _MODEL_KEYS[kind]
+    if kind == "brownian" and "jump_rate" in spec:
+        keys += ("jump_rate", "jump_mean")
+    unknown = sorted(spec.keys() - {"kind", *keys})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: not supported by model kind "
+                          f"{kind!r}, which reads {', '.join(keys)}")
     try:
         if kind == "brownian":
             mu = _need(spec, "mu", float, path)
@@ -140,7 +156,6 @@ def build_model(spec: dict, path: str = "model") -> LevyModel:
                                         _need(spec, "c", float, path))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
 def _capacity(spec: dict, path: str) -> float:

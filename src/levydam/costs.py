@@ -201,13 +201,11 @@ class PolicyEvaluator:
     once.  The start state x >= 0 defaults to tau.  ``max_quad_error`` is
     the largest error estimate of any integral of its phases so far.
 
-    Both scale sets span [0, x_max], x_max = max(lam, V' - tau) + 1, where
-    V' is V when finite and else max(lam + 10, the end of g_star's
-    support), so that the release potential's W(y - tau) stays inside it.
-    A set depends only on the model, the release rate M, the discount rate
-    and x_max, so evaluators of one model and one M may share the dict
-    ``scale_sets``: it holds each set built, keyed by ("fill" or "release",
-    alpha, x_max), and a set found there is not built again.
+    A scale set depends only on the model, the release rate M and the
+    discount rate, and answers at any point, so evaluators of one model and
+    one M may share the dict ``scale_sets`` whatever their thresholds: it
+    holds each set built, keyed by ("fill" or "release", alpha), and a set
+    found there is not built again.
     """
 
     def __init__(self, model: LevyModel, policy: PolicyParams, costs: CostSpec,
@@ -216,10 +214,6 @@ class PolicyEvaluator:
         self.policy = policy
         self.costs = costs
         self.reflected = reflected
-        top = policy.V
-        if math.isinf(top):
-            top = max(policy.lam + 10.0, costs.g_star.support[1])
-        self.x_max = max(policy.lam, top - policy.tau) + 1.0
         self._sets = {} if scale_sets is None else scale_sets
         self._fills: dict[float, FillPhase] = {}
         self._releases: dict[float, ReleasePhase] = {}
@@ -230,11 +224,11 @@ class PolicyEvaluator:
         return max((phase.max_quad_error for phase in phases), default=0.0)
 
     def _scale_set(self, phase: str, alpha: float) -> ScaleFunctionSet:
-        key = (phase, alpha, self.x_max)
+        key = (phase, alpha)
         if key not in self._sets:
             model = (self.model if phase == "fill"
                      else self.model.shifted(self.policy.M))
-            self._sets[key] = ScaleFunctionSet(model, alpha, x_max=self.x_max)
+            self._sets[key] = ScaleFunctionSet(model, alpha)
         return self._sets[key]
 
     def _fill(self, alpha: float) -> FillPhase:

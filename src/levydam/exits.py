@@ -776,7 +776,9 @@ class FillPhase:
 
         At alpha = 0 the monotone limit is returned: 1 for the reflected
         fill and for plain input that drifts up, and the finite passage
-        probability 1 - phi'(0+) W(lam - x) otherwise.
+        probability 1 - phi'(0+) W(lam - x) otherwise.  A fill from x < lam
+        has a positive transform, so a computed 0 raises
+        ``ConvergenceError``.
         """
         self._check_start(x)
         s, lam, alpha = self.s, self.lam, self.s.alpha
@@ -792,6 +794,11 @@ class FillPhase:
             val = 1.0 - float(s.model.phi_prime(0.0)) * s.w(lam - x)
         else:
             val = s.z(lam - x) - (alpha / s.eta_alpha) * s.w(lam - x)
+        if val == 0.0:
+            raise ConvergenceError(
+                f"fill exit transform = 0.0 from x = {x!r} < lam = {lam!r}, "
+                "where it is positive: the scale functions lose precision "
+                "at these thresholds")
         return _checked_transform(val, "fill exit transform")
 
     def exit_mean(self, x: float) -> float:

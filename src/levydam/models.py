@@ -322,11 +322,6 @@ class _BoundedVariationModel(LevyModel):
     def sigma2(self) -> float:
         return 0.0
 
-    @property
-    def rho(self) -> float:
-        """Jump load mu / zeta."""
-        return self.measure.mu / self.zeta
-
     def _check_zeta(self):
         if self.zeta <= 0:
             raise ValueError("bounded variation models need zeta > 0")

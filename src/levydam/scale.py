@@ -6,14 +6,13 @@ scale function ``W`` is the increasing right continuous function on
 ``beta > eta(alpha)``; it vanishes on the negatives.  The adjoint function
 is ``Z(x) = 1 + alpha * int_0^x W``, and ``Wbar(x) = int_0^x W``.
 
-Three evaluation methods are provided:
+Two evaluation methods are provided:
 
-* closed forms for pure Brownian input,
-* a convolution series for compound Poisson input, whose jumps are
-  exponential, with jump load ``rho = mu / zeta < 1`` on a uniform grid
-  over [0, x_max]: the ladder series to all orders and its discount
-  ``W_a = W + a W * W_a`` (Kuznetsov, Kyprianou and Rivero 2012, section 2)
-  are one triangular Toeplitz solve each,
+* closed forms for pure Brownian input and for compound Poisson input,
+  whose jumps are exponential.  For both, ``phi(beta) = alpha`` clears to a
+  quadratic with real roots ``p +- q``, so W is a sum of two exponentials,
+  written in ``exp(p x)``, ``cosh(q x)`` and ``sinh(q x)`` (Asmussen, Avram
+  and Pistorius 2004; Kuznetsov, Kyprianou and Rivero 2012, sections 2-3);
 * numerical Laplace inversion (fixed Talbot contour applied to the
   exponentially tilted transforms), available for every family, since every
   exponent accepts complex arguments.  W' is inverted from its own transform,
@@ -22,88 +21,27 @@ Three evaluation methods are provided:
   in batches, each point's contour summed on its own, and every value is
   kept per point.
 
-A ``ScaleFunctionSet`` is a fixed function of the model, the discount rate,
-the method and ``x_max``: it is built once and never changes, so sets can be
-shared freely.  The series answers on [0, x_max] only and raises
-``ValueError`` beyond it; closed forms and inversion answer anywhere.  The
-set itself gives every function its value at and below 0; the evaluators
-see positive points only.  A float is evaluated as a 0-d array and returned
-as a float.
+A ``ScaleFunctionSet`` is a fixed function of the model, the discount rate
+and the method: it is built once and never changes, so sets can be shared
+freely.  Both methods answer at any point.  The set itself gives every
+function its value at and below 0; the evaluators see positive points only.
+A float is evaluated as a 0-d array and returned as a float.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from typing import Callable
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.interpolate import PchipInterpolator
 
 from .models import BrownianDrift, CompoundPoissonDrift, LevyModel
 
-CLOSED_FORM_BROWNIAN = "closed_form_brownian"
-CONVOLUTION_SERIES = "convolution_series"
+CLOSED_FORM = "closed_form"
 LAPLACE_INVERSION = "laplace_inversion"
 
-_log = logging.getLogger("levydam")
-
-
-# the series grid: the starting step as a fraction of the range, the
-# sup-norm target between successive grid halvings relative to the function
-# scale, and the most halvings
-_GRID_FACTOR = 1e-3
-_REFINE_TOL = 1e-7
-_MAX_REFINEMENTS = 3
-# triangular Toeplitz solves: unknowns per leaf, and the most unknowns of a
-# block whose merge convolves directly rather than by real FFT
-_LEAF = 128
-_DIRECT_MAX = 1024
 # contour nodes of the inversion method
 _TALBOT_NODES = 24
-
-
-def _toeplitz_solve(d: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The y with ``y[m] d - sum_{l<m} c[m-l] y[l] = r[m]`` for every m.
-
-    Divide and conquer: a leaf of ``_LEAF`` unknowns is a product with its
-    inverse matrix, whose first column is a forward substitution; a merge
-    adds the solved left half to the right half by one convolution.  For
-    d > 0 and c, r >= 0 every term summed is nonnegative.
-    """
-    k = min(len(r), _LEAF)
-    col = np.empty(k)
-    col[0] = 1.0 / d
-    for m in range(1, k):
-        col[m] = np.dot(c[m:0:-1], col[:m]) / d
-    idx = np.arange(k)
-    inv = np.tril(col[idx[:, None] - idx])  # tril zeroes the wrapped lags
-    y = np.array(r, dtype=float)
-    _solve_block(y, c, inv, 0, len(y))
-    return y
-
-
-def _solve_block(y: np.ndarray, c: np.ndarray, inv: np.ndarray,
-                 lo: int, hi: int):
-    """Solve in place for y[lo:hi], which holds its right-hand side plus
-    the terms of every unknown before lo."""
-    n = hi - lo
-    if n <= len(inv):
-        y[lo:hi] = inv[:n, :n] @ y[lo:hi]
-        return
-    mid = lo + _LEAF * ((-(-n // _LEAF) + 1) // 2)
-    _solve_block(y, c, inv, lo, mid)
-    # entries mid-lo-1 .. n-2 of the convolution of y[lo:mid] with c[1:n];
-    # a circular one of length >= n - 1 wraps nothing onto them
-    left, kernel = y[lo:mid], c[1:n]
-    if n <= _DIRECT_MAX:
-        y[mid:hi] += np.convolve(left, kernel, "valid")
-    else:
-        size = sp_fft.next_fast_len(n - 1, True)
-        spec = sp_fft.rfft(left, size) * sp_fft.rfft(kernel, size)
-        y[mid:hi] += sp_fft.irfft(spec, size)[mid - lo - 1:n - 1]
-    _solve_block(y, c, inv, mid, hi)
 
 
 def _talbot(fhat: Callable, ts: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -143,131 +81,73 @@ class _Evaluator:
         return 1.0 + self.alpha * self.wbar(x)
 
 
-class _BrownianClosedForm(_Evaluator):
-    """Exact formulas for Brownian input with drift mu and variance sigma2."""
+class _ClosedForm(_Evaluator):
+    """Exact formulas for the two-root families.
 
-    def __init__(self, mu: float, sigma2: float, alpha: float):
-        self.mu = mu
-        self.sigma2 = sigma2
+    With ``(a0 + a1 s)(phi(s) - alpha) = k s^2 + b1 s - alpha a0``, the
+    transform of W is ``(a0 + a1 s) / (k (s - p - q)(s - p + q))``, where
+    ``d = sqrt(b1^2 + 4 k alpha a0)``, ``p = -b1 / 2k`` and ``q = d / 2k``:
+
+        W = exp(p x) (2 (a0 + a1 p) sinh(q x) / d + (a1 / k) cosh(q x)),
+        Z = exp(p x) (cosh(q x) + (2 alpha a1 + b1) sinh(q x) / d).
+
+    Brownian input has ``k = sigma2 / 2``, ``a0 = 1``, ``a1 = 0`` and
+    ``b1 = -mu``.  Compound Poisson input with jump rate ``nu`` and jump
+    mean ``1 / c`` has ``k = zeta``, ``a0 = c``, ``a1 = 1`` and
+    ``b1 = zeta c - nu - alpha``.  ``q = 0`` needs ``alpha = b1 = 0``, and
+    there ``sinh(q x) / q`` is x.  The coefficients are written so that
+    Brownian input takes the operations of its textbook formulas.
+    """
+
+    def __init__(self, k: float, a0: float, a1: float, b1: float,
+                 alpha: float):
         self.alpha = alpha
-        self.delta = math.sqrt(2.0 * alpha * sigma2 + mu * mu)
+        self.a0, self.a1, self.b1 = a0, a1, b1
+        self.k2 = k2 = 2.0 * k
+        self.d = d = math.sqrt(b1 * b1 + 4.0 * k * alpha * a0)
+        self.p = p = -b1 / k2
+        self.q = d / k2
+        # W = e^{px} (w_sinh sinh + w_cosh cosh), Z = e^{px} (cosh + z_sinh
+        # sinh) and W' = p W + e^{px} (wp_cosh cosh + wp_sinh sinh)
+        self._w_cosh = 2.0 * a1 / k2
+        self._wp_cosh = 2.0 * (a0 + a1 * p) / k2
+        self._wp_sinh = self._w_cosh * self.q
+        if d > 0.0:
+            self._w_sinh = 2.0 * (a0 + a1 * p) / d
+            self._z_sinh = (2.0 * alpha * a1 + b1) / d
+
+    def _parts(self, x):
+        qx = self.q * x
+        return np.exp(self.p * x), np.cosh(qx), np.sinh(qx)
+
+    def _w(self, x, e, ch, sh):
+        if self.d == 0.0:
+            return 2.0 * (self.a0 * x + self.a1) / self.k2
+        return self._w_sinh * e * sh + self._w_cosh * e * ch
 
     def w(self, x):
-        p = self.mu / self.sigma2
-        if self.delta == 0.0:
-            return 2.0 * x / self.sigma2
-        q = self.delta / self.sigma2
-        return (2.0 / self.delta) * np.exp(p * x) * np.sinh(q * x)
+        return self._w(x, *self._parts(x))
 
     def wp(self, x):
-        p = self.mu / self.sigma2
-        if self.delta == 0.0:
-            return np.full_like(x, 2.0 / self.sigma2)
-        q = self.delta / self.sigma2
-        return p * self.w(x) + (2.0 / self.sigma2) * np.exp(p * x) * np.cosh(q * x)
+        e, ch, sh = self._parts(x)
+        return (self.p * self._w(x, e, ch, sh) + self._wp_cosh * e * ch
+                + self._wp_sinh * e * sh)
 
     def z(self, x):
-        p = self.mu / self.sigma2
-        q = self.delta / self.sigma2
-        return np.exp(p * x) * (np.cosh(q * x)
-                                - (self.mu / self.delta) * np.sinh(q * x))
+        e, ch, sh = self._parts(x)
+        return e * (ch + self._z_sinh * sh)
 
     def wbar(self, x):
         if self.alpha > 0.0:
             return (self.z(x) - 1.0) / self.alpha
-        if self.mu == 0.0:
-            return x * x / self.sigma2
-        m, s2 = self.mu, self.sigma2
-        return (s2 / (2.0 * m * m)) * np.expm1(2.0 * m * x / s2) - x / m
-
-
-class _SeriesEvaluator(_Evaluator):
-    """Convolution series on a uniform grid over [0, x_max] for compound
-    Poisson input, by two Toeplitz solves per grid.
-
-    ``refine_diff`` is the sup-norm difference, relative to the function
-    scale, between the kept grid and the one of twice its step; it is
-    infinite when no halving was made.  A grid that does not reach
-    ``_REFINE_TOL`` is kept, with a warning on the ``levydam`` logger.
-    """
-
-    def __init__(self, model: LevyModel, alpha: float, x_max: float):
-        self.model = model
-        self.alpha = alpha
-        self.zeta = model.zeta
-        self.rho = model.rho
-        if self.rho >= 1.0:
-            raise ValueError("convolution series requires rho = mu/zeta < 1, "
-                             f"got rho = {self.rho:.4f}")
-        self._build(x_max)
-
-    # F is the ladder height law: the integrated jump tail over its mean,
-    # for exponential jumps the jump law itself
-    def _ladder_cdf(self, xs: np.ndarray) -> np.ndarray:
-        return -np.expm1(-xs / self.model.jumps.mean)
-
-    def _series_on_grid(self, xs: np.ndarray) -> np.ndarray:
-        # the trapezoid series acc = sum_k rho^k F^{*k} to all orders solves
-        # acc = 1 + rho [0, dF conv avg(acc)], where acc[0] = 1
-        half = 0.5 * self.rho * np.diff(self._ladder_cdf(xs))
-        c = np.concatenate(([0.0], half[:-1] + half[1:]))
-        acc = _toeplitz_solve(1.0 - half[0], c, 1.0 + half)
-        w0 = np.append(1.0, acc) / self.zeta
-        if self.alpha == 0.0:
-            return w0
-        # W_a = W + a W conv W_a by the trapezoid rule, W_a(0) = W(0); its
-        # power series summed term by term would lose digits on wide grids
-        ah = self.alpha * (xs[1] - xs[0])
-        wa = _toeplitz_solve(1.0 - 0.5 * ah * w0[0], ah * w0[:-1],
-                             w0[1:] * (1.0 + 0.5 * ah * w0[0]))
-        return np.append(w0[0], wa)
-
-    def _build(self, x_max: float):
-        base = 1.0 / _GRID_FACTOR
-        # keep the step roughly proportional to the policy scale, with a cap
-        # so that wide ranges stay affordable
-        n0 = int(min(max(base, x_max / 10.0 * base), 4.0 * base))
-        n = max(n0, 256)
-        xs = np.linspace(0.0, x_max, n + 1)
-        vals = self._series_on_grid(xs)
-        diff = math.inf
-        for _ in range(_MAX_REFINEMENTS):
-            n2 = 2 * n
-            xs2 = np.linspace(0.0, x_max, n2 + 1)
-            vals2 = self._series_on_grid(xs2)
-            diff = float(np.max(np.abs(vals2[::2] - vals)
-                                / np.maximum(np.abs(vals2[::2]), 1.0)))
-            xs, vals, n = xs2, vals2, n2
-            if diff < _REFINE_TOL:
-                break
-        if diff >= _REFINE_TOL:
-            _log.warning("convolution series grid of %d steps on [0, %g] kept "
-                         "with halving difference %.3g, not below refine_tol "
-                         "%.3g", n, x_max, diff, _REFINE_TOL)
-        self.refine_diff = diff
-        self.x_max = x_max
-        self.grid_x = xs
-        self.grid_w = vals
-        self._interp = PchipInterpolator(xs, vals, extrapolate=False)
-        self._interp_d = self._interp.derivative()
-        self._interp_int = self._interp.antiderivative()
-
-    def _inside(self, x):
-        top = float(np.max(x))
-        if top > self.x_max:
-            raise ValueError(f"the convolution series is built on [0, "
-                             f"{self.x_max:g}] and is asked for x = {top:g}; "
-                             "build the scale set with a larger x_max")
-        return x
-
-    def w(self, x):
-        return self._interp(self._inside(x))
-
-    def wp(self, x):
-        return self._interp_d(self._inside(x))
-
-    def wbar(self, x):
-        return self._interp_int(self._inside(x))
+        a0, a1, b1, k2 = self.a0, self.a1, self.b1, self.k2
+        if b1 == 0.0:
+            return x * (a0 * x + 2.0 * a1) / k2
+        # alpha = 0: the roots are 0 and r = -2 b1 / k2, and
+        # Wbar = (a0 + a1 r) (e^{rx} - 1) k2 / (2 b1^2) + a0 x / b1
+        r = -2.0 * b1 / k2
+        return ((a0 + a1 * r) * k2 / (2.0 * b1 * b1)
+                * np.expm1(-2.0 * b1 * x / k2) + a0 * x / b1)
 
 
 # times per batched inversion: 24 contour nodes x 16 bytes x 256 times is
@@ -346,34 +226,25 @@ class ScaleFunctionSet:
     """W, W', Z and Wbar of one model at one discount rate.
 
     The construction picks a method automatically unless one is forced:
-    closed forms for pure Brownian input, the convolution series for compound
-    Poisson input with rho < 1, Laplace inversion otherwise.  ``x_max``
-    is the range [0, x_max] of the series grid; the other methods answer
-    anywhere.
+    closed forms for pure Brownian and compound Poisson input, Laplace
+    inversion otherwise.  Both answer at any point.
     """
 
     def __init__(self, model: LevyModel, alpha: float,
-                 method: str | None = None, x_max: float = 10.0):
+                 method: str | None = None):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if not x_max > 0:
-            raise ValueError("x_max must be positive")
         self.model = model
         self.alpha = float(alpha)
-        self.x_max = float(x_max)
         self.eta_alpha = model.eta(alpha)
         if method is None:
             method = _default_method(model)
         self.method = method
-        if method == CLOSED_FORM_BROWNIAN:
-            if model.has_jumps or model.is_bounded_variation:
-                raise ValueError("closed forms apply to pure Brownian input only")
-            self._ev = _BrownianClosedForm(model.mu, model.sigma2, self.alpha)
-        elif method == CONVOLUTION_SERIES:
-            if not isinstance(model, CompoundPoissonDrift):
-                raise ValueError("the convolution series needs compound "
-                                 "Poisson input")
-            self._ev = _SeriesEvaluator(model, self.alpha, self.x_max)
+        if method == CLOSED_FORM:
+            if not _has_closed_form(model):
+                raise ValueError("closed forms apply to pure Brownian and "
+                                 "compound Poisson input only")
+            self._ev = _closed_form(model, self.alpha)
         elif method == LAPLACE_INVERSION:
             self._ev = _InversionEvaluator(model, self.alpha, self.eta_alpha)
         else:
@@ -424,25 +295,27 @@ class ScaleFunctionSet:
         model = self.model
         return 1.0 / model.zeta if model.is_bounded_variation else 0.0
 
-    @property
-    def grid(self):
-        """(x, W(x)) arrays of the evaluation cache, if the method has one."""
-        xs = getattr(self._ev, "grid_x", None)
-        if xs is None:
-            return None
-        return xs, self._ev.grid_w
+
+def _has_closed_form(model: LevyModel) -> bool:
+    return (isinstance(model, CompoundPoissonDrift)
+            or isinstance(model, BrownianDrift) and not model.has_jumps)
+
+
+def _closed_form(model: LevyModel, alpha: float) -> _ClosedForm:
+    if isinstance(model, CompoundPoissonDrift):
+        b = model.jumps.rate
+        return _ClosedForm(model.zeta, b, 1.0,
+                           model.zeta * b - model.rate - alpha, alpha)
+    return _ClosedForm(0.5 * model.sigma2, 1.0, 0.0, -model.mu, alpha)
 
 
 def _default_method(model: LevyModel) -> str:
     """Pick the most accurate applicable method for the family.
 
-    Gamma and inverse Gaussian input take inversion: their ladder height
-    distributions have unbounded densities at zero, which would drag a
-    uniform-grid series to roughly 1e-5 accuracy, while their exponents
-    have closed complex forms that invert to near machine precision.
+    Pure Brownian and compound Poisson input take their closed forms, at
+    any load.  The rest take inversion: gamma and inverse Gaussian input,
+    whose exponents have closed complex forms that invert to near machine
+    precision, and the jump diffusion, whose ``phi = alpha`` clears to a
+    cubic rather than a quadratic.
     """
-    if isinstance(model, BrownianDrift) and not model.has_jumps:
-        return CLOSED_FORM_BROWNIAN
-    if isinstance(model, CompoundPoissonDrift) and model.rho < 1.0:
-        return CONVOLUTION_SERIES
-    return LAPLACE_INVERSION
+    return CLOSED_FORM if _has_closed_form(model) else LAPLACE_INVERSION

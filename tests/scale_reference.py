@@ -13,7 +13,9 @@ Run from the root of the checkout to rewrite the committed table:
     python tests/scale_reference.py
 
 It takes about ten seconds.  ``tests/test_scale.py`` compares every method
-against the table and regenerates a few entries with ``entry``.
+against the table and regenerates a few entries with ``entry``;
+``tests/test_exits.py`` takes its large-threshold exit transforms from
+``reflected_fill_exit_lt``.
 """
 
 import json
@@ -105,6 +107,23 @@ def entry(name, alpha, x):
         z = 1 + alpha * wbar
         return {k: mp.nstr(v, DIGITS, strip_zeros=False)
                 for k, v in (("w", w), ("wp", wp), ("z", z))}
+
+
+def reflected_fill_exit_lt(family, p, alpha, lam, x, dps=80):
+    """E_x[exp(-alpha T)] of the infimum-reflected fill killed above lam,
+    Z(lam - x) - alpha W(lam - x) W(lam) / W'(lam), for Brownian or
+    compound Poisson input, at dps digits; the terms grow like
+    exp(eta lam) and cancel to a transform that falls like exp(-eta lam)."""
+    with mp.workdps(dps):
+        alpha, lam, x = mp.mpf(alpha), mp.mpf(lam), mp.mpf(x)
+        terms = _sum_of_exponentials(family, p, alpha)
+
+        def w(y, power=0):
+            return sum(c * t ** power * mp.exp(t * y) for t, c in terms)
+
+        y = lam - x
+        z = 1 + alpha * sum(c * mp.expm1(t * y) / t for t, c in terms)
+        return float(z - alpha * w(y) * w(lam) / w(lam, 1))
 
 
 def table():

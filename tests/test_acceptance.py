@@ -16,7 +16,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from levydam import (
-    CLOSED_FORM_BROWNIAN,
+    CLOSED_FORM,
     LAPLACE_INVERSION,
     CostSpec,
     FillPhase,
@@ -67,7 +67,7 @@ def test_criterion_1_brownian_inversion_matches_closed_form():
         model = brownian(mu, sig2)
         for alpha in (0.0, 0.5, 2.0):
             closed = ScaleFunctionSet(model, alpha,
-                                      method=CLOSED_FORM_BROWNIAN)
+                                      method=CLOSED_FORM)
             inverted = ScaleFunctionSet(model, alpha,
                                         method=LAPLACE_INVERSION)
             ref = closed.w(xs)
@@ -116,7 +116,7 @@ def test_criterion_4_busy_period_limit():
     model = CP_MODEL
     x, tau, M = 1.0, 0.0, 2.0
     closed = (x - tau) / (M - model.mean_input())
-    s_M0 = ScaleFunctionSet(model.shifted(M), 0.0, x_max=40.0)
+    s_M0 = ScaleFunctionSet(model.shifted(M), 0.0)
     exact = ReleasePhase(s_M0, tau, math.inf).exit_mean(x)
     conv_ok = abs(exact - closed) < 1e-12
     for V in (20.0, 40.0):
@@ -142,7 +142,7 @@ def test_criterion_5_laplace_identity_all_families():
     ]
     worst = 0.0
     for model in families:
-        s = ScaleFunctionSet(model, alpha, x_max=90.0)  # X below reaches 90
+        s = ScaleFunctionSet(model, alpha)
         eta = s.eta_alpha
         for gap in (0.5, 1.0, 2.0):
             beta = eta + gap

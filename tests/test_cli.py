@@ -73,6 +73,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown model kind"):
             build_model({"kind": "stable", "mu": 1.0})
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "gamma", "zeta": 1.0, "a": 3.0, "b": 2.0, "jump_mean": 5.0,
+          "sigma2": 9.0}, "jump_mean"),
+        ({"kind": "compound_poisson", "zeta": 2.0, "rate": 1.0,
+          "jump_mean": 1.0, "mu": 1.0}, "mu"),
+        ({"kind": "inverse_gaussian", "zeta": 1.0, "sigma": 1.0, "c": 0.8,
+          "jump_rate": 1.0}, "jump_rate"),
+    ], ids=["gamma", "compound_poisson", "inverse_gaussian"])
+    def test_unread_model_key_rejected(self, spec, key):
+        with pytest.raises(ConfigError, match=rf"^model\.{key}: not supported"):
+            build_model(spec)
+
     def test_policy_inequality_enforced(self):
         with pytest.raises(ConfigError, match="tau < lam"):
             build_policy({"lambda": 1.0, "tau": 1.5, "M": 1.0, "V": 4.0})
@@ -142,6 +154,10 @@ BAD_VALUES = [
     ("verify", "verification.small_jump_cutoff", 1e-6),
     ("verify", "verification.corrupt", {"quantity": "fill_exit_mean",
                                         "factor": 1.5}),
+    # model keys that the brownian kind does not read
+    ("evaluate", "model.jump_mean", 5.0),
+    ("verify", "model.zeta", 2.0),
+    ("optimize", "model.rate", 1.0),
 ]
 
 

@@ -314,7 +314,6 @@ class TestEvaluatorSharing:
         costs = CostSpec(1.0, 0.5, 0.3, G, g_star)
         policy = PolicyParams(lam=2.0, tau=0.5, M=2.0)
         ev = PolicyEvaluator(CP, policy, costs)
-        assert ev.x_max == 15.5
         alpha = 0.5
         for x in (None, 0.0, 1.0, 2.0, 5.0, 20.0):
             assert math.isfinite(ev.cycle_cost(alpha, x))
@@ -330,9 +329,21 @@ class TestEvaluatorSharing:
         assert math.isfinite(ev.mean_release_time())
         assert math.isfinite(ev.mean_cycle_length())
         assert math.isfinite(ev.long_run_average())
-        for s in (ev.fill_set(0.0), ev.release_set(0.0), ev.fill_set(alpha),
-                  ev.release_set(alpha)):
-            assert s.x_max == ev.x_max
+
+    def test_thresholds_share_one_set_per_phase_and_rate(self):
+        # a set depends on the model, M and alpha only, so evaluators of any
+        # lam and V share it, and give a fresh evaluator's values
+        sets = {}
+        for lam, V in ((1.0, 4.0), (2.0, 4.0), (2.0, 9.0), (3.0, math.inf)):
+            policy = PolicyParams(lam=lam, tau=0.5, M=2.0, V=V)
+            ev = PolicyEvaluator(CP, policy, COSTS, scale_sets=sets)
+            fresh = PolicyEvaluator(CP, policy, COSTS)
+            assert ev.long_run_average() == fresh.long_run_average()
+            assert ev.total_discounted(0.5) == fresh.total_discounted(0.5)
+            for alpha in (0.0, 0.5):
+                assert ev.fill_set(alpha) is sets["fill", alpha]
+                assert ev.release_set(alpha) is sets["release", alpha]
+        assert len(sets) == 4
 
     def test_negative_start_state_rejected(self):
         ev = evaluator(CP)

@@ -125,7 +125,7 @@ class TestPotentials:
     def test_infinite_capacity_mass_raises(self, method):
         # the two terms of the release density both grow like e^{eta y} and
         # cancel: by alpha * mass + transform = 1 the mass here is 0.1532,
-        # where inversion gave 1.2e12 and the series ran past its x_max
+        # where inversion gave 1.2e12
         model = compound_poisson_exp(2.0, 1.0, 1.0).shifted(2.0)
         pot = potential_release(ScaleFunctionSet(model, 0.5, method), 0.5,
                                 math.inf)
@@ -247,7 +247,7 @@ class TestReleasePhase:
 
     def test_infinite_capacity_busy_period(self):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
-        s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0, x_max=40.0)
+        s_M0 = ScaleFunctionSet(model.shifted(2.0), 0.0)
         closed = (1.0 - 0.0) / (2.0 - model.mean_input())
         busy = ReleasePhase(s_M0, 0.0, math.inf).exit_mean(1.0)
         assert busy == pytest.approx(closed, rel=1e-12)
@@ -436,3 +436,55 @@ class TestRangeGuards:
         assert ev.fill_exit_lt(0.5) == FillPhase(s, 5.0, True).exit_lt(0.5)
         assert 0.0 < ev.fill_exit_lt(0.5) < 1.0
         assert 0.0 < ev.fill_exit_mean() < math.inf
+
+
+class TestLargeThresholds:
+    """The reflected fill transform from tau = 0.5 at large lam, V = 2 lam,
+    against the mpmath root sums of ``tests/scale_reference.py``.
+
+    Z(lam - x) and alpha W(lam - x) W(lam) / W'(lam) grow like
+    exp(eta lam) and cancel to a transform that falls like exp(-eta lam), so
+    float64 keeps fewer digits as lam grows.  Bounded exit formulas, which
+    sum decaying exponentials only (ROADMAP item 2), are what mend the
+    expected failures.
+    """
+
+    CP = ("compound_poisson_exp", {"zeta": 2.0, "rate": 1.0, "jump_mean": 1.0})
+    BM = ("brownian", {"mu": 1.0, "sigma2": 1.0})
+
+    @staticmethod
+    def transform(family, params, lam):
+        import levydam
+
+        model = getattr(levydam, family)(**params)
+        costs = CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                         PiecewisePoly.zero())
+        return PolicyEvaluator(model, PolicyParams(lam, 0.5, 2.0, 2.0 * lam),
+                               costs).fill_exit_lt(0.5)
+
+    @pytest.mark.parametrize("case, lam", [
+        ("CP", 10.0),
+        ("CP", 20.0),
+        pytest.param("CP", 30.0, marks=pytest.mark.xfail(
+            strict=True, reason="cancellation, 1.5e-3 off: needs the bounded "
+                                "exit formulas of ROADMAP item 2")),
+        pytest.param("BM", 15.0, marks=pytest.mark.xfail(
+            strict=True, reason="cancellation, 0.125 against 2.57e-3: needs "
+                                "the bounded exit formulas of ROADMAP item 2")),
+    ])
+    def test_matches_root_sums(self, case, lam):
+        pytest.importorskip("mpmath")
+        import scale_reference
+
+        family, params = getattr(self, case)
+        want = scale_reference.reflected_fill_exit_lt(family, params, 0.5,
+                                                      lam, 0.5)
+        got = self.transform(family, params, lam)
+        assert abs(got - want) <= 1e-6 * want, (got, want)
+
+    def test_lost_transform_raises_at_lam_40(self):
+        # the exact transform is 7.4e-12, below the rounding of the terms:
+        # at lam = 40 it comes out negative, at 41 as exactly 0
+        for lam in (40.0, 41.0):
+            with pytest.raises(ConvergenceError):
+                self.transform(*self.CP, lam)

@@ -24,13 +24,15 @@ def test_all_names_exist_and_are_unique():
 
 
 def test_start_up_loads_neither_scipy_signal_nor_stats():
-    # a fresh interpreter, so nothing pytest imported counts
+    # a fresh interpreter, so nothing pytest imported counts; the default
+    # compound Poisson set is a closed form, which needs no interpolation
     code = ("import sys\n"
             "import levydam.cli as cli\n"
-            "from levydam import CONVOLUTION_SERIES, ScaleFunctionSet\n"
+            "from levydam import CLOSED_FORM, ScaleFunctionSet\n"
             "cfg = cli.load_config('configs/compound_poisson.json')\n"
-            "ScaleFunctionSet(cli.build_model(cfg['model']), 0.5,\n"
-            "                 method=CONVOLUTION_SERIES)\n"
+            "s = ScaleFunctionSet(cli.build_model(cfg['model']), 0.5)\n"
+            "assert s.method == CLOSED_FORM\n"
+            "s.w(1.0), s.wp(1.0), s.z(1.0)\n"
             "print('\\n'.join(sys.modules))\n")
     src = str(Path(levydam.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -41,7 +43,8 @@ def test_start_up_loads_neither_scipy_signal_nor_stats():
     loaded = proc.stdout.split()
     assert "levydam.scale" in loaded
     assert [m for m in loaded
-            if m.startswith(("scipy.signal", "scipy.stats"))] == []
+            if m.startswith(("scipy.signal", "scipy.stats",
+                             "scipy.interpolate"))] == []
 
 
 def test_benchmark_tracer_installs_and_restores():

@@ -270,8 +270,8 @@ def test_panel_engine_matches_quad_reference(combo):
     ev = PolicyEvaluator(model, policy, costs, reflected=reflected)
     s, s_M = ev.fill_set(alpha), ev.release_set(alpha)
     # fresh sets for the reference, so neither side sees the other's caches
-    s_ref = ScaleFunctionSet(model, alpha, x_max=ev.x_max)
-    s_M_ref = ScaleFunctionSet(model.shifted(policy.M), alpha, x_max=ev.x_max)
+    s_ref = ScaleFunctionSet(model, alpha)
+    s_M_ref = ScaleFunctionSet(model.shifted(policy.M), alpha)
 
     law = ev.overshoot_law(alpha)
     ref = RefLaw(s_ref, tau, lam, reflected)
@@ -344,7 +344,7 @@ def test_engine_makes_no_quad_call_and_no_grid_rebuild(monkeypatch):
 
 def test_tiny_round_budget_raises(monkeypatch):
     monkeypatch.setattr(exits, "_MAX_ROUNDS", 1)
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5)
     law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     with pytest.raises(ConvergenceError):
         law.density_mass()
@@ -361,7 +361,7 @@ def test_panel_cap_raises_before_the_panels_grow():
 
 
 def test_law_keeps_its_error_estimate():
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5)
     law = FillPhase(s, 2.0, True).overshoot_law(0.5)
     assert law.max_quad_error == 0.0
     law.density_mass()
@@ -386,7 +386,7 @@ def test_potentials_keep_their_error_estimates(reflected):
 
 
 def test_density_lookups_return_kept_values():
-    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5)
+    s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.5)
     law = exits.FillPhase(s, 2.0, True).overshoot_law(0.5)
     law.density_mass()
     kept = law.density._kept
@@ -415,8 +415,8 @@ def test_waiting_panels_are_refined_not_settled():
 
 def test_arrays_of_start_states_equal_scalar_calls():
     model = compound_poisson_exp(2.0, 1.0, 1.0)
-    s = ScaleFunctionSet(model, 0.5, x_max=4.5)
-    s_M = ScaleFunctionSet(model.shifted(2.0), 0.5, x_max=4.5)
+    s = ScaleFunctionSet(model, 0.5)
+    s_M = ScaleFunctionSet(model.shifted(2.0), 0.5)
     xs = np.array([[0.5, 1.0], [2.5, 4.0]])
     release = ReleasePhase(s_M, 0.5, 4.0)
     assert np.array_equal(

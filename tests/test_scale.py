@@ -1,18 +1,14 @@
-import gc
 import json
-import logging
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import fft as sp_fft
 from scipy.integrate import quad
 
-import levydam.scale
+import levydam
 from levydam import (
-    CLOSED_FORM_BROWNIAN,
-    CONVOLUTION_SERIES,
+    CLOSED_FORM,
     LAPLACE_INVERSION,
     BrownianDrift,
     ExponentialJumps,
@@ -40,7 +36,7 @@ def cp_exp_scale_oracle(zeta, rate, jump_mean, alpha):
 class TestBrownianClosedForms:
     def test_w_zero_alpha(self):
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.0)
-        assert s.method == CLOSED_FORM_BROWNIAN
+        assert s.method == CLOSED_FORM
         assert s.w(math.log(2.0)) == pytest.approx(1.0, rel=1e-12)
 
     def test_w_negative_argument(self):
@@ -77,21 +73,21 @@ class TestBrownianClosedForms:
 
 class TestCompoundPoissonMethods:
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0])
-    def test_series_matches_partial_fraction_oracle(self, alpha):
+    def test_closed_form_matches_partial_fraction_oracle(self, alpha):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), alpha)
-        assert s.method == CONVOLUTION_SERIES
+        assert s.method == CLOSED_FORM
         oracle = cp_exp_scale_oracle(2.0, 1.0, 1.0, alpha)
         xs = np.linspace(0.05, 8.0, 40)
-        assert np.max(np.abs(s.w(xs) - oracle(xs)) / oracle(xs)) < 2e-6
+        assert np.max(np.abs(s.w(xs) - oracle(xs)) / oracle(xs)) < 3e-15
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
-    def test_series_matches_inversion(self, alpha):
+    def test_closed_form_matches_inversion(self, alpha):
         model = compound_poisson_exp(2.0, 1.0, 1.0)
         s1 = ScaleFunctionSet(model, alpha)
         s2 = ScaleFunctionSet(model, alpha, method=LAPLACE_INVERSION)
         xs = np.linspace(0.1, 5.0, 30)
         rel = np.abs(s1.w(xs) - s2.w(xs)) / s2.w(xs)
-        assert np.max(rel) < 1e-5
+        assert np.max(rel) < 2e-12
 
     def test_value_at_zero_bounded_variation(self):
         for alpha in (0.0, 0.5):
@@ -102,19 +98,15 @@ class TestCompoundPoissonMethods:
         s = ScaleFunctionSet(brownian(1.0, 2.0), 0.5)
         assert s.w(0.0) == 0.0
 
-    def test_series_rejects_heavy_load(self):
-        model = compound_poisson_exp(0.5, 1.0, 1.0)  # rho = 2
-        with pytest.raises(ValueError):
-            ScaleFunctionSet(model, 0.5, method=CONVOLUTION_SERIES)
-
     @pytest.mark.parametrize("model", [
         GammaDrift(1.0, 1.0, 2.0),
         InverseGaussianDrift(1.0, 1.0, 2.0),
         BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5)),
     ], ids=["gamma", "inverse_gaussian", "jump_diffusion"])
-    def test_series_needs_compound_poisson(self, model):
-        with pytest.raises(ValueError, match="needs compound Poisson input"):
-            ScaleFunctionSet(model, 0.5, method=CONVOLUTION_SERIES)
+    def test_closed_form_needs_two_root_input(self, model):
+        with pytest.raises(ValueError, match="pure Brownian and compound "
+                                             "Poisson input only"):
+            ScaleFunctionSet(model, 0.5, method=CLOSED_FORM)
 
     def test_series_bound_from_load(self):
         # W(x) <= 1/(zeta - mu F(x)) when rho < 1
@@ -130,6 +122,69 @@ class TestCompoundPoissonMethods:
         fd = (s.w(1.0 + h) - s.w(1.0 - h)) / (2 * h)
         assert s.wp(1.0) == pytest.approx(fd, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_closed_form_serves_heavy_load(self, alpha):
+        # rho = 2: the closed form against inversion, largest error 1.0e-12
+        model = compound_poisson_exp(1.0, 2.0, 1.0)
+        s1 = ScaleFunctionSet(model, alpha)
+        s2 = ScaleFunctionSet(model, alpha, method=LAPLACE_INVERSION)
+        assert s1.method == CLOSED_FORM and s1.eta_alpha > 0.0
+        xs = np.linspace(0.1, 5.0, 30)
+        for kind in ("w", "wp", "z", "wbar"):
+            want = getattr(s2, kind)(xs)
+            rel = np.abs(getattr(s1, kind)(xs) - want) / want
+            assert np.max(rel) < 3e-12, kind
+
+    def test_critical_load_is_linear(self):
+        # rho = 1 and alpha = 0: both roots are 0, W = (1 + c x) / zeta
+        s = ScaleFunctionSet(compound_poisson_exp(1.0, 2.0, 0.5), 0.0)
+        xs = np.linspace(0.1, 5.0, 7)
+        assert s.w(xs) == pytest.approx(1.0 + 2.0 * xs, rel=1e-15, abs=0.0)
+        assert s.wp(xs) == pytest.approx(np.full(7, 2.0), rel=1e-15, abs=0.0)
+        assert s.wbar(xs) == pytest.approx(xs * (xs + 1.0), rel=1e-15, abs=0.0)
+        assert s.z(xs).tolist() == [1.0] * 7
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_wbar_integrates_w(self, alpha):
+        # largest error measured 2.4e-16
+        s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), alpha)
+        for x in (0.3, 2.0, 9.0):
+            want = quad(s.w, 0.0, x, epsabs=0.0, epsrel=1e-13)[0]
+            assert s.wbar(x) == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+class TestRenewalEquation:
+    """Inverting (phi - alpha) What = 1 for compound Poisson input with
+    jump rate nu and exponential jumps of rate c gives
+
+        zeta W(x) = 1 + int_0^x (alpha + nu exp(-c (x - y))) W(y) dy,
+        zeta W'(x) = (alpha + nu) W(x) - nu c int_0^x exp(-c (x - y)) W(y) dy,
+
+    checked by quadrature of the closed form out to x = 60.5, past the
+    30-digit table.  The largest errors measured are 1.6e-15 (W) and 1.7e-15
+    (W', relative to max(zeta W', W))."""
+
+    ZETA, NU, C = 2.0, 1.0, 1.0
+
+    @pytest.mark.parametrize("alpha,x", [
+        *((alpha, 4.5) for alpha in (0.0, 0.5, 2.0)),
+        *((alpha, x) for alpha in (0.5, 2.0) for x in (30.0, 60.5))])
+    def test_closed_form_solves_the_equation(self, alpha, x):
+        zeta, nu, c = self.ZETA, self.NU, self.C
+        s = ScaleFunctionSet(compound_poisson_exp(zeta, nu, 1.0 / c), alpha)
+        assert s.method == CLOSED_FORM
+
+        def integral(fn):
+            return quad(fn, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+        kernel = integral(lambda y: math.exp(-c * (x - y)) * s.w(y))
+        w, wp = s.w(x), s.wp(x)
+        rhs = 1.0 + integral(lambda y: (alpha + nu * math.exp(-c * (x - y)))
+                             * s.w(y))
+        assert abs(zeta * w - rhs) / (zeta * w) < 5e-15
+        rhs_p = (alpha + nu) * w - nu * c * kernel
+        assert abs(zeta * wp - rhs_p) / max(zeta * wp, w) < 5e-15
+
 
 class TestLaplaceIdentity:
     MODELS = [
@@ -142,7 +197,7 @@ class TestLaplaceIdentity:
     @pytest.mark.parametrize("model,_", MODELS)
     def test_forward_transform(self, model, _):
         alpha = 0.5
-        s = ScaleFunctionSet(model, alpha, x_max=90.0)  # X below reaches 90
+        s = ScaleFunctionSet(model, alpha)
         eta = s.eta_alpha
         for gap in (0.5, 1.0, 2.0):
             beta = eta + gap
@@ -164,16 +219,15 @@ class TestReferenceValues:
     W and Z are compared relative to their values; W' relative to
     max(W', W), since W' falls to 1e-30 where W flattens.  The tolerances
     are two to three times the largest errors measured: 1.8e-15 for the
-    closed forms; for inversion 7.1e-13 (W), 5.6e-12 (W') and 5.5e-13 (Z);
-    7.4e-6 for the series, at alpha = 2 and x = 50, where the grid of its
-    range is coarsest.  The series serves compound Poisson input only, so
-    it is checked on ``cp`` alone; every family is checked by inversion.
+    closed forms (1.1e-15 on ``cp``); for inversion 7.1e-13 (W), 5.6e-12
+    (W') and 5.5e-13 (Z).  The closed forms serve ``bm`` and ``cp``; every
+    family is checked by inversion.
     """
 
     METHODS = {
-        "bm": {CLOSED_FORM_BROWNIAN: (5e-15, 5e-15, 5e-15),
+        "bm": {CLOSED_FORM: (5e-15, 5e-15, 5e-15),
                LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
-        "cp": {CONVOLUTION_SERIES: (1.5e-5, 1.5e-5, 1.5e-5),
+        "cp": {CLOSED_FORM: (5e-15, 5e-15, 5e-15),
                LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
         "gamma": {LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
         "ig": {LAPLACE_INVERSION: (2e-12, 1.5e-11, 2e-12)},
@@ -192,7 +246,7 @@ class TestReferenceValues:
                 rows = [e for e in table["entries"]
                         if e["model"] == name and e["alpha"] == alpha]
                 assert len(rows) == 10
-                s = ScaleFunctionSet(model, alpha, method=method, x_max=50.0)
+                s = ScaleFunctionSet(model, alpha, method=method)
                 xs = np.array([e["x"] for e in rows])
                 w = np.array([float(e["w"]) for e in rows])
                 for kind, tol in zip(("w", "wp", "z"), tols):
@@ -279,25 +333,26 @@ class TestScalarPath:
     must equal the value of that point in any array, bit for bit."""
 
     SETS = {
-        "series": lambda: ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0),
-                                           0.0, x_max=4.5),
-        "series_discounted": lambda: ScaleFunctionSet(
-            compound_poisson_exp(2.0, 1.0, 1.0), 0.5, x_max=4.5),
+        "closed_form": lambda: ScaleFunctionSet(
+            compound_poisson_exp(2.0, 1.0, 1.0), 0.0),
+        "closed_form_discounted": lambda: ScaleFunctionSet(
+            compound_poisson_exp(2.0, 1.0, 1.0), 0.5),
         "inversion_gamma": lambda: ScaleFunctionSet(GammaDrift(1.0, 3.0, 2.0),
                                                     0.3),
         "inversion_jump_diffusion": lambda: ScaleFunctionSet(
             BrownianDrift(1.0, 1.0, 1.0, ExponentialJumps(0.5)), 0.2),
     }
+    TOP = 4.5  # the points below span [0, TOP]
 
     @pytest.mark.parametrize("name", sorted(SETS))
     def test_scalar_equals_array_bit_for_bit(self, name):
         s = self.SETS[name]()
-        assert s.method in (CONVOLUTION_SERIES, LAPLACE_INVERSION)
-        x_max = s.x_max
+        assert s.method in (CLOSED_FORM, LAPLACE_INVERSION)
+        top = self.TOP
         rng = np.random.default_rng(5)
-        points = ([-2.0, -1e-9, 0.0, 1e-12, 1e-4, 1.5e-4, 0.3, 1.0, x_max,
-                   math.nextafter(x_max, 0.0)]
-                  + rng.uniform(0.0, x_max, 40).tolist())
+        points = ([-2.0, -1e-9, 0.0, 1e-12, 1e-4, 1.5e-4, 0.3, 1.0, top,
+                   math.nextafter(top, 0.0)]
+                  + rng.uniform(0.0, top, 40).tolist())
         for x in points:
             for kind in ("w", "wp", "z", "wbar"):
                 if kind == "wp" and x < 0:
@@ -321,140 +376,20 @@ class TestScalarPath:
                                     for x in xs.tolist()], kind
 
     def test_negative_derivative_rejected_on_both_paths(self):
-        s = self.SETS["series"]()
+        s = self.SETS["closed_form"]()
         for x in (-0.5, np.asarray(-0.5)):
             with pytest.raises(ValueError, match="x >= 0"):
                 s.wp(x)
 
-    def test_point_beyond_grid_raises_on_both_paths(self):
-        s = self.SETS["series_discounted"]()
-        x = math.nextafter(s.x_max, math.inf)
-        for kind in ("w", "wp", "z", "wbar"):
-            for arg in (x, np.asarray(x), np.array([0.5, x])):
-                with pytest.raises(ValueError, match=r"built on \[0, 4.5\]"):
-                    getattr(s, kind)(arg)
-
     @pytest.mark.parametrize("name", sorted(SETS))
     def test_values_do_not_depend_on_other_calls(self, name):
         # a set is fixed when built: a value is the same float before and
-        # after any other call on the set, out-of-range calls included
+        # after any other call on the set, far ones included
         s = self.SETS[name]()
-        xs = [0.0, 1e-5, 0.3, 1.0, s.x_max]
+        xs = [0.0, 1e-5, 0.3, 1.0, self.TOP]
         first = {k: [getattr(s, k)(x) for x in xs]
                  for k in ("w", "wp", "z", "wbar")}
         for kind in ("w", "wp", "z", "wbar"):
-            getattr(s, kind)(np.linspace(0.0, s.x_max, 97))
-            try:
-                getattr(s, kind)(3.0 * s.x_max)
-            except ValueError:
-                assert s.method == CONVOLUTION_SERIES
+            getattr(s, kind)(np.linspace(0.0, self.TOP, 97))
+            getattr(s, kind)(3.0 * self.TOP)
         assert {k: [getattr(s, k)(x) for x in xs] for k in first} == first
-
-
-class _TermSeries(levydam.scale._SeriesEvaluator):
-    """The reference series: the trapezoid terms summed one FFT
-    convolution at a time until their geometric majorant drops below
-    1e-12, then the discount by a Python forward substitution.  The grid,
-    its halvings and refine_diff are inherited."""
-
-    def _series_on_grid(self, xs):
-        n = len(xs)
-        F = self._ladder_cdf(xs)
-        b = np.diff(F)
-        size = sp_fft.next_fast_len(2 * (n - 1) - 1, True)
-        b_hat = sp_fft.rfftn(b, [size], axes=[0])
-        Fk = np.ones(n)
-        acc = Fk.copy()
-        k = 0
-        while self.rho ** (k + 1) / (1.0 - self.rho) >= 1e-12 and k < 400:
-            k += 1
-            avg = 0.5 * (Fk[1:] + Fk[:-1])
-            a_hat = sp_fft.rfftn(avg, [size], axes=[0])
-            conv = sp_fft.irfftn(a_hat * b_hat, [size], axes=[0])[:n - 1]
-            Fk = np.concatenate(([0.0], np.maximum(conv, 0.0)))
-            acc += (self.rho ** k) * Fk
-        w0 = acc / self.zeta
-        if self.alpha == 0.0:
-            return w0
-        h, alpha = xs[1] - xs[0], self.alpha
-        out = np.empty_like(w0)
-        out[0] = w0[0]
-        rev = w0[::-1].copy()  # contiguous: the same products, faster
-        denom = 1.0 - 0.5 * alpha * h * w0[0]
-        for j in range(1, n):
-            inner = np.dot(out[1:j], rev[n - j:n - 1]) if j > 1 else 0.0
-            conv = 0.5 * out[0] * w0[j] + inner
-            out[j] = (w0[j] + alpha * h * conv) / denom
-        return out
-
-
-def _forward_substitution(d, c, r):
-    y = np.empty(len(r))
-    for m in range(len(r)):
-        y[m] = (r[m] + np.dot(c[m:0:-1], y[:m])) / d
-    return y
-
-
-class TestSeriesConvolution:
-    """The series solves two lower triangular Toeplitz systems, which must
-    give the term-by-term series and its forward-substituted discount."""
-
-    MODELS = {
-        "cp_exponential": lambda: compound_poisson_exp(2.0, 1.0, 1.0),
-    }
-    LEAF = levydam.scale._LEAF
-
-    # 1000 merges directly only, 4097 by real FFT too
-    @pytest.mark.parametrize("n", [1, 2, LEAF - 1, LEAF, LEAF + 1, 1000, 4097])
-    def test_solve_equals_forward_substitution(self, n):
-        rng = np.random.default_rng(n)
-        for c in (rng.random(n) * (2.0 / n),
-                  rng.random(n) * np.exp(-np.arange(n) / 50.0) / 50.0):
-            d, r = 1.0 + rng.random(), rng.random(n)
-            got = levydam.scale._toeplitz_solve(d, c, r)
-            want = _forward_substitution(d, c, r)
-            assert np.max(np.abs(got - want) / want) < 1e-13
-
-    def test_solve_leaves_no_reference_cycles(self):
-        rng = np.random.default_rng(0)
-        c, r = rng.random(4097) / 4097, rng.random(4097)
-        gc.collect()
-        gc.disable()
-        try:
-            levydam.scale._toeplitz_solve(1.0, c, r)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
-
-    @pytest.mark.parametrize("name,alpha,x_max", [
-        *((name, alpha, 4.5) for name in sorted(MODELS)
-          for alpha in (0.0, 0.5, 2.0)),
-        *(("cp_exponential", alpha, x_max) for alpha in (0.5, 2.0)
-          for x_max in (30.0, 60.5))])
-    def test_table_equals_term_series(self, name, alpha, x_max):
-        model = self.MODELS[name]()
-        got = ScaleFunctionSet(model, alpha, method=CONVOLUTION_SERIES,
-                               x_max=x_max)._ev
-        want = _TermSeries(model, alpha, x_max)
-        assert np.array_equal(got.grid_x, want.grid_x)
-        assert abs(got.refine_diff - want.refine_diff) <= 1e-12
-        assert np.max(np.abs(got.grid_w - want.grid_w)
-                      / np.abs(want.grid_w)) <= 1e-12
-
-    def test_unconverged_refinement_warns_and_keeps_grid(self, caplog,
-                                                         monkeypatch):
-        model = compound_poisson_exp(2.0, 1.0, 1.0)
-        with caplog.at_level(logging.WARNING, logger="levydam"):
-            converged = ScaleFunctionSet(model, 0.5, x_max=4.5)
-            assert caplog.records == []
-            assert converged._ev.refine_diff < levydam.scale._REFINE_TOL
-            monkeypatch.setattr(levydam.scale, "_MAX_REFINEMENTS", 1)
-            ref = ScaleFunctionSet(model, 0.5, x_max=4.5)
-            caplog.clear()
-            monkeypatch.setattr(levydam.scale, "_REFINE_TOL", 1e-300)
-            s = ScaleFunctionSet(model, 0.5, x_max=4.5)
-        assert [r.name for r in caplog.records] == ["levydam"]
-        assert "not below refine_tol" in caplog.text
-        assert s._ev.refine_diff == ref._ev.refine_diff
-        assert np.array_equal(s.grid[0], ref.grid[0])
-        assert np.array_equal(s.grid[1], ref.grid[1])
