@@ -33,8 +33,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy import special
-from scipy.optimize import brentq
 
 
 class ConvergenceError(RuntimeError):
@@ -42,6 +40,7 @@ class ConvergenceError(RuntimeError):
 
 
 _ETA_REL_TOL = 1e-14
+_ETA_XTOL = 4.0 * np.finfo(float).eps  # relative step that ends the search
 
 
 # ---------------------------------------------------------------------------
@@ -143,6 +142,7 @@ def _gamma_measure(a: float, b: float) -> LevyMeasure:
         raise ValueError("gamma measure needs a > 0 and b > 0")
 
     def tail(x):
+        from scipy import special  # loaded here only: start-up stays numpy alone
         return a * special.exp1(b * np.asarray(x, dtype=float))
 
     return LevyMeasure(
@@ -162,6 +162,7 @@ def _inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
     q = c * c / (2.0 * sigma * sigma)
 
     def tail(x):
+        from scipy import special  # loaded here only: start-up stays numpy alone
         x = np.asarray(x, dtype=float)
         # int_x^inf y^{-3/2} exp(-q y) dy = 2 (exp(-q x)/sqrt(x) - sqrt(pi q) erfc(sqrt(q x)))
         val = 2.0 * (np.exp(-q * x) / np.sqrt(x)
@@ -228,8 +229,8 @@ class LevyModel:
         """Largest nonnegative root of phi(theta) = alpha.
 
         Strict convexity makes the root unique to the right of the minimiser;
-        it is located by geometric bracket expansion and Brent's method, then
-        polished with one Newton step.
+        it is bracketed by geometric expansion, found by Newton's method
+        safeguarded by bisection, then polished with up to two Newton steps.
         """
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
@@ -251,8 +252,32 @@ class LevyModel:
         if alpha == 0.0 and f(lo) >= 0.0:
             # mean is barely negative; the positive root is below lo
             return 0.0
-        root = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps,
-                      maxiter=200)
+        # phi is convex and rises through alpha on [lo, hi], so Newton steps
+        # from hi fall monotonically onto the root.  A step bisects instead
+        # when Newton's would leave the bracket, meets a slope that is not
+        # positive, or fails to halve the step before last: near the root
+        # phi - alpha is rounding noise, where Newton steps stop shrinking
+        # but bisection still narrows the bracket
+        root, step, last = hi, hi - lo, hi - lo
+        for _ in range(200):
+            val = f(root)
+            if val == 0.0:
+                break
+            if val > 0.0:
+                hi = root
+            else:
+                lo = root
+            der = self.phi_prime(root)
+            new = root - val / der if der > 0 else lo
+            if not (lo < new < hi and 2.0 * abs(new - root) <= last):
+                new = 0.5 * (lo + hi)
+            last, step = step, abs(new - root)
+            root = new
+            if step <= _ETA_XTOL * root:
+                break
+        else:
+            raise ConvergenceError("Newton-bisection for eta(alpha) did not "
+                                   "converge")
         for _ in range(2):
             der = self.phi_prime(root)
             if der > 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levydam import (
+    ConvergenceError,
     CostSpec,
     FillPhase,
     GammaDrift,
@@ -255,6 +256,20 @@ class TestLongRunAverage:
         ev = PolicyEvaluator(model, POLICY, COSTS)
         lra = ev.long_run_average()
         assert _abelian_limit(ev, POLICY.tau) == pytest.approx(lra, rel=1e-3)
+
+    @pytest.mark.xfail(strict=True, raises=(ConvergenceError, RuntimeWarning),
+                       reason="exp(p x) times cosh(q x) gives 0 * inf past "
+                              "q x = 710: needs the root-sum scale functions "
+                              "of ROADMAP item 2")
+    def test_large_capacity_matches_moderate(self):
+        # from lambda = 2 the release phase of drift -1 almost never climbs
+        # to V = 50, so V = 1000 must give the same average; the maintenance
+        # rate is what brings the large scale functions into the integrand
+        g = PiecewisePoly((0.0, 2000.0), ((1.0,),))
+        costs = CostSpec(1.0, 0.5, 0.2, g, g)
+        lra = [PolicyEvaluator(brownian(1.0, 1.0), PolicyParams(2.0, 0.5, 2.0, V),
+                               costs).long_run_average() for V in (50.0, 1000.0)]
+        assert lra[1] == pytest.approx(lra[0], rel=1e-9)
 
 
 def _abelian_limit(ev, x):

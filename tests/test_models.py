@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
@@ -9,9 +10,11 @@ from scipy.integrate import quad
 from levydam import (
     BrownianDrift,
     CompoundPoissonDrift,
+    ConvergenceError,
     ExponentialJumps,
     GammaDrift,
     InverseGaussianDrift,
+    LevyModel,
     brownian,
     compound_poisson_exp,
     path_rng,
@@ -97,6 +100,37 @@ class TestMeanInput:
         assert extrap == pytest.approx(model.mean_input(), abs=1e-6)
 
 
+# one model per family, the jump diffusion included
+ETA_MODELS = [
+    brownian(1.0, 2.0),
+    BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5)),
+    compound_poisson_exp(2.0, 1.0, 1.0),
+    compound_poisson_exp(0.5, 1.0, 1.0),
+    GammaDrift(1.0, 1.0, 2.0),
+    InverseGaussianDrift(1.0, 1.0, 2.0),
+]
+ETA_IDS = ["bm", "jump_diffusion", "cp_down", "cp_up", "gamma", "ig"]
+
+
+def _mp_exponent(model):
+    """The closed-form exponent of ``model`` in mpmath numbers."""
+    f = mp.mpf
+    if isinstance(model, BrownianDrift):
+        mu, s2 = f(model.mu), f(model.sigma2)
+        rate = f(model.jump_rate)
+        b = 1 / f(model.jumps.mean) if model.jumps is not None else f(1)
+        return lambda th: -mu * th + s2 * th * th / 2 - rate * th / (b + th)
+    zeta = f(model.zeta)
+    if isinstance(model, CompoundPoissonDrift):
+        rate, b = f(model.rate), 1 / f(model.jumps.mean)
+        return lambda th: zeta * th - rate * th / (b + th)
+    if isinstance(model, GammaDrift):
+        a, b = f(model.a), f(model.b)
+        return lambda th: zeta * th - a * mp.log1p(th / b)
+    sig2, c = f(model.sigma) ** 2, f(model.c)
+    return lambda th: zeta * th - (mp.sqrt(c * c + 2 * sig2 * th) - c) / sig2
+
+
 class TestEta:
     def test_brownian_closed_form(self):
         m = brownian(1.0, 2.0)
@@ -122,6 +156,42 @@ class TestEta:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             brownian(1.0, 2.0).eta(-1.0)
+
+    @pytest.mark.parametrize("shift", [None, 2.0], ids=["fill", "shifted"])
+    @pytest.mark.parametrize("model", ETA_MODELS, ids=ETA_IDS)
+    def test_matches_50_digit_root(self, model, shift):
+        # Newton at 50 digits on the closed-form exponent, started from the
+        # computed root; a positive slope there makes it the largest root.
+        # At small alpha, phi - alpha cancels in double precision, so the
+        # gate is 1e-11 rather than a few ulps
+        if shift is not None:
+            model = model.shifted(shift)
+        with mp.workdps(50):
+            phi = _mp_exponent(model)
+            slope = lambda th: mp.diff(phi, th)
+            for alpha in (0.0, 1e-4, 0.01, 0.1, 1.0, 10.0, 1e3):
+                root = model.eta(alpha)
+                if alpha == 0.0 and slope(0) >= 0:
+                    assert root == 0.0
+                    continue
+                want = mp.findroot(lambda th: phi(th) - alpha, mp.mpf(root))
+                assert slope(want) > 0
+                assert abs(root - want) <= 1e-11 * want, (alpha, root, want)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_unbracketed_root_raises(self, alpha):
+        class Falling(LevyModel):
+            # phi never exceeds alpha, so no bracket exists
+            measure, sigma2 = None, 1.0
+
+            def phi(self, theta):
+                return -theta
+
+            def phi_prime(self, theta):
+                return -1.0
+
+        with pytest.raises(ConvergenceError):
+            Falling().eta(alpha)
 
 
 class TestConstruction:

@@ -23,28 +23,45 @@ def test_all_names_exist_and_are_unique():
         assert hasattr(levydam, name), name
 
 
-def test_start_up_loads_neither_scipy_signal_nor_stats():
-    # a fresh interpreter, so nothing pytest imported counts; the default
-    # compound Poisson set is a closed form, which needs no interpolation
-    code = ("import sys\n"
-            "import levydam.cli as cli\n"
-            "from levydam import CLOSED_FORM, ScaleFunctionSet\n"
-            "cfg = cli.load_config('configs/compound_poisson.json')\n"
-            "s = ScaleFunctionSet(cli.build_model(cfg['model']), 0.5)\n"
-            "assert s.method == CLOSED_FORM\n"
-            "s.w(1.0), s.wp(1.0), s.z(1.0)\n"
-            "print('\\n'.join(sys.modules))\n")
+def _loaded_modules(code: str) -> list:
+    """Modules in sys.modules after ``code`` runs in a fresh interpreter,
+    so nothing pytest imported counts."""
+    code += "\nprint('\\n'.join(sys.modules))\n"
     src = str(Path(levydam.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
-                          env={**os.environ, "PYTHONPATH": path},
+    proc = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                          cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "levydam.scale" in loaded
-    assert [m for m in loaded
-            if m.startswith(("scipy.signal", "scipy.stats",
-                             "scipy.interpolate"))] == []
+    return proc.stdout.split()
+
+
+def _scipy(modules: list) -> list:
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_start_up_and_closed_form_reports_load_no_scipy():
+    # Brownian and compound Poisson reports run on numpy alone
+    loaded = _loaded_modules(
+        "import levydam.cli as cli\n"
+        "for name in ('compound_poisson', 'wiener'):\n"
+        "    cfg = cli.load_config(f'configs/{name}.json')\n"
+        "    cli.cmd_evaluate(cfg)\n")
+    assert "levydam.exits" in loaded
+    assert _scipy(loaded) == []
+
+
+def test_gamma_report_loads_only_scipy_special():
+    # the gamma tail, exp1, is the one scipy function a gamma report calls
+    loaded = _loaded_modules(
+        "import levydam.cli as cli\n"
+        "cfg = cli.load_config('configs/compound_poisson.json')\n"
+        "cfg['model'] = {'kind': 'gamma', 'zeta': 1.0, 'a': 3.0, 'b': 2.0}\n"
+        "cfg['alphas'] = []\n"
+        "cli.cmd_evaluate(cfg)\n")
+    assert "scipy.special" in loaded
+    assert [m for m in _scipy(loaded)
+            if m.startswith(("scipy.optimize", "scipy.integrate"))] == []
 
 
 def test_benchmark_tracer_installs_and_restores():
@@ -70,6 +87,16 @@ def test_benchmark_tracer_installs_and_restores():
     count = tracer.layer_metrics()["count"]
     assert count["scale.ScaleFunctionSet.__init__"] == 1
     assert count["scale.ScaleFunctionSet.w"] == 1
+    # wrapping exits.quad must not import scipy.integrate behind it
+    loaded = _loaded_modules(
+        "import importlib.util\n"
+        "import levydam.cli\n"
+        "spec = importlib.util.spec_from_file_location(\n"
+        "    'perfbench_tracing', 'perfbench/tracing.py')\n"
+        "tracing = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(tracing)\n"
+        "tracing.Tracer().install().restore()\n")
+    assert _scipy(loaded) == []
 
 
 def test_readme_library_quick_start_runs():
