@@ -131,7 +131,8 @@ def _compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
         tail=lambda x: rate * jumps.tail(x),
         mu=rate * jumps.mean,
         total=rate,
-        one_minus_exp=lambda th: rate * (1.0 - jumps.laplace(th)),
+        # 1 - b / (b + th) as th / (b + th), which does not cancel at small th
+        one_minus_exp=lambda th: rate * th / (jumps.rate + th),
         x_mean_exp=lambda th: rate * jumps.mean_exp(th),
     )
 
@@ -150,7 +151,7 @@ def _gamma_measure(a: float, b: float) -> LevyMeasure:
         tail=tail,
         mu=a / b,
         total=math.inf,
-        one_minus_exp=lambda th: a * np.log(1.0 + th / b),
+        one_minus_exp=lambda th: a * np.log1p(th / b),
         x_mean_exp=lambda th: a / (b + th),
     )
 
@@ -170,7 +171,13 @@ def _inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
         return val / (sigma * math.sqrt(2.0 * math.pi))
 
     def one_minus_exp(th):
-        return (np.sqrt(c * c + 2.0 * sigma * sigma * th) - c) / (sigma * sigma)
+        # (sqrt(c^2 + 2 sigma^2 th) - c) / sigma^2, which cancels where
+        # 2 sigma^2 |th| < c^2: there as 2 th / (sqrt(..) + c), whose complex
+        # quotient costs the Laplace inversion digits elsewhere
+        root = np.sqrt(c * c + 2.0 * sigma * sigma * th)
+        small = np.abs(th) * (2.0 * sigma * sigma) < c * c
+        return np.where(small, 2.0 * th / (root + c),
+                        (root - c) / (sigma * sigma))[()]
 
     def x_mean_exp(th):
         return 1.0 / np.sqrt(c * c + 2.0 * sigma * sigma * th)

@@ -8,10 +8,9 @@ quantity in the package.
 Simulation schemes per family:
 
 * compound Poisson drift: exact event-driven paths, no discretisation;
-* Brownian drift: synchronised time stepping across all paths with the
-  within-step minimum (or maximum) sampled exactly for the reflecting
-  barrier and the cap, and a Brownian bridge correction for threshold
-  crossings;
+* Brownian drift: time steps with the within-step minimum (or maximum)
+  sampled exactly for the reflecting barrier and the cap, and a Brownian
+  bridge correction for threshold crossings;
 * gamma / inverse Gaussian drift: exact increment sampling on the grid,
   accepting grid resolution error in crossing detection.
 
@@ -22,26 +21,20 @@ Compound Poisson paths run in lock step (``_cp_events``): each NumPy step
 takes every live path one event on, as a scalar event loop would; the
 pieces between events go to a ``_SegmentSink``, integrated in blocks.
 
-The grid families share one step kernel, ``_GridStep``: it draws one step
-for every live path (increments, jumps, within-step extremum, bridge test,
-reflection at 0, cap at V).  A path's phase reaches it only through phase
-constants (barrier, extremum side, M dt shift, clip), scalars while all
-live paths share a phase and per-path arrays (``_Phases``) once they mix,
-so no path pays for the other phase.  Two step loops run the kernel.
-``_grid_cycles`` stops each path by a rule: after its fill phase
-(``simulate_fill_phase``), after a release phase (``simulate_release_phase``)
-or after one full cycle (``run_policy_cycles``); its maintenance integrals
-are trapezoids added in blocks by a ``_GridSink``.
-``_total_discounted_grid`` runs successive cycles until the discount floor
-and books each charge as it falls due.
+The grid families share one time-blocked kernel, ``_GridKernel``: each
+iteration takes every live path up to K ~ ``_GRID_BLOCK`` / (live paths)
+steps on, on one clock (``_Clock``).  ``_grid_cycles`` stops each path after
+its fill phase, a release phase or one full cycle and adds its trapezoid
+maintenance integrals a block at a time; ``_total_discounted_grid`` runs
+cycles until the discount floor and books each charge as it falls due.
 
 Randomness is counter based.  A compound Poisson path reads standard
 exponentials from the Philox stream keyed by (seed, path index), in blocks
 (``_Streams``): a gap or a jump is a scale times one, so its outcome does
-not depend on ``n_paths``.
-The grid kernel consumes the (seed, 0) stream for all live paths in lock
-step, so a grid path's draws depend on ``n_paths``.  Fixed (seed, config,
-model, policy) reproduce results bit for bit.
+not depend on ``n_paths``.  The grid kernel draws each block for all live
+paths from the (seed, 0) stream, so a grid path's draws depend on
+``n_paths``, on which paths are still live and on the block layout.  Fixed
+(seed, config, model, policy) reproduce results bit for bit.
 """
 
 from __future__ import annotations
@@ -445,41 +438,69 @@ def _subordinator_increments(model, rng, dt, size):
     raise TypeError(f"no grid sampler for {type(model).__name__}")
 
 
-_GRID_BLOCK = 4096  # 8,192 raised the peak RSS of a verify-bm run by 1 MB
-
-# the fields of a phase's step constants, in order (see _GridStep)
-_CONSTANTS = ("shift", "sign", "offset", "lo", "hi", "s", "s_bar", "bar")
-
-
-def _minus(a, b):
-    """a - b, where b = None stands for an exact zero and is skipped."""
-    return a if b is None else a - b
+# steps times live paths that one kernel iteration draws: against 16,384, a
+# verify-bm run at 8,192 is 9 % slower and at 32,768 has 3 MB more peak RSS
+_GRID_BLOCK = 16384
 
 
-class _GridStep:
-    """One time step of every live grid path, drawn from the (seed, 0) stream.
+def _scan(ufunc, out, steps):
+    """out[j + 1] = ufunc(out[j], steps[j]) from out[0] down the rows.
+    ``ufunc.accumulate`` makes a call per column, so blocks with 4 times as
+    many columns as rows or more go row by row, in the same order."""
+    if 4 * len(out) <= out.shape[1]:
+        for j in range(len(steps)):
+            ufunc(out[j], steps[j], out=out[j + 1])
+        return out
+    out[1:] = steps
+    return ufunc.accumulate(out, axis=0, out=out)
+
+
+def _clip(a, lo, hi):
+    """a held in [lo, hi] in place, an infinite bound skipped."""
+    if lo > -math.inf:
+        np.maximum(a, lo, out=a)
+    if hi < math.inf:
+        np.minimum(a, hi, out=a)
+    return a
+
+
+def _first_true(hit):
+    """(columns, rows): the columns of hit holding a True, and the first's
+    row.  ``argmax`` down the rows makes a call per column, so where the
+    rows are no more than the columns only the columns that hit search."""
+    if len(hit) == 1:
+        ix = hit[0].nonzero()[0]
+        return ix, np.zeros_like(ix)
+    if len(hit) <= hit.shape[1]:
+        ix = hit.any(axis=0).nonzero()[0]
+        return ix, hit[:, ix].argmax(axis=0)
+    first = hit.argmax(axis=0)
+    ix = hit[first, np.arange(hit.shape[1])].nonzero()[0]
+    return ix, first[ix]
+
+
+class _GridKernel:
+    """Blocks of time steps of the live grid paths, from the (seed, 0) stream.
 
     Filling paths move with the input, releasing paths with the input minus
     M.  A Brownian path samples its within-step minimum (filling) or maximum
-    (releasing) exactly; reflection at 0 and the cap at V act on it, and a
-    Brownian bridge test catches threshold crossings between grid points.
-    Subordinator increments are exact, but crossings are seen only at grid
-    points.  Draws go to the live paths in order, so a path's draws depend
-    on which other paths are still live.
+    (releasing) exactly for reflection at 0 and the cap at V, and a bridge
+    test catches crossings between grid points; subordinator increments are
+    exact, with crossings seen at grid points only.
 
-    A path's phase enters only through its constants (``_CONSTANTS``):
-    ``shift`` = M dt when releasing; the extremum is the minimum (``sign``
-    -1) or the maximum (+1); a Brownian step is cut by clip(y + extremum -
-    ``offset``, ``lo``, ``hi``), which is min(0, y + minimum) for a
-    reflected fill, 0 for a plain one and max(0, y + maximum - V) for a
-    release, and a subordinator step ends at clip(y + w, ``lo``, ``hi``);
-    a path hits its barrier ``bar`` when ``s`` y_end >= ``s_bar`` = s bar,
-    with s = +1 filling and -1 releasing.  Negating both sides of a
-    comparison or both factors of a product, and clipping at an infinite
-    bound, are exact, so each phase gets the bits of its own branch.
-    ``uniform[filling]`` holds a phase's constants as scalars, None where
-    one acts as an exact identity and is skipped; ``table`` holds them as
-    columns (fill, release) for per-path rows.
+    ``block`` takes every live path up to K = max(1, ``_GRID_BLOCK`` // m)
+    steps on, m the live paths, from (K, m) increments, for Brownian input
+    (2K, m) uniforms (the extremum's rows, then the bridge's) and the jumps
+    in one call; steps after a path's first hit or limit are dropped.
+
+    A subordinator step ends at clip(y + w, ``lo``, ``hi``), taken row by
+    row in wide blocks.  Otherwise the content is the free path X, the
+    running sum of the increments, less the running extremum of the step
+    cuts (Skorokhod map); a Brownian step j cuts clip(X_{j-1} + extremum -
+    ``offset``, ``lo``, ``hi``).  Per phase, ``constants`` also hold
+    ``shift`` (M dt when releasing), the extremum's ``sign`` (None where
+    every cut is 0) and the barrier ``bar``.  Each operation keeps a step
+    loop's operands, so at K = 1 the draws and bits are a step loop's.
     """
 
     def __init__(self, model, config, reflected, lam, tau, V, M):
@@ -490,73 +511,160 @@ class _GridStep:
         self.is_bm = isinstance(model, BrownianDrift)
         self.sig_dt = math.sqrt(model.sigma2 * dt)
         self.sig2_dt = model.sigma2 * dt
-        self.log_scale = 2.0 * model.sigma2 * dt
+        # per phase: shift, sign, offset, lo, hi, bar
         inf = math.inf
+        cap = 1.0 if V < inf else None
         if self.is_bm:
             self.mu_dt = model.mu * dt
-            fill = (0.0, -1.0, 0.0, -inf if reflected else 0.0, 0.0,
-                    1.0, lam, lam)
-            release = (M * dt, 1.0, V, 0.0, inf, -1.0, -tau, tau)
+            fill = (0.0, -1.0 if reflected else None, 0.0, -inf, 0.0, lam)
+            release = (M * dt, cap, V, 0.0, inf, tau)
         else:
             self.zeta_dt = model.zeta * dt
-            fill = (0.0, 0.0, 0.0, 0.0 if reflected else -inf, inf,
-                    1.0, lam, lam)
-            release = (M * dt, 0.0, 0.0, -inf, V, -1.0, -tau, tau)
-        self.table = np.array([fill, release]).T
-        self.uniform = {True: self._scalars(fill),
-                        False: self._scalars(release)}
+            floor = 0.0 if reflected else -inf
+            fill = (0.0, -1.0 if reflected else None, 0.0, floor, inf, lam)
+            release = (M * dt, cap, V, -inf, V, tau)
+        self.constants = {True: fill, False: release}
 
-    def _scalars(self, row):
-        c = dict(zip(_CONSTANTS, row))
-        identity = {"shift": 0.0, "offset": 0.0, "lo": -math.inf,
-                    "hi": math.inf, "s": 1.0}
-        for name, value in identity.items():
-            if c[name] == value:
-                c[name] = None
-        # a cut that is 0 for every path needs no extremum
-        if not self.is_bm or (c["lo"] == c["hi"] == 0.0
-                              or c["offset"] == math.inf):
-            c["sign"] = None
-        return tuple(c[name] for name in _CONSTANTS)
-
-    def __call__(self, y, constants):
-        """(y_end, hit) of one step from the contents y.
-
-        ``y_end`` is the content at the end of the step, after reflection
-        or the cap; ``hit`` marks paths that reached their barrier within
-        the step.
-        """
-        shift, sign, offset, lo, hi, s, s_bar, bar = constants
-        model, rng, m = self.model, self.rng, len(y)
+    def draws(self, K, m):
+        """(w, u) of one block: the increments as (K, m) and, for Brownian
+        input, the uniforms as (2K, m), else None."""
+        model, rng = self.model, self.rng
         if not self.is_bm:
-            w = _subordinator_increments(model, rng, self.dt, m) - self.zeta_dt
-            y_end = y + _minus(w, shift)
-            if lo is not None:
-                y_end = np.maximum(y_end, lo)
-            if hi is not None:
-                y_end = np.minimum(y_end, hi)
-            return y_end, (y_end if s is None else s * y_end) >= s_bar
-        w = rng.normal(self.mu_dt, self.sig_dt, size=m)
-        u = rng.random(2 * m)  # the extremum's uniforms, then the bridge's
+            w = _subordinator_increments(model, rng, self.dt, (K, m))
+            w -= self.zeta_dt
+            return w, None
+        w = rng.normal(self.mu_dt, self.sig_dt, size=(K, m))
+        u = rng.random((2 * K, m))
         if model.has_jumps:
-            cnt = rng.poisson(model.jump_rate * self.dt, size=m)
-            for k in np.nonzero(cnt)[0]:
-                w[k] += model.jumps.sample(rng, cnt[k]).sum()
-        w = _minus(w, shift)
-        y_end = y + w
+            cnt = rng.poisson(model.jump_rate * self.dt, size=K * m)
+            cells = cnt.nonzero()[0]
+            if len(cells):
+                cnt = cnt[cells]
+                sizes = model.jumps.sample(rng, int(cnt.sum()))
+                at = np.cumsum(cnt) - cnt
+                # a cell's jumps summed as one draw of its count would be
+                sums = sizes[at]
+                for i in (cnt > 1).nonzero()[0]:
+                    sums[i] = sizes[at[i]:at[i] + cnt[i]].sum()
+                w.reshape(-1)[cells] += sums
+        return w, u
+
+    def advance(self, y, w, u, filling: bool):
+        """(Y, hit) of the K steps of w from the contents y, all in one
+        phase, overwriting w and u: ``Y[j]`` is the content after step j
+        (``Y[0]`` = y), ``hit[j - 1]`` marks the paths that reached their
+        barrier within step j."""
+        shift, sign, offset, lo, hi, bar = self.constants[filling]
+        reached, short = ((np.greater_equal, np.less) if filling
+                          else (np.less_equal, np.greater))
+        K = len(w)
+        if shift:
+            w -= shift
+        Y = np.empty((K + 1, len(y)))
+        Y[0] = y
+        if not self.is_bm and 4 * len(Y) <= len(y):  # wide: step by step
+            for j in range(K):
+                _clip(np.add(Y[j], w[j], out=Y[j + 1]), lo, hi)
+            return Y, reached(Y[1:], bar)
+        _scan(np.add, Y, w)  # the free path
+        if not self.is_bm:
+            if K > 1 and sign is not None:
+                cut = w  # the cut to date before step j, from X_1 .. X_{j-1}
+                cut[0] = 0.0
+                np.multiply(sign, Y[1:-1] - offset, out=cut[1:])
+                Y[1:] -= sign * _scan(np.maximum, cut, cut[1:])
+            return Y, reached(_clip(Y[1:], lo, hi), bar)
         if sign is not None:
-            root = np.sqrt(w * w - self.log_scale * np.log(u[:m]))
-            cut = _minus(y + 0.5 * (w + sign * root), offset)
-            if lo is not None:
-                cut = np.maximum(lo, cut)
-            if hi is not None:
-                cut = np.minimum(hi, cut)
-            y_end = y_end - cut
-        # bridge test for paths that start and end short of the barrier
-        p = np.exp(-2.0 * np.maximum((bar - y) * (bar - y_end), 0.0)
-                   / self.sig2_dt)
-        sy, sy_end = (y, y_end) if s is None else (s * y, s * y_end)
-        return y_end, (sy_end >= s_bar) | ((sy < s_bar) & (u[m:] < p))
+            cut = w * w
+            e = np.log(u[:K], out=u[:K])
+            e *= 2.0 * self.sig2_dt
+            cut -= e
+            np.sqrt(cut, out=cut)
+            cut *= sign
+            cut += w
+            cut *= 0.5  # the extremum of the step's increment
+            cut += Y[:-1]
+            if offset:
+                cut -= offset
+            if lo > -math.inf:
+                np.maximum(lo, cut, out=cut)
+            if hi < math.inf:
+                np.minimum(hi, cut, out=cut)
+            if K > 1:  # the cut to date; over one step it is the step's
+                cut *= sign
+                cut = sign * _scan(np.maximum, cut, cut[1:])
+            Y[1:] -= cut
+        # bridge test for paths that start and end short of the barrier,
+        # with probability e^lp; exp is 0.0 below -745.2, and slow there
+        lp = bar - Y[:-1]
+        lp *= np.subtract(bar, Y[1:], out=w)
+        np.maximum(lp, 0.0, out=lp)
+        lp *= -2.0
+        lp /= self.sig2_dt
+        near = np.flatnonzero(lp > -746.0)
+        hit = reached(Y[1:], bar)
+        hit.reshape(-1)[near] |= (short(Y[:-1].reshape(-1)[near], bar)
+                                  & (u[K:].reshape(-1)[near]
+                                     < np.exp(lp.reshape(-1)[near])))
+        return Y, hit
+
+    def block(self, y, filling, k, n_max):
+        """Take the live paths one block on, from contents y in phases
+        ``filling`` and step counts k below ``n_max``: an int while all
+        paths have taken the same steps, as in one-step blocks, else an
+        array.  Returns (y_end, groups, ended, k): each path's content after
+        its last used step; per phase, (phase, cols, Y, pos, used): its
+        columns (a slice when all), Y from ``advance`` and the columns, by
+        position, that use fewer than K steps, with their steps; the paths
+        whose last used step hit their barrier; and k.
+        """
+        m = len(y)
+        lock = isinstance(k, int)
+        K = min(max(1, _GRID_BLOCK // m),
+                n_max - (k if lock else int(k.min())))
+        if lock and K > 1:
+            k, lock = np.full(m, k), False
+        w, u = self.draws(K, m)
+        limit = not lock and int(k.max()) + K > n_max  # some reach n_max
+        n_fill = int(np.count_nonzero(filling))
+        y_end, groups, stops, ended = np.empty(m), [], [], []
+        for phase, n in ((True, n_fill), (False, m - n_fill)):
+            if n == m:
+                cols = slice(None)
+                Y, hit = self.advance(y, w, u, phase)
+            elif n:  # take keeps a row-major layout, which w[:, cols] does not
+                cols = (filling if phase else ~filling).nonzero()[0]
+                Y, hit = self.advance(y[cols], w.take(cols, axis=1), None if
+                                      u is None else u.take(cols, axis=1), phase)
+            else:
+                continue
+            ix, first = _first_true(hit)
+            if limit:
+                steps = np.minimum(n_max - k[cols], K)
+                keep = first < steps[ix]
+                ix, first = ix[keep], first[keep]
+                steps[ix] = first + 1
+                pos = (steps < K).nonzero()[0]
+                used = steps[pos]
+            elif K > 1:
+                pos, used = ix, first + 1
+            else:  # every path uses the one step
+                pos = used = ix[:0]
+            if len(pos):
+                Y[K, pos] = Y[used, pos]
+            groups.append((phase, cols, Y, pos, used))
+            if n == m:
+                y_end = Y[K]
+            else:
+                y_end[cols] = Y[K]
+                pos, ix = cols[pos], cols[ix]
+            stops.append((pos, used))
+            ended.append(ix)
+        k = k + K
+        for at, used in stops:
+            if len(at):  # never in lock step
+                k[at] += used - K
+        return y_end, groups, np.concatenate(ended), k
 
     def stopped(self, y_end, filling: bool):
         """Step-end contents held at the threshold that ends their phase."""
@@ -564,230 +672,112 @@ class _GridStep:
                 else np.maximum(y_end, self.tau))
 
     def landing(self, y_end):
-        """Where fill crossings land, from their step-end contents."""
-        if not self.is_bm:
-            return y_end
-        if self.model.has_jumps:
-            return np.where(y_end >= self.lam, y_end, self.lam)
-        return self.lam
+        """Where fill crossings land: lam unless a jump went past it."""
+        if self.is_bm and not self.model.has_jumps:
+            return self.lam
+        return np.where(y_end >= self.lam, y_end, self.lam)
 
 
-class _Phases:
-    """Phases of the live grid paths and the step constants they select.
+class _Clock:
+    """The grid clock by step count: t_k, k time steps added one at a time,
+    and e^{-a t_k} by ``math.exp`` for each discount rate a."""
 
-    While every live path is in one phase, ``filling`` is that phase as a
-    bool and ``constants`` are the kernel's scalars for it.  Once both
-    phases are live, ``filling`` is an array over the live paths and
-    ``constants`` are the rows of a per-path array, updated only where a
-    path changes phase.  ``filling`` is replaced rather than written in
-    place, so a sink may keep it.
-    """
+    def __init__(self, dt, alphas):
+        self.dt = dt
+        self.t = np.zeros(1)
+        self.disc = {a: np.ones(1) for a in alphas}
 
-    def __init__(self, step, filling: bool, m: int):
-        self.step = step
-        self.m = m
-        self.n_fill = m if filling else 0
-        self._uniform(filling)
-
-    def _uniform(self, filling):
-        # a Python bool, which split() tells from an array by identity
-        filling = bool(filling)
-        self.filling = filling
-        self.constants = self.step.uniform[filling]
-        self._per_path = None
-        self._index = {}
-
-    def _mixed(self, filling):
-        if self.n_fill in (0, self.m):
-            self._uniform(self.n_fill > 0)
-        else:
-            self.filling = filling
-            self.constants = tuple(self._per_path)
-            self._index = {}
-
-    def rows(self, filling: bool):
-        """Indices of the live paths in a phase: all of them as a slice,
-        None when there are none."""
-        n = self.n_fill if filling else self.m - self.n_fill
-        if n == 0:
-            return None
-        if n == self.m:
-            return slice(None)
-        if filling not in self._index:
-            mask = self.filling if filling else ~self.filling
-            self._index[filling] = mask.nonzero()[0]
-        return self._index[filling]
-
-    def split(self, ix):
-        """(filling, releasing) parts of the live indices ix."""
-        if self.filling is True:
-            return ix, ix[:0]
-        if self.filling is False:
-            return ix[:0], ix
-        fill = self.filling[ix]
-        return ix[fill], ix[~fill]
-
-    def move(self, to_release, to_fill):
-        """Switch the live paths ``to_release`` and ``to_fill`` over."""
-        if not (len(to_release) or len(to_fill)):
-            return
-        table = self.step.table
-        if self._per_path is None:
-            filling = np.full(self.m, self.filling)
-            col = 0 if self.filling else 1
-            self._per_path = np.repeat(table[:, [col]], self.m, axis=1)
-        else:
-            filling = self.filling.copy()
-        filling[to_release] = False
-        filling[to_fill] = True
-        self._per_path[:, to_release] = table[:, [1]]
-        self._per_path[:, to_fill] = table[:, [0]]
-        self.n_fill += len(to_fill) - len(to_release)
-        self._mixed(filling)
-
-    def keep(self, live):
-        """Keep the live paths marked in the mask ``live``."""
-        self.m = int(np.count_nonzero(live))
-        if self._per_path is None:
-            self.n_fill = self.m if self.filling else 0
-        else:
-            filling = self.filling[live]
-            self.n_fill = int(np.count_nonzero(filling))
-            self._per_path = np.compress(live, self._per_path, axis=1)
-            self._mixed(filling)
+    def __call__(self, k, a=None):
+        """t_k, or e^{-a t_k} at the discount rate a, at step counts k."""
+        have = len(self.t)
+        top = k if isinstance(k, int) else int(k.max(initial=0))
+        if top >= have:
+            new = np.cumsum(np.concatenate(([self.t[-1]], np.full(
+                max(top + 1, 2 * have) - have, self.dt))))[1:]
+            self.t = np.concatenate((self.t, new))
+            self.disc = {b: np.concatenate((d, _exp(b, new)))
+                         for b, d in self.disc.items()}
+        return self.t[k] if a is None else self.disc[a][k]
 
 
-class _GridSink:
-    """Trapezoid maintenance integrals of the grid paths, one per path.
-
-    The step loop hands over each step's clock and the live paths' indices,
-    contents at both ends of the step and phases; the loop replaces those
-    arrays rather than writing into them, so no copy is taken.  At most
-    ``block`` rows are held (a single larger step is integrated in parts):
-    each row adds 0.5 dt (e^{-a t} g(y) + e^{-a (t + dt)} g(y_end)), with g
-    the rate of its phase, y_end held at the threshold that ends the phase
-    and the discount factors from ``math.exp``.  ``np.add.at`` adds the rows
-    in step order, so each path gets the additions of a per-step update in
-    the same order, bit for bit.
-    """
-
-    def __init__(self, step, costs, alphas, n: int, block: int = _GRID_BLOCK):
-        self.dt = step.dt
-        self.alphas = alphas
-        self.block = block
-        self.fill = {a: np.zeros(n) for a in alphas}
-        self.release = {a: np.zeros(n) for a in alphas}
-        self.stopped = step.stopped
-        rates = () if costs is None else ((costs.g, True, self.fill),
-                                          (costs.g_star, False, self.release))
-        self._rates = [r for r in rates if not r[0].is_zero]
-        self._steps = []
-        self._held = 0
-
-    def add(self, t, orig, y, y_end, filling):
-        if self._rates:
-            if self._held + len(y) > self.block:
-                self.flush()
-            self._steps.append((t, orig, y, y_end, filling))
-            self._held += len(y)
-
-    def flush(self):
-        steps, self._steps, self._held = self._steps, [], 0
-        if not steps:
-            return
-        dt = self.dt
-        sizes = [len(s[2]) for s in steps]
-        k = np.repeat(np.arange(len(steps)), sizes)
-        pid, y0, y1 = (np.concatenate([s[i] for s in steps]) for i in (1, 2, 3))
-        fill = np.empty(len(k), dtype=bool)
-        for s, end in zip(steps, np.cumsum(sizes).tolist()):
-            fill[end - len(s[2]):end] = s[4]
-        disc = {a: (np.array([math.exp(-a * s[0]) for s in steps]),
-                    np.array([math.exp(-a * (s[0] + dt)) for s in steps]))
-                for a in self.alphas}
-        # only a single step of more than ``block`` rows takes several parts
-        for start in range(0, len(k), self.block):
-            part = slice(start, start + self.block)
-            for rate, phase, acc in self._rates:
-                rows = (fill[part] == phase).nonzero()[0] + start
-                if not len(rows):
-                    continue
-                ends = rate.values(np.concatenate(
-                    (y0[rows], self.stopped(y1[rows], phase))))
-                base, top = ends[:len(rows)], ends[len(rows):]
-                ks, paths = k[rows], pid[rows]
-                for a in self.alphas:
-                    e0, e1 = disc[a]
-                    # math.exp(-0.0 t) is 1, and 1 x is x
-                    both = e0[ks] * base + e1[ks] * top if a else base + top
-                    np.add.at(acc[a], paths, 0.5 * dt * both)
+def _booked(rows, pos, used):
+    """rows (K, columns), with the unused steps of the columns pos set to 0."""
+    if len(pos):
+        rows[:, pos] = np.where(np.arange(len(rows))[:, None] < used,
+                                rows[:, pos], 0.0)
+    return rows
 
 
-def _grid_cycles(step, config, start, filling, costs=None, alphas=(),
-                 fill_only=False, block=_GRID_BLOCK) -> CycleRecords:
-    """Every path from ``start`` in the given phase, on a common clock.
+def _at(k, ix):
+    """The step counts of the live paths ix: k itself while all share it."""
+    return k if isinstance(k, int) else k[ix]
+
+
+def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
+                 fill_only=False) -> CycleRecords:
+    """Every path from ``start`` in the given phase, on one clock.
 
     A path stops at its fill crossing when ``fill_only``, otherwise at the
-    end of its release phase.  Finished paths leave the live arrays each
-    step, so late stragglers cost almost nothing; paths still live at the
-    horizon are partial.  With ``costs`` the maintenance rates are
-    integrated by the trapezoid rule on the grid, in a ``_GridSink`` that
-    holds at most ``block`` rows.
+    end of its release phase; paths live after horizon / dt steps are
+    partial.  With ``costs`` the maintenance rates g of the phases, at the
+    step-end contents held at the thresholds, take the trapezoid rule.
     """
     n = config.n_paths
-    dt = step.dt
-    sink = _GridSink(step, costs, alphas, n, block)
+    n_max = int(math.ceil(config.horizon / kernel.dt))
+    clock = _Clock(kernel.dt, alphas)
+    rates = {} if costs is None else {
+        phase: rate for phase, rate in ((True, costs.g), (False, costs.g_star))
+        if not rate.is_zero}
+    integrals = {phase: {a: np.zeros(n) for a in alphas}
+                 for phase in (True, False)}
 
-    # live paths: their indices, contents and phases
-    orig = np.arange(n)
-    y = np.full(n, float(start))
-    phases = _Phases(step, filling, n)
+    # live paths: their indices, contents, phases and step counts
+    orig, y = np.arange(n), np.full(n, float(start))
+    fill = np.full(n, bool(filling))
+    k = 0
 
     # per-path records, indexed by path
-    t_fill = np.zeros(n)
-    release_time = np.zeros(n)
-    cross = np.zeros(n)
-    e_fill = {a: np.zeros(n) for a in alphas}
-    e_cycle = {a: np.zeros(n) for a in alphas}
+    t_fill, release_time, cross = np.zeros((3, n))
+    e_fill, e_cycle = ({a: np.zeros(n) for a in alphas} for _ in "ab")
     done = np.zeros(n, dtype=bool)
 
-    t = 0.0
-    for _ in range(int(math.ceil(config.horizon / dt))):
-        if len(y) == 0:
-            break
-        y_end, hit = step(y, phases.constants)
-        sink.add(t, orig, y, y_end, phases.filling)
-        t += dt
-        ix = hit.nonzero()[0]
-        if not len(ix):
-            y = y_end
-            continue
-        crossed, ended = phases.split(ix)
+    while len(y):
+        k0 = k
+        y, groups, ix, k = kernel.block(y, fill, k, n_max)
+        for phase, cols, Y, pos, used in groups:
+            if phase in rates:
+                values = rates[phase].values(kernel.stopped(Y, phase))
+                at = _at(k0, cols) + np.arange(len(Y))[:, None]
+                pid = orig[cols]
+                for a in alphas:  # each step's 0.5 dt (d0 g(y0) + d1 g(y1))
+                    both = clock(at, a) * values if a else values
+                    integrals[phase][a][pid] += _booked(0.5 * kernel.dt * (
+                        both[:-1] + both[1:]), pos, used).sum(axis=0)
+        crossed, finished = ix[fill[ix]], ix[~fill[ix]]
         if len(crossed):
             pid = orig[crossed]
-            t_fill[pid] = t
-            cross[pid] = state = step.landing(y_end[crossed])
-        finished = crossed if fill_only else ended
-        if len(crossed) and not fill_only:
-            y = y_end.copy()
-            y[crossed] = np.minimum(state, step.V)
-            phases.move(crossed, crossed[:0])
-        else:
-            y = y_end
+            t_fill[pid] = clock(_at(k, crossed))
+            cross[pid] = state = kernel.landing(y[crossed])
+            if fill_only:
+                finished = crossed
+            else:
+                y[crossed] = np.minimum(state, kernel.V)
+                fill[crossed] = False
         if len(finished):
             pid = orig[finished]
-            release_time[pid] = t - t_fill[pid]
+            release_time[pid] = clock(_at(k, finished)) - t_fill[pid]
             for a in alphas:
                 e_fill[a][pid] = np.exp(-a * t_fill[pid])
-                e_cycle[a][pid] = math.exp(-a * t)
+                e_cycle[a][pid] = clock(_at(k, finished), a)
             done[pid] = True
-            live = np.ones(len(y), dtype=bool)
+        if len(finished) or np.max(k) >= n_max:
+            live = (np.full(len(y), k < n_max) if isinstance(k, int)
+                    else k < n_max)
             live[finished] = False
-            orig, y = orig[live], y[live]
-            phases.keep(live)
-    sink.flush()
+            orig, y, fill = orig[live], y[live], fill[live]
+            k = k if isinstance(k, int) else k[live]
     return _records(done, t_fill, release_time, cross, e_fill, e_cycle,
-                    sink.fill, sink.release, step.M)
+                    integrals[True], integrals[False], kernel.M)
 
 
 # ---------------------------------------------------------------------------
@@ -815,9 +805,9 @@ def run_policy_cycles(model: LevyModel, policy, costs, config: PathConfig,
                         {a: _exp(a, t_fill) for a in alpha_list},
                         {a: _exp(a, t_fill + t_rel) for a in alpha_list},
                         sinks[0].result(n), sinks[1].result(n), policy.M)
-    step = _GridStep(model, config, reflected, policy.lam, policy.tau,
+    kernel = _GridKernel(model, config, reflected, policy.lam, policy.tau,
                      policy.V, policy.M)
-    return _grid_cycles(step, config, policy.tau, True, costs, alpha_list)
+    return _grid_cycles(kernel, config, policy.tau, True, costs, alpha_list)
 
 
 def simulate_fill_phase(model: LevyModel, x: float, lam: float,
@@ -838,8 +828,8 @@ def simulate_fill_phase(model: LevyModel, x: float, lam: float,
         done = ~np.isnan(t_fill)
         return t_fill[done], state[done], int(len(done) - done.sum())
     # no release follows, so it has no barrier (tau = -inf) and no cap
-    step = _GridStep(model, config, reflected, lam, -math.inf, math.inf, 0.0)
-    rec = _grid_cycles(step, config, x, True, fill_only=True)
+    kernel = _GridKernel(model, config, reflected, lam, -math.inf, math.inf, 0.0)
+    rec = _grid_cycles(kernel, config, x, True, fill_only=True)
     return rec.fill_time, rec.crossing_state, rec.n_partial
 
 
@@ -864,8 +854,8 @@ def simulate_release_phase(model: LevyModel, z: float, tau: float, V: float,
     # the shifted model draws the release drift (mu - M or zeta + M) into
     # each increment, so the kernel subtracts no M dt; no fill comes first,
     # so it has no threshold (lam = inf)
-    step = _GridStep(model.shifted(M), config, False, math.inf, tau, V, 0.0)
-    rec = _grid_cycles(step, config, min(z, V), False)
+    kernel = _GridKernel(model.shifted(M), config, False, math.inf, tau, V, 0.0)
+    rec = _grid_cycles(kernel, config, min(z, V), False)
     return rec.release_time, rec.n_partial
 
 
@@ -923,64 +913,74 @@ def _total_discounted_cp(model, policy, costs, alpha, x, config, reflected,
 
 def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
                            floor):
-    """Successive cycles on a shared clock, until the discount floor.
+    """Successive cycles on one clock, until the discount floor.
 
     Each path's total takes, step by step, its maintenance integral, its
-    release reward and its charges as they fall due, so no path ever leaves
-    the arrays.  A step ends where the next one starts unless the path
-    changes phase, so the rate at a step's end is kept as the next step's
-    rate at its start.
+    release reward and its charges as they fall due, in that order, until
+    its steps reach the floor.  A step ends where the next one starts unless
+    the path changes phase, so a block's last rate is the next one's first.
     """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
-    n = config.n_paths
-    dt = config.time_step
-    step = _GridStep(model, config, reflected, lam, tau, V, M)
-    g, gs = costs.g, costs.g_star
-    rates = [(f, rate) for f, rate in ((True, g), (False, gs))
-             if not rate.is_zero]
+    n, dt = config.n_paths, config.time_step
+    kernel = _GridKernel(model, config, reflected, lam, tau, V, M)
+    n_max = int(math.ceil(-math.log(floor) / alpha / dt))
+    clock = _Clock(dt, (alpha,))
+    rates = {ph: r for ph, r in ((True, costs.g), (False, costs.g_star))
+             if not r.is_zero}
 
     start = min(x, V)
-    y = np.full(n, float(start))
-    # a fill from the threshold has length zero: the valve opens at once
-    filling = start < lam
-    phases = _Phases(step, filling, n)
     # a cycle from lam or below pays the closing charge, one from lam or
     # above the opening charge, at time 0
-    totals = np.full(n, (M * costs.K2 if start <= lam else 0.0)
-                     + (M * costs.K1 if start >= lam else 0.0))
-    # each path's maintenance rate at its content, in its phase
-    level = (g if filling else gs).values(y)
+    out = np.full(n, (M * costs.K2 if start <= lam else 0.0)
+                  + (M * costs.K1 if start >= lam else 0.0))
+    # live paths: their indices, totals, contents, phases, step counts and
+    # rates; a fill from the threshold has length zero: the valve opens
+    orig = np.arange(n)
+    totals = out.copy()
+    y = np.full(n, float(start))
+    filling = bool(start < lam)
+    fill = np.full(n, filling)
+    k = 0
+    level = rates[filling].values(y) if filling in rates else np.zeros(n)
 
-    t = 0.0
-    t_max = -math.log(floor) / alpha
-    for _ in range(int(math.ceil(t_max / dt))):
-        d0 = math.exp(-alpha * t)
-        d1 = math.exp(-alpha * (t + dt))
-        y_end, hit = step(y, phases.constants)
-        top = np.zeros(n)
-        for filling, rate in rates:
-            rows = phases.rows(filling)
-            if rows is not None:
-                top[rows] = rate.values(step.stopped(y_end[rows], filling))
-                totals[rows] += 0.5 * dt * (d0 * level[rows] + d1 * top[rows])
-        rows = phases.rows(False)
-        if rows is not None:
-            totals[rows] -= costs.R * M * (d0 - d1) / alpha
-        ix = hit.nonzero()[0]
-        y, level = y_end, top
-        if len(ix):
-            opened, closed = phases.split(ix)
-            # the valve opens: pay the opening charge
-            totals[opened] += d1 * M * costs.K1
-            # the cycle ends: pay the next closing charge
-            totals[closed] += d1 * M * costs.K2
-            # an opened valve releases from the capped state, a closed one
-            # restarts the fill at tau
-            y = y_end.copy()
-            y[opened] = np.minimum(step.landing(y_end[opened]), V)
-            y[closed] = tau
-            level[opened] = gs.values(y[opened])
-            level[closed] = g.values(y[closed])
-            phases.move(opened, closed)
-        t += dt
-    return totals
+    while len(y):
+        k0 = k
+        y, groups, ix, k = kernel.block(y, fill, k, n_max)
+        for phase, cols, Y, pos, used in groups:
+            d = clock(_at(k0, cols) + np.arange(len(Y))[:, None], alpha)
+            parts = []
+            if phase in rates:
+                values = np.empty(Y.shape)
+                values[0] = level[cols]
+                values[1:] = rates[phase].values(kernel.stopped(Y[1:], phase))
+                level[cols] = values[-1]
+                values *= d
+                parts.append(0.5 * dt * (values[:-1] + values[1:]))
+            if not phase:
+                parts.append(-(costs.R * M * (d[:-1] - d[1:]) / alpha))
+            # a path's steps in order, each its integral, then its reward
+            rows = np.empty((1 + len(parts) * (len(Y) - 1), Y.shape[1]))
+            rows[0] = totals[cols]
+            for i, part in enumerate(parts):
+                rows[1 + i::len(parts)] = _booked(part, pos, used)
+            totals[cols] = rows.sum(axis=0)
+        opened, closed = ix[fill[ix]], ix[~fill[ix]]
+        # the valve opens: pay the opening charge, and release from the
+        # capped state
+        totals[opened] += clock(_at(k, opened), alpha) * M * costs.K1
+        y[opened] = np.minimum(kernel.landing(y[opened]), V)
+        # the cycle ends: pay the next closing charge, and fill from tau
+        totals[closed] += clock(_at(k, closed), alpha) * M * costs.K2
+        y[closed] = tau
+        fill[ix] = ~fill[ix]
+        for phase, moved in ((False, opened), (True, closed)):
+            if phase in rates:
+                level[moved] = rates[phase].values(y[moved])
+        if np.max(k) >= n_max:
+            live = (np.full(len(y), k < n_max) if isinstance(k, int)
+                    else k < n_max)
+            out[orig[~live]] = totals[~live]
+            orig, totals, y, fill, level = (
+                v[live] for v in (orig, totals, y, fill, level))
+            k = k if isinstance(k, int) else k[live]
+    return out

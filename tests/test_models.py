@@ -162,8 +162,8 @@ class TestEta:
     def test_matches_50_digit_root(self, model, shift):
         # Newton at 50 digits on the closed-form exponent, started from the
         # computed root; a positive slope there makes it the largest root.
-        # At small alpha, phi - alpha cancels in double precision, so the
-        # gate is 1e-11 rather than a few ulps
+        # The exponents are written without cancellation at small theta, so
+        # every root is within 2 ulps (the worst is 2.6e-16)
         if shift is not None:
             model = model.shifted(shift)
         with mp.workdps(50):
@@ -176,7 +176,7 @@ class TestEta:
                     continue
                 want = mp.findroot(lambda th: phi(th) - alpha, mp.mpf(root))
                 assert slope(want) > 0
-                assert abs(root - want) <= 1e-11 * want, (alpha, root, want)
+                assert abs(root - want) <= 4e-16 * want, (alpha, root, want)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_unbracketed_root_raises(self, alpha):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from levydam import (
     run_policy_cycles,
 )
 from levydam import simulate
+from levydam.cli import build_costs, build_model, build_policy
 from levydam.models import (BrownianDrift, ExponentialJumps,
                             _BoundedVariationModel)
 from levydam.simulate import (
@@ -29,8 +32,6 @@ from levydam.simulate import (
     CycleRecords,
     PathConfig,
     SimulationEstimate,
-    _grid_cycles,
-    _GridStep,
     _integrate_segments,
     _SegmentSink,
     _subordinator_increments,
@@ -400,8 +401,8 @@ class TestCostsLeavePathsAlone:
 # ---------------------------------------------------------------------------
 # Reference oracle: the grid kernel and step loops as they were with both
 # phase branches evaluated through np.where and the trapezoid integrals added in
-# the step loop.  The current kernel, the per-path phase constants and the
-# sink must reproduce them bit for bit.
+# the step loop, one step for all live paths at a time.  The blocked kernel at
+# one step per block (``_GRID_BLOCK`` = 1) must reproduce them bit for bit.
 # ---------------------------------------------------------------------------
 
 class _ReferenceGridStep:
@@ -652,8 +653,12 @@ ORACLE_COSTS = {"zero": ZERO, "paid": TestCostsLeavePathsAlone.COSTS}
 
 @pytest.mark.parametrize("family", GRID_FAMILIES)
 class TestGridKernelMatchesReference:
-    """Every output of the grid simulator, byte for byte, against the
-    reference kernel and step loops, on fixed seeds."""
+    """Every output of the grid simulator at one step per block, byte for
+    byte, against the reference kernel and step loops, on fixed seeds."""
+
+    @pytest.fixture(autouse=True)
+    def one_step_per_block(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_GRID_BLOCK", 1)
 
     def test_policy_cycles(self, family):
         model = GRID_FAMILIES[family]
@@ -722,20 +727,308 @@ class TestGridKernelMatchesReference:
             assert _raw(got) == _raw(_reference_total(*args, 1e-3)), x
 
 
-def test_grid_sink_blocks_do_not_matter():
-    model = BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5))
-    cfg = PathConfig(time_step=5e-2, n_paths=40, seed=31, horizon=6.0)
-    costs = TestCostsLeavePathsAlone.COSTS
-    results = []
-    for block in (1, 7, 10 ** 9):
-        step = _GridStep(model, cfg, True, POLICY.lam, POLICY.tau, POLICY.V,
-                         POLICY.M)
-        results.append(_grid_cycles(step, cfg, POLICY.tau, True, costs,
-                                    ALPHAS, block=block))
-    assert 0 < results[0].n_partial < cfg.n_paths
-    assert results[0].fill_g[0.5].any()
-    for other in results[1:]:
-        assert _raw(other) == _raw(results[0])
+# ---------------------------------------------------------------------------
+# The blocked kernel against a plain step loop on the same draws
+# ---------------------------------------------------------------------------
+
+def _plain_step(model, reflected, policy, dt, y, w, u_ext, u_bridge, filling):
+    """(y_end, hit) of one step of one path from content y, a float at a
+    time, as a step loop takes it; u_ext and u_bridge are None for a
+    subordinator."""
+    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    if not filling:
+        w = w - M * dt
+    if not isinstance(model, BrownianDrift):
+        if filling:
+            y_end = max(y + w, 0.0) if reflected else y + w
+            return y_end, y_end >= lam
+        y_end = min(y + w, V)
+        return y_end, y_end <= tau
+    s2dt = model.sigma2 * dt
+    root = math.sqrt(w * w - 2.0 * s2dt * math.log(u_ext))
+    if filling:
+        cut = min(0.0, y + 0.5 * (w - root)) if reflected else 0.0
+        y_end, bar = y + w - cut, lam
+        reached, short = y_end >= lam, y < lam and y_end < lam
+    else:
+        cut = max(0.0, y + 0.5 * (w + root) - V)
+        y_end, bar = y + w - cut, tau
+        reached, short = y_end <= tau, y > tau and y_end > tau
+    p = (math.exp(-2.0 * max((bar - y) * (bar - y_end), 0.0) / s2dt)
+         if short else 0.0)
+    return y_end, reached or u_bridge < p
+
+
+def _plain_draws(u, K, j, c):
+    """The extremum's and the bridge's uniform of step j of column c."""
+    return (None, None) if u is None else (u[j, c], u[K + j, c])
+
+
+def _landing(model, lam, y_end):
+    if isinstance(model, BrownianDrift) and not model.has_jumps:
+        return lam
+    return max(y_end, lam) if isinstance(model, BrownianDrift) else y_end
+
+
+JUMP_DIFFUSION = GRID_FAMILIES["jump_diffusion"]
+# (model, reflected, filling, start range); a release at M = 0.5 drifts up,
+# so the cap at V acts
+BLOCK_CASES = {
+    "bm-reflected-fill": (brownian(-0.5, 2.0), True, True, (0.0, 0.5)),
+    "bm-plain-fill": (brownian(-0.5, 2.0), False, True, (0.0, 2.0)),
+    "bm-capped-release": (brownian(1.0, 2.0), False, False, (0.5, 4.0)),
+    "jump-diffusion-fill": (JUMP_DIFFUSION, True, True, (0.0, 1.0)),
+    "gamma-clipped-fill": (GammaDrift(1.0, 4.0, 2.0), True, True, (0.0, 0.5)),
+    "gamma-capped-release": (GammaDrift(1.0, 4.0, 2.0), False, False,
+                             (0.5, 4.0)),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 50), (4, 50), (50, 4), (300, 3)])
+def test_first_hit_search_matches_a_scan(shape):
+    # each shape takes its own branch of _first_true; all must give the
+    # columns that hold a True and the row of the first, as a plain scan
+    rng = np.random.default_rng(3)
+    hit = rng.random(shape) < 0.05
+    hit[:, 0] = False
+    hit[-1, 1] = True
+    want = [(j, int(np.flatnonzero(hit[:, j])[0]))
+            for j in range(shape[1]) if hit[:, j].any()]
+    cols, rows = simulate._first_true(hit)
+    assert [(int(c), int(r)) for c, r in zip(cols, rows)] == want
+
+
+@pytest.mark.parametrize("shape", [(200, 40), (3, 64)],
+                         ids=["tall", "wide"])
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_recurrence_matches_step_loop(case, shape):
+    # the running sum and running extremum of a block against a step loop
+    # on the same draws: contents to 1e-12 and the same first hit
+    model, reflected, filling, (lo, hi) = BLOCK_CASES[case]
+    K, m = shape
+    policy = PolicyParams(lam=2.0, tau=0.5, M=0.5, V=4.0)
+    cfg = PathConfig(time_step=2e-2, n_paths=m, seed=33)
+    kernel = simulate._GridKernel(model, cfg, reflected, policy.lam,
+                                  policy.tau, policy.V, policy.M)
+    y0 = np.random.default_rng(34).uniform(lo, hi, m)
+    y0[:4] = lo, hi, lo, hi
+    w, u = kernel.draws(K, m)
+    want, want_hit = np.empty((K + 1, m)), np.zeros((K, m), bool)
+    want[0] = y0
+    clipped = 0
+    for c in range(m):
+        y = y0[c]
+        for j in range(K):
+            y_end, want_hit[j, c] = _plain_step(
+                model, reflected, policy, cfg.time_step, y, w[j, c],
+                *_plain_draws(u, K, j, c), filling)
+            clipped += y_end != y + w[j, c] - (0.0 if filling
+                                               else policy.M * cfg.time_step)
+            y = want[j + 1, c] = y_end
+    Y, hit = kernel.advance(y0, w.copy(), None if u is None else u.copy(),
+                            filling)
+    assert np.abs(Y - want).max() <= 1e-12
+    first = lambda h: np.where(h.any(axis=0), h.argmax(axis=0), -1)
+    assert np.array_equal(first(hit), first(want_hit))
+    if K > 3:  # the bound acts, and paths hit, within the block
+        assert (clipped == 0) if case == "bm-plain-fill" else clipped > 10
+        assert (first(want_hit) > 0).sum() > 3
+
+
+def _recorded_draws(monkeypatch):
+    """The (w, u) of every kernel block, as drawn."""
+    blocks = []
+    draws = simulate._GridKernel.draws
+
+    def spy(self, K, m):
+        w, u = draws(self, K, m)
+        blocks.append((w.copy(), None if u is None else u.copy()))
+        return w, u
+
+    monkeypatch.setattr(simulate._GridKernel, "draws", spy)
+    return blocks
+
+
+def _replay(blocks, model, reflected, policy, dt, n_max, paths):
+    """Run each live path through its column of each recorded block, a step
+    at a time, until its first hit or the step limit.  ``paths`` holds
+    per-path lists ``y``, ``filling`` and ``k`` (steps taken); its
+    ``on_step(i, y, y_end, filling, k, hit)`` books step k of path i and
+    its ``live(i)`` says whether path i goes on after the block."""
+    live = list(range(len(paths.y)))
+    for w, u in blocks:
+        K = len(w)
+        assert w.shape[1] == len(live)
+        for c, i in enumerate(live):
+            for j in range(min(K, n_max - paths.k[i])):
+                f, y = paths.filling[i], paths.y[i]
+                y_end, hit = _plain_step(model, reflected, policy, dt, y,
+                                         w[j, c], *_plain_draws(u, K, j, c), f)
+                paths.k[i] += 1
+                paths.y[i] = y_end
+                paths.on_step(i, y, y_end, f, paths.k[i] - 1, hit)
+                if hit:
+                    break
+        live = [i for i in live if paths.live(i) and paths.k[i] < n_max]
+    assert not live
+
+
+class _CyclePaths:
+    """Per-path state of ``run_policy_cycles`` for ``_replay``."""
+
+    def __init__(self, model, policy, costs, alphas, n, t):
+        self.model, self.policy, self.costs, self.alphas = (model, policy,
+                                                            costs, alphas)
+        self.t = t
+        self.y, self.filling, self.k = [policy.tau] * n, [True] * n, [0] * n
+        self.t_fill, self.t_rel, self.state = ([math.nan] * n for _ in "abc")
+        self.g = {f: {a: [0.0] * n for a in alphas} for f in (True, False)}
+
+    def live(self, i):
+        return math.isnan(self.t_rel[i])
+
+    def on_step(self, i, y, y_end, f, k, hit):
+        p, t = self.policy, self.t
+        rate = self.costs.g if f else self.costs.g_star
+        top = min(y_end, p.lam) if f else max(y_end, p.tau)
+        dt = t[1]
+        for a in self.alphas:
+            self.g[f][a][i] += 0.5 * dt * (math.exp(-a * t[k]) * rate(y)
+                                           + math.exp(-a * t[k + 1])
+                                           * rate(top))
+        if hit and f:
+            self.t_fill[i] = t[k + 1]
+            self.state[i] = _landing(self.model, p.lam, y_end)
+            self.y[i], self.filling[i] = min(self.state[i], p.V), False
+        elif hit:
+            self.t_rel[i] = t[k + 1] - self.t_fill[i]
+
+
+def _clock(dt, n):
+    t = [0.0]
+    for _ in range(n):
+        t.append(t[-1] + dt)
+    return t
+
+
+LOOP_CASES = {
+    "brownian-reflected": (brownian(1.0, 2.0), True, 4.0),
+    "jump-diffusion-plain": (JUMP_DIFFUSION, False, 2.3),
+    "gamma-reflected": (GammaDrift(1.0, 4.0, 2.0), True, 4.0),
+}
+
+
+@pytest.mark.parametrize("block", [97, 70, None],
+                         ids=["small", "one-step-first", "default"])
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_cycle_blocks_match_step_loop(case, block, monkeypatch):
+    # mixed phases, blocks that straddle the horizon: every path books its
+    # steps up to its hit and no further, on the clock of its own steps; at
+    # a block of 70, the 40 paths take one step per block, in lock step,
+    # until 35 or fewer are left
+    model, reflected, V = LOOP_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(simulate, "_GRID_BLOCK", block)
+    blocks = _recorded_draws(monkeypatch)
+    policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+    cfg = PathConfig(time_step=2e-2, n_paths=40, seed=35, horizon=3.0)
+    costs, alphas = TestCostsLeavePathsAlone.COSTS, [0.0, 0.5]
+    got = run_policy_cycles(model, policy, costs, cfg, reflected=reflected,
+                            alphas=alphas)
+    n_max = math.ceil(cfg.horizon / cfg.time_step)
+    paths = _CyclePaths(model, policy, costs, alphas, cfg.n_paths,
+                        _clock(cfg.time_step, n_max))
+    _replay(blocks, model, reflected, policy, cfg.time_step, n_max, paths)
+    done = ~np.isnan(paths.t_rel)
+    assert 0 < got.n_partial == cfg.n_paths - done.sum()
+    assert len(blocks) > (10 if block else 1)
+    if block == 70:
+        assert len(blocks[0][0]) == 1 < max(len(w) for w, _ in blocks)
+    assert np.array_equal(got.fill_time, np.array(paths.t_fill)[done])
+    assert np.array_equal(got.release_time, np.array(paths.t_rel)[done])
+    assert np.abs(got.crossing_state
+                  - np.array(paths.state)[done]).max() <= 1e-12
+    for f, g in ((True, got.fill_g), (False, got.release_g)):
+        for a in alphas:
+            np.testing.assert_allclose(g[a], np.array(paths.g[f][a])[done],
+                                       rtol=1e-12, atol=0.0)
+
+
+class _TotalPaths:
+    """Per-path state of ``simulate_total_discounted`` for ``_replay``."""
+
+    def __init__(self, model, policy, costs, alpha, x, n, t):
+        self.model, self.policy, self.costs, self.alpha = (model, policy,
+                                                           costs, alpha)
+        self.t = t
+        p = policy
+        start = min(x, p.V)
+        self.y, self.filling, self.k = ([start] * n, [start < p.lam] * n,
+                                        [0] * n)
+        self.total = [(p.M * costs.K2 if start <= p.lam else 0.0)
+                      + (p.M * costs.K1 if start >= p.lam else 0.0)] * n
+
+    def live(self, i):
+        return True
+
+    def on_step(self, i, y, y_end, f, k, hit):
+        p, c, a, t = self.policy, self.costs, self.alpha, self.t
+        d0, d1 = math.exp(-a * t[k]), math.exp(-a * t[k + 1])
+        rate = c.g if f else c.g_star
+        top = min(y_end, p.lam) if f else max(y_end, p.tau)
+        self.total[i] += 0.5 * t[1] * (d0 * rate(y) + d1 * rate(top))
+        if not f:
+            self.total[i] -= c.R * p.M * (d0 - d1) / a
+        if hit and f:
+            self.total[i] += d1 * p.M * c.K1
+            self.y[i] = min(_landing(self.model, p.lam, y_end), p.V)
+        elif hit:
+            self.total[i] += d1 * p.M * c.K2
+            self.y[i] = p.tau
+        self.filling[i] = f != hit
+
+
+@pytest.mark.parametrize("block", [97, 70, None],
+                         ids=["small", "one-step", "default"])
+@pytest.mark.parametrize("case", LOOP_CASES)
+def test_discounted_blocks_match_step_loop(case, block, monkeypatch):
+    model, reflected, V = LOOP_CASES[case]
+    if block is not None:
+        monkeypatch.setattr(simulate, "_GRID_BLOCK", block)
+    blocks = _recorded_draws(monkeypatch)
+    policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
+    cfg = PathConfig(time_step=2e-2, n_paths=40, seed=36)
+    costs, alpha, floor = TestCostsLeavePathsAlone.COSTS, 2.0, 1e-3
+    got = simulate._total_discounted_grid(model, policy, costs, alpha, 0.5,
+                                          cfg, reflected, floor)
+    n_max = math.ceil(-math.log(floor) / alpha / cfg.time_step)
+    paths = _TotalPaths(model, policy, costs, alpha, 0.5, cfg.n_paths,
+                        _clock(cfg.time_step, n_max))
+    _replay(blocks, model, reflected, policy, cfg.time_step, n_max, paths)
+    assert len(blocks) > (10 if block else 1)
+    np.testing.assert_allclose(got, paths.total, rtol=1e-12, atol=0.0)
+
+
+def test_verify_bm_takes_few_blocks(monkeypatch):
+    # the cycles of a verify-bm report (perfbench/configs/verify_bm.json at
+    # 2,000 paths): about 1,700 steps of a step loop, in a few dozen blocks
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "configs" / "verify_bm.json").read_text())
+    calls = []
+    block = simulate._GridKernel.block
+
+    def spy(self, *args):
+        calls.append(args[0].shape)
+        return block(self, *args)
+
+    monkeypatch.setattr(simulate._GridKernel, "block", spy)
+    rec = run_policy_cycles(build_model(cfg["model"]),
+                            build_policy(cfg["policy"]),
+                            build_costs(cfg["costs"]),
+                            PathConfig(time_step=0.01, n_paths=2000, seed=7),
+                            reflected=cfg["reflected"], alphas=cfg["alphas"])
+    assert rec.n_partial == 0 and rec.n_cycles == 2000
+    assert len(calls) <= 100
 
 
 # ---------------------------------------------------------------------------
