@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exits import FillPhase, OvershootLaw, ReleasePhase
-from .models import LevyModel
+from .models import ConvergenceError, LevyModel
 from .scale import ScaleFunctionSet
+
+_BOUND_SAMPLES = 512  # equispaced points at which bound() samples a rate
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,8 @@ class PiecewisePoly:
     """Piecewise polynomial rate function, zero outside its breakpoints.
 
     ``coeffs[i]`` are ascending-power coefficients in (y - breakpoints[i]) on
-    the piece [breakpoints[i], breakpoints[i+1]).
+    the piece [breakpoints[i], breakpoints[i+1]).  ``values`` is its one
+    evaluator; ``p(y)`` calls it on a single point.
     """
 
     breakpoints: tuple
@@ -70,26 +73,14 @@ class PiecewisePoly:
             raise ValueError("coefficients must be finite")
 
     def __call__(self, y: float) -> float:
-        bps = self.breakpoints
-        if y < bps[0] or y >= bps[-1]:
-            return 0.0
-        idx = int(np.searchsorted(bps, y, side="right")) - 1
-        idx = min(idx, len(self.coeffs) - 1)
-        u = y - bps[idx]
-        val, power = 0.0, 1.0
-        for c in self.coeffs[idx]:
-            val += c * power
-            power *= u
-        return val
+        return float(self.values(y))
 
     @functools.cached_property
     def _columns(self):
         """(columns, short): coefficient columns over the pieces, padded
         with 0.0 to the longest piece, and per column after the first a
-        mask of the pieces it pads (None when it pads none).
-
-        The first column holds 0.0 + c0 * 1.0, the scalar method's first
-        partial sum, so a partial sum is never -0.0.
+        mask of the pieces it pads (None when it pads none).  The first
+        column holds 0.0 + c0 * 1.0, so a partial sum is never -0.0.
         """
         width = max(1, max(len(piece) for piece in self.coeffs))
         cols = np.zeros((width, len(self.coeffs)))
@@ -102,15 +93,16 @@ class PiecewisePoly:
         return cols, short
 
     def values(self, ys) -> np.ndarray:
-        """``self(y)`` for every entry of ``ys``, bit for bit.
+        """The rate at every entry of ``ys``, in its shape.
 
-        All pieces are summed at once from coefficient columns, each power
-        in the scalar method's order, so no Horner rounding enters.  A piece
-        with fewer coefficients adds exact zeros for the ones it lacks.
+        All pieces are summed at once from coefficient columns, powers of
+        u = y - breakpoint in ascending order (no Horner rounding); a shorter
+        piece adds exact zeros.  Every committed analytic and Monte Carlo
+        bit depends on this arithmetic: keep it as it is.
         """
         ys = np.asarray(ys, dtype=float)
         bps = self.breakpoints
-        inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN too, as __call__
+        inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN counts as inside
         cols, short = self._columns
         # the piece of each y; below the support the first, above it and at
         # NaN the last
@@ -138,10 +130,9 @@ class PiecewisePoly:
     def is_zero(self) -> bool:
         return all(c == 0.0 for piece in self.coeffs for c in piece)
 
-    def bound(self, n_samples: int = 512) -> float:
-        ys = np.linspace(self.breakpoints[0], self.breakpoints[-1], n_samples,
-                         endpoint=False)
-        return float(max(abs(self(y)) for y in ys))
+    def bound(self) -> float:
+        ys = np.linspace(*self.support, _BOUND_SAMPLES, endpoint=False)
+        return float(np.max(np.abs(self.values(ys))))
 
     @classmethod
     def constant(cls, value: float, lo: float, hi: float) -> "PiecewisePoly":
@@ -158,8 +149,9 @@ class CostSpec:
 
     ``K1`` scales the opening charge, ``K2`` the closing charge, both paid
     per unit of release rate; ``R`` is the reward per unit of output.  ``g``
-    is the maintenance rate while filling, ``g_star`` while releasing.
-    Declared bounds are checked against the sampled supremum at construction.
+    is the maintenance rate while filling, ``g_star`` while releasing.  Each
+    rate's sampled ``bound()`` must be finite and within its declared bound
+    (``g_bound``, ``g_star_bound``), if any.
     """
 
     K1: float
@@ -328,8 +320,8 @@ class PolicyEvaluator:
         else:
             c_tau, q_tau = self.cycle_cost(alpha), self.cycle_end_lt(alpha)
         if q_tau >= 1.0 - 1e-12:
-            raise ValueError("cycle transform at tau is numerically 1; "
-                             "the discounted series diverges")
+            raise ConvergenceError("cycle transform at tau is numerically 1; "
+                                   "the discounted series diverges")
         return c_x + q_x * c_tau / (1.0 - q_tau)
 
     def long_run_average(self) -> float:

@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from .models import ConvergenceError
-from .scale import LAPLACE_INVERSION, ScaleFunctionSet
+from .scale import ScaleFunctionSet
 
 
 def quad(*args, **kwargs):
@@ -397,19 +397,8 @@ def _shaped_like(x, val):
     return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
-def _rounding(s: ScaleFunctionSet) -> float:
-    """Relative rounding noise of the W and W' values of the set.
-
-    Against the Brownian closed forms, on 1e-6 <= x <= 10 at four drift,
-    variance and discount settings, Talbot inversion resolves W to 8.5e-13
-    relative; it is taken as 1e-11, for W' too, which is inverted from its
-    own transform.  The other methods evaluate to a few ulps.
-    """
-    return 1e-11 if s.method == LAPLACE_INVERSION else 1e-15
-
-
 def _potential(terms, atom, y_range, s, grade_zero=False):
-    return PotentialDensity(terms, atom, y_range, s, _rounding(s),
+    return PotentialDensity(terms, atom, y_range, s, s.rounding,
                             _infinite_activity(s), grade_zero)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from levydam.cli import (
     load_config,
     main,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def wiener_config(out_dir, **extra):
@@ -301,6 +304,24 @@ class TestEvaluate:
         assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_NUMERIC
         assert "outside [0, 1]" in capsys.readouterr().err
         assert not (tmp_path / "evaluate.json").exists()
+
+    @pytest.mark.parametrize("verb", ["evaluate", "optimize"])
+    def test_divergent_discounted_series_exits_numeric(self, tmp_path,
+                                                       capsys, verb):
+        # reflected gamma input at lambda = 10: the cycle transform at tau
+        # comes out numerically 1 at alpha = 0.5
+        cfg = json.loads((ROOT / "perfbench/configs/evaluate_gamma.json")
+                         .read_text())
+        cfg.update(reflected=True, alphas=[0.5], output={"dir": str(tmp_path)})
+        cfg["policy"].update({"lambda": 10.0, "V": 20.0})
+        cfg["sweep"] = {"lambda": 10.0, "tau": 0.5}
+        cfg["objective"] = {"criterion": "total_discounted", "alpha": 0.5}
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--quiet"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: cycle transform at tau" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{verb}.json").exists()
 
 
 def _inflate_fill_exit_mean(monkeypatch):

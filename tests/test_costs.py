@@ -1,10 +1,11 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from levydam import (
-    ConvergenceError,
     CostSpec,
     FillPhase,
     GammaDrift,
@@ -24,10 +25,29 @@ G = PiecewisePoly((0.0, 2.0), ((0.2, 0.1),))
 G_STAR = PiecewisePoly((0.5, 4.0), ((0.1, 0.05),))
 COSTS = CostSpec(K1=1.0, K2=0.5, R=0.3, g=G, g_star=G_STAR)
 ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def evaluator(model, costs=COSTS, policy=POLICY, reflected=True):
     return PolicyEvaluator(model, policy, costs, reflected=reflected)
+
+
+def scalar_rate(p, y):
+    """The rate p at one point y by the plain power loop: each c_k u^k in
+    ascending k, u^k = u^(k-1) * u, added to a sum started at 0.0.  This is
+    the reference ``PiecewisePoly.values`` must match bit for bit; it shares
+    no code with it."""
+    bps = p.breakpoints
+    if y < bps[0] or y >= bps[-1]:
+        return 0.0
+    idx = int(np.searchsorted(bps, y, side="right")) - 1
+    idx = min(idx, len(p.coeffs) - 1)
+    u = y - bps[idx]
+    val, power = 0.0, 1.0
+    for c in p.coeffs[idx]:
+        val += c * power
+        power *= u
+    return val
 
 
 class TestPolicyParams:
@@ -68,8 +88,9 @@ class TestPiecewisePoly:
             np.nextafter(p.breakpoints, -np.inf),  # just left of each
             [-3.0, -0.5000001, 4.0, 4.5, 1e9]))    # outside the support
         got = p.values(ys)
-        want = np.array([p(float(y)) for y in ys])
+        want = np.array([scalar_rate(p, float(y)) for y in ys])
         assert got.tobytes() == want.tobytes()
+        assert np.array([p(float(y)) for y in ys]).tobytes() == want.tobytes()
         # any shape, evaluated entrywise
         grid = ys[:480].reshape(80, 6)
         assert np.array_equal(p.values(grid), want[:480].reshape(80, 6))
@@ -92,8 +113,32 @@ class TestPiecewisePoly:
                              [np.nan, np.inf, -np.inf]))
         with np.errstate(over="ignore", invalid="ignore"):
             got = p.values(ys)
-        want = np.array([p(float(y)) for y in ys])
+            calls = np.array([p(float(y)) for y in ys])
+            want = np.array([scalar_rate(p, float(y)) for y in ys])
         assert got.tobytes() == want.tobytes()
+        assert calls.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("config", sorted(
+        str(path.relative_to(ROOT)) for pattern in ("configs/*.json",
+                                                    "perfbench/configs/*.json")
+        for path in ROOT.glob(pattern)))
+    def test_cost_spec_evaluates_each_rate_once(self, config, monkeypatch):
+        # the sampled bounds take one array evaluation per rate and no
+        # call on single points
+        from levydam.cli import build_costs
+        values, calls = [], []
+        array_values = PiecewisePoly.values
+
+        def spy(self, ys):
+            values.append(self)
+            return array_values(self, ys)
+
+        monkeypatch.setattr(PiecewisePoly, "values", spy)
+        monkeypatch.setattr(PiecewisePoly, "__call__",
+                            lambda self, y: calls.append(self))
+        costs = build_costs(json.loads((ROOT / config).read_text())["costs"])
+        assert [id(p) for p in values] == [id(costs.g), id(costs.g_star)]
+        assert calls == []
 
     def test_declared_bound_enforced(self):
         g = PiecewisePoly.constant(2.0, 0.0, 1.0)
@@ -257,19 +302,18 @@ class TestLongRunAverage:
         lra = ev.long_run_average()
         assert _abelian_limit(ev, POLICY.tau) == pytest.approx(lra, rel=1e-3)
 
-    @pytest.mark.xfail(strict=True, raises=(ConvergenceError, RuntimeWarning),
-                       reason="exp(p x) times cosh(q x) gives 0 * inf past "
-                              "q x = 710: needs the root-sum scale functions "
-                              "of ROADMAP item 2")
     def test_large_capacity_matches_moderate(self):
         # from lambda = 2 the release phase of drift -1 almost never climbs
-        # to V = 50, so V = 1000 must give the same average; the maintenance
-        # rate is what brings the large scale functions into the integrand
-        g = PiecewisePoly((0.0, 2000.0), ((1.0,),))
-        costs = CostSpec(1.0, 0.5, 0.2, g, g)
-        lra = [PolicyEvaluator(brownian(1.0, 1.0), PolicyParams(2.0, 0.5, 2.0, V),
-                               costs).long_run_average() for V in (50.0, 1000.0)]
-        assert lra[1] == pytest.approx(lra[0], rel=1e-9)
+        # to V = 50, so a capacity of 1000 or 2500 must give the same
+        # average; the maintenance rate, whose support reaches V, is what
+        # brings the large scale functions into the integrand
+        for model, V in ((brownian(1.0, 1.0), 1000.0), (CP, 2500.0)):
+            g = PiecewisePoly((0.0, 2.0 * V), ((1.0,),))
+            costs = CostSpec(1.0, 0.5, 0.2, g, g)
+            lra = [PolicyEvaluator(model, PolicyParams(2.0, 0.5, 2.0, cap),
+                                   costs).long_run_average()
+                   for cap in (50.0, V)]
+            assert lra[1] == pytest.approx(lra[0], rel=1e-9), model
 
 
 def _abelian_limit(ev, x):

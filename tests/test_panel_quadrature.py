@@ -38,6 +38,8 @@ from levydam import (
     potential_up_killed,
 )
 
+from test_costs import scalar_rate
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 G = PiecewisePoly((0.0, 1.0, 2.0), ((0.2, 0.1), (0.3, -0.05)))
 G_STAR = PiecewisePoly((0.5, 2.0, 4.0), ((0.1, 0.05), (0.175, -0.02)))
@@ -159,15 +161,16 @@ class RefLaw:
 def ref_fill_cost(s, x, lam, g, reflected):
     if reflected:
         dens = ref_reflected_density(s, lam)
-        val = _quad_pts(lambda y: g(y) * dens(x, y), 0.0, lam,
+        val = _quad_pts(lambda y: scalar_rate(g, y) * dens(x, y), 0.0, lam,
                         pts=g.breakpoints + (x,))
         if s.w_at_zero() > 0:
-            val += g(0.0) * s.w_at_zero() * s.w(lam - x) / s.wp(lam)
+            val += (scalar_rate(g, 0.0) * s.w_at_zero() * s.w(lam - x)
+                    / s.wp(lam))
         return val
     dens = ref_up_density(s, lam)
     lo, hi = g.support
-    return _quad_pts(lambda y: g(y) * dens(x, y), lo, min(hi, lam),
-                     pts=g.breakpoints + (x,))
+    return _quad_pts(lambda y: scalar_rate(g, y) * dens(x, y), lo,
+                     min(hi, lam), pts=g.breakpoints + (x,))
 
 
 def ref_release_cost(s_M, x, tau, V, g_star):
@@ -176,8 +179,8 @@ def ref_release_cost(s_M, x, tau, V, g_star):
     dens = ref_release_density(s_M, tau, V)
     lo, hi = g_star.support
     hi = hi if math.isinf(V) else min(hi, V)
-    return _quad_pts(lambda y: g_star(y) * dens(x, y), max(lo, tau), hi,
-                     pts=g_star.breakpoints + (x,))
+    return _quad_pts(lambda y: scalar_rate(g_star, y) * dens(x, y),
+                     max(lo, tau), hi, pts=g_star.breakpoints + (x,))
 
 
 def ref_cycle_cost(s, s_M, law, policy, costs, alpha, reflected):

@@ -41,6 +41,8 @@ from levydam.simulate import (
     simulate_total_discounted,
 )
 
+from test_costs import scalar_rate
+
 ZERO = CostSpec(0.0, 0.0, 0.0, PiecewisePoly.zero(), PiecewisePoly.zero())
 POLICY = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=4.0)
 
@@ -282,7 +284,7 @@ def _segment_integrals_reference(g, y0, slope, t0, duration, alphas, out,
         ys = y0 - slope * ts
         if stick_at_zero:
             ys = np.maximum(ys, 0.0)
-        gs = np.array([g(y) for y in ys])
+        gs = np.array([scalar_rate(g, y) for y in ys])
         for a in alphas:
             damp = np.exp(-a * (t0 + ts)) if a else 1.0
             out[a] += half * float(np.dot(_GL_WEIGHTS, gs * damp))
@@ -893,9 +895,9 @@ class _CyclePaths:
         top = min(y_end, p.lam) if f else max(y_end, p.tau)
         dt = t[1]
         for a in self.alphas:
-            self.g[f][a][i] += 0.5 * dt * (math.exp(-a * t[k]) * rate(y)
-                                           + math.exp(-a * t[k + 1])
-                                           * rate(top))
+            self.g[f][a][i] += 0.5 * dt * (
+                math.exp(-a * t[k]) * scalar_rate(rate, y)
+                + math.exp(-a * t[k + 1]) * scalar_rate(rate, top))
         if hit and f:
             self.t_fill[i] = t[k + 1]
             self.state[i] = _landing(self.model, p.lam, y_end)
@@ -976,7 +978,8 @@ class _TotalPaths:
         d0, d1 = math.exp(-a * t[k]), math.exp(-a * t[k + 1])
         rate = c.g if f else c.g_star
         top = min(y_end, p.lam) if f else max(y_end, p.tau)
-        self.total[i] += 0.5 * t[1] * (d0 * rate(y) + d1 * rate(top))
+        self.total[i] += 0.5 * t[1] * (d0 * scalar_rate(rate, y)
+                                       + d1 * scalar_rate(rate, top))
         if not f:
             self.total[i] -= c.R * p.M * (d0 - d1) / a
         if hit and f:
