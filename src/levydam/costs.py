@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exits import FillPhase, OvershootLaw, ReleasePhase
+from .exits import FillPhase, OvershootLaw, ReleasePhase, _checked_transform
 from .models import ConvergenceError, LevyModel
 from .scale import ScaleFunctionSet
 
@@ -265,12 +265,14 @@ class PolicyEvaluator:
         return self.fill_exit_mean() + self.mean_release_time()
 
     def cycle_end_lt(self, alpha: float, x: float | None = None) -> float:
-        """E_x[exp(-alpha T)], T the end of the first cycle."""
+        """E_x[exp(-alpha T)], T the end of the first cycle; a value
+        outside [0, 1] raises ``ConvergenceError``."""
         x = self._start(x)
         if x > self.policy.lam:
             return self._release(alpha).exit_lt(x)
         law = self._fill(alpha).overshoot_law(x)
-        return law.expectation(self._release(alpha).exit_lt, self.policy.V)
+        q = law.expectation(self._release(alpha).exit_lt, self.policy.V)
+        return _checked_transform(q, "cycle end transform")
 
     def cycle_cost(self, alpha: float, x: float | None = None) -> float:
         """Expected discounted cost of the first cycle started at x.
@@ -297,7 +299,7 @@ class PolicyEvaluator:
         q_fill = fill.exit_lt(x)
         law = fill.overshoot_law(x)
         release = self._release(alpha)
-        q_cycle = law.expectation(release.exit_lt, p.V)
+        q_cycle = self.cycle_end_lt(alpha, x)
         fill_cost = fill.cost(x, c.g)
         rel = law.expectation(lambda z: release.cost(z, c.g_star), p.V,
                               c.g_star.breakpoints)

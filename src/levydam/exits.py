@@ -16,7 +16,8 @@ and overshoot formulas:
 The cycle functionals in ``costs`` are expectations of release-phase
 quantities under the fill phase's overshoot law.  Costs and overshoot laws
 integrate against the potential densities of the killed processes
-(``potential_*``, the two-sided one for direct use).
+(``potential_*``, the two-sided one for direct use), which share one form:
+left(x) right(y) / norm - W(y - x) on a range of levels y.
 
 Functions are pure; the discount rate is the one carried by the scale set.
 
@@ -296,28 +297,54 @@ def _unit(ys):
 class PotentialDensity:
     """Discounted occupation density of a killed content process.
 
-    The absolutely continuous part is the difference of two terms,
-    ``terms(x, y) -> (t1, t2)`` for broadcasting arrays of start states x
-    and levels y, both zero outside ``y_range``; ``values(x, y)`` is
-    t1 - t2 and ``density(x, y)`` one value of it.  ``atom_at_zero(x)`` is
-    the weight of the atom at 0 (reflected fill phase only, nonzero for
-    bounded variation input).  ``rounding`` is the relative rounding noise
-    of the terms: no integral is refined below rounding * (|t1| + |t2|).
-    Integrals split at the start state, where W(y - x) starts; under jumps
-    of infinite activity, where W has unbounded slope at 0+ (and W' at 0+
-    is unbounded), ``graded`` grades them toward the start state and, with
-    ``grade_zero`` (the reflected potential), toward 0.  ``max_quad_error``
-    is the largest error estimate of its integrals so far.
+    Every potential here has one form (Kuznetsov, Kyprianou and Rivero
+    2012, sections 2-3): on ``y_range``, closed but for the end
+    ``killed_at`` (if any) where the process is killed on arrival, the
+    density from x at y is t1 - t2 with t1 = left(x) right(y) / norm and
+    t2 = W(y - x), W of ``scale_set``.  ``terms(x, y) -> (t1, t2)`` takes
+    broadcasting arrays of start states and levels, both terms zero outside
+    the range; ``values(x, y)`` is t1 - t2 and ``density(x, y)`` one value
+    of it.  The ``reflected`` potential of bounded variation input has an
+    atom at 0, ``atom_at_zero(x)`` = W(0+) left(x) / norm; else that is
+    None.  ``rounding`` is the scale set's: no integral is refined below
+    rounding * (|t1| + |t2|).  Integrals split at the start state, where
+    W(y - x) starts; under jumps of infinite activity, where W has
+    unbounded slope at 0+ (and W' at 0+ is unbounded), they are ``graded``
+    toward the start state and, when reflected, toward 0.
+    ``max_quad_error`` is the largest error estimate of its integrals so
+    far.
     """
 
-    terms: Callable
-    atom_at_zero: Callable | None
+    left: Callable
+    right: Callable
+    norm: float
     y_range: tuple
     scale_set: ScaleFunctionSet = field(repr=False)
-    rounding: float = 0.0
-    graded: bool = False
-    grade_zero: bool = False
+    killed_at: float | None = None
+    reflected: bool = False
     max_quad_error: float = field(default=0.0, repr=False)
+
+    def __post_init__(self):
+        self.rounding = self.scale_set.rounding
+        self.graded = _infinite_activity(self.scale_set)
+
+    @property
+    def atom_at_zero(self) -> Callable | None:
+        # built on each access: kept on self, it would make a reference cycle
+        w0 = self.scale_set.w_at_zero()
+        if not self.reflected or w0 == 0.0:
+            return None
+        return lambda x: w0 * self.left(x) / self.norm
+
+    def terms(self, x, y):
+        lo, hi = self.y_range
+        yc = np.clip(y, lo, hi)
+        out = ((np.less_equal if lo == self.killed_at else np.less)(y, lo)
+               | (np.greater_equal if hi == self.killed_at else np.greater)(y, hi))
+        # the product first: where it overflows the integral raises, where
+        # dividing first gave a finite wrong value (ROADMAP item 2)
+        return (np.where(out, 0.0, self.left(x) * self.right(yc) / self.norm),
+                np.where(out, 0.0, self.scale_set.w(yc - x)))
 
     def values(self, x, y):
         t1, t2 = self.terms(x, y)
@@ -362,7 +389,7 @@ class PotentialDensity:
             return ()
         x = np.clip(x, y_lo, y_hi)
         cuts = (_dyadic(x, y_hi - x, _START_GRADE_DEPTH),)
-        if self.grade_zero and y_lo <= 0.0 < y_hi:
+        if self.reflected and y_lo <= 0.0 < y_hi:
             cuts += (_dyadic(0.0, y_hi, _START_GRADE_DEPTH),)
         return cuts
 
@@ -376,20 +403,13 @@ class PotentialDensity:
                 "of them is implemented")
         tail = 0.0
         if math.isinf(y_lo):
-            s = self.scale_set
-            eta = s.eta_alpha
+            eta = self.scale_set.eta_alpha
             if eta <= 0.0:
                 return math.inf
-            # below x the density is W(lam-x) e^{-eta (lam - y)} exactly
-            lam = y_hi
-            tail = s.w(lam - x) * math.exp(-eta * (lam - x)) / eta
+            # below x the up-killed density is W(lam - x) e^{-eta (lam - y)}
+            tail = self.left(x) * math.exp(-eta * (y_hi - x)) / eta
             y_lo = x
         return self.integrate(x, _unit, y_lo, y_hi) + tail
-
-
-def _max_quad_error(pot: PotentialDensity | None) -> float:
-    """The potential's largest error estimate, 0 before it is built."""
-    return 0.0 if pot is None else pot.max_quad_error
 
 
 def _shaped_like(x, val):
@@ -397,37 +417,21 @@ def _shaped_like(x, val):
     return float(val[0]) if np.ndim(x) == 0 else val.reshape(np.shape(x))
 
 
-def _potential(terms, atom, y_range, s, grade_zero=False):
-    return PotentialDensity(terms, atom, y_range, s, s.rounding,
-                            _infinite_activity(s), grade_zero)
-
-
 def potential_two_sided(s: ScaleFunctionSet, a: float, lam: float) -> PotentialDensity:
     """Potential of the plain input killed on leaving [a, lam]."""
     if a >= lam:
         raise ValueError("need a < lam")
-    w, denom = s.w, s.w(lam - a)
-
-    def terms(x, y):
-        yc = np.clip(y, a, lam)
-        out = (y < a) | (y > lam)
-        return (np.where(out, 0.0, w(lam - x) * w(yc - a) / denom),
-                np.where(out, 0.0, w(yc - x)))
-
-    return _potential(terms, None, (a, lam), s)
+    w = s.w
+    return PotentialDensity(lambda x: w(lam - x), lambda y: w(y - a),
+                            w(lam - a), (a, lam), s)
 
 
 def potential_up_killed(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
     """Potential of the plain input killed at first passage above lam."""
     w, eta = s.w, s.eta_alpha
-
-    def terms(x, y):
-        yc = np.minimum(y, lam)
-        out = y > lam
-        return (np.where(out, 0.0, w(lam - x) * np.exp(-eta * (lam - yc))),
-                np.where(out, 0.0, w(yc - x)))
-
-    return _potential(terms, None, (-math.inf, lam), s)
+    return PotentialDensity(lambda x: w(lam - x),
+                            lambda y: np.exp(-eta * (lam - y)), 1.0,
+                            (-math.inf, lam), s)
 
 
 def potential_reflected(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
@@ -439,21 +443,9 @@ def potential_reflected(s: ScaleFunctionSet, lam: float) -> PotentialDensity:
     """
     if lam <= 0:
         raise ValueError("need lam > 0")
-    w, wp = s.w, s.wp
-    wp_lam = wp(lam)
-    w0 = s.w_at_zero()
-
-    def terms(x, y):
-        yc = np.clip(y, 0.0, lam)
-        out = (y < 0) | (y >= lam)
-        return (np.where(out, 0.0, w(lam - x) * wp(yc) / wp_lam),
-                np.where(out, 0.0, w(yc - x)))
-
-    def atom(x):
-        return w0 * w(lam - x) / wp_lam
-
-    return _potential(terms, atom if w0 > 0 else None, (0.0, lam), s,
-                      grade_zero=True)
+    w = s.w
+    return PotentialDensity(lambda x: w(lam - x), s.wp, s.wp(lam), (0.0, lam),
+                            s, killed_at=lam, reflected=True)
 
 
 def potential_release(s_M: ScaleFunctionSet, tau: float, V: float) -> PotentialDensity:
@@ -465,25 +457,13 @@ def potential_release(s_M: ScaleFunctionSet, tau: float, V: float) -> PotentialD
     """
     if tau >= V:
         raise ValueError("need tau < V")
-    w, z = s_M.w, s_M.z
-    eta = s_M.eta_alpha
-
+    w, z, eta = s_M.w, s_M.z, s_M.eta_alpha
     if math.isinf(V):
-        def terms(x, y):
-            yc = np.maximum(y, tau)
-            out = y <= tau
-            return (np.where(out, 0.0, np.exp(-eta * (x - tau)) * w(yc - tau)),
-                    np.where(out, 0.0, w(yc - x)))
+        left, norm = (lambda x: np.exp(-eta * (x - tau))), 1.0
     else:
-        z_denom = z(V - tau)
-
-        def terms(x, y):
-            yc = np.clip(y, tau, V)
-            out = (y <= tau) | (y > V)
-            return (np.where(out, 0.0, z(V - x) * w(yc - tau) / z_denom),
-                    np.where(out, 0.0, w(yc - x)))
-
-    return _potential(terms, None, (tau, V), s_M)
+        left, norm = (lambda x: z(V - x)), z(V - tau)
+    return PotentialDensity(left, lambda y: w(y - tau), norm, (tau, V), s_M,
+                            killed_at=tau)
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +495,6 @@ def _checked_mean(val, what: str):
 def _require_zero_alpha(s):
     if s.alpha != 0.0:
         raise ValueError("expected means require a scale set built at alpha = 0")
-
-
-def _check_release_args(x, tau, V) -> np.ndarray:
-    if tau >= V:
-        raise ValueError("need tau < V")
-    xs = np.asarray(x, dtype=float).ravel()
-    if not np.all((tau <= xs) & (xs <= V)):
-        raise ValueError("need tau <= x <= V")
-    return xs
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +538,17 @@ class OvershootLaw:
     sitting exactly at the threshold.  ``graded`` grades the z panels
     toward the threshold, where the density of input with jumps of infinite
     activity is unbounded.  ``max_quad_error`` is the largest error
-    estimate of the law's integrals so far, the density's included.
+    estimate of the law's integrals so far, the density's included.  The
+    mass above a level is computed once per level and kept.
     """
 
-    x: float
     lam: float
-    alpha: float
     density: Callable
     atom_at_lambda: float
     z_cut: float
     graded: bool = False
     _quad_error: float = field(default=0.0, repr=False)
+    _above: dict = field(default_factory=dict, repr=False)
 
     @property
     def max_quad_error(self) -> float:
@@ -618,14 +589,16 @@ class OvershootLaw:
         return self.integrate(_unit, lo, hi)
 
     def mass_above(self, v: float) -> float:
-        return self.density_mass(lo=v)
+        if v not in self._above:
+            self._above[v] = self.density_mass(lo=v)
+        return self._above[v]
 
     def total_mass(self) -> float:
         return self.atom_at_lambda + self.density_mass()
 
 
 def _crossing_density(pot: PotentialDensity, x: float, lam: float,
-                      nu: Callable, cut: float, graded: bool) -> Callable:
+                      nu: Callable, cut: float) -> Callable:
     """z -> integral U(x, dy) nu(z - y), the density of the state at the
     first jump above lam, for an array of distinct z in (lam, lam + cut).
 
@@ -661,7 +634,7 @@ def _crossing_density(pot: PotentialDensity, x: float, lam: float,
     def build():
         probes = lam + cut * 0.5 ** np.arange(0, 2 * _GRADE_DEPTH + 1, 2)
         cuts = [x, 0.0, *pot.grading(x, y_lo, lam)]
-        if graded:
+        if pot.graded:
             # every z - lam down to the law's finest z panels sees panels
             # no wider than their distance from its layer at lam
             cuts.append(_dyadic(lam, -span, 2 * _GRADE_DEPTH + 8))
@@ -725,10 +698,9 @@ def _overshoot_law(s: ScaleFunctionSet, x: float, lam: float,
     """
     measure = s.model.measure
     cut = measure.tail_quantile(_TAIL_EPS)
-    graded = _infinite_activity(s)
     density = _PointValues(_crossing_density(pot, x, lam, measure.density,
-                                             cut, graded))
-    law = OvershootLaw(x, lam, s.alpha, density, 0.0, lam + cut, graded)
+                                             cut))
+    law = OvershootLaw(lam, density, 0.0, lam + cut, pot.graded)
     if s.model.sigma2 > 0.0:
         law.atom_at_lambda = max(transform - law.density_mass(), 0.0)
     # bounded variation input cannot creep upward: the transform equals the
@@ -768,6 +740,12 @@ class FillPhase:
                          else potential_up_killed)(self.s, self.lam)
         return self._pot
 
+    def _ratio(self) -> tuple:
+        """(c, d) of the transform Z(y) - W(y) alpha c / d and the mean
+        W(y) c / d - Wbar(y), y = lam - x: (W(lam), W'(lam)) or (1, eta)."""
+        s, lam = self.s, self.lam
+        return (s.w(lam), s.wp(lam)) if self.reflected else (1.0, s.eta_alpha)
+
     def exit_lt(self, x: float) -> float:
         """E_x[exp(-alpha T)], T the end of the fill.
 
@@ -781,16 +759,14 @@ class FillPhase:
         s, lam, alpha = self.s, self.lam, self.s.alpha
         if x >= lam:
             return 1.0
-        if self.reflected:
-            if alpha == 0.0:
-                return 1.0
-            val = s.z(lam - x) - s.w(lam - x) * alpha * s.w(lam) / s.wp(lam)
-        elif alpha == 0.0:
-            if s.eta_alpha > 0.0:
-                return 1.0
-            val = 1.0 - float(s.model.phi_prime(0.0)) * s.w(lam - x)
+        y = lam - x
+        if alpha > 0.0:
+            c, d = self._ratio()
+            val = s.z(y) - s.w(y) * alpha * c / d
+        elif self.reflected or s.eta_alpha > 0.0:
+            return 1.0
         else:
-            val = s.z(lam - x) - (alpha / s.eta_alpha) * s.w(lam - x)
+            val = 1.0 - float(s.model.phi_prime(0.0)) * s.w(y)
         if val == 0.0:
             raise ConvergenceError(
                 f"fill exit transform = 0.0 from x = {x!r} < lam = {lam!r}, "
@@ -806,12 +782,11 @@ class FillPhase:
         s, lam = self.s, self.lam
         if x >= lam:
             return 0.0
-        if self.reflected:
-            val = s.w(lam - x) * s.w(lam) / s.wp(lam) - s.wbar(lam - x)
-        elif s.eta_alpha <= 0.0:
+        if not self.reflected and s.eta_alpha <= 0.0:
             return math.inf
-        else:
-            val = s.w(lam - x) / s.eta_alpha - s.wbar(lam - x)
+        c, d = self._ratio()
+        y = lam - x
+        val = s.w(y) * c / d - s.wbar(y)
         return _checked_mean(val, "fill exit mean")
 
     def overshoot_law(self, x: float) -> OvershootLaw:
@@ -831,31 +806,22 @@ class FillPhase:
             raise ValueError("need x <= lam")
         transform = self.exit_lt(x)
         if x == lam or not s.model.has_jumps:
-            return OvershootLaw(x, lam, s.alpha, _zero_density, transform, lam)
+            return OvershootLaw(lam, _zero_density, transform, lam)
         return _overshoot_law(s, x, lam, self._potential(), transform)
 
     @property
     def max_quad_error(self) -> float:
         """The largest error estimate of the integrals of its potential and
         its kept laws."""
-        kept = [law.max_quad_error for law in self._laws.values()]
-        return max(kept + [_max_quad_error(self._pot)])
+        pot = 0.0 if self._pot is None else self._pot.max_quad_error
+        return max([pot] + [law.max_quad_error for law in self._laws.values()])
 
     def cost(self, x, g):
         """Expected discounted integral of the rate g(content) until the end
         of the fill; x is a float or an array of start states of any shape,
         g a ``PiecewisePoly``."""
         xs = np.asarray(x, dtype=float).ravel()
-        out = np.zeros(xs.size)
-        below = xs < self.lam
-        if below.any() and not g.is_zero:
-            if self.reflected:
-                lo, hi = 0.0, self.lam
-            else:
-                lo, hi = g.support[0], min(g.support[1], self.lam)
-            out[below] = self._potential().integrate(xs[below], g.values, lo,
-                                                     hi, g.breakpoints)
-        return _shaped_like(x, out)
+        return _shaped_like(x, _cost(self._potential, xs, xs < self.lam, g))
 
 
 class ReleasePhase:
@@ -869,6 +835,8 @@ class ReleasePhase:
     """
 
     def __init__(self, s_M: ScaleFunctionSet, tau: float, V: float):
+        if tau >= V:
+            raise ValueError("need tau < V")
         self.s = s_M
         self.tau = tau
         self.V = V
@@ -882,10 +850,13 @@ class ReleasePhase:
     @property
     def max_quad_error(self) -> float:
         """The largest error estimate of its potential's integrals."""
-        return _max_quad_error(self._pot)
+        return 0.0 if self._pot is None else self._pot.max_quad_error
 
     def _starts(self, z) -> np.ndarray:
-        return _check_release_args(np.minimum(z, self.V), self.tau, self.V)
+        zs = np.minimum(np.asarray(z, dtype=float), self.V).ravel()
+        if not np.all(self.tau <= zs):
+            raise ValueError("need tau <= z")
+        return zs
 
     def exit_lt(self, z):
         """E_z[exp(-alpha T)], T the end of the release."""
@@ -920,13 +891,17 @@ class ReleasePhase:
     def cost(self, z, g_star):
         """Expected discounted integral of the rate g_star(content) until
         the end of the release; g_star is a ``PiecewisePoly``."""
-        tau, V = self.tau, self.V
         zs = self._starts(z)
-        out = np.zeros(zs.size)
-        above = zs > tau
-        if above.any() and not g_star.is_zero:
-            lo, hi = g_star.support
-            hi = hi if math.isinf(V) else min(hi, V)
-            out[above] = self._potential().integrate(
-                zs[above], g_star.values, max(lo, tau), hi, g_star.breakpoints)
-        return _shaped_like(z, out)
+        return _shaped_like(z, _cost(self._potential, zs, zs > self.tau,
+                                     g_star))
+
+
+def _cost(potential: Callable, xs: np.ndarray, live: np.ndarray, g) -> np.ndarray:
+    """Integrals of the rate g over its support, clipped to the range of
+    ``potential()``, from the start states xs where ``live``; 0 elsewhere."""
+    out = np.zeros(xs.size)
+    if live.any() and not g.is_zero:
+        lo, hi = g.support
+        out[live] = potential().integrate(xs[live], g.values, lo, hi,
+                                          g.breakpoints)
+    return out

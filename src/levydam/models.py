@@ -61,11 +61,6 @@ class ExponentialJumps:
     def rate(self) -> float:
         return 1.0 / self.mean
 
-    def laplace(self, theta):
-        """E[exp(-theta J)], valid for complex theta with Re(theta) > -rate."""
-        b = self.rate
-        return b / (b + theta)
-
     def mean_exp(self, theta):
         """E[J exp(-theta J)]."""
         b = self.rate

@@ -309,7 +309,7 @@ class TestEvaluate:
     def test_divergent_discounted_series_exits_numeric(self, tmp_path,
                                                        capsys, verb):
         # reflected gamma input at lambda = 10: the cycle transform at tau
-        # comes out numerically 1 at alpha = 0.5
+        # comes out as 82.3 at alpha = 0.5, outside [0, 1]
         cfg = json.loads((ROOT / "perfbench/configs/evaluate_gamma.json")
                          .read_text())
         cfg.update(reflected=True, alphas=[0.5], output={"dir": str(tmp_path)})
@@ -319,7 +319,8 @@ class TestEvaluate:
         path = write_config(tmp_path, cfg)
         assert main([verb, "--config", path, "--quiet"]) == EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "numerical failure: cycle transform at tau" in err
+        assert "numerical failure: cycle end transform" in err
+        assert "outside [0, 1]" in err
         assert "Traceback" not in err
         assert not (tmp_path / f"{verb}.json").exists()
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from levydam import (
+    ConvergenceError,
     CostSpec,
     FillPhase,
     GammaDrift,
@@ -272,6 +273,34 @@ class TestTotalDiscounted:
         more = evaluator(CP, bumped).total_discounted(0.5, 0.5)
         assert more > base + 1e-6
 
+    def test_cycle_transform_of_one_raises(self, monkeypatch):
+        # in range, but the geometric series over cycles would diverge
+        monkeypatch.setattr(PolicyEvaluator, "cycle_end_lt",
+                            lambda self, alpha, x=None: 1.0 - 1e-13)
+        with pytest.raises(ConvergenceError, match="numerically 1"):
+            evaluator(CP).total_discounted(0.5)
+
+    @pytest.mark.xfail(
+        strict=True, raises=ConvergenceError,
+        reason="the release potential's Z(V - x) W(y - tau) overflows, and "
+               "exp itself where eta V > 709: needs the bounded interface of "
+               "ROADMAP item 8 and the root sums of item 2")
+    @pytest.mark.parametrize("V", [1000.0, 2500.0])
+    @pytest.mark.parametrize("model", [brownian(1.0, 1.0), CP],
+                             ids=["brownian", "compound_poisson"])
+    def test_large_capacity_matches_moderate(self, model, V):
+        # the discounted twin of the long-run test below: from lambda = 2
+        # the release phase of drift -1 almost never climbs to V = 50, so a
+        # larger capacity must give the same cost; dividing by Z(V - tau)
+        # first is no remedy, it returns -1.09e153 for Brownian input here
+        g = PiecewisePoly((0.0, 5000.0), ((1.0,),))
+        costs = CostSpec(1.0, 0.5, 0.2, g, g)
+        with np.errstate(all="ignore"):
+            vals = [PolicyEvaluator(model, PolicyParams(2.0, 0.5, 2.0, cap),
+                                    costs).total_discounted(0.5)
+                    for cap in (50.0, V)]
+        assert vals[1] == pytest.approx(vals[0], rel=1e-6)
+
 
 class TestLongRunAverage:
     def test_all_zero(self):
@@ -460,6 +489,29 @@ class TestEvaluatorSharing:
         # the same z nodes again: no density value is computed twice
         assert law.density_mass() == first
         assert len(points) == n_first
+
+    def test_verify_integrates_the_mass_above_capacity_once_per_law(self):
+        # the lump at V of each law's expectations is one integral per
+        # (law, V); it was recomputed on every expectation, 7 integrals on
+        # 2 pairs per report of this config
+        from collections import Counter
+
+        from levydam import OvershootLaw
+        from levydam.cli import cmd_verify
+
+        cfg = json.loads((ROOT / "perfbench/configs/verify_cp.json").read_text())
+        above = Counter()
+        real = OvershootLaw.density_mass
+
+        def counting(self, lo=None, hi=None):
+            if lo is not None:
+                above[(id(self), lo)] += 1
+            return real(self, lo, hi)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(OvershootLaw, "density_mass", counting)
+            cmd_verify(cfg, paths=1200)
+        assert above and set(above.values()) == {1}, above
 
     @pytest.mark.parametrize("config, n_laws", [
         ("compound_poisson", 2),  # one per discount rate: 0 and 0.5

@@ -152,6 +152,107 @@ class TestPotentials:
         assert abs(occ.mean() - analytic) < 3.0 * se + 2e-3
 
 
+def reference_terms(kind, s, *ends):
+    """The terms (t1, t2) of each potential as four separate closures, one
+    per potential, in the arithmetic ``PotentialDensity.terms`` must keep
+    bit for bit."""
+    w, wp, z, eta = s.w, s.wp, s.z, s.eta_alpha
+    if kind == "two_sided":
+        a, lam = ends
+        denom = w(lam - a)
+
+        def terms(x, y):
+            yc = np.clip(y, a, lam)
+            out = (y < a) | (y > lam)
+            return (np.where(out, 0.0, w(lam - x) * w(yc - a) / denom),
+                    np.where(out, 0.0, w(yc - x)))
+    elif kind == "up_killed":
+        (lam,) = ends
+
+        def terms(x, y):
+            yc = np.minimum(y, lam)
+            out = y > lam
+            return (np.where(out, 0.0, w(lam - x) * np.exp(-eta * (lam - yc))),
+                    np.where(out, 0.0, w(yc - x)))
+    elif kind == "reflected":
+        (lam,) = ends
+        wp_lam = wp(lam)
+
+        def terms(x, y):
+            yc = np.clip(y, 0.0, lam)
+            out = (y < 0) | (y >= lam)
+            return (np.where(out, 0.0, w(lam - x) * wp(yc) / wp_lam),
+                    np.where(out, 0.0, w(yc - x)))
+    elif math.isinf(ends[1]):
+        tau = ends[0]
+
+        def terms(x, y):
+            yc = np.maximum(y, tau)
+            out = y <= tau
+            return (np.where(out, 0.0, np.exp(-eta * (x - tau)) * w(yc - tau)),
+                    np.where(out, 0.0, w(yc - x)))
+    else:
+        tau, V = ends
+        z_denom = z(V - tau)
+
+        def terms(x, y):
+            yc = np.clip(y, tau, V)
+            out = (y <= tau) | (y > V)
+            return (np.where(out, 0.0, z(V - x) * w(yc - tau) / z_denom),
+                    np.where(out, 0.0, w(yc - x)))
+    return terms
+
+
+class TestPotentialTerms:
+    """``PotentialDensity.terms``, one form for every potential, equals the
+    four hand-written closures it replaced byte for byte: every committed
+    report depends on their arithmetic."""
+
+    MODELS = {
+        "brownian": brownian(1.0, 2.0),
+        "compound_poisson": compound_poisson_exp(2.0, 1.0, 1.0),
+        "gamma": GammaDrift(1.0, 3.0, 2.0),
+        "inverse_gaussian": InverseGaussianDrift(1.0, 1.0, 2.0),
+    }
+
+    @staticmethod
+    def around(*ends):
+        """Points on both sides of every finite end, and at it."""
+        pts = [e + d for e in ends if math.isfinite(e)
+               for d in (-0.7, -1e-9, 0.0, 1e-9, 0.7)]
+        return np.array(sorted(set(pts)))
+
+    @pytest.mark.parametrize("model", list(MODELS))
+    def test_terms_equal_the_closures_they_replaced(self, model):
+        m = self.MODELS[model]
+        s = ScaleFunctionSet(m, 0.5)
+        s_M = ScaleFunctionSet(m.shifted(2.0), 0.5)
+        cases = [
+            ("two_sided", potential_two_sided(s, 0.5, 2.0), s, (0.5, 2.0)),
+            ("up_killed", potential_up_killed(s, 2.0), s, (2.0,)),
+            ("reflected", potential_reflected(s, 2.0), s, (2.0,)),
+            ("release", potential_release(s_M, 0.5, 4.0), s_M, (0.5, 4.0)),
+            ("release", potential_release(s_M, 0.5, math.inf), s_M,
+             (0.5, math.inf)),
+        ]
+        for kind, pot, scale_set, ends in cases:
+            ref = reference_terms(kind, scale_set, *ends)
+            pts = self.around(0.0, *ends)
+            if kind == "reflected":
+                starts = pts[(pts >= 0.0) & (pts <= 2.0)]
+            elif kind == "release":
+                starts = pts[pts >= 0.5]
+            else:
+                starts = pts
+            x, y = np.meshgrid(starts, pts, indexing="ij")
+            calls = [(x, y)] + [(float(x0), y[0]) for x0 in starts]
+            for xa, ya in calls:
+                for got, want in zip(pot.terms(xa, ya), ref(xa, ya)):
+                    got, want = np.asarray(got), np.asarray(want)
+                    assert got.shape == want.shape, (kind, model)
+                    assert got.tobytes() == want.tobytes(), (kind, model, xa)
+
+
 class TestExitTransforms:
     def test_wiener_transform_unit_variance_form(self):
         # sigma2 = 1: exp((delta - mu)(x - lam))
@@ -285,13 +386,24 @@ class TestReleasePhase:
 
 
 class TestOvershootLaws:
-    def test_memorylessness_of_exponential_jumps(self):
-        s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.0)
-        law = FillPhase(s, 2.0, False).overshoot_law(0.5)
-        zs = np.array([2.1, 2.6, 3.4, 4.5])
-        dens = np.array([law.density(z) for z in zs])
-        ratios = dens / np.exp(-(zs - 2.0))
-        assert np.max(np.abs(ratios / ratios[0] - 1.0)) < 1e-6
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("reflected", [False, True],
+                             ids=["plain", "reflected"])
+    @pytest.mark.parametrize("model, rate", [
+        (compound_poisson_exp(2.0, 1.0, 1.0), 1.0),
+        (BrownianDrift(0.5, 1.0, 0.8, ExponentialJumps(0.5)), 2.0),
+    ], ids=["compound_poisson", "jump_diffusion"])
+    def test_memorylessness_of_exponential_jumps(self, model, rate, reflected,
+                                                 alpha):
+        # with exponential jumps of rate c the jump crossing forgets where
+        # it started: the density part of the law, over its mass, is
+        # c e^{-c (z - lam)} whatever the start, the fill and the discount
+        law = FillPhase(ScaleFunctionSet(model, alpha), 2.0,
+                        reflected).overshoot_law(0.5)
+        over = np.array([1e-6, 1e-3, 0.1, 0.5, 1.0, 2.0, 4.0, 8.0])
+        shape = law.density(2.0 + over) / law.density_mass()
+        want = rate * np.exp(-rate * over)
+        assert np.max(np.abs(shape / want - 1.0)) < 1e-12
 
     def test_total_mass_matches_exit_transform_plain(self):
         s = ScaleFunctionSet(compound_poisson_exp(2.0, 1.0, 1.0), 0.3)
@@ -429,6 +541,20 @@ class TestRangeGuards:
             ev.fill_exit_lt(0.5)
         with pytest.raises(ConvergenceError, match="finite positive mean"):
             ev.fill_exit_mean()
+
+    def test_composed_transforms_raise_for_gamma_at_lam_10(self):
+        # the reflected gamma fill transform is 0.28125 here (exact 2.12e-3),
+        # inside [0, 1]; composed with the overshoot law and the release it
+        # came out as a cycle transform of 82.3 and a cycle cost of 100.0
+        costs = CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                         PiecewisePoly.zero())
+        ev = PolicyEvaluator(GammaDrift(1.0, 3.0, 2.0),
+                             PolicyParams(10.0, 0.5, 2.0, 20.0), costs,
+                             reflected=True)
+        with pytest.raises(ConvergenceError, match="cycle end transform"):
+            ev.cycle_end_lt(0.5)
+        with pytest.raises(ConvergenceError, match="cycle end transform"):
+            ev.cycle_cost(0.5)
 
     def test_in_range_values_pass_unchanged(self):
         ev = self.evaluator(5.0)
