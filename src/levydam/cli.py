@@ -352,8 +352,7 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
             "mc_mean": est.mean,
             "mc_std_error": est.std_error,
             "z": z,
-            "pass": bool(abs(analytic - est.mean)
-                         <= tol_se * est.std_error + 1e-12),
+            "pass": bool(est.agrees_with(analytic, tol_se)),
         })
 
     if not starved:

@@ -52,8 +52,9 @@ class PiecewisePoly:
     """Piecewise polynomial rate function, zero outside its breakpoints.
 
     ``coeffs[i]`` are ascending-power coefficients in (y - breakpoints[i]) on
-    the piece [breakpoints[i], breakpoints[i+1]).  ``values`` is its one
-    evaluator; ``p(y)`` calls it on a single point.
+    the piece [breakpoints[i], breakpoints[i+1]).  A piece with an infinite
+    end must be constant.  ``values`` is its one evaluator; ``p(y)`` calls it
+    on a single point.
     """
 
     breakpoints: tuple
@@ -71,26 +72,43 @@ class PiecewisePoly:
             raise ValueError("need one coefficient list per piece")
         if not all(math.isfinite(c) for piece in cfs for c in piece):
             raise ValueError("coefficients must be finite")
+        if any(any(cfs[i][1:]) for i in self._infinite_ends):
+            raise ValueError("a piece with an infinite end must be constant")
+
+    @property
+    def _infinite_ends(self) -> list:
+        """The indices of the pieces with an infinite end."""
+        bps = self.breakpoints
+        return [i for i, b in ((0, bps[0]), (-1, bps[-1])) if math.isinf(b)]
 
     def __call__(self, y: float) -> float:
         return float(self.values(y))
 
     @functools.cached_property
     def _columns(self):
-        """(columns, short): coefficient columns over the pieces, padded
-        with 0.0 to the longest piece, and per column after the first a
-        mask of the pieces it pads (None when it pads none).  The first
-        column holds 0.0 + c0 * 1.0, so a partial sum is never -0.0.
+        """(columns, short, origins): coefficient columns over the pieces,
+        padded with 0.0 to the longest piece; per column after the first a
+        mask of the pieces it pads (None when it pads none); and each
+        piece's origin of u, its left end.  A piece with an infinite end
+        keeps its constant only, so every column after the first pads it,
+        and its origin is NaN: its powers are NaN, raise no warning however
+        far y lies, and are dropped.  The first column holds 0.0 + c0 * 1.0,
+        so a partial sum is never -0.0.
         """
-        width = max(1, max(len(piece) for piece in self.coeffs))
-        cols = np.zeros((width, len(self.coeffs)))
-        for i, piece in enumerate(self.coeffs):
+        pieces = list(self.coeffs)
+        for i in self._infinite_ends:
+            pieces[i] = pieces[i][:1]
+        width = max(1, max(len(piece) for piece in pieces))
+        cols = np.zeros((width, len(pieces)))
+        for i, piece in enumerate(pieces):
             cols[:len(piece), i] = piece
         cols[0] = 0.0 + cols[0] * 1.0
-        lengths = np.array([len(piece) for piece in self.coeffs])
+        lengths = np.array([len(piece) for piece in pieces])
         short = [None if (lengths > k).all() else lengths <= k
                  for k in range(1, width)]
-        return cols, short
+        origins = np.array(self.breakpoints[:-1])
+        origins[self._infinite_ends] = np.nan
+        return cols, short, origins
 
     def values(self, ys) -> np.ndarray:
         """The rate at every entry of ``ys``, in its shape.
@@ -103,14 +121,14 @@ class PiecewisePoly:
         ys = np.asarray(ys, dtype=float)
         bps = self.breakpoints
         inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN counts as inside
-        cols, short = self._columns
+        cols, short, origins = self._columns
         # the piece of each y; below the support the first, above it and at
         # NaN the last
         idx = np.searchsorted(bps[1:-1], ys, side="right")
         val = cols[0][idx]
         if len(cols) > 1:
             # u = 0 outside the support, so no power overflows there
-            u = np.where(inside, ys - np.take(bps, idx), 0.0)
+            u = np.where(inside, ys - origins[idx], 0.0)
             power = u
             for k, (col, pad) in enumerate(zip(cols[1:], short)):
                 if k:
@@ -131,8 +149,14 @@ class PiecewisePoly:
         return all(c == 0.0 for piece in self.coeffs for c in piece)
 
     def bound(self) -> float:
-        ys = np.linspace(*self.support, _BOUND_SAMPLES, endpoint=False)
-        return float(np.max(np.abs(self.values(ys))))
+        """The largest |rate|: sampled at equispaced points from the first
+        finite breakpoint to the last, and the constant of each piece with
+        an infinite end."""
+        finite = [b for b in self.breakpoints if math.isfinite(b)] or [0.0]
+        ys = np.linspace(finite[0], finite[-1], _BOUND_SAMPLES, endpoint=False)
+        ends = [abs(c) for i in self._infinite_ends for c in self.coeffs[i][:1]]
+        return float(np.max(np.abs(self.values(ys)),
+                            initial=max(ends, default=0.0)))
 
     @classmethod
     def constant(cls, value: float, lo: float, hi: float) -> "PiecewisePoly":

@@ -476,8 +476,8 @@ def _checked_transform(val, what: str):
     bad = ~((arr >= 0.0) & (arr <= 1.0 + _TRANSFORM_SLACK))
     if bad.any():
         raise ConvergenceError(
-            f"{what} = {arr[bad].flat[0]!r} lies outside [0, 1]: the scale "
-            "functions lose precision at these thresholds")
+            f"{what} = {float(arr[bad].flat[0])} lies outside [0, 1]: the "
+            "scale functions lose precision at these thresholds")
     return val
 
 
@@ -487,8 +487,8 @@ def _checked_mean(val, what: str):
     bad = ~(np.isfinite(arr) & (arr > 0.0))
     if bad.any():
         raise ConvergenceError(
-            f"{what} = {arr[bad].flat[0]!r} is not a finite positive mean: "
-            "the scale functions lose precision at these thresholds")
+            f"{what} = {float(arr[bad].flat[0])} is not a finite positive "
+            "mean: the scale functions lose precision at these thresholds")
     return val
 
 

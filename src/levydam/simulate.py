@@ -586,10 +586,7 @@ class _GridKernel:
             cut += Y[:-1]
             if offset:
                 cut -= offset
-            if lo > -math.inf:
-                np.maximum(lo, cut, out=cut)
-            if hi < math.inf:
-                np.minimum(hi, cut, out=cut)
+            _clip(cut, lo, hi)
             if K > 1:  # the cut to date; over one step it is the step's
                 cut *= sign
                 cut = sign * _scan(np.maximum, cut, cut[1:])
@@ -610,22 +607,18 @@ class _GridKernel:
 
     def block(self, y, filling, k, n_max):
         """Take the live paths one block on, from contents y in phases
-        ``filling`` and step counts k below ``n_max``: an int while all
-        paths have taken the same steps, as in one-step blocks, else an
-        array.  Returns (y_end, groups, ended, k): each path's content after
-        its last used step; per phase, (phase, cols, Y, pos, used): its
-        columns (a slice when all), Y from ``advance`` and the columns, by
-        position, that use fewer than K steps, with their steps; the paths
-        whose last used step hit their barrier; and k.
+        ``filling`` and step counts k, an array, below ``n_max``.  Returns
+        (y_end, groups, ended, k): each path's content after its last used
+        step; per phase, (phase, cols, Y, pos, used): its columns (a slice
+        when all), Y from ``advance`` and the columns, by position, whose
+        steps are given, with those steps (any other column uses all K);
+        the paths whose last used step hit their barrier; and the step
+        counts after the block.
         """
         m = len(y)
-        lock = isinstance(k, int)
-        K = min(max(1, _GRID_BLOCK // m),
-                n_max - (k if lock else int(k.min())))
-        if lock and K > 1:
-            k, lock = np.full(m, k), False
+        K = min(max(1, _GRID_BLOCK // m), n_max - int(k.min()))
         w, u = self.draws(K, m)
-        limit = not lock and int(k.max()) + K > n_max  # some reach n_max
+        limit = int(k.max()) + K > n_max  # some reach n_max
         n_fill = int(np.count_nonzero(filling))
         y_end, groups, stops, ended = np.empty(m), [], [], []
         for phase, n in ((True, n_fill), (False, m - n_fill)):
@@ -646,10 +639,8 @@ class _GridKernel:
                 steps[ix] = first + 1
                 pos = (steps < K).nonzero()[0]
                 used = steps[pos]
-            elif K > 1:
+            else:
                 pos, used = ix, first + 1
-            else:  # every path uses the one step
-                pos = used = ix[:0]
             if len(pos):
                 Y[K, pos] = Y[used, pos]
             groups.append((phase, cols, Y, pos, used))
@@ -662,8 +653,7 @@ class _GridKernel:
             ended.append(ix)
         k = k + K
         for at, used in stops:
-            if len(at):  # never in lock step
-                k[at] += used - K
+            k[at] += used - K
         return y_end, groups, np.concatenate(ended), k
 
     def stopped(self, y_end, filling: bool):
@@ -690,7 +680,7 @@ class _Clock:
     def __call__(self, k, a=None):
         """t_k, or e^{-a t_k} at the discount rate a, at step counts k."""
         have = len(self.t)
-        top = k if isinstance(k, int) else int(k.max(initial=0))
+        top = int(k.max(initial=0))
         if top >= have:
             new = np.cumsum(np.concatenate(([self.t[-1]], np.full(
                 max(top + 1, 2 * have) - have, self.dt))))[1:]
@@ -706,11 +696,6 @@ def _booked(rows, pos, used):
         rows[:, pos] = np.where(np.arange(len(rows))[:, None] < used,
                                 rows[:, pos], 0.0)
     return rows
-
-
-def _at(k, ix):
-    """The step counts of the live paths ix: k itself while all share it."""
-    return k if isinstance(k, int) else k[ix]
 
 
 def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
@@ -734,7 +719,7 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
     # live paths: their indices, contents, phases and step counts
     orig, y = np.arange(n), np.full(n, float(start))
     fill = np.full(n, bool(filling))
-    k = 0
+    k = np.zeros(n, np.intp)
 
     # per-path records, indexed by path
     t_fill, release_time, cross = np.zeros((3, n))
@@ -747,7 +732,7 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
         for phase, cols, Y, pos, used in groups:
             if phase in rates:
                 values = rates[phase].values(kernel.stopped(Y, phase))
-                at = _at(k0, cols) + np.arange(len(Y))[:, None]
+                at = k0[cols] + np.arange(len(Y))[:, None]
                 pid = orig[cols]
                 for a in alphas:  # each step's 0.5 dt (d0 g(y0) + d1 g(y1))
                     both = clock(at, a) * values if a else values
@@ -756,7 +741,7 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
         crossed, finished = ix[fill[ix]], ix[~fill[ix]]
         if len(crossed):
             pid = orig[crossed]
-            t_fill[pid] = clock(_at(k, crossed))
+            t_fill[pid] = clock(k[crossed])
             cross[pid] = state = kernel.landing(y[crossed])
             if fill_only:
                 finished = crossed
@@ -765,17 +750,15 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
                 fill[crossed] = False
         if len(finished):
             pid = orig[finished]
-            release_time[pid] = clock(_at(k, finished)) - t_fill[pid]
+            release_time[pid] = clock(k[finished]) - t_fill[pid]
             for a in alphas:
                 e_fill[a][pid] = np.exp(-a * t_fill[pid])
-                e_cycle[a][pid] = clock(_at(k, finished), a)
+                e_cycle[a][pid] = clock(k[finished], a)
             done[pid] = True
-        if len(finished) or np.max(k) >= n_max:
-            live = (np.full(len(y), k < n_max) if isinstance(k, int)
-                    else k < n_max)
+        if len(finished) or k.max() >= n_max:
+            live = k < n_max
             live[finished] = False
-            orig, y, fill = orig[live], y[live], fill[live]
-            k = k if isinstance(k, int) else k[live]
+            orig, y, fill, k = orig[live], y[live], fill[live], k[live]
     return _records(done, t_fill, release_time, cross, e_fill, e_cycle,
                     integrals[True], integrals[False], kernel.M)
 
@@ -917,8 +900,7 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
 
     Each path's total takes, step by step, its maintenance integral, its
     release reward and its charges as they fall due, in that order, until
-    its steps reach the floor.  A step ends where the next one starts unless
-    the path changes phase, so a block's last rate is the next one's first.
+    its steps reach the floor.
     """
     lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
     n, dt = config.n_paths, config.time_step
@@ -933,27 +915,22 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
     # above the opening charge, at time 0
     out = np.full(n, (M * costs.K2 if start <= lam else 0.0)
                   + (M * costs.K1 if start >= lam else 0.0))
-    # live paths: their indices, totals, contents, phases, step counts and
-    # rates; a fill from the threshold has length zero: the valve opens
+    # live paths: their indices, totals, contents, phases and step counts;
+    # a fill from the threshold has length zero: the valve opens
     orig = np.arange(n)
     totals = out.copy()
     y = np.full(n, float(start))
-    filling = bool(start < lam)
-    fill = np.full(n, filling)
-    k = 0
-    level = rates[filling].values(y) if filling in rates else np.zeros(n)
+    fill = np.full(n, start < lam)
+    k = np.zeros(n, np.intp)
 
     while len(y):
         k0 = k
         y, groups, ix, k = kernel.block(y, fill, k, n_max)
         for phase, cols, Y, pos, used in groups:
-            d = clock(_at(k0, cols) + np.arange(len(Y))[:, None], alpha)
+            d = clock(k0[cols] + np.arange(len(Y))[:, None], alpha)
             parts = []
             if phase in rates:
-                values = np.empty(Y.shape)
-                values[0] = level[cols]
-                values[1:] = rates[phase].values(kernel.stopped(Y[1:], phase))
-                level[cols] = values[-1]
+                values = rates[phase].values(kernel.stopped(Y, phase))
                 values *= d
                 parts.append(0.5 * dt * (values[:-1] + values[1:]))
             if not phase:
@@ -967,20 +944,15 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
         opened, closed = ix[fill[ix]], ix[~fill[ix]]
         # the valve opens: pay the opening charge, and release from the
         # capped state
-        totals[opened] += clock(_at(k, opened), alpha) * M * costs.K1
+        totals[opened] += clock(k[opened], alpha) * M * costs.K1
         y[opened] = np.minimum(kernel.landing(y[opened]), V)
         # the cycle ends: pay the next closing charge, and fill from tau
-        totals[closed] += clock(_at(k, closed), alpha) * M * costs.K2
+        totals[closed] += clock(k[closed], alpha) * M * costs.K2
         y[closed] = tau
         fill[ix] = ~fill[ix]
-        for phase, moved in ((False, opened), (True, closed)):
-            if phase in rates:
-                level[moved] = rates[phase].values(y[moved])
-        if np.max(k) >= n_max:
-            live = (np.full(len(y), k < n_max) if isinstance(k, int)
-                    else k < n_max)
+        if k.max() >= n_max:
+            live = k < n_max
             out[orig[~live]] = totals[~live]
-            orig, totals, y, fill, level = (
-                v[live] for v in (orig, totals, y, fill, level))
-            k = k if isinstance(k, int) else k[live]
+            orig, totals, y, fill, k = (
+                v[live] for v in (orig, totals, y, fill, k))
     return out

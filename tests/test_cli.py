@@ -136,6 +136,9 @@ BAD_VALUES = [
     ("verify", "verification.horizon", "100"),
     ("evaluate", "costs.g_bound", "1"),
     ("evaluate", "costs.g_star_bound", "1"),
+    # a rate piece with an infinite end must be constant
+    ("evaluate", "costs.g", {"breakpoints": [0.0, math.inf],
+                             "coeffs": [[0.1, 0.2]]}),
     # non-finite numbers
     ("evaluate", "policy.lambda", math.inf),
     ("verify", "policy.lambda", math.inf),
@@ -302,7 +305,9 @@ class TestEvaluate:
         cfg["policy"] = {"lambda": 20.0, "tau": 0.5, "M": 2.0, "V": 40.0}
         path = write_config(tmp_path, cfg)
         assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_NUMERIC
-        assert "outside [0, 1]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outside [0, 1]" in err
+        assert "np.float64" not in err
         assert not (tmp_path / "evaluate.json").exists()
 
     @pytest.mark.parametrize("verb", ["evaluate", "optimize"])
@@ -321,6 +326,7 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "numerical failure: cycle end transform" in err
         assert "outside [0, 1]" in err
+        assert "np.float64" not in err
         assert "Traceback" not in err
         assert not (tmp_path / f"{verb}.json").exists()
 

@@ -77,6 +77,11 @@ class TestPiecewisePoly:
             PiecewisePoly((0.0, 1.0), ((math.inf,),))
         with pytest.raises(ValueError, match="strictly increasing"):
             PiecewisePoly((0.0, math.nan), ((1.0,),))
+        for bps, cfs in (((0.0, math.inf), ((1.0, 0.5),)),
+                         ((-math.inf, 0.0, 1.0), ((2.0, 1.0), (1.0,))),
+                         ((-math.inf, math.inf), ((1.0, 0.0, 1e-3),))):
+            with pytest.raises(ValueError, match="infinite end must be"):
+                PiecewisePoly(bps, cfs)
 
     def test_array_values_equal_scalar_calls(self):
         p = PiecewisePoly((-0.5, 0.3, 1.0, 2.25, 4.0),
@@ -140,6 +145,31 @@ class TestPiecewisePoly:
         costs = build_costs(json.loads((ROOT / config).read_text())["costs"])
         assert [id(p) for p in values] == [id(costs.g), id(costs.g_star)]
         assert calls == []
+
+    def test_bound_takes_the_finite_pieces_beside_an_infinite_one(self):
+        # 5.0 on [0, 1), 0.2 on [1, inf)
+        g = PiecewisePoly((0.0, 1.0, math.inf), ((5.0,), (0.2,)))
+        assert g.bound() == 5.0
+        with pytest.raises(ValueError, match="declared bound"):
+            CostSpec(0.0, 0.0, 0.0, g, PiecewisePoly.zero(), g_bound=1.0)
+
+    def test_bounded_rate_with_an_infinite_left_end_accepted(self):
+        # 2.0 on (-inf, 0), 1 + y on [0, 1): bounded by 2
+        g = PiecewisePoly((-math.inf, 0.0, 1.0), ((2.0,), (1.0, 1.0)))
+        assert g.bound() == 2.0
+        CostSpec(0.0, 0.0, 0.0, g, PiecewisePoly.zero(), g_bound=2.0)
+
+    def test_constant_piece_with_an_infinite_end_reads_its_constant(self):
+        left = PiecewisePoly((-math.inf, 0.0, 1.0), ((2.0, 0.0), (1.0, 1.0)))
+        assert left(-5.0) == 2.0
+        assert left.values([-1e300, -5.0, -1e-300]).tolist() == [2.0] * 3
+        # no power of the distance to a breakpoint overflows
+        right = PiecewisePoly((0.0, 1.0, math.inf),
+                              ((1.0, 1.0, 1.0), (3.0, 0.0, 0.0)))
+        assert right.values([1.0, 7.0, 1e300]).tolist() == [3.0] * 3
+        both = PiecewisePoly((-math.inf, math.inf), ((0.5, 0.0),))
+        assert both.values([-1e300, 0.0, 1e300]).tolist() == [0.5] * 3
+        assert both.bound() == 0.5
 
     def test_declared_bound_enforced(self):
         g = PiecewisePoly.constant(2.0, 0.0, 1.0)
