@@ -209,6 +209,19 @@ def build_costs(spec: dict, path: str = "costs") -> CostSpec:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _check_rate_ranges(costs: CostSpec, reflected: bool, V: float):
+    """Refuse a rate that is nonzero on an infinite piece where its phase's
+    content is unbounded too: below the threshold in a plain fill, and
+    above tau in a release with unlimited capacity.  The engine integrates
+    a rate over finite ranges only."""
+    if not reflected and costs.g.support[0] == -math.inf:
+        raise ConfigError("costs.g: a plain fill needs a rate that is 0 on "
+                          "its infinite lower piece")
+    if math.isinf(V) and costs.g_star.support[1] == math.inf:
+        raise ConfigError("costs.g_star: unlimited capacity needs a rate that "
+                          "is 0 on its infinite upper piece")
+
+
 def _alphas(cfg: dict) -> list:
     alphas = cfg.get("alphas", [])
     if not isinstance(alphas, list) or any(
@@ -216,7 +229,8 @@ def _alphas(cfg: dict) -> list:
             or not 0 <= a < math.inf for a in alphas):
         raise ConfigError("alphas: expected a list of finite nonnegative "
                           "numbers")
-    return [float(a) for a in alphas]
+    # a repeated rate would be computed and checked again
+    return list(dict.fromkeys(float(a) for a in alphas))
 
 
 _VERIFICATION_KEYS = {"n_paths", "seed", "tolerance_se", "time_step",
@@ -265,6 +279,7 @@ def cmd_evaluate(cfg: dict) -> dict:
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = _typed(cfg.get("reflected", True), bool, "reflected")
+    _check_rate_ranges(costs, reflected, policy.V)
     alphas = _alphas(cfg)
     ev = PolicyEvaluator(model, policy, costs, reflected=reflected)
 
@@ -322,6 +337,7 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     policy = build_policy(_need(cfg, "policy", dict, "config"))
     costs = build_costs(_need(cfg, "costs", dict, "config"))
     reflected = _typed(cfg.get("reflected", True), bool, "reflected")
+    _check_rate_ranges(costs, reflected, policy.V)
     alphas = [a for a in _alphas(cfg) if a > 0]
     block = cfg.get("verification")
     if not isinstance(block, dict):
@@ -456,6 +472,7 @@ def cmd_optimize(cfg: dict) -> dict:
     base = _need(cfg, "policy", dict, "config")
     M = _need(base, "M", float, "policy")
     V = _capacity(base, "policy")
+    _check_rate_ranges(costs, reflected, V)
     sweep = _need(cfg, "sweep", dict, "config")
     lam_axis = _axis(sweep.get("lambda", base.get("lambda")), "sweep.lambda")
     tau_axis = _axis(sweep.get("tau", base.get("tau")), "sweep.tau")
@@ -463,59 +480,50 @@ def cmd_optimize(cfg: dict) -> dict:
     refine_rounds = _typed(sweep.get("refine_rounds", 2), _COUNT,
                            "sweep.refine_rounds")
 
-    cache: dict[tuple, float] = {}
-    rows = []
+    rows: dict[tuple, float] = {}
     best_key, best_val = None, math.inf
 
     def visit(lam, tau):
-        """Evaluate a point once, list it and keep the argmin."""
+        """Evaluate and list a feasible point the first time it comes, and
+        keep the argmin."""
         nonlocal best_key, best_val
         key = (round(lam, 12), round(tau, 12))
-        if key not in cache:
-            policy = PolicyParams(lam=lam, tau=tau, M=M, V=V)
-            cache[key] = float(objective(policy))
-        val = cache[key]
-        rows.append({"lambda": key[0], "tau": key[1], "objective": val})
+        if key in rows or not (
+                0 <= tau < lam <= V
+                and lam_axis[0] - 1e-12 <= lam <= lam_axis[-1] + 1e-12
+                and tau_axis[0] - 1e-12 <= tau <= tau_axis[-1] + 1e-12):
+            return
+        val = rows[key] = float(objective(PolicyParams(lam=lam, tau=tau,
+                                                       M=M, V=V)))
         # lexicographic tie break on (lambda, tau)
         if val < best_val - 1e-15 or (abs(val - best_val) <= 1e-15
                                       and (best_key is None or key < best_key)):
             best_key, best_val = key, val
 
-    feasible = [(lam, tau) for lam in lam_axis for tau in tau_axis
-                if 0 <= tau < lam <= V]
-    if not feasible:
+    for lam in lam_axis:
+        for tau in tau_axis:
+            visit(lam, tau)
+    if not rows:
         raise ConfigError("sweep: no grid point satisfies 0 <= tau < lambda <= V")
-    for lam, tau in feasible:
-        visit(lam, tau)
 
     h_lam = lam_axis[1] - lam_axis[0] if len(lam_axis) > 1 else 0.0
     h_tau = tau_axis[1] - tau_axis[0] if len(tau_axis) > 1 else 0.0
     for _ in range(refine_rounds):
-        h_lam *= 0.5
-        h_tau *= 0.5
+        h_lam, h_tau = 0.5 * h_lam, 0.5 * h_tau
         if h_lam == 0.0 and h_tau == 0.0:
             break
         lam0, tau0 = best_key
-        lam_c = [lam0 + k * h_lam for k in (-1, 0, 1)] if h_lam else [lam0]
-        tau_c = [tau0 + k * h_tau for k in (-1, 0, 1)] if h_tau else [tau0]
-        for lam in lam_c:
-            for tau in tau_c:
-                if not (0 <= tau < lam <= V):
-                    continue
-                if not (lam_axis[0] - 1e-12 <= lam <= lam_axis[-1] + 1e-12):
-                    continue
-                if tau_axis.size > 1 and not (
-                        tau_axis[0] - 1e-12 <= tau <= tau_axis[-1] + 1e-12):
-                    continue
+        for lam in (lam0 - h_lam, lam0, lam0 + h_lam):
+            for tau in (tau0 - h_tau, tau0, tau0 + h_tau):
                 visit(lam, tau)
 
-    rows.sort(key=lambda r: (r["lambda"], r["tau"]))
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "optimize",
         "objective": obj_name,
         "reflected": reflected,
-        "grid": rows,
+        "grid": [{"lambda": lam, "tau": tau, "objective": val}
+                 for (lam, tau), val in sorted(rows.items())],
         "argmin": {"lambda": best_key[0], "tau": best_key[1],
                    "objective": best_val},
     }

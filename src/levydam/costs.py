@@ -142,7 +142,12 @@ class PiecewisePoly:
 
     @property
     def support(self):
-        return self.breakpoints[0], self.breakpoints[-1]
+        """(lo, hi) outside which the rate is 0: the first and last
+        breakpoints, less a piece with an infinite end whose constant is 0."""
+        bps, cfs = self.breakpoints, self.coeffs
+        lo = bps[1] if math.isinf(bps[0]) and not any(cfs[0]) else bps[0]
+        hi = bps[-2] if math.isinf(bps[-1]) and not any(cfs[-1]) else bps[-1]
+        return lo, hi
 
     @property
     def is_zero(self) -> bool:

@@ -61,14 +61,6 @@ class ExponentialJumps:
     def rate(self) -> float:
         return 1.0 / self.mean
 
-    def mean_exp(self, theta):
-        """E[J exp(-theta J)]."""
-        b = self.rate
-        return b / (b + theta) ** 2
-
-    def tail(self, x):
-        return np.exp(-self.rate * np.maximum(x, 0.0))
-
     def density(self, x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 0, self.rate * np.exp(-self.rate * x), 0.0)
@@ -90,26 +82,26 @@ class ExponentialJumps:
 class LevyMeasure:
     """Jump measure nu on (0, inf).
 
-    ``density`` is the Levy density (every family has one), ``tail`` maps
-    x to nu([x, inf)), ``mu`` is the first moment ``int_0^inf x nu(dx)``
-    and ``total`` is the total mass (inf for infinite activity).
-    ``one_minus_exp`` evaluates
+    ``density`` is the Levy density (every family has one), ``tail_bound``
+    maps x > 0 to an upper bound on the tail nu([x, inf)), elementary for
+    every family and exact for compound Poisson jumps, and ``total`` is the
+    total mass (inf for infinite activity).  ``one_minus_exp`` evaluates
     ``int (1 - exp(-theta x)) nu(dx)`` and ``x_mean_exp`` evaluates
     ``int x exp(-theta x) nu(dx)``; both accept complex theta.
     """
 
     density: Callable
-    tail: Callable
-    mu: float
+    tail_bound: Callable
     total: float
     one_minus_exp: Callable
     x_mean_exp: Callable
 
     def tail_quantile(self, eps: float) -> float:
-        """Smallest x = 2^k, k >= 0, with nu([x, inf)) < eps."""
+        """Smallest x = 2^k, k >= 0, with tail_bound(x) < eps, so that the
+        jumps of size x or more have mass below eps."""
         x = 1.0
         for _ in range(200):
-            if float(self.tail(x)) < eps:
+            if float(self.tail_bound(x)) < eps:
                 return x
             x *= 2.0
         raise ConvergenceError("levy measure tail does not decay below %g" % eps)
@@ -121,30 +113,28 @@ def _compound_poisson_measure(rate: float, jumps) -> LevyMeasure:
     if not isinstance(jumps, ExponentialJumps):
         raise ValueError("jump sizes must be ExponentialJumps, got "
                          f"{type(jumps).__name__}")
+    b = jumps.rate
     return LevyMeasure(
         density=lambda x: rate * jumps.density(x),
-        tail=lambda x: rate * jumps.tail(x),
-        mu=rate * jumps.mean,
+        tail_bound=lambda x: rate * np.exp(-b * x),
         total=rate,
         # 1 - b / (b + th) as th / (b + th), which does not cancel at small th
-        one_minus_exp=lambda th: rate * th / (jumps.rate + th),
-        x_mean_exp=lambda th: rate * jumps.mean_exp(th),
+        one_minus_exp=lambda th: rate * th / (b + th),
+        x_mean_exp=lambda th: rate * (b / (b + th) ** 2),
     )
 
 
 def _gamma_measure(a: float, b: float) -> LevyMeasure:
-    """nu(dx) = a * exp(-b x) / x dx on (0, inf)."""
+    """nu(dx) = a * exp(-b x) / x dx on (0, inf).
+
+    Its tail a E1(b x) is bounded by a exp(-b x) / (b x), as E1(z) <
+    exp(-z) / z (Abramowitz and Stegun 5.1.19).
+    """
     if a <= 0 or b <= 0:
         raise ValueError("gamma measure needs a > 0 and b > 0")
-
-    def tail(x):
-        from scipy import special  # loaded here only: start-up stays numpy alone
-        return a * special.exp1(b * np.asarray(x, dtype=float))
-
     return LevyMeasure(
         density=lambda x: a * np.exp(-b * x) / x,
-        tail=tail,
-        mu=a / b,
+        tail_bound=lambda x: a * np.exp(-b * x) / (b * x),
         total=math.inf,
         one_minus_exp=lambda th: a * np.log1p(th / b),
         x_mean_exp=lambda th: a / (b + th),
@@ -152,18 +142,15 @@ def _gamma_measure(a: float, b: float) -> LevyMeasure:
 
 
 def _inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
-    """nu(dx) = (2 pi x^3)^{-1/2} sigma^{-1} exp(-x c^2 / (2 sigma^2)) dx."""
+    """nu(dx) = (2 pi x^3)^{-1/2} sigma^{-1} exp(-x c^2 / (2 sigma^2)) dx.
+
+    With q = c^2 / (2 sigma^2), its tail is bounded by exp(-q x) /
+    (q x^{3/2} sigma sqrt(2 pi)), as y^{-3/2} <= x^{-3/2} on [x, inf).
+    """
     if sigma <= 0 or c <= 0:
         raise ValueError("inverse Gaussian measure needs sigma > 0 and c > 0")
     q = c * c / (2.0 * sigma * sigma)
-
-    def tail(x):
-        from scipy import special  # loaded here only: start-up stays numpy alone
-        x = np.asarray(x, dtype=float)
-        # int_x^inf y^{-3/2} exp(-q y) dy = 2 (exp(-q x)/sqrt(x) - sqrt(pi q) erfc(sqrt(q x)))
-        val = 2.0 * (np.exp(-q * x) / np.sqrt(x)
-                     - math.sqrt(math.pi * q) * special.erfc(np.sqrt(q * x)))
-        return val / (sigma * math.sqrt(2.0 * math.pi))
+    scale = sigma * math.sqrt(2.0 * math.pi)
 
     def one_minus_exp(th):
         # (sqrt(c^2 + 2 sigma^2 th) - c) / sigma^2, which cancels where
@@ -179,8 +166,7 @@ def _inverse_gaussian_measure(sigma: float, c: float) -> LevyMeasure:
 
     return LevyMeasure(
         density=lambda x: np.exp(-q * x) / (sigma * np.sqrt(2.0 * math.pi * x ** 3)),
-        tail=tail,
-        mu=1.0 / c,
+        tail_bound=lambda x: np.exp(-q * x) / (q * x ** 1.5 * scale),
         total=math.inf,
         one_minus_exp=one_minus_exp,
         x_mean_exp=x_mean_exp,

@@ -221,6 +221,52 @@ class TestAtomicJumps:
         assert not out.exists()
 
 
+# rates with an infinite piece: (key, rate, V); g's lower piece lies in the
+# plain fill's range (-inf, lambda], g_star's upper piece in the release
+# range (tau, inf) when V is unlimited
+INFINITE_PIECES = {
+    "g_nonzero_below": ("g", {"breakpoints": [-math.inf, 0.0, 2.0],
+                              "coeffs": [[0.3], [0.1]]}, 4.0),
+    "g_star_nonzero_above": ("g_star", {"breakpoints": [0.0, 4.0, math.inf],
+                                        "coeffs": [[0.05], [0.2]]}, None),
+}
+
+
+class TestInfiniteRatePieces:
+    @pytest.mark.parametrize("case", INFINITE_PIECES)
+    @pytest.mark.parametrize("verb", ["evaluate", "verify", "optimize"])
+    def test_nonzero_piece_on_unbounded_range_rejected(self, tmp_path,
+                                                       capsys, verb, case):
+        # the engine integrates over finite ranges only: such a rate is a
+        # config error before any work, not a traceback
+        key, rate, V = INFINITE_PIECES[case]
+        out = tmp_path / "out"
+        cfg = all_verbs_config(out)
+        cfg["costs"][key] = rate
+        cfg["policy"]["V"] = V
+        path = write_config(tmp_path, cfg)
+        assert main([verb, "--config", path, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: costs.{key}: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["evaluate", "optimize"])
+    def test_zero_infinite_piece_adds_nothing(self, tmp_path, verb):
+        # g is 0.1 on [0, 2) either way: the reports are the same bytes
+        reports = []
+        for name, g in (
+                ("finite", {"breakpoints": [0.0, 2.0], "coeffs": [[0.1]]}),
+                ("infinite", {"breakpoints": [-math.inf, 0.0, 2.0],
+                              "coeffs": [[0.0], [0.1]]})):
+            cfg = all_verbs_config(tmp_path / name)
+            cfg["costs"]["g"] = g
+            path = write_config(tmp_path, cfg, name=f"{name}.json")
+            assert main([verb, "--config", path, "--quiet"]) == EXIT_OK
+            reports.append((tmp_path / name / f"{verb}.json").read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestEvaluate:
     def test_wiener_exit_mean_field(self, tmp_path):
         report = cmd_evaluate(wiener_config(tmp_path))
@@ -396,6 +442,13 @@ class TestVerify:
         m2 = r2["checks"][0]["mc_mean"]
         assert m1 != m2
 
+    def test_repeated_alpha_checked_once(self):
+        cfg = load_config(str(ROOT / "configs/compound_poisson.json"))
+        cfg["alphas"] = [0.5, 0.5]
+        names = [c["quantity"] for c in cmd_verify(cfg, paths=300)["checks"]]
+        assert len(set(names)) == len(names)
+        assert sum(name.endswith("[alpha=0.5]") for name in names) == 3
+
     def test_total_discounted_check_opt_in(self, tmp_path):
         cfg = wiener_config(tmp_path)
         cfg["alphas"] = [1.0]
@@ -469,6 +522,13 @@ class TestOptimize:
         assert abs(fine["argmin"]["lambda"] - coarse["argmin"]["lambda"]) <= 0.5
         assert abs(fine["argmin"]["tau"] - coarse["argmin"]["tau"]) <= 0.3
         assert fine["argmin"]["objective"] <= coarse["argmin"]["objective"] + 1e-12
+
+    def test_each_policy_listed_once(self, tmp_path):
+        # every refine round comes back to the incumbent
+        report = cmd_optimize(self.sweep_config(tmp_path, refine_rounds=2))
+        points = [(r["lambda"], r["tau"]) for r in report["grid"]]
+        assert len(points) > 9
+        assert len(set(points)) == len(points)
 
     def test_shared_scale_sets_change_no_byte(self, tmp_path, monkeypatch):
         import levydam.cli as cli

@@ -171,6 +171,15 @@ class TestPiecewisePoly:
         assert both.values([-1e300, 0.0, 1e300]).tolist() == [0.5] * 3
         assert both.bound() == 0.5
 
+    def test_support_leaves_out_a_zero_infinite_piece(self):
+        # 0 on (-inf, 0) adds nothing; 0.2 on [1, inf) may reach inf
+        g = PiecewisePoly((-math.inf, 0.0, 1.0, math.inf),
+                          ((0.0,), (5.0,), (0.2,)))
+        assert g.support == (0.0, math.inf)
+        g = PiecewisePoly((-math.inf, 0.0, 1.0, math.inf),
+                          ((0.3,), (5.0,), (0.0,)))
+        assert g.support == (-math.inf, 1.0)
+
     def test_declared_bound_enforced(self):
         g = PiecewisePoly.constant(2.0, 0.0, 1.0)
         with pytest.raises(ValueError):

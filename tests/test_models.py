@@ -4,7 +4,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import quad
 
 from levydam import (
@@ -240,13 +240,47 @@ class TestConstruction:
         with pytest.raises(ValueError, match="release rate"):
             model.shifted(0.0)
 
-    def test_measure_moments(self):
-        # tail functions integrate back to the stated first moment
-        for model in (GammaDrift(1.0, 1.0, 2.0),
-                      InverseGaussianDrift(1.0, 1.0, 2.0)):
-            mu_num = quad(lambda x: float(model.measure.tail(x)), 0, np.inf,
-                          limit=300)[0]
-            assert mu_num == pytest.approx(model.measure.mu, rel=1e-8)
+
+# every gamma (a, b) and inverse Gaussian (sigma, c) measure of the tests
+# and the benchmark configs
+GAMMA_MEASURES = [(1.0, 2.0), (3.0, 2.0), (4.0, 2.0)]
+IG_MEASURES = [(1.0, 2.0), (1.0, 0.8)]
+
+
+def _exact_tails():
+    """(measure, exact tail nu([x, inf))) for every measure above, the
+    tails by scipy.special: a E1(b x), and for inverse Gaussian jumps
+    2 (exp(-q x) / sqrt(x) - sqrt(pi q) erfc(sqrt(q x))) / (sigma sqrt(2 pi))."""
+    out = []
+    for a, b in GAMMA_MEASURES:
+        out.append((GammaDrift(1.0, a, b).measure,
+                    lambda x, a=a, b=b: a * special.exp1(b * x)))
+    for sigma, c in IG_MEASURES:
+        q = c * c / (2.0 * sigma * sigma)
+        out.append((InverseGaussianDrift(1.0, sigma, c).measure,
+                    lambda x, q=q, sigma=sigma: 2.0 * (
+                        np.exp(-q * x) / np.sqrt(x) - math.sqrt(math.pi * q)
+                        * special.erfc(np.sqrt(q * x)))
+                    / (sigma * math.sqrt(2.0 * math.pi))))
+    return out
+
+
+class TestTailBound:
+    """The jump tail is cut where an elementary bound on it falls below
+    1e-15; the bound must lie above the tail and cut where the tail does."""
+
+    def test_bound_is_above_the_exact_tail(self):
+        x = np.geomspace(1e-3, 200.0, 2001)
+        for measure, exact in _exact_tails():
+            bound, tail = measure.tail_bound(x), exact(x)
+            assert np.all(bound >= tail), measure
+
+    def test_cut_matches_the_exact_tail(self):
+        for measure, exact in _exact_tails():
+            x = 1.0
+            while exact(x) >= 1e-15:
+                x *= 2.0
+            assert measure.tail_quantile(1e-15) == x, measure
 
 
 class TestJumpsFromExponential:

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -40,28 +41,56 @@ def _scipy(modules: list) -> list:
     return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
 
 
-def test_start_up_and_closed_form_reports_load_no_scipy():
-    # Brownian and compound Poisson reports run on numpy alone
+def test_no_verb_loads_scipy_on_any_model_kind():
+    # the package runs on numpy alone: evaluate and verify on every model
+    # kind of the CLI load no scipy module; each builds an overshoot law,
+    # and so cuts the jump tail, where the input has jumps
     loaded = _loaded_modules(
         "import levydam.cli as cli\n"
-        "for name in ('compound_poisson', 'wiener'):\n"
-        "    cfg = cli.load_config(f'configs/{name}.json')\n"
-        "    cli.cmd_evaluate(cfg)\n")
-    assert "levydam.exits" in loaded
+        f"specs = {MODEL_SPECS!r}\n"
+        "cfg = cli.load_config('configs/compound_poisson.json')\n"
+        "cfg['verification'].update(n_paths=20, time_step=0.01)\n"
+        "zero = {'breakpoints': [0.0, 1.0], 'coeffs': [[0.0]]}\n"
+        "cfg['costs'].update(g=zero, g_star=zero)\n"
+        "cfg['alphas'] = []\n"
+        "for spec in specs:\n"
+        "    cfg['model'] = spec\n"
+        "    cli.cmd_evaluate(cfg)\n"
+        "    cli.cmd_verify(cfg)\n")
+    assert "levydam.exits" in loaded and "levydam.simulate" in loaded
     assert _scipy(loaded) == []
 
 
-def test_gamma_report_loads_only_scipy_special():
-    # the gamma tail, exp1, is the one scipy function a gamma report calls
-    loaded = _loaded_modules(
-        "import levydam.cli as cli\n"
-        "cfg = cli.load_config('configs/compound_poisson.json')\n"
-        "cfg['model'] = {'kind': 'gamma', 'zeta': 1.0, 'a': 3.0, 'b': 2.0}\n"
-        "cfg['alphas'] = []\n"
-        "cli.cmd_evaluate(cfg)\n")
-    assert "scipy.special" in loaded
-    assert [m for m in _scipy(loaded)
-            if m.startswith(("scipy.optimize", "scipy.integrate"))] == []
+def _imported_modules(tree):
+    """(module, enclosing function) of every import statement in tree."""
+    found = []
+
+    def walk(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, func) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.append((child.module, func))
+            walk(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    walk(tree, None)
+    return found
+
+
+def test_package_depends_on_numpy_alone():
+    # no module imports scipy but the exits.quad shim, which nothing in the
+    # package calls; the declared run-time dependencies are numpy alone
+    package = Path(levydam.__file__).resolve().parent
+    scipy_imports = []
+    for path in sorted(package.glob("*.py")):
+        for module, func in _imported_modules(ast.parse(path.read_text())):
+            if module.split(".")[0] == "scipy":
+                scipy_imports.append((path.name, func, module))
+    assert scipy_imports == [("exits.py", "quad", "scipy.integrate")]
+    text = (ROOT / "pyproject.toml").read_text()
+    block = re.search(r"^dependencies = \[(.*?)^\]", text, re.S | re.M)
+    assert re.findall(r'^\s*"([\w.-]+)', block.group(1), re.M) == ["numpy"]
 
 
 def test_benchmark_tracer_installs_and_restores():
