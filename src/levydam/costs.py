@@ -123,8 +123,11 @@ class PiecewisePoly:
         inside = ~((ys < bps[0]) | (ys >= bps[-1]))  # NaN counts as inside
         cols, short, origins = self._columns
         # the piece of each y; below the support the first, above it and at
-        # NaN the last
-        idx = np.searchsorted(bps[1:-1], ys, side="right")
+        # NaN the last.  A one-piece rate takes piece 0 as a scalar index:
+        # each gather below is then a scalar that broadcasts, with the same
+        # float operations on every entry
+        idx = (np.searchsorted(bps[1:-1], ys, side="right") if len(bps) > 2
+               else 0)
         val = cols[0][idx]
         if len(cols) > 1:
             # u = 0 outside the support, so no power overflows there

@@ -408,8 +408,9 @@ def _cp_events(model, config, start, lam, tau, V, M, reflected, horizon,
 
 
 def _exp(a, ts):
-    """e^{-a t} for each t by ``math.exp``, whose last bits np.exp misses."""
-    return np.array([math.exp(-a * v) for v in ts.tolist()])
+    """e^{-a t} for each t by ``math.exp``, whose last bits np.exp misses;
+    -a * ts rounds each product as the scalar -a * t does."""
+    return np.array(list(map(math.exp, (-a * ts).tolist())))
 
 
 def _records(done, t_fill, t_rel, state, e_fill, e_cycle, fill_g, release_g,
@@ -441,6 +442,11 @@ def _subordinator_increments(model, rng, dt, size):
 # steps times live paths that one kernel iteration draws: against 16,384, a
 # verify-bm run at 8,192 is 9 % slower and at 32,768 has 3 MB more peak RSS
 _GRID_BLOCK = 16384
+
+
+# the bridge test's cutoff for its exponent lp, below ln 2^-53 = -36.74 with
+# room for the rounding of exp: e^-37.5 = 5.2e-17 < 2^-53 = 1.1e-16
+_BRIDGE_CUTOFF = -37.5
 
 
 def _scan(ufunc, out, steps):
@@ -591,17 +597,20 @@ class _GridKernel:
                 cut *= sign
                 cut = sign * _scan(np.maximum, cut, cut[1:])
             Y[1:] -= cut
-        # bridge test for paths that start and end short of the barrier,
-        # with probability e^lp; exp is 0.0 below -745.2, and slow there
+        # bridge test for paths that start and end short of the barrier:
+        # u < e^lp.  The uniforms are multiples of 2^-53, and at or below
+        # the cutoff e^lp < 2^-53, so there only u = 0.0 can pass; exp is
+        # taken where lp is above the cutoff or u is 0.0
+        ub = u[K:]
         lp = bar - Y[:-1]
         lp *= np.subtract(bar, Y[1:], out=w)
         np.maximum(lp, 0.0, out=lp)
         lp *= -2.0
         lp /= self.sig2_dt
-        near = np.flatnonzero(lp > -746.0)
+        near = np.flatnonzero((lp > _BRIDGE_CUTOFF) | (ub == 0.0))
         hit = reached(Y[1:], bar)
         hit.reshape(-1)[near] |= (short(Y[:-1].reshape(-1)[near], bar)
-                                  & (u[K:].reshape(-1)[near]
+                                  & (ub.reshape(-1)[near]
                                      < np.exp(lp.reshape(-1)[near])))
         return Y, hit
 
@@ -685,7 +694,9 @@ class _Clock:
             new = np.cumsum(np.concatenate(([self.t[-1]], np.full(
                 max(top + 1, 2 * have) - have, self.dt))))[1:]
             self.t = np.concatenate((self.t, new))
-            self.disc = {b: np.concatenate((d, _exp(b, new)))
+            # e^{-0 t} is exactly 1.0
+            self.disc = {b: np.concatenate((d, _exp(b, new) if b
+                                            else np.ones(len(new))))
                          for b, d in self.disc.items()}
         return self.t[k] if a is None else self.disc[a][k]
 

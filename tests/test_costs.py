@@ -109,11 +109,19 @@ class TestPiecewisePoly:
         ((0.0, 1.0, 2.0), ((0.3,), ())),
         # the short piece's missing powers overflow; they must add nothing
         ((0.0, 1e300, 1.5e300), ((1.0,), (0.3, 2.0, 0.5, 1.0))),
+        # one piece: a constant, a polynomial, constants with an infinite
+        # end and no coefficients
+        ((0.0, 2.0), ((0.3,),)),
+        ((-0.5, 2.0), ((0.2, 0.1, -0.7, 0.05),)),
+        ((0.5, math.inf), ((0.3,),)),
+        ((-math.inf, 1.0), ((-0.2,),)),
+        ((-math.inf, math.inf), ((0.4,),)),
+        ((0.0, 1.0), ((),)),
     ])
     def test_array_values_equal_scalar_calls_any_lengths(self, breakpoints,
                                                          coeffs):
         p = PiecewisePoly(breakpoints, coeffs)
-        lo, hi = p.support
+        lo, hi = np.nan_to_num(p.support, neginf=-5.0, posinf=5.0)
         ys = np.concatenate((np.linspace(lo - 1.0, hi, 301), p.breakpoints,
                              np.nextafter(p.breakpoints, -np.inf),
                              [np.nan, np.inf, -np.inf]))

@@ -837,6 +837,36 @@ def test_block_recurrence_matches_step_loop(case, shape):
         assert (first(want_hit) > 0).sum() > 3
 
 
+def test_bridge_cutoff_is_exact():
+    # the uniforms are multiples of 2^-53 and e^lp < 2^-53 at or below the
+    # cutoff, so there the bridge test passes only at a uniform of 0.0: the
+    # kernel, which takes exp only above the cutoff or at 0.0, must hit
+    # exactly where a step loop taking exp everywhere does
+    assert math.exp(simulate._BRIDGE_CUTOFF) < 2.0 ** -53
+    assert np.exp(simulate._BRIDGE_CUTOFF) < 2.0 ** -53
+    model = brownian(-0.5, 2.0)
+    cfg = PathConfig(time_step=2e-2, n_paths=1)
+    kernel = simulate._GridKernel(model, cfg, False, POLICY.lam, POLICY.tau,
+                                  POLICY.V, POLICY.M)
+    s2dt = model.sigma2 * cfg.time_step
+    # from lam - 1, step ends that put lp = -2 (lam - y0)(lam - y1) / s2dt
+    # on a grid from -744 to -1e-3, each with a bridge uniform of 0.0, of
+    # 2^-53 and of 0.5
+    lp = np.repeat(-np.geomspace(1e-3, 744.0, 300), 3)
+    m = len(lp)
+    y0 = np.full(m, POLICY.lam - 1.0)
+    w = (1.0 + 0.5 * lp * s2dt)[None, :]
+    u = np.vstack((np.full(m, 0.5), np.tile([0.0, 2.0 ** -53, 0.5], m // 3)))
+    Y, hit = kernel.advance(y0, w.copy(), u.copy(), True)
+    want = [_plain_step(model, False, POLICY, cfg.time_step, y0[c], w[0, c],
+                        u[0, c], u[1, c], True) for c in range(m)]
+    assert np.array_equal(Y[1], [y for y, _ in want])
+    assert np.array_equal(hit[0], [h for _, h in want])
+    below = lp <= simulate._BRIDGE_CUTOFF
+    assert np.array_equal(hit[0] & below, (u[1] == 0.0) & below)
+    assert (hit[0] & below).sum() > 50 and (~hit[0] & ~below).any()
+
+
 def _recorded_draws(monkeypatch):
     """The (w, u) of every kernel block, as drawn."""
     blocks = []
@@ -911,6 +941,28 @@ def _clock(dt, n):
     for _ in range(n):
         t.append(t[-1] + dt)
     return t
+
+
+def test_clock_is_a_step_loop_however_it_grows():
+    # grown in many small steps or in one, the clock holds the bytes of a
+    # step loop's t_k and of math.exp(-a t_k); at a = 0 each factor is 1.0
+    dt, n, alphas = 2e-2, 400, (0.0, 0.5, 2.0)
+    steps, once = simulate._Clock(dt, alphas), simulate._Clock(dt, alphas)
+    for top in range(0, n, 3):
+        steps(np.array([top]))
+    once(np.array([n - 1]))
+    k = np.arange(n)
+    t = np.array(_clock(dt, n - 1))
+    for clock in (steps, once):
+        assert clock(k).tobytes() == t.tobytes()
+        for a in alphas:
+            want = np.array([math.exp(-a * v) for v in t])
+            assert clock(k, a).tobytes() == want.tobytes()
+        assert (clock(k, 0.0) == 1.0).all()
+    ts = np.concatenate((t, [np.nan, 1e300, 0.0]))
+    for a in (0.0, 0.5, 2, 1e-300):
+        want = np.array([math.exp(-a * v) for v in ts.tolist()])
+        assert simulate._exp(a, ts).tobytes() == want.tobytes()
 
 
 LOOP_CASES = {
