@@ -360,6 +360,10 @@ def cmd_verify(cfg: dict, seed=None, paths=None) -> dict:
     notes = []
 
     def add(name, analytic, est):
+        if not math.isfinite(analytic):
+            notes.append(f"{name} check skipped: the analytic value is "
+                         f"{float(analytic)}")
+            return
         z = ((analytic - est.mean) / est.std_error
              if est.std_error > 0 else 0.0)
         checks.append({
@@ -453,8 +457,14 @@ def _objective_fn(cfg: dict, model, costs, reflected):
     sets: dict = {}
     if crit == "long_run_average":
         def fn(policy):
-            return PolicyEvaluator(model, policy, costs, reflected=reflected,
-                                   scale_sets=sets).long_run_average()
+            ev = PolicyEvaluator(model, policy, costs, reflected=reflected,
+                                 scale_sets=sets)
+            try:
+                return ev.long_run_average()
+            except ValueError as exc:
+                # an infinite mean cycle: set by the model, M, V and
+                # reflected alone, so the first policy of the sweep meets it
+                raise ConfigError(f"objective.criterion: {exc}") from None
         return fn, crit
     if crit == "total_discounted":
         alpha = _typed(spec.get("alpha"), _POSITIVE, "objective.alpha")

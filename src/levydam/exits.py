@@ -744,7 +744,14 @@ class FillPhase:
         """(c, d) of the transform Z(y) - W(y) alpha c / d and the mean
         W(y) c / d - Wbar(y), y = lam - x: (W(lam), W'(lam)) or (1, eta)."""
         s, lam = self.s, self.lam
-        return (s.w(lam), s.wp(lam)) if self.reflected else (1.0, s.eta_alpha)
+        if not self.reflected:
+            return 1.0, s.eta_alpha
+        c, d = s.w(lam), s.wp(lam)
+        if not d > 0.0:
+            raise ConvergenceError(
+                f"W'(lam) = {float(d)} at lam = {float(lam)}, where it is "
+                "positive: the scale functions lose precision at this threshold")
+        return c, d
 
     def exit_lt(self, x: float) -> float:
         """E_x[exp(-alpha T)], T the end of the fill.

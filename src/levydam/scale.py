@@ -35,7 +35,12 @@ from typing import Callable
 
 import numpy as np
 
-from .models import BrownianDrift, CompoundPoissonDrift, LevyModel
+from .models import (
+    BrownianDrift,
+    CompoundPoissonDrift,
+    ConvergenceError,
+    LevyModel,
+)
 
 CLOSED_FORM = "closed_form"
 LAPLACE_INVERSION = "laplace_inversion"
@@ -212,8 +217,14 @@ class _InversionEvaluator(_Evaluator):
         for i in range(0, len(new), _TALBOT_BATCH):
             ts = new[i:i + _TALBOT_BATCH]
             vals = _talbot(fhat, np.array(ts), _TALBOT_NODES).tolist()
-            cache.update((t, math.exp(self.eta * t) * v)
-                         for t, v in zip(ts, vals))
+            try:
+                cache.update((t, math.exp(self.eta * t) * v)
+                             for t, v in zip(ts, vals))
+            except OverflowError:
+                raise ConvergenceError(
+                    f"e^(eta x) overflows at eta = {self.eta}, x up to "
+                    f"{max(ts)}: the untilted scale function is out of "
+                    "range") from None
         return np.array([cache[v] for v in xs])
 
     def w(self, x):

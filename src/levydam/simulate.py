@@ -23,10 +23,11 @@ pieces between events go to a ``_SegmentSink``, integrated in blocks.
 
 The grid families share one time-blocked kernel, ``_GridKernel``: each
 iteration takes every live path up to K ~ ``_GRID_BLOCK`` / (live paths)
-steps on, on one clock (``_Clock``).  ``_grid_cycles`` stops each path after
-its fill phase, a release phase or one full cycle and adds its trapezoid
-maintenance integrals a block at a time; ``_total_discounted_grid`` runs
-cycles until the discount floor and books each charge as it falls due.
+steps on, on one clock (``_Clock``), in one walk (``_grid_paths``) that
+moves each path from phase to phase.  ``_grid_cycles`` books the walk's
+fill phases, release phases or full cycles, adding their trapezoid
+maintenance integrals a block at a time; ``_total_discounted_grid`` books
+cycles until the discount floor, each step and each charge as it falls due.
 
 Randomness is counter based.  A compound Poisson path reads standard
 exponentials from the Philox stream keyed by (seed, path index), in blocks
@@ -709,6 +710,40 @@ def _booked(rows, pos, used):
     return rows
 
 
+def _grid_paths(kernel, n, start, filling, n_max, fill_only=False,
+                renew=False):
+    """n grid paths from ``start`` in the given phase, a block at a time on
+    one clock, each until its steps reach ``n_max``.
+
+    Yields per block the live paths' indices orig, their step counts k0 and
+    k before and after it, the groups of ``kernel.block``, and the live
+    positions of the fill crossings, with their landing states, and of the
+    ended cycles (a release that met tau, or a crossing when ``fill_only``).
+    Then a crossing releases from min(state, V), and an ended cycle fills
+    again from tau when ``renew``, else its path leaves.
+    """
+    # live paths: their indices, contents, phases and step counts
+    orig, y = np.arange(n), np.full(n, float(start))
+    fill = np.full(n, bool(filling))
+    k = np.zeros(n, np.intp)
+    while len(y):
+        k0 = k
+        y, groups, ix, k = kernel.block(y, fill, k, n_max)
+        crossed = ix[fill[ix]]
+        ended = crossed if fill_only else ix[~fill[ix]]
+        state = kernel.landing(y[crossed])
+        yield orig, k0, k, groups, crossed, state, ended
+        y[crossed] = np.minimum(state, kernel.V)
+        fill[crossed] = False
+        live = k < n_max
+        if renew:
+            y[ended], fill[ended] = kernel.tau, True
+        else:
+            live[ended] = False
+        if not live.all():
+            orig, y, fill, k = orig[live], y[live], fill[live], k[live]
+
+
 def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
                  fill_only=False) -> CycleRecords:
     """Every path from ``start`` in the given phase, on one clock.
@@ -727,19 +762,13 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
     integrals = {phase: {a: np.zeros(n) for a in alphas}
                  for phase in (True, False)}
 
-    # live paths: their indices, contents, phases and step counts
-    orig, y = np.arange(n), np.full(n, float(start))
-    fill = np.full(n, bool(filling))
-    k = np.zeros(n, np.intp)
-
     # per-path records, indexed by path
     t_fill, release_time, cross = np.zeros((3, n))
     e_fill, e_cycle = ({a: np.zeros(n) for a in alphas} for _ in "ab")
     done = np.zeros(n, dtype=bool)
 
-    while len(y):
-        k0 = k
-        y, groups, ix, k = kernel.block(y, fill, k, n_max)
+    for orig, k0, k, groups, crossed, state, ended in _grid_paths(
+            kernel, n, start, filling, n_max, fill_only):
         for phase, cols, Y, pos, used in groups:
             if phase in rates:
                 values = rates[phase].values(kernel.stopped(Y, phase))
@@ -749,27 +778,15 @@ def _grid_cycles(kernel, config, start, filling, costs=None, alphas=(),
                     both = clock(at, a) * values if a else values
                     integrals[phase][a][pid] += _booked(0.5 * kernel.dt * (
                         both[:-1] + both[1:]), pos, used).sum(axis=0)
-        crossed, finished = ix[fill[ix]], ix[~fill[ix]]
-        if len(crossed):
-            pid = orig[crossed]
-            t_fill[pid] = clock(k[crossed])
-            cross[pid] = state = kernel.landing(y[crossed])
-            if fill_only:
-                finished = crossed
-            else:
-                y[crossed] = np.minimum(state, kernel.V)
-                fill[crossed] = False
-        if len(finished):
-            pid = orig[finished]
-            release_time[pid] = clock(k[finished]) - t_fill[pid]
-            for a in alphas:
-                e_fill[a][pid] = np.exp(-a * t_fill[pid])
-                e_cycle[a][pid] = clock(k[finished], a)
-            done[pid] = True
-        if len(finished) or k.max() >= n_max:
-            live = k < n_max
-            live[finished] = False
-            orig, y, fill, k = orig[live], y[live], fill[live], k[live]
+        pid = orig[crossed]
+        t_fill[pid] = clock(k[crossed])
+        cross[pid] = state
+        pid = orig[ended]
+        release_time[pid] = clock(k[ended]) - t_fill[pid]
+        for a in alphas:
+            e_fill[a][pid] = np.exp(-a * t_fill[pid])
+            e_cycle[a][pid] = clock(k[ended], a)
+        done[pid] = True
     return _records(done, t_fill, release_time, cross, e_fill, e_cycle,
                     integrals[True], integrals[False], kernel.M)
 
@@ -913,9 +930,9 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
     release reward and its charges as they fall due, in that order, until
     its steps reach the floor.
     """
-    lam, tau, V, M = policy.lam, policy.tau, policy.V, policy.M
+    lam, V, M = policy.lam, policy.V, policy.M
     n, dt = config.n_paths, config.time_step
-    kernel = _GridKernel(model, config, reflected, lam, tau, V, M)
+    kernel = _GridKernel(model, config, reflected, lam, policy.tau, V, M)
     n_max = int(math.ceil(-math.log(floor) / alpha / dt))
     clock = _Clock(dt, (alpha,))
     rates = {ph: r for ph, r in ((True, costs.g), (False, costs.g_star))
@@ -923,21 +940,14 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
 
     start = min(x, V)
     # a cycle from lam or below pays the closing charge, one from lam or
-    # above the opening charge, at time 0
-    out = np.full(n, (M * costs.K2 if start <= lam else 0.0)
-                  + (M * costs.K1 if start >= lam else 0.0))
-    # live paths: their indices, totals, contents, phases and step counts;
-    # a fill from the threshold has length zero: the valve opens
-    orig = np.arange(n)
-    totals = out.copy()
-    y = np.full(n, float(start))
-    fill = np.full(n, start < lam)
-    k = np.zeros(n, np.intp)
-
-    while len(y):
-        k0 = k
-        y, groups, ix, k = kernel.block(y, fill, k, n_max)
+    # above the opening charge, at time 0; a fill from the threshold has
+    # length zero: the valve opens
+    totals = np.full(n, (M * costs.K2 if start <= lam else 0.0)
+                     + (M * costs.K1 if start >= lam else 0.0))
+    for orig, k0, k, groups, opened, _, closed in _grid_paths(
+            kernel, n, start, start < lam, n_max, renew=True):
         for phase, cols, Y, pos, used in groups:
+            pid = orig[cols]
             d = clock(k0[cols] + np.arange(len(Y))[:, None], alpha)
             parts = []
             if phase in rates:
@@ -948,22 +958,11 @@ def _total_discounted_grid(model, policy, costs, alpha, x, config, reflected,
                 parts.append(-(costs.R * M * (d[:-1] - d[1:]) / alpha))
             # a path's steps in order, each its integral, then its reward
             rows = np.empty((1 + len(parts) * (len(Y) - 1), Y.shape[1]))
-            rows[0] = totals[cols]
+            rows[0] = totals[pid]
             for i, part in enumerate(parts):
                 rows[1 + i::len(parts)] = _booked(part, pos, used)
-            totals[cols] = rows.sum(axis=0)
-        opened, closed = ix[fill[ix]], ix[~fill[ix]]
-        # the valve opens: pay the opening charge, and release from the
-        # capped state
-        totals[opened] += clock(k[opened], alpha) * M * costs.K1
-        y[opened] = np.minimum(kernel.landing(y[opened]), V)
-        # the cycle ends: pay the next closing charge, and fill from tau
-        totals[closed] += clock(k[closed], alpha) * M * costs.K2
-        y[closed] = tau
-        fill[ix] = ~fill[ix]
-        if k.max() >= n_max:
-            live = k < n_max
-            out[orig[~live]] = totals[~live]
-            orig, totals, y, fill, k = (
-                v[live] for v in (orig, totals, y, fill, k))
-    return out
+            totals[pid] = rows.sum(axis=0)
+        # the valve opens, or a cycle ends: pay the opening or closing charge
+        totals[orig[opened]] += clock(k[opened], alpha) * M * costs.K1
+        totals[orig[closed]] += clock(k[closed], alpha) * M * costs.K2
+    return totals

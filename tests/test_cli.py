@@ -376,6 +376,18 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not (tmp_path / f"{verb}.json").exists()
 
+    def test_lost_scale_derivative_exits_numeric(self, tmp_path, capsys):
+        # reflected Brownian input drifting down at lambda = 12.5: W'(lambda)
+        # comes out as 0.0, which the fill mean divides by
+        cfg = wiener_config(tmp_path, reflected=True)
+        cfg["model"] = {"kind": "brownian", "mu": -1.6, "sigma2": 0.87}
+        cfg["policy"] = {"lambda": 12.5, "tau": 0.5, "M": 2.0, "V": 30.0}
+        path = write_config(tmp_path, cfg)
+        assert main(["evaluate", "--config", path, "--quiet"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: W'(lam) = 0.0")
+        assert not (tmp_path / "evaluate.json").exists()
+
 
 def _inflate_fill_exit_mean(monkeypatch):
     """A wrong analytic side: the fill exit mean 1.5 times too large."""
@@ -406,6 +418,24 @@ class TestVerify:
         names = [c["quantity"] for c in report["checks"]]
         assert "long_run_average_cost" not in names
         assert "fill_exit_mean" in names
+
+    def test_infinite_analytic_mean_is_skipped_with_note(self, tmp_path):
+        # plain input drifting down: the fill and cycle means are infinite,
+        # while the simulated means count the completed cycles only
+        cfg = wiener_config(tmp_path)
+        cfg["model"] = {"kind": "brownian", "mu": -0.2, "sigma2": 2.0}
+        cfg["policy"] = {"lambda": 1.0, "tau": 0.5, "M": 2.0, "V": 4.0}
+        cfg["verification"].update(n_paths=200, horizon=200.0)
+        path = write_config(tmp_path, cfg)
+        assert main(["verify", "--config", path, "--quiet"]) != EXIT_NUMERIC
+        report = read_strict(tmp_path / "verify.json")
+        assert report["notes"][:2] == [
+            "fill_exit_mean check skipped: the analytic value is inf",
+            "mean_cycle_length check skipped: the analytic value is inf"]
+        names = [c["quantity"] for c in report["checks"]]
+        assert "mean_release_time" in names
+        assert "fill_exit_mean" not in names
+        assert "mean_cycle_length" not in names
 
     def test_corrupted_analytic_fails(self, tmp_path, monkeypatch):
         _inflate_fill_exit_mean(monkeypatch)
@@ -495,6 +525,20 @@ class TestOptimize:
         report = cmd_optimize(cfg)
         assert report["argmin"]["lambda"] == 1.5
         assert report["argmin"]["tau"] == 0.5
+
+    def test_infinite_mean_cycle_is_config_error(self, tmp_path, capsys):
+        # plain input drifting down never reaches lambda for sure, at any
+        # point of the sweep: no long-run average exists
+        cfg = self.sweep_config(tmp_path, reflected=False)
+        cfg["model"]["mu"] = -1.0
+        cfg["sweep"] = {"lambda": {"start": 1.5, "stop": 3.0, "num": 4},
+                        "tau": 0.5}
+        path = write_config(tmp_path, cfg)
+        assert main(["optimize", "--config", path, "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "config error: objective.criterion: infinite mean cycle")
+        assert not (tmp_path / "optimize.json").exists()
 
     def test_infeasible_grid_rejected(self, tmp_path):
         cfg = self.sweep_config(tmp_path)

@@ -556,6 +556,17 @@ class TestRangeGuards:
         with pytest.raises(ConvergenceError, match="cycle end transform"):
             ev.cycle_cost(0.5)
 
+    def test_zero_derivative_at_threshold_raises(self):
+        # reflected Brownian input drifting down at lam = 12.5: W'(lam) comes
+        # out as 0.0, which the fill mean and transform divide by
+        costs = CostSpec(1.0, 0.5, 0.3, PiecewisePoly.zero(),
+                         PiecewisePoly.zero())
+        ev = PolicyEvaluator(brownian(-1.6, 0.87),
+                             PolicyParams(12.5, 0.5, 2.0, 30.0), costs,
+                             reflected=True)
+        with pytest.raises(ConvergenceError, match=r"W'\(lam\) = 0\.0"):
+            ev.fill_exit_mean()
+
     def test_in_range_values_pass_unchanged(self):
         ev = self.evaluator(5.0)
         s = ev.fill_set(0.5)

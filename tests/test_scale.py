@@ -393,3 +393,13 @@ class TestScalarPath:
             getattr(s, kind)(np.linspace(0.0, self.TOP, 97))
             getattr(s, kind)(3.0 * self.TOP)
         assert {k: [getattr(s, k)(x) for x in xs] for k in first} == first
+
+
+def test_overflowing_untilted_value_raises_convergence_error():
+    # eta(0) = 10.35 here, so e^(eta x) overflows at x = 80: a numerical
+    # failure, not an OverflowError
+    s = ScaleFunctionSet(InverseGaussianDrift(0.38, 0.52, 2.10), 0.0)
+    for kind in ("w", "wp", "wbar"):
+        with pytest.raises(levydam.ConvergenceError, match="overflows"):
+            getattr(s, kind)(80.0)
+    assert math.isfinite(s.w(1.0))

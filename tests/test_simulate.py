@@ -1043,10 +1043,13 @@ class _TotalPaths:
         self.filling[i] = f != hit
 
 
+# a start below lam, at lam (the valve opens at once and both charges fall
+# due) and above V
+@pytest.mark.parametrize("x", [0.5, 2.0, 5.0])
 @pytest.mark.parametrize("block", [97, 70, None],
                          ids=["small", "one-step", "default"])
 @pytest.mark.parametrize("case", LOOP_CASES)
-def test_discounted_blocks_match_step_loop(case, block, monkeypatch):
+def test_discounted_blocks_match_step_loop(case, block, x, monkeypatch):
     model, reflected, V = LOOP_CASES[case]
     if block is not None:
         monkeypatch.setattr(simulate, "_GRID_BLOCK", block)
@@ -1054,10 +1057,10 @@ def test_discounted_blocks_match_step_loop(case, block, monkeypatch):
     policy = PolicyParams(lam=2.0, tau=0.5, M=2.0, V=V)
     cfg = PathConfig(time_step=2e-2, n_paths=40, seed=36)
     costs, alpha, floor = TestCostsLeavePathsAlone.COSTS, 2.0, 1e-3
-    got = simulate._total_discounted_grid(model, policy, costs, alpha, 0.5,
+    got = simulate._total_discounted_grid(model, policy, costs, alpha, x,
                                           cfg, reflected, floor)
     n_max = math.ceil(-math.log(floor) / alpha / cfg.time_step)
-    paths = _TotalPaths(model, policy, costs, alpha, 0.5, cfg.n_paths,
+    paths = _TotalPaths(model, policy, costs, alpha, x, cfg.n_paths,
                         _clock(cfg.time_step, n_max))
     _replay(blocks, model, reflected, policy, cfg.time_step, n_max, paths)
     assert len(blocks) > (10 if block else 1)
